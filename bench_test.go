@@ -442,6 +442,89 @@ func BenchmarkNetworkStepFaultedRecovery(b *testing.B) {
 	}
 }
 
+// wedgedVCNetwork is wedgedNetwork on the per-flit virtual-channel engine: a
+// 16x16 double-y mesh whose eastbound physical channels out of column 8 are
+// broken, westbound-sourced worms piled against the break, watchdog off.
+// Every subsequent Step does identical work — the blocked headers are
+// offered their (faulted or owned) virtual channels and every stalled flit
+// is polled.
+func wedgedVCNetwork(tb testing.TB) *turnmodel.VCNetwork {
+	tb.Helper()
+	mesh := turnmodel.NewMesh2D(16, 16)
+	alg, err := turnmodel.NewVCRouting("double-y", mesh)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	faults := make([]turnmodel.Channel, 0, 16)
+	for y := 0; y < 16; y++ {
+		faults = append(faults, turnmodel.Channel{
+			From: mesh.ID(turnmodel.Coord{8, y}), Dir: turnmodel.East,
+		})
+	}
+	net := turnmodel.NewVCNetwork(turnmodel.VCNetworkConfig{
+		Routing: alg, WatchdogCycles: -1, Faults: faults,
+	})
+	for y := 0; y < 16; y++ {
+		for x := 0; x < 4; x++ {
+			net.Enqueue(mesh.ID(turnmodel.Coord{x, y}), mesh.ID(turnmodel.Coord{15, y}), 10)
+		}
+	}
+	for c := 0; c < 2000; c++ {
+		if err := net.Step(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return net
+}
+
+// BenchmarkVCNetStep is BenchmarkNetworkStep/no-probe for internal/vcnet:
+// the steady-state cost of one cycle over a permanently wedged network,
+// the virtual-channel engine's gated step number.
+func BenchmarkVCNetStep(b *testing.B) {
+	net := wedgedVCNetwork(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := net.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkVCNetStepTraffic is BenchmarkNetworkStepTraffic for
+// internal/vcnet: the same preloaded working set and trickle of arrivals,
+// on a double-y mesh simulated flit by flit.
+func BenchmarkVCNetStepTraffic(b *testing.B) {
+	mesh := turnmodel.NewMesh2D(16, 16)
+	alg, err := turnmodel.NewVCRouting("double-y", mesh)
+	if err != nil {
+		b.Fatal(err)
+	}
+	net := turnmodel.NewVCNetwork(turnmodel.VCNetworkConfig{Routing: alg})
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 400; i++ {
+		src := turnmodel.NodeID(rng.Intn(256))
+		dst := turnmodel.NodeID(rng.Intn(256))
+		if src != dst {
+			net.Enqueue(src, dst, 10+rng.Intn(190))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%50 == 0 {
+			src := turnmodel.NodeID(rng.Intn(256))
+			dst := turnmodel.NodeID(rng.Intn(256))
+			if src != dst {
+				net.Enqueue(src, dst, 10)
+			}
+		}
+		if err := net.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkExtensionHex benchmarks the Section 7 hexagonal-mesh extension
 // experiment (one sweep point per algorithm per iteration).
 func BenchmarkExtensionHex(b *testing.B) {

@@ -120,11 +120,22 @@ type trace struct {
 // everything observable.
 func runTrace(t *testing.T, c shardCase, e shardEngine, sched []injection) trace {
 	t.Helper()
+	return runTraceClosing(t, c, e, sched, -1)
+}
+
+// runTraceClosing is runTrace with the engine Closed — returned from
+// sharded to serial stepping — before the step of cycle closeAt (never, if
+// negative).
+func runTraceClosing(t *testing.T, c shardCase, e shardEngine, sched []injection, closeAt int64) trace {
+	t.Helper()
 	defer e.Close()
 	var tr trace
 	next := 0
 	drain := c.cycles + 20000
 	for cycle := int64(0); cycle < drain; cycle++ {
+		if cycle == closeAt {
+			e.Close()
+		}
 		for next < len(sched) && sched[next].cycle == cycle {
 			in := sched[next]
 			e.Enqueue(in.src, in.dst, in.length)

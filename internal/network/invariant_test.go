@@ -2,6 +2,7 @@ package network
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"turnmodel/internal/routing"
@@ -17,8 +18,12 @@ import (
 //     and the set of channels a worm owns is exactly the channels between
 //     its tail and head plus its pending head allocation.
 //  3. Flit conservation: sent - delivered flits are in the network.
+//  4. The wait table holds exactly the headers waiting for an output, and
+//     visits them in the order of the global request sort it replaced
+//     (see checkWaitTable).
 func checkInvariants(t *testing.T, n *Network) {
 	t.Helper()
+	checkWaitTable(t, n)
 	coveredBy := make(map[int32]*worm)
 	ownedWant := make(map[int32]*worm) // key: router*2n+dir
 	dims2 := 2 * n.dims
@@ -79,6 +84,46 @@ func checkInvariants(t *testing.T, n *Network) {
 				gotPkt = owner.pkt.String()
 			}
 			t.Fatalf("channel %d: owned by %s, want %s", key, gotPkt, wantPkt)
+		}
+	}
+}
+
+// checkWaitTable is the old per-cycle request sort, kept as the wait
+// table's oracle: collect every active worm whose header has neither
+// arrived nor been granted an output, sort by router, then input policy,
+// then packet ID, and demand that walking the table's parts in order visits
+// exactly that sequence — no waiter stranded outside the table, no entry
+// leaked for a worm that stopped waiting.
+func checkWaitTable(t *testing.T, n *Network) {
+	t.Helper()
+	var want []*worm
+	for _, w := range n.active {
+		if !w.arrived && w.outDir == noDirection {
+			want = append(want, w)
+		}
+	}
+	sort.SliceStable(want, func(i, j int) bool {
+		if want[i].headRouter != want[j].headRouter {
+			return want[i].headRouter < want[j].headRouter
+		}
+		return servedBefore(n.input, want[i], want[j])
+	})
+	var got []*worm
+	for d := 0; d < n.wait.Parts(); d++ {
+		for it := n.wait.Walk(d); it.Next(); {
+			got = append(got, it.Waiter())
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("cycle %d: wait table holds %d headers, %d are waiting", n.core.Cycle, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("cycle %d: wait table visit %d is %v at router %d, the request sort puts %v at router %d there",
+				n.core.Cycle, i, got[i].pkt, got[i].headRouter, want[i].pkt, want[i].headRouter)
+		}
+		if !got[i].wait.Listed() {
+			t.Fatalf("cycle %d: %v is in the table but its link says unlisted", n.core.Cycle, got[i].pkt)
 		}
 	}
 }

@@ -20,7 +20,6 @@ package network
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"turnmodel/internal/engine"
 	"turnmodel/internal/fault"
@@ -142,8 +141,11 @@ type Network struct {
 	fastOutput bool
 
 	active    []*worm
-	requests  []*worm // scratch: headers awaiting an output this cycle
 	delivered []*Packet
+	// wait holds the headers waiting for an output, filed by router in
+	// input-policy order (see engine.WaitTable); phase 2 walks it instead
+	// of collecting and sorting requests.
+	wait *engine.WaitTable[*worm]
 
 	routingDelay int64
 
@@ -155,12 +157,9 @@ type Network struct {
 	// for load analysis (router*2n+dir).
 	channelFlits []int64
 
-	// sorter, freeBase and freeFn are allocation-free machinery for the
-	// Step hot loop: a stored sort.Interface replaces the sort.Slice
-	// closure for large request lists, and freeFn is allocated once with
-	// freeBase rebound per request instead of closing over a fresh base
-	// per header.
-	sorter   reqSorter
+	// freeBase and freeFn keep the Step hot loop allocation-free: freeFn
+	// is allocated once with freeBase rebound per request instead of
+	// closing over a fresh base per header.
 	freeBase int
 	freeFn   func(topology.Direction) bool
 
@@ -172,26 +171,6 @@ type Network struct {
 	classifyFn func(d int)
 	planFn     func(d int)
 	applyFn    func(d int)
-}
-
-// reqSorter orders a request list by router, then by the input selection
-// policy. It exists (rather than a sort.Slice closure) so that sorting in
-// Step does not allocate; the sharded step keeps one per domain.
-type reqSorter struct {
-	n    *Network
-	reqs *[]*worm
-}
-
-func (s *reqSorter) Len() int { return len(*s.reqs) }
-
-func (s *reqSorter) Swap(i, j int) {
-	r := *s.reqs
-	r[i], r[j] = r[j], r[i]
-}
-
-func (s *reqSorter) Less(i, j int) bool {
-	r := *s.reqs
-	return s.n.requestLess(r[i], r[j])
 }
 
 // New builds a network simulator for the given configuration.
@@ -261,29 +240,44 @@ func New(cfg Config) *Network {
 	_, n.fastOutput = n.output.(LowestDimension)
 	n.routingDelay = cfg.RoutingDelay
 	n.channelFlits = make([]int64, topo.Nodes()*n.dims2)
-	n.sorter = reqSorter{n, &n.requests}
 	n.freeFn = func(d topology.Direction) bool {
 		return n.outOwner[n.freeBase+int(d)] == nil && !n.faulted[n.freeBase+int(d)]
 	}
 	n.initShardDomains(cfg)
+	n.wait = engine.NewWaitTable[*worm](&n.core)
 	return n
 }
 
-// placeWorm is the core's injection hook: the packet's header enters the
-// node's free injection buffer.
-func (n *Network) placeWorm(node topology.NodeID, p *Packet) {
+// newWorm puts the packet's header into the node's free injection buffer,
+// where it starts waiting for an output.
+func (n *Network) newWorm(node topology.NodeID, p *Packet) *worm {
 	inj := n.bufID(node, n.dims2)
 	w := &worm{
 		pkt:           p,
 		sent:          1,
 		outDir:        noDirection,
 		headerArrival: n.core.Cycle,
+		movedAt:       -1,
 		headRouter:    node,
 		inDir:         topology.Invalid,
 	}
+	w.wait.Owner = w
 	w.path = append(w.pathBuf[:0], inj)
 	n.occupied[inj] = true
-	n.active = append(n.active, w)
+	n.enlist(w)
+	return w
+}
+
+// placeWorm is the core's injection hook.
+func (n *Network) placeWorm(node topology.NodeID, p *Packet) {
+	n.active = append(n.active, n.newWorm(node, p))
+}
+
+// enlist records that the worm's header entered a buffer at its head
+// router and now waits there for an output, at the priority the input
+// policy gives it.
+func (n *Network) enlist(w *worm) {
+	n.wait.Enlist(&w.wait, int32(w.headRouter), n.input.Key(w), w.pkt.ID)
 }
 
 // ChannelLoad reports how many flits the channel leaving node in direction
@@ -414,40 +408,6 @@ func (n *Network) bufRouter(buf int32) topology.NodeID {
 
 func (n *Network) bufPort(buf int32) int { return int(n.portOf[buf]) }
 
-// requestLess orders competing headers by router, then by the input
-// selection policy. Both built-in policies tie-break on the unique packet
-// ID, so the order is total and every sorting algorithm yields the same
-// permutation.
-func (n *Network) requestLess(a, b *worm) bool {
-	if a.headRouter != b.headRouter {
-		return a.headRouter < b.headRouter
-	}
-	return n.input.Less(a, b)
-}
-
-// sortRequestList orders a request list in place. Small lists (the common
-// case at sweep loads) use an insertion sort — the active list's injection
-// order is close to sorted, so it is effectively linear — and large lists
-// fall back to the caller's stored sort.Interface. The comparison is a
-// strict total order, so both paths produce the identical permutation.
-func (n *Network) sortRequestList(r []*worm, s *reqSorter) {
-	if len(r) <= 32 {
-		for i := 1; i < len(r); i++ {
-			w := r[i]
-			j := i - 1
-			for j >= 0 && n.requestLess(w, r[j]) {
-				r[j+1] = r[j]
-				j--
-			}
-			r[j+1] = w
-		}
-		return
-	}
-	sort.Sort(s)
-}
-
-func (n *Network) sortRequests() { n.sortRequestList(n.requests, &n.sorter) }
-
 // Step advances the simulation by one cycle: it injects waiting headers,
 // routes and allocates output channels for waiting headers (input and
 // output selection policies arbitrate), and then advances every worm that
@@ -476,71 +436,10 @@ func (n *Network) Step() error {
 		progress = true
 	}
 
-	// Phase 2: routing and output allocation for waiting headers,
-	// arbitrated per router by the input selection policy.
-	n.requests = n.requests[:0]
-	for _, w := range n.active {
-		w.advanced = false
-		if w.arrived || w.outDir != noDirection {
-			continue
-		}
-		if n.routingDelay > 0 && c.Cycle-w.headerArrival < n.routingDelay {
-			// The routing decision is still in the router pipeline
-			// (Section 7's node-delay cost of adaptive route selection).
-			continue
-		}
-		if w.headRouter == w.pkt.Dst {
-			// Ejection channels are always available; the message
-			// starts draining into the local processor.
-			w.arrived = true
-			continue
-		}
-		n.requests = append(n.requests, w)
-	}
-	if len(n.requests) > 0 {
-		n.sortRequests()
-		for _, w := range n.requests {
-			r := w.headRouter
-			if !w.candsValid {
-				// The permitted outputs depend only on (router, dst,
-				// arrival direction), all fixed while the header waits in
-				// this buffer, so the candidate list is computed once per
-				// hop rather than once per cycle.
-				if n.masked != nil {
-					w.cands, w.candsMis = n.masked.FaultCandidates(r, w.pkt.Dst, w.inDir, w.inWrap, w.misroutes)
-				} else if n.appender != nil {
-					w.cands = n.appender.AppendCandidates(w.candBuf[:0], r, w.pkt.Dst, w.inDir, w.inWrap)
-				} else {
-					w.cands = n.alg.Candidates(r, w.pkt.Dst, w.inDir, w.inWrap)
-				}
-				w.candsValid = true
-			}
-			base := int(r) * n.dims2
-			if n.fastOutput {
-				// LowestDimension is "first free candidate": inline it and
-				// skip the policy's closure indirection.
-				granted := false
-				for _, d := range w.cands {
-					if k := base + int(d); n.outOwner[k] == nil && !n.faulted[k] {
-						n.outOwner[k] = w
-						w.outDir = d
-						granted = true
-						break
-					}
-				}
-				if !granted {
-					c.Em.Blocked(c.Cycle, r)
-				}
-				continue
-			}
-			n.freeBase = base
-			if d, ok := n.output.Choose(w.cands, n.freeFn, w.inDir, n.rng); ok {
-				n.outOwner[base+int(d)] = w
-				w.outDir = d
-			} else {
-				c.Em.Blocked(c.Cycle, r)
-			}
-		}
+	// Phase 2: routing and output allocation for the waiting headers,
+	// router by router in input-policy order, straight off the wait table.
+	for d := 0; d < n.wait.Parts(); d++ {
+		n.arbitrate(d, n.masked, &c.Em)
 	}
 
 	// Phase 3: movement. Worms advance at most one hop each; a worm
@@ -549,7 +448,7 @@ func (n *Network) Step() error {
 	for {
 		moved := false
 		for _, w := range n.active {
-			if !w.advanced && n.tryAdvance(w) {
+			if w.movedAt != c.Cycle && n.tryAdvance(w) {
 				moved = true
 			}
 		}
@@ -562,6 +461,74 @@ func (n *Network) Step() error {
 	// Phase 4: retire completed worms, then close the cycle.
 	n.retirePhase()
 	return n.finishStep(progress)
+}
+
+// arbitrate is phase 2 for one part of the wait table: every header
+// waiting at one of the part's routers — visited in ascending router order
+// and, within a router, in input-policy order — is marked arrived if it sits
+// at its destination, and otherwise offered its candidate outputs. A header
+// leaves the table when it is granted an output or arrives; a blocked one
+// stays where it is for the next cycle. The serial step walks every part
+// with its own fault-masking wrapper and emitter; the sharded step runs one
+// part per domain with the domain's (see classifyDomain).
+func (n *Network) arbitrate(d int, masked *routing.FaultAware, em *engine.Emitter) {
+	c := &n.core
+	for it := n.wait.Walk(d); it.Next(); {
+		w := it.Waiter()
+		if n.routingDelay > 0 && c.Cycle-w.headerArrival < n.routingDelay {
+			// The routing decision is still in the router pipeline
+			// (Section 7's node-delay cost of adaptive route selection).
+			continue
+		}
+		r := w.headRouter
+		if r == w.pkt.Dst {
+			// Ejection channels are always available; the message
+			// starts draining into the local processor.
+			w.arrived = true
+			it.Delist()
+			continue
+		}
+		if !w.candsValid {
+			// The permitted outputs depend only on (router, dst, arrival
+			// direction), all fixed while the header waits in this buffer,
+			// so the candidate list is computed once per hop rather than
+			// once per cycle.
+			if masked != nil {
+				w.cands, w.candsMis = masked.FaultCandidates(r, w.pkt.Dst, w.inDir, w.inWrap, w.misroutes)
+			} else if n.appender != nil {
+				w.cands = n.appender.AppendCandidates(w.candBuf[:0], r, w.pkt.Dst, w.inDir, w.inWrap)
+			} else {
+				w.cands = n.alg.Candidates(r, w.pkt.Dst, w.inDir, w.inWrap)
+			}
+			w.candsValid = true
+		}
+		base := int(r) * n.dims2
+		if n.fastOutput {
+			// LowestDimension is "first free candidate": inline it and
+			// skip the policy's closure indirection. (The sharded step
+			// requires it, so this is its only arbitration.)
+			for _, dd := range w.cands {
+				if k := base + int(dd); n.outOwner[k] == nil && !n.faulted[k] {
+					n.outOwner[k] = w
+					w.outDir = dd
+					it.Delist()
+					break
+				}
+			}
+			if w.outDir == noDirection {
+				em.Blocked(c.Cycle, r)
+			}
+			continue
+		}
+		n.freeBase = base
+		if dd, ok := n.output.Choose(w.cands, n.freeFn, w.inDir, n.rng); ok {
+			n.outOwner[base+int(dd)] = w
+			w.outDir = dd
+			it.Delist()
+		} else {
+			em.Blocked(c.Cycle, r)
+		}
+	}
 }
 
 // recoveryPhase aborts any worm whose header has been stuck past the stall
@@ -644,6 +611,7 @@ func (n *Network) abort(w *worm) {
 		n.outOwner[int(w.headRouter)*n.dims2+int(w.outDir)] = nil
 		w.outDir = noDirection
 	}
+	n.wait.Delist(&w.wait)
 	for i, x := range n.active {
 		if x == w {
 			n.active = append(n.active[:i], n.active[i+1:]...)
@@ -733,7 +701,9 @@ func (n *Network) tryAdvance(w *worm) bool {
 		return false
 	}
 	c := &n.core
-	n.applyAdvance(w, &c.Em, &c.FlitsConsumed, &c.MisrouteHops)
+	if n.applyAdvance(w, &c.Em, &c.FlitsConsumed, &c.MisrouteHops) {
+		n.enlist(w)
+	}
 	return true
 }
 
@@ -768,12 +738,14 @@ func (n *Network) canAdvance(w *worm) bool {
 // channels — so the sharded step may apply a whole round of moves in
 // parallel. The flit-consumed and misroute tallies and the probe events go
 // through the caller's sinks: the core's own for the serial path, the
-// domain's for the sharded one.
-func (n *Network) applyAdvance(w *worm, em *engine.Emitter, flits, mis *int64) {
+// domain's for the sharded one. It reports whether the header hopped into
+// a new buffer; the caller then enlists it there (the serial step at once,
+// a domain worker only under its own routers — see applyDomain).
+func (n *Network) applyAdvance(w *worm, em *engine.Emitter, flits, mis *int64) (hopped bool) {
 	c := &n.core
 	last := len(w.path) - 1
 	inNet := w.inNetwork()
-	if !w.arrived {
+	if hopped = !w.arrived; hopped {
 		r := w.headRouter
 		next, _ := c.Grid.Neighbor(r, w.outDir)
 		nb := n.bufID(next, int(w.outDir))
@@ -821,5 +793,6 @@ func (n *Network) applyAdvance(w *worm, em *engine.Emitter, flits, mis *int64) {
 			em.FlitMove(c.Cycle, from, topology.Direction(dir), w.pkt.Length)
 		}
 	}
-	w.advanced = true
+	w.movedAt = c.Cycle
+	return hopped
 }

@@ -35,8 +35,9 @@ type worm struct {
 	// headerArrival is the cycle the header entered its current buffer,
 	// used by the local first-come-first-served input selection policy.
 	headerArrival int64
-	// advanced marks that the worm already moved this cycle.
-	advanced bool
+	// movedAt is the cycle of the worm's last advance (-1: never); a worm
+	// advances at most once per cycle.
+	movedAt int64
 	// headRouter, inDir and inWrap cache the header's position state —
 	// the router holding its buffer, the direction it was travelling when
 	// it entered, and whether that hop crossed a wraparound — so the step
@@ -55,6 +56,10 @@ type worm struct {
 	candsValid bool
 	candsMis   bool
 	misroutes  int
+
+	// wait is the header's link in the wait table while it waits for an
+	// output at headRouter (see engine.WaitTable).
+	wait engine.WaitLink[*worm]
 
 	candBuf [8]topology.Direction
 	pathBuf [16]int32

@@ -97,27 +97,31 @@ func (StraightFirst) Choose(cands []topology.Direction, free func(topology.Direc
 // InputPolicy arbitrates when header flits in several input buffers of one
 // router compete for output channels in the same cycle: it decides the
 // order in which they claim channels.
+//
+// The engine asks for a header's key once, when the header enters a
+// buffer, and files the header among its router's waiters at that position
+// (see engine.WaitTable) instead of re-sorting the competitors every
+// cycle. A policy must therefore derive the key only from state that
+// cannot change while the header waits in that buffer — the cycle it
+// arrived there, anything fixed at packet creation — and never from
+// mutable state such as how long it has been blocked.
 type InputPolicy interface {
 	Name() string
-	// Less reports whether worm a should be served before worm b.
-	Less(a, b *worm) bool
+	// Key is the header's priority at its router: a lower key is served
+	// first, and equal keys are served in packet-ID order, which keeps
+	// the order total, deterministic and fair.
+	Key(w *worm) int64
 }
 
 // LocalFCFS is the paper's input selection policy: it decides in favor of
-// the header flits that arrived in the router first. Ties (same arrival
-// cycle) fall back to packet ID, which preserves determinism and fairness.
+// the header flits that arrived in the router first.
 type LocalFCFS struct{}
 
 // Name implements InputPolicy.
 func (LocalFCFS) Name() string { return "local-fcfs" }
 
-// Less implements InputPolicy.
-func (LocalFCFS) Less(a, b *worm) bool {
-	if a.headerArrival != b.headerArrival {
-		return a.headerArrival < b.headerArrival
-	}
-	return a.pkt.ID < b.pkt.ID
-}
+// Key implements InputPolicy: the cycle the header entered its buffer.
+func (LocalFCFS) Key(w *worm) int64 { return w.headerArrival }
 
 // OldestFirst serves the header of the oldest packet first (global age
 // arbitration), an alternative fairness policy.
@@ -126,13 +130,8 @@ type OldestFirst struct{}
 // Name implements InputPolicy.
 func (OldestFirst) Name() string { return "oldest-first" }
 
-// Less implements InputPolicy.
-func (OldestFirst) Less(a, b *worm) bool {
-	if a.pkt.Created != b.pkt.Created {
-		return a.pkt.Created < b.pkt.Created
-	}
-	return a.pkt.ID < b.pkt.ID
-}
+// Key implements InputPolicy: the cycle the packet was created.
+func (OldestFirst) Key(w *worm) int64 { return w.pkt.Created }
 
 // The policy registries mirror routing.New/routing.Names: policies are
 // selected by name (with a few historical aliases), so CLIs and config

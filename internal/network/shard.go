@@ -20,20 +20,20 @@ import (
 // state are either read-only at that point or serial.
 
 // netDomain is one domain's per-cycle scratch: the worms it owns this
-// cycle, its request and mover lists, the worms it injected this cycle
-// (merged into the active list in domain order), its fault-masking wrapper
-// (the wrapper's counters are not concurrent-safe, so each domain gets its
-// own over the shared read-only Health), its counter deltas, and its
-// request sorter. Everything is preallocated or reused, keeping the
+// cycle, its mover list, the worms it injected this cycle (merged into the
+// active list in domain order), the worms whose headers it moved under
+// another domain's router (enlisted there after the movement barrier), its
+// fault-masking wrapper (the wrapper's counters are not concurrent-safe,
+// so each domain gets its own over the shared read-only Health), and its
+// counter deltas. Everything is preallocated or reused, keeping the
 // no-probe sharded step allocation-free. Padded against false sharing of
 // the counters.
 type netDomain struct {
 	owned    []*worm
-	requests []*worm
 	movers   []*worm
 	injected []*worm
+	foreign  []*worm
 	masked   *routing.FaultAware
-	sorter   reqSorter
 	flits    int64
 	mis      int64
 	_        [64]byte
@@ -56,7 +56,6 @@ func (n *Network) initShardDomains(cfg Config) {
 	n.dsc = make([]netDomain, n.shards)
 	for d := range n.dsc {
 		dm := &n.dsc[d]
-		dm.sorter = reqSorter{n, &dm.requests}
 		if n.core.Health != nil {
 			dm.masked = routing.NewFaultAware(n.alg, n.core.Health, n.core.FaultPol)
 		}
@@ -82,93 +81,37 @@ func (n *Network) Close() {
 // instead of the shared active list; stepSharded merges the lists in
 // domain order, which reproduces the serial active-list order because
 // injection visits nodes in ascending order and domains are ascending node
-// ranges. The buffer write is to the injecting node's own injection
-// buffer, which belongs to this domain.
+// ranges. The buffer write and the wait-table entry are at the injecting
+// node, which belongs to this domain.
 func (n *Network) placeWormShard(d int, node topology.NodeID, p *Packet) {
-	inj := n.bufID(node, n.dims2)
-	w := &worm{
-		pkt:           p,
-		sent:          1,
-		outDir:        noDirection,
-		headerArrival: n.core.Cycle,
-		headRouter:    node,
-		inDir:         topology.Invalid,
-	}
-	w.path = append(w.pathBuf[:0], inj)
-	n.occupied[inj] = true
-	n.dsc[d].injected = append(n.dsc[d].injected, w)
+	n.dsc[d].injected = append(n.dsc[d].injected, n.newWorm(node, p))
 }
 
 // classifyDomain is the parallel body of phase 2 for one domain: collect
-// the worms whose head router lies in the domain's node range, reset their
-// advanced flags, mark arrivals, then route and allocate output channels
-// for the waiting headers.
+// the worms whose head router lies in the domain's node range (the movement
+// rounds plan over them), then arbitrate the domain's part of the wait
+// table.
 //
-// Serial equivalence: the request order is total (router first), so
-// per-domain sorted lists concatenated in domain order equal the globally
-// sorted list; and a request only reads and writes arbitration state at
-// its own head router (outOwner, faulted), which no other domain touches
-// in this phase — so every router's arbitration sees exactly the
-// competitors, in exactly the order, of the serial pass. Blocked events go
-// to the domain emitter and merge in domain order, again the serial order.
+// Serial equivalence: the serial step walks the table's parts in domain
+// order, and a part holds exactly the waiters at the domain's routers — so
+// the domains together visit every waiter the serial pass visits, each
+// router's in the same order. An offer only reads and writes arbitration
+// state at the waiter's own head router (outOwner, faulted, the router's
+// run of waiters and the part's bitmap words), which no other domain
+// touches in this phase, so every router's arbitration has exactly the
+// serial outcome. Blocked events go to the domain emitter and merge in
+// domain order, again the serial order.
 func (n *Network) classifyDomain(d int) {
 	c := &n.core
 	dm := &n.dsc[d]
 	lo, hi := c.ShardRange(d)
 	dm.owned = dm.owned[:0]
-	dm.requests = dm.requests[:0]
 	for _, w := range n.active {
-		r := int32(w.headRouter)
-		if r < lo || r >= hi {
-			continue
-		}
-		dm.owned = append(dm.owned, w)
-		w.advanced = false
-		if w.arrived || w.outDir != noDirection {
-			continue
-		}
-		if n.routingDelay > 0 && c.Cycle-w.headerArrival < n.routingDelay {
-			continue
-		}
-		if w.headRouter == w.pkt.Dst {
-			w.arrived = true
-			continue
-		}
-		dm.requests = append(dm.requests, w)
-	}
-	if len(dm.requests) == 0 {
-		return
-	}
-	n.sortRequestList(dm.requests, &dm.sorter)
-	em := c.ShardEmitter(d)
-	for _, w := range dm.requests {
-		r := w.headRouter
-		if !w.candsValid {
-			if dm.masked != nil {
-				w.cands, w.candsMis = dm.masked.FaultCandidates(r, w.pkt.Dst, w.inDir, w.inWrap, w.misroutes)
-			} else if n.appender != nil {
-				w.cands = n.appender.AppendCandidates(w.candBuf[:0], r, w.pkt.Dst, w.inDir, w.inWrap)
-			} else {
-				w.cands = n.alg.Candidates(r, w.pkt.Dst, w.inDir, w.inWrap)
-			}
-			w.candsValid = true
-		}
-		// Sharding requires fastOutput, so the inlined LowestDimension
-		// (first free candidate) is the only arbitration here.
-		base := int(r) * n.dims2
-		granted := false
-		for _, dd := range w.cands {
-			if k := base + int(dd); n.outOwner[k] == nil && !n.faulted[k] {
-				n.outOwner[k] = w
-				w.outDir = dd
-				granted = true
-				break
-			}
-		}
-		if !granted {
-			em.Blocked(c.Cycle, r)
+		if r := int32(w.headRouter); r >= lo && r < hi {
+			dm.owned = append(dm.owned, w)
 		}
 	}
+	n.arbitrate(d, dm.masked, c.ShardEmitter(d))
 }
 
 // planDomain is the read-only half of one movement round: it collects the
@@ -179,7 +122,7 @@ func (n *Network) planDomain(d int) {
 	dm := &n.dsc[d]
 	dm.movers = dm.movers[:0]
 	for _, w := range dm.owned {
-		if !w.advanced && n.canAdvance(w) {
+		if w.movedAt != n.core.Cycle && n.canAdvance(w) {
 			dm.movers = append(dm.movers, w)
 		}
 	}
@@ -188,13 +131,27 @@ func (n *Network) planDomain(d int) {
 // applyDomain applies one movement round's planned moves for the domain.
 // All writes are exclusive to each moving worm (see applyAdvance), so
 // domains apply concurrently; counter deltas and FlitMove events land in
-// the domain's sinks and merge after the movement loop.
+// the domain's sinks and merge after the movement loop. A header that
+// hopped starts waiting at its new router: this worker enlists it there
+// only if the router is its own — the wait table's lists and bitmap words
+// belong to the router's domain — and otherwise parks the worm on the
+// foreign list, which stepSharded enlists serially after the last round
+// (nothing reads the table during movement, and entries are filed in order
+// on insertion, so when and in what order they land is immaterial).
 func (n *Network) applyDomain(d int) {
 	c := &n.core
 	dm := &n.dsc[d]
 	em := c.ShardEmitter(d)
+	lo, hi := c.ShardRange(d)
 	for _, w := range dm.movers {
-		n.applyAdvance(w, em, &dm.flits, &dm.mis)
+		if !n.applyAdvance(w, em, &dm.flits, &dm.mis) {
+			continue
+		}
+		if r := int32(w.headRouter); r >= lo && r < hi {
+			n.enlist(w)
+		} else {
+			dm.foreign = append(dm.foreign, w)
+		}
 	}
 }
 
@@ -261,6 +218,11 @@ func (n *Network) stepSharded() error {
 		c.FlitsConsumed += dm.flits
 		c.MisrouteHops += dm.mis
 		dm.flits, dm.mis = 0, 0
+		for i, w := range dm.foreign {
+			n.enlist(w)
+			dm.foreign[i] = nil
+		}
+		dm.foreign = dm.foreign[:0]
 	}
 
 	// Phase 4: retire completed worms, then close the cycle (serial).

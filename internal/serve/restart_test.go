@@ -115,10 +115,19 @@ func journalRecords(t *testing.T, st *jobstore.Store, key string) []jobstore.Rec
 // assertJournalInvariants checks the exactly-once shape every finished
 // journal must have: exactly one terminal record, and strictly increasing
 // fencing tokens across started records (each new executor out-fences the
-// last).
+// last). A job's Done channel closes just before its terminal record is
+// appended (settle: finish, then journalFinish), so a caller arriving
+// straight from waitDone may be early; the journal is re-read until the
+// record lands.
 func assertJournalInvariants(t *testing.T, st *jobstore.Store, key, wantState string) {
 	t.Helper()
 	recs := journalRecords(t, st, key)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); recs = journalRecords(t, st, key) {
+		if n := len(recs); n > 0 && recs[n-1].Kind == jobstore.RecordTerminal {
+			break
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 	terminals := 0
 	var lastFence uint64
 	for _, rec := range recs {

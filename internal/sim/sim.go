@@ -272,7 +272,16 @@ func measure(cfg RunParams, algName string, topo topology.Topology, net engine, 
 	// future cycle at which any node generates again — the injection
 	// horizon the event-driven clock may leap to. The min-scan rides the
 	// node loop generate already runs, so horizon tracking adds no pass.
+	// Generation is arrival-driven: nextDue remembers that cycle, and until
+	// the clock reaches it no node is due, so the scan over all nodes is
+	// skipped outright (at paper rates most cycles have no arrival). The
+	// same nodes fire at the same cycles in the same order, so the RNG
+	// stream is untouched.
+	nextDue := int64(0)
 	generate := func(cycle int64) int64 {
+		if cycle < nextDue {
+			return nextDue
+		}
 		earliest := math.Inf(1)
 		for node := range next {
 			for next[node] <= float64(cycle) {
@@ -288,10 +297,11 @@ func measure(cfg RunParams, algName string, topo topology.Topology, net engine, 
 				earliest = next[node]
 			}
 		}
-		if math.IsInf(earliest, 1) {
-			return math.MaxInt64 // nothing ever generates (zero-rate run)
+		nextDue = math.MaxInt64 // nothing ever generates (zero-rate run)
+		if !math.IsInf(earliest, 1) {
+			nextDue = int64(math.Ceil(earliest))
 		}
-		return int64(math.Ceil(earliest))
+		return nextDue
 	}
 
 	var lat stats.Sample

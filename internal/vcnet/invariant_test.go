@@ -2,6 +2,7 @@ package vcnet
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"turnmodel/internal/topology"
@@ -17,8 +18,12 @@ import (
 //     path positions its tail flit has not yet crossed, plus its pending
 //     head allocation.
 //  3. sent/done counters stay consistent with the position array.
+//  4. The wait table holds exactly the headers waiting for an output, and
+//     visits them in the order of the global request sort it replaced
+//     (see checkWaitTable).
 func checkInvariants(t *testing.T, n *Network) {
 	t.Helper()
+	checkWaitTable(t, n)
 	coveredBy := make(map[int32]*worm)
 	ownedWant := make(map[int]*worm)
 	for _, w := range n.active {
@@ -68,6 +73,45 @@ func checkInvariants(t *testing.T, n *Network) {
 	for key, owner := range n.owner {
 		if owner != ownedWant[key] {
 			t.Fatalf("channel %d ownership mismatch", key)
+		}
+	}
+}
+
+// checkWaitTable is the old per-cycle request sort, kept as the wait
+// table's oracle: every active worm whose header has neither arrived nor
+// been granted an output, sorted by router, header arrival cycle and packet
+// ID, must be exactly what walking the table's parts in order visits.
+func checkWaitTable(t *testing.T, n *Network) {
+	t.Helper()
+	var want []*worm
+	for _, w := range n.active {
+		if !w.arrived && !w.routed {
+			want = append(want, w)
+		}
+	}
+	sort.SliceStable(want, func(i, j int) bool {
+		a, b := want[i], want[j]
+		if a.headRouter != b.headRouter {
+			return a.headRouter < b.headRouter
+		}
+		if a.headerArrival != b.headerArrival {
+			return a.headerArrival < b.headerArrival
+		}
+		return a.pkt.ID < b.pkt.ID
+	})
+	var got []*worm
+	for d := 0; d < n.wait.Parts(); d++ {
+		for it := n.wait.Walk(d); it.Next(); {
+			got = append(got, it.Waiter())
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("cycle %d: wait table holds %d headers, %d are waiting", n.core.Cycle, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("cycle %d: wait table visit %d is %v at router %d, the request sort puts %v at router %d there",
+				n.core.Cycle, i, got[i].pkt, got[i].headRouter, want[i].pkt, want[i].headRouter)
 		}
 	}
 }

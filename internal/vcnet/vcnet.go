@@ -16,7 +16,6 @@ package vcnet
 
 import (
 	"fmt"
-	"sort"
 
 	"turnmodel/internal/engine"
 	"turnmodel/internal/fault"
@@ -120,6 +119,10 @@ type worm struct {
 	candsMis   bool
 	misroutes  int
 
+	// wait is the header's link in the wait table while it waits for an
+	// output at headRouter (see engine.WaitTable).
+	wait engine.WaitLink[*worm]
+
 	candBuf [8]vc.Out
 	pathBuf [16]int32
 }
@@ -161,19 +164,18 @@ type Network struct {
 	appender vc.CandidateAppender
 
 	active    []*worm
-	requests  []*worm // scratch: headers awaiting an output this cycle
 	delivered []*Packet
+	// wait holds the headers waiting for an output virtual channel, filed
+	// by router in local-FCFS order (header arrival cycle, then packet ID;
+	// see engine.WaitTable); phase 2 walks it instead of collecting and
+	// sorting requests.
+	wait *engine.WaitTable[*worm]
 
 	victims []*worm
 	// dirScratch and candScratch are reused by the appender fast path and
 	// reachable()'s candidate queries.
 	dirScratch  []topology.Direction
 	candScratch []vc.Out
-
-	// sorter replaces a per-Step sort.Slice closure so the hot loop does
-	// not allocate (mirrors internal/network); used for large request
-	// lists only.
-	sorter reqSorter
 
 	// Sharded stepping (see stepSharded): one vcDomain of scratch per
 	// spatial domain, with the prebound phase-2 worker task; shards
@@ -183,48 +185,16 @@ type Network struct {
 	classifyFn func(d int)
 }
 
-// reqSorter orders a request list by router, then local FCFS with packet
-// ID as the tiebreak, without allocating; the sharded step keeps one per
-// domain.
-type reqSorter struct{ reqs *[]*worm }
-
-func (s *reqSorter) Len() int { return len(*s.reqs) }
-
-func (s *reqSorter) Swap(i, j int) {
-	r := *s.reqs
-	r[i], r[j] = r[j], r[i]
-}
-
-func (s *reqSorter) Less(i, j int) bool {
-	r := *s.reqs
-	return requestLess(r[i], r[j])
-}
-
-// vcDomain is one domain's phase-2 scratch: its request list and sorter,
-// the worms it injected this cycle, and — because the fault-masking
-// wrapper's counters and the appender's direction scratch are not
-// concurrent-safe — a per-domain wrapper over the shared read-only Health
-// and a per-domain scratch slice. Padded against false sharing.
+// vcDomain is one domain's phase-2 scratch: the worms it injected this
+// cycle, and — because the fault-masking wrapper's counters and the
+// appender's direction scratch are not concurrent-safe — a per-domain
+// wrapper over the shared read-only Health and a per-domain scratch slice.
+// Padded against false sharing.
 type vcDomain struct {
-	requests   []*worm
 	injected   []*worm
 	masked     *vc.FaultAware
 	dirScratch []topology.Direction
-	sorter     reqSorter
 	_          [64]byte
-}
-
-// requestLess is the total request order: router, then header arrival
-// cycle, then the unique packet ID — so any correct sorting algorithm
-// produces the identical permutation.
-func requestLess(a, b *worm) bool {
-	if a.headRouter != b.headRouter {
-		return a.headRouter < b.headRouter
-	}
-	if a.headerArrival != b.headerArrival {
-		return a.headerArrival < b.headerArrival
-	}
-	return a.pkt.ID < b.pkt.ID
 }
 
 // New builds a virtual-channel network simulator.
@@ -297,13 +267,12 @@ func New(cfg Config) *Network {
 	}
 	n.appender, _ = cfg.Routing.(vc.CandidateAppender)
 	n.uncappedEject = cfg.UncappedEjection
-	n.sorter = reqSorter{&n.requests}
+	n.wait = engine.NewWaitTable[*worm](&n.core)
 	n.shards = n.core.ShardCount()
 	if n.shards > 1 {
 		n.dsc = make([]vcDomain, n.shards)
 		for d := range n.dsc {
 			dm := &n.dsc[d]
-			dm.sorter = reqSorter{&dm.requests}
 			if n.core.Health != nil {
 				dm.masked = vc.NewFaultAware(cfg.Routing, n.core.Health, n.core.FaultPol)
 			}
@@ -323,9 +292,9 @@ func (n *Network) Close() {
 	n.shards = 1
 }
 
-// placeWorm is the core's injection hook: the packet's header enters the
-// node's free injection buffer.
-func (n *Network) placeWorm(node topology.NodeID, p *Packet) {
+// newWorm puts the packet's header into the node's free injection buffer,
+// where it starts waiting for an output.
+func (n *Network) newWorm(node topology.NodeID, p *Packet) *worm {
 	inj := n.injID(node)
 	w := &worm{
 		pkt:           p,
@@ -336,6 +305,7 @@ func (n *Network) placeWorm(node topology.NodeID, p *Packet) {
 		headRouter:    node,
 		inDir:         topology.Invalid,
 	}
+	w.wait.Owner = w
 	w.path = append(w.pathBuf[:0], inj)
 	for i := range w.pos {
 		w.pos[i] = -1
@@ -343,32 +313,28 @@ func (n *Network) placeWorm(node topology.NodeID, p *Packet) {
 	}
 	w.pos[0] = 0
 	n.occupied[inj] = true
-	n.active = append(n.active, w)
+	n.enlist(w)
+	return w
+}
+
+// enlist records that the worm's header entered a buffer at its head
+// router and waits there for an output, first come first served.
+func (n *Network) enlist(w *worm) {
+	n.wait.Enlist(&w.wait, int32(w.headRouter), w.headerArrival, w.pkt.ID)
+}
+
+// placeWorm is the core's injection hook.
+func (n *Network) placeWorm(node topology.NodeID, p *Packet) {
+	n.active = append(n.active, n.newWorm(node, p))
 }
 
 // placeWormShard is the core's sharded injection hook: placeWorm with the
 // worm parked on the domain's injected list; stepSharded appends the lists
 // to the active list in domain order, reproducing the serial
-// ascending-node injection order.
+// ascending-node injection order. The injecting node — and so the worm's
+// wait-table entry — belongs to this domain.
 func (n *Network) placeWormShard(d int, node topology.NodeID, p *Packet) {
-	inj := n.injID(node)
-	w := &worm{
-		pkt:           p,
-		pos:           make([]int, p.Length),
-		movedAt:       make([]int64, p.Length),
-		sent:          1,
-		headerArrival: n.core.Cycle,
-		headRouter:    node,
-		inDir:         topology.Invalid,
-	}
-	w.path = append(w.pathBuf[:0], inj)
-	for i := range w.pos {
-		w.pos[i] = -1
-		w.movedAt[i] = -1
-	}
-	w.pos[0] = 0
-	n.occupied[inj] = true
-	n.dsc[d].injected = append(n.dsc[d].injected, w)
+	n.dsc[d].injected = append(n.dsc[d].injected, n.newWorm(node, p))
 }
 
 // buffer ids: node*ports + dir*maxVC + vc for network buffers; the last
@@ -489,28 +455,6 @@ func (n *Network) TakeDelivered() []*Packet {
 	return out
 }
 
-// sortRequestList orders a request list in place: insertion sort for small
-// lists (the active set's order is close to sorted, so it is effectively
-// linear), the caller's stored sort.Interface beyond that. requestLess is a
-// strict total order, so both paths produce the identical permutation.
-func sortRequestList(r []*worm, s *reqSorter) {
-	if len(r) <= 32 {
-		for i := 1; i < len(r); i++ {
-			w := r[i]
-			j := i - 1
-			for j >= 0 && requestLess(w, r[j]) {
-				r[j+1] = r[j]
-				j--
-			}
-			r[j+1] = w
-		}
-		return
-	}
-	sort.Sort(s)
-}
-
-func (n *Network) sortRequests() { sortRequestList(n.requests, &n.sorter) }
-
 // Step advances one cycle: injection, routing/allocation, then per-flit
 // movement with one flit per physical channel per cycle.
 //
@@ -537,52 +481,10 @@ func (n *Network) Step() error {
 		progress = true
 	}
 
-	// Phase 2: routing and allocation, local FCFS per router.
-	n.requests = n.requests[:0]
-	for _, w := range n.active {
-		if w.arrived || w.routed {
-			continue
-		}
-		if w.headRouter == w.pkt.Dst {
-			w.arrived = true
-			continue
-		}
-		n.requests = append(n.requests, w)
-	}
-	if len(n.requests) > 0 {
-		n.sortRequests()
-		for _, w := range n.requests {
-			r := w.headRouter
-			if !w.candsValid {
-				// Fixed while the header waits in this buffer; computed
-				// once per hop rather than once per cycle.
-				if n.masked != nil {
-					w.cands, w.candsMis = n.masked.FaultCandidates(r, w.pkt.Dst, w.inDir, w.inVC, w.misroutes)
-				} else if n.appender != nil {
-					w.cands, n.dirScratch = n.appender.AppendCandidates(
-						w.candBuf[:0], n.dirScratch, r, w.pkt.Dst, w.inDir, w.inVC)
-				} else {
-					w.cands = n.alg.Candidates(r, w.pkt.Dst, w.inDir, w.inVC)
-				}
-				w.candsValid = true
-			}
-			base := int(r) * n.dims2
-			for _, out := range w.cands {
-				if n.faulted[base+int(out.Dir)] {
-					continue
-				}
-				key := (base+int(out.Dir))*n.maxVC + out.VC
-				if n.owner[key] == nil {
-					n.owner[key] = w
-					w.out = out
-					w.routed = true
-					break
-				}
-			}
-			if !w.routed {
-				c.Em.Blocked(c.Cycle, r)
-			}
-		}
+	// Phase 2: routing and allocation, local FCFS per router, straight
+	// off the wait table.
+	for d := 0; d < n.wait.Parts(); d++ {
+		n.arbitrate(d, n.masked, &n.dirScratch, &c.Em)
 	}
 
 	// Phase 3: per-flit movement; phase 4: retirement and the watchdog.
@@ -677,45 +579,32 @@ func (n *Network) finishStep(progress bool) error {
 	return nil
 }
 
-// classifyDomain is the parallel body of phase 2 for one domain: collect
-// the domain's waiting headers, sort them (per-domain sorted lists
-// concatenated in domain order equal the globally sorted list, since the
-// order is total with the router as primary key), then route and allocate
-// output virtual channels. A request only touches arbitration state at its
-// own head router, so every router sees exactly the serial pass's
-// competitors in the serial order; Blocked events merge in domain order.
-func (n *Network) classifyDomain(d int) {
+// arbitrate is phase 2 for one part of the wait table: every header
+// waiting at one of the part's routers — routers ascending, each router's
+// waiters first come first served — is marked arrived if it sits at its
+// destination, and otherwise offered its candidate output virtual channels.
+// A header leaves the table when it is granted one or arrives; a blocked
+// one stays for the next cycle. The serial step walks every part with the
+// network's own masking wrapper, scratch and emitter; the sharded step runs
+// one part per domain with the domain's.
+func (n *Network) arbitrate(d int, masked *vc.FaultAware, dirScratch *[]topology.Direction, em *engine.Emitter) {
 	c := &n.core
-	dm := &n.dsc[d]
-	lo, hi := c.ShardRange(d)
-	dm.requests = dm.requests[:0]
-	for _, w := range n.active {
-		r := int32(w.headRouter)
-		if r < lo || r >= hi {
-			continue
-		}
-		if w.arrived || w.routed {
-			continue
-		}
-		if w.headRouter == w.pkt.Dst {
-			w.arrived = true
-			continue
-		}
-		dm.requests = append(dm.requests, w)
-	}
-	if len(dm.requests) == 0 {
-		return
-	}
-	sortRequestList(dm.requests, &dm.sorter)
-	em := c.ShardEmitter(d)
-	for _, w := range dm.requests {
+	for it := n.wait.Walk(d); it.Next(); {
+		w := it.Waiter()
 		r := w.headRouter
+		if r == w.pkt.Dst {
+			w.arrived = true
+			it.Delist()
+			continue
+		}
 		if !w.candsValid {
-			if dm.masked != nil {
-				w.cands, w.candsMis = dm.masked.FaultCandidates(r, w.pkt.Dst, w.inDir, w.inVC, w.misroutes)
+			// Fixed while the header waits in this buffer; computed
+			// once per hop rather than once per cycle.
+			if masked != nil {
+				w.cands, w.candsMis = masked.FaultCandidates(r, w.pkt.Dst, w.inDir, w.inVC, w.misroutes)
 			} else if n.appender != nil {
-				w.cands, dm.dirScratch = n.appender.AppendCandidates(
-					w.candBuf[:0], dm.dirScratch, r, w.pkt.Dst, w.inDir, w.inVC)
+				w.cands, *dirScratch = n.appender.AppendCandidates(
+					w.candBuf[:0], *dirScratch, r, w.pkt.Dst, w.inDir, w.inVC)
 			} else {
 				w.cands = n.alg.Candidates(r, w.pkt.Dst, w.inDir, w.inVC)
 			}
@@ -731,6 +620,7 @@ func (n *Network) classifyDomain(d int) {
 				n.owner[key] = w
 				w.out = out
 				w.routed = true
+				it.Delist()
 				break
 			}
 		}
@@ -738,6 +628,17 @@ func (n *Network) classifyDomain(d int) {
 			em.Blocked(c.Cycle, r)
 		}
 	}
+}
+
+// classifyDomain is the parallel body of phase 2 for one domain. The serial
+// step walks the wait table's parts in domain order and a part holds
+// exactly the waiters at the domain's routers, so the domains together make
+// the serial pass's offers, each router's in the serial order; an offer
+// only touches arbitration state at its own head router, which no other
+// domain touches in this phase; Blocked events merge in domain order.
+func (n *Network) classifyDomain(d int) {
+	dm := &n.dsc[d]
+	n.arbitrate(d, dm.masked, &dm.dirScratch, n.core.ShardEmitter(d))
 }
 
 // stepSharded is Step's domain-decomposed body: injection and
@@ -809,6 +710,7 @@ func (n *Network) abort(w *worm) {
 		n.owner[n.ownerKey(w.headRouter, w.out.Dir, w.out.VC)] = nil
 		w.routed = false
 	}
+	n.wait.Delist(&w.wait)
 	for i, x := range n.active {
 		if x == w {
 			n.active = append(n.active[:i], n.active[i+1:]...)
@@ -962,6 +864,9 @@ func (n *Network) moveFlit(w *worm, k int) bool {
 		}
 		c.Em.FlitMove(cycle, router, w.out.Dir, 1)
 		n.releaseBehind(w, p)
+		// Movement is serial at every shard count, so the header joins
+		// its new router's waiters directly.
+		n.enlist(w)
 		return true
 	}
 	// Body flit: follow the path.

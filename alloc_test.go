@@ -77,13 +77,89 @@ func movingNetwork(tb testing.TB, shards int) (*turnmodel.Network, []*turnmodel.
 	return net, pkts
 }
 
+// wakingWave enqueues the allocation gate's wake workload on an 8x8
+// west-first mesh: four short messages (3 to 7 flits) from every node
+// (x, y) to ((x+4) mod 8, (y+3) mod 8). Short worms queued four deep keep
+// every wake edge firing for dozens of cycles: tails cross channels and
+// wake the headers refused them, vacated buffers wake the worms stalled on
+// them, every injection buffer that empties wakes its source for the next
+// message, and worms retire and are recycled into the next injections.
+func wakingWave(net *turnmodel.Network, mesh *turnmodel.Mesh) []*turnmodel.Packet {
+	var pkts []*turnmodel.Packet
+	for k := 0; k < 4; k++ {
+		for y := 0; y < 8; y++ {
+			for x := 0; x < 8; x++ {
+				dst := mesh.ID(turnmodel.Coord{(x + 4) % 8, (y + 3) % 8})
+				pkts = append(pkts, net.Enqueue(mesh.ID(turnmodel.Coord{x, y}), dst, 3+(x+y+k)%5))
+			}
+		}
+	}
+	return pkts
+}
+
 // TestStepZeroAllocs gates the no-probe step paths at zero heap
 // allocations per cycle: the observability layer must cost nothing when
 // unused, fault-aware routing must stay allocation-free once its candidate
 // caches are warm, the sharded step must reuse its per-domain scratch
-// rather than allocate per cycle, and — the moving cases — a header
-// entering and leaving the wait table must cost no allocation either.
+// rather than allocate per cycle, a header entering and leaving the wait
+// table must cost no allocation (the moving cases), and neither must a wake,
+// a retirement or the injection that recycles the retired worm (the waking
+// cases).
 func TestStepZeroAllocs(t *testing.T) {
+	for _, shards := range []int{0, 4} {
+		name := "no-probe-waking"
+		if shards > 1 {
+			name += "-sharded"
+		}
+		t.Run(name, func(t *testing.T) {
+			mesh := turnmodel.NewMesh2D(8, 8)
+			alg, err := turnmodel.NewRouting("west-first", mesh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net := turnmodel.NewNetwork(turnmodel.NetworkConfig{Routing: alg, Seed: 1, Shards: shards})
+			defer net.Close()
+			var stepErr error
+			step := func() {
+				if err := net.Step(); err != nil {
+					stepErr = err
+				}
+			}
+			// A first wave, run to completion, allocates the worms and grows
+			// every list to its working size; the measured steps then carry
+			// an identical second wave on recycled worms.
+			wakingWave(net, mesh)
+			for net.InFlight() > 0 && stepErr == nil {
+				step()
+			}
+			net.TakeDelivered()
+			pkts := wakingWave(net, mesh)
+			start, done := net.Cycle(), net.PacketsDelivered()
+			// The only allocation left is the delivered list growing back
+			// after TakeDelivered — under ten in all, which AllocsPerRun's
+			// truncated average forgives; one per wake, per retirement or
+			// per injection would be several per step.
+			allocs := testing.AllocsPerRun(120, step)
+			if stepErr != nil {
+				t.Fatal(stepErr)
+			}
+			if n := net.PacketsDelivered() - done; n < 100 {
+				t.Fatalf("only %d packets delivered in the measured window; the case no longer exercises retirement", n)
+			}
+			woken := 0
+			for _, p := range pkts {
+				if p.Injected > start {
+					woken++
+				}
+			}
+			if woken < 100 {
+				t.Fatalf("only %d messages were injected by a woken source in the measured window", woken)
+			}
+			if allocs != 0 {
+				t.Errorf("%s step path allocates %.1f allocs/op, want 0", name, allocs)
+			}
+		})
+	}
 	for _, shards := range []int{0, 4} {
 		name := "no-probe-moving"
 		if shards > 1 {

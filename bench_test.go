@@ -344,19 +344,77 @@ func bigWedgedNetwork(tb testing.TB, size, shards int) *turnmodel.Network {
 	return net
 }
 
-// BenchmarkShardedStep measures intra-simulation parallelism: one wedged
-// 1000x1000 mesh (4000 blocked worms spread evenly over the rows) stepped
-// serially and with the network split into 2 and 4 spatial domains. The
-// workload per cycle is identical in every variant — sharding is an
-// execution strategy, and the cross-shard tests pin bit-identical results —
-// so the ns/op ratio is pure parallel speedup (plus barrier overhead). The
-// committed baseline gates the serial number everywhere and the 4-shard
-// speedup on machines with at least 4 CPUs (see BENCH_baseline.json
-// "speedups" and docs/performance.md).
+// BenchmarkShardedStep steps one wedged 1000x1000 mesh (4000 blocked worms
+// spread evenly over the rows) serially and split into 2 and 4 spatial
+// domains. Nothing blocked is looked at, so none of these steps has
+// anything to do: the benchmark is the "blocked costs O(1)" gate — a step
+// must not grow with the worms standing in the network or with the million
+// nodes around them — and, sharded, the price of the barriers of an empty
+// cycle. Parallel speedup is BenchmarkShardedStepMoving's to measure.
 func BenchmarkShardedStep(b *testing.B) {
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
 			net := bigWedgedNetwork(b, 1000, shards)
+			defer net.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := net.Step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// streamingNetwork is the sharded-step benchmark's moving workload: on a
+// size x size xy mesh every row's westmost node sends 200-flit messages to
+// the row's eastmost node, one after the other, for as long as the
+// benchmark runs. Once the pipeline is full each row carries size/200 worms
+// nose to tail, every one of which makes a full header-to-tail hop every
+// cycle — a grant, a move, a tail crossing and the wake it implies — so a
+// cycle is size*size/200 moves spread evenly over the rows, and therefore
+// over any contiguous split of the node range into spatial domains.
+func streamingNetwork(tb testing.TB, size, shards, steps int) *turnmodel.Network {
+	tb.Helper()
+	mesh := turnmodel.NewMesh2D(size, size)
+	alg, err := turnmodel.NewRouting("xy", mesh)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	net := turnmodel.NewNetwork(turnmodel.NetworkConfig{Routing: alg, Seed: 1, Shards: shards})
+	const length = 200
+	// Run until the first worms have retired: from then on every injection
+	// recycles a worm whose path buffer already spans the row, and a step
+	// allocates nothing.
+	fill := size + 2*length + 50
+	for y := 0; y < size; y++ {
+		src, dst := mesh.ID(turnmodel.Coord{0, y}), mesh.ID(turnmodel.Coord{size - 1, y})
+		for k := 0; k <= (fill+steps)/length+1; k++ {
+			net.Enqueue(src, dst, length)
+		}
+	}
+	for c := 0; c < fill; c++ {
+		if err := net.Step(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return net
+}
+
+// BenchmarkShardedStepMoving measures intra-simulation parallelism: one
+// 1000x1000 mesh with 5000 worms streaming along its rows (see
+// streamingNetwork), every one of them moving every cycle, stepped serially
+// and with the network split into 2 and 4 spatial domains. The workload per
+// cycle is identical in every variant — sharding is an execution strategy,
+// and the cross-shard tests pin bit-identical results — so the ns/op ratio
+// is pure parallel speedup (plus barrier overhead). The committed baseline
+// gates the 4-shard speedup on machines with at least 4 CPUs (see
+// BENCH_baseline.json "speedups" and docs/performance.md).
+func BenchmarkShardedStepMoving(b *testing.B) {
+	for _, shards := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
+			net := streamingNetwork(b, 1000, shards, b.N)
 			defer net.Close()
 			b.ReportAllocs()
 			b.ResetTimer()

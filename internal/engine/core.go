@@ -22,6 +22,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 
 	"turnmodel/internal/fault"
 	"turnmodel/internal/metrics"
@@ -118,7 +119,7 @@ type Core struct {
 	// engine's worm for a packet whose header enters that buffer.
 	// Reachable answers the post-abort retry feasibility query.
 	// OnEpochChange fires when the fault set's epoch advances (the engine
-	// invalidates cached candidate sets of waiting headers).
+	// invalidates cached candidate sets of waiting headers and wakes them).
 	// InjPlaceShard is the sharded counterpart of InjPlace: it runs on
 	// domain d's worker and must defer any shared-state mutation (such as
 	// appending to the engine's active list) to the engine's post-barrier
@@ -139,11 +140,14 @@ type Core struct {
 	retries    [][]retryEntry
 	retryCount int
 
-	// pending is the injection worklist: the nodes with queued packets or
-	// retry entries, each at most once (inPending is the membership
-	// bitmap). It is kept in ascending node order at injection time so
-	// the visit order — and with it every probe event and arbitration
-	// outcome — matches the full scan it replaces.
+	// pending is the injection worklist: the nodes holding retry entries
+	// and the nodes with queued packets whose injection buffer may be free,
+	// each at most once (inPending is the membership bitmap). A node whose
+	// queue waits behind an occupied injection buffer is not on it: the
+	// engine calls WakeSource when that buffer is vacated. The list is put
+	// in ascending node order at injection time so the visit order — and
+	// with it every probe event and arbitration outcome — matches the full
+	// scan it replaces.
 	pending   []int32
 	inPending []bool
 
@@ -284,32 +288,32 @@ func (c *Core) addPending(node int32) {
 	}
 }
 
-// nodeBusy reports whether the node still has queued packets or retry
-// entries (due or not).
-func (c *Core) nodeBusy(node int32) bool {
+// OnWorklist reports whether the node is on the injection worklist (the
+// lost-wake oracles of the engines' tests ask).
+func (c *Core) OnWorklist(node topology.NodeID) bool { return c.inPending[node] }
+
+// WakeSource tells the core that the node's injection buffer was vacated:
+// if messages wait in its source queue, the node goes back on the
+// injection worklist it left when InjectPhase found the buffer occupied.
+// Serial phases only; a parallel phase collects the nodes and wakes them at
+// its barrier.
+func (c *Core) WakeSource(node topology.NodeID) {
 	if c.qhead[node] < len(c.queues[node]) {
-		return true
+		c.addPending(int32(node))
 	}
+}
+
+// holdsRetries reports whether aborted packets wait out their backoff at
+// the node (due or not). Such a node stays on the worklist: the next
+// thing it waits for is a cycle, not a buffer.
+func (c *Core) holdsRetries(node int32) bool {
 	return c.retries != nil && len(c.retries[node]) > 0
 }
 
-// sortPending restores ascending node order. The list is nearly sorted —
-// compaction preserves order and new nodes append at the end — so an
-// insertion sort is effectively linear; and because each node appears at
-// most once the order is total, making the visit order identical to the
-// full node scan this worklist replaces.
-func (c *Core) sortPending() {
-	p := c.pending
-	for i := 1; i < len(p); i++ {
-		v := p[i]
-		j := i - 1
-		for j >= 0 && p[j] > v {
-			p[j+1] = p[j]
-			j--
-		}
-		p[j+1] = v
-	}
-}
+// sortPending restores ascending node order; each node appears at most
+// once, so the order is total and the visit order identical to the full
+// node scan this worklist replaces.
+func (c *Core) sortPending() { slices.Sort(c.pending) }
 
 // popRetry returns the first due retry packet at the node, or nil. Entries
 // are scanned in abort order so an early abort with a long backoff does not
@@ -349,7 +353,10 @@ func (c *Core) popQueue(node int32) *Packet {
 
 // FaultPhase applies this cycle's channel breaks and repairs and refreshes
 // the fault-visibility map; when the fault epoch advances it invokes the
-// engine's OnEpochChange hook so stale cached candidate sets are dropped.
+// engine's OnEpochChange hook — with or without fault masking: a header
+// refused only because its channel was broken sleeps until it is told of
+// the repair, and masked candidate sets computed from the old set are
+// stale.
 func (c *Core) FaultPhase() {
 	if c.Faults == nil {
 		return
@@ -357,19 +364,23 @@ func (c *Core) FaultPhase() {
 	c.Faults.Advance(c.Cycle)
 	if c.Health != nil {
 		c.Health.Refresh()
-		if e := c.Faults.Epoch(); e != c.faultEpoch {
-			c.faultEpoch = e
-			c.OnEpochChange()
-		}
+	}
+	if e := c.Faults.Epoch(); e != c.faultEpoch {
+		c.faultEpoch = e
+		c.OnEpochChange()
 	}
 }
 
 // InjectPhase runs source injection over the pending worklist: for each
-// node with queued work, in ascending node order, due retries then fresh
-// messages enter the injection buffer while it is free; packets whose
-// destination the fault set has cut off entirely are dropped without
-// entering the network. Nodes left with no queued work leave the
-// worklist. It reports whether anything happened (progress).
+// node on it, in ascending node order, due retries then fresh messages
+// enter the injection buffer while it is free; packets whose destination
+// the fault set has cut off entirely are dropped without entering the
+// network. A visited node then leaves the worklist unless it holds retry
+// entries: either it has nothing left to send, or what is left waits for
+// the injection buffer — occupied when the visit found it so or by the worm
+// just placed — and WakeSource brings the node back when the buffer is
+// vacated. The cost is the nodes that can inject, not the nodes that want
+// to. It reports whether anything happened (progress).
 //
 // With ShardCount() > 1 the sorted worklist is partitioned at the domain
 // bounds and injected in parallel (see injectSharded); because nodes are
@@ -412,7 +423,7 @@ func (c *Core) InjectPhase() bool {
 				break
 			}
 		}
-		if c.nodeBusy(nd) {
+		if c.holdsRetries(nd) {
 			out = append(out, nd)
 		} else {
 			c.inPending[nd] = false
@@ -569,7 +580,7 @@ func (c *Core) leap() {
 
 // nextRetryAt scans the pending worklist for the earliest retry-backoff
 // expiry. Every node holding retry entries is on the worklist (FinishAbort
-// puts it there and InjectPhase keeps busy nodes), so the scan is complete;
+// puts it there and InjectPhase keeps such nodes), so the scan is complete;
 // it runs only on idle networks, where the worklist holds exactly the
 // retry-waiting nodes. At leap time every entry is in the future: a due
 // entry would have been injected (or dropped) by this step's InjectPhase,

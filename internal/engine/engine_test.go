@@ -168,16 +168,25 @@ func TestCoreInjectsInAscendingNodeOrder(t *testing.T) {
 	if got := tc.Backlog(); got != 1 {
 		t.Errorf("backlog after injection %d, want 1 (second packet at node 2)", got)
 	}
-	// Node 2's buffer is now notionally occupied; with no buffers free the
-	// phase makes no progress but keeps the node on the worklist.
+	// Node 2's buffer is now notionally occupied, so the node sleeps off
+	// the worklist with its second packet queued: the phase has nobody to
+	// visit until the engine reports the buffer vacated.
 	for n := range tc.free {
 		tc.free[n] = false
 	}
 	tc.placed = nil
+	if tc.OnWorklist(2) {
+		t.Error("node 2 stayed on the worklist behind its occupied injection buffer")
+	}
 	if tc.InjectPhase() {
 		t.Error("injection progressed with every buffer occupied")
 	}
 	tc.free[2] = true
+	tc.WakeSource(2)
+	tc.WakeSource(5) // nothing queued there: not worth a visit
+	if !tc.OnWorklist(2) || tc.OnWorklist(5) {
+		t.Errorf("after the wakes: node 2 on worklist %v (want true), node 5 %v (want false)", tc.OnWorklist(2), tc.OnWorklist(5))
+	}
 	if !tc.InjectPhase() || !reflect.DeepEqual(tc.placed, []topology.NodeID{2}) {
 		t.Errorf("queued packet did not inject once the buffer freed: %v", tc.placed)
 	}

@@ -263,7 +263,7 @@ func (c *Core) injectDomain(d int) {
 				break
 			}
 		}
-		if c.nodeBusy(nd) {
+		if c.holdsRetries(nd) {
 			st.keep = append(st.keep, nd)
 		} else {
 			c.inPending[nd] = false

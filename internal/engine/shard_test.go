@@ -184,7 +184,7 @@ func TestShardedInjectionOrder(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("sharded injection order %v, want %v", got, want)
 	}
-	// Node 2's second packet survived on the worklist.
+	// Node 2's second packet stays queued behind the first.
 	if c.Backlog() != 1 {
 		t.Errorf("backlog %d after injection, want 1", c.Backlog())
 	}

@@ -31,6 +31,19 @@ import "math/bits"
 // waiter, the bitmap finds the nearest lower router that has, whose run the
 // newcomer follows.
 //
+// Waiting is also sleeping. A header that was offered its candidates and
+// refused stays refused until something at its router changes: an output
+// channel there is released, the fault set changes, or — for a header still
+// in the routing pipeline — time passes. So each part keeps, in a second
+// bitmap of the same shape, the routers that are awake: Enlist wakes the
+// newcomer's router, the engines call Wake when they release one of a
+// router's outputs and WakeAll when the fault set changes, and the cursor's
+// Keep holds the current router awake for a waiter it could not offer yet.
+// WalkAwake visits only the awake routers' runs — still routers ascending,
+// each run in service order, so whatever the offers draw or emit keeps its
+// order — and puts each router to sleep as it reaches it. A cycle's phase 2
+// then costs the wakes since the last one, not the waiters.
+//
 // Parts are the sharded step's spatial domains. Each owns its list and its
 // bitmap words outright (domains never share a word), and a router's
 // entries are only ever touched by the domain that owns the router, so
@@ -56,14 +69,39 @@ func (l *WaitLink[W]) before(m *WaitLink[W]) bool {
 	return l.key < m.key || l.key == m.key && l.id < m.id
 }
 
-// waitPart is one domain's share of the table: its waiters' list, and the
-// set of its routers that have waiters — bit r-lo of words, with bit w of
-// sum set iff words[w] is nonzero.
-type waitPart[W any] struct {
-	first *WaitLink[W]
-	lo    int32
+// routerSet is a set of one part's routers as a two-level bitmap: bit r-lo
+// of words, with bit w of sum set iff words[w] is nonzero.
+type routerSet struct {
 	words []uint64
 	sum   []uint64
+}
+
+func newRouterSet(routers int) routerSet {
+	words := (routers + 63) / 64
+	return routerSet{words: make([]uint64, words), sum: make([]uint64, (words+63)/64)}
+}
+
+func (s *routerSet) add(b uint) {
+	s.words[b>>6] |= 1 << (b & 63)
+	s.sum[b>>12] |= 1 << (b >> 6 & 63)
+}
+
+func (s *routerSet) remove(b uint) {
+	if s.words[b>>6] &^= 1 << (b & 63); s.words[b>>6] == 0 {
+		s.sum[b>>12] &^= 1 << (b >> 6 & 63)
+	}
+}
+
+func (s *routerSet) has(b uint) bool { return s.words[b>>6]&(1<<(b&63)) != 0 }
+
+// waitPart is one domain's share of the table: its waiters' list, the set
+// of its routers that have waiters, and the set of its routers that are
+// awake (see WalkAwake); both sets are indexed by router - lo.
+type waitPart[W any] struct {
+	first   *WaitLink[W]
+	lo      int32
+	waiting routerSet
+	awake   routerSet
 }
 
 // WaitTable holds every header waiting for an output. It is O(nodes) words
@@ -85,11 +123,10 @@ func NewWaitTable[W any](c *Core) *WaitTable[W] {
 		if c.shards > 1 {
 			lo, hi = c.ShardRange(d)
 		}
-		words := (int(hi-lo) + 63) / 64
 		t.parts[d] = waitPart[W]{
-			lo:    lo,
-			words: make([]uint64, words),
-			sum:   make([]uint64, (words+63)/64),
+			lo:      lo,
+			waiting: newRouterSet(int(hi - lo)),
+			awake:   newRouterSet(int(hi - lo)),
 		}
 	}
 	return t
@@ -101,8 +138,8 @@ func NewWaitTable[W any](c *Core) *WaitTable[W] {
 // simulator was Closed back to serial stepping.
 func (t *WaitTable[W]) Parts() int { return len(t.parts) }
 
-// partOf locates the part owning a router.
-func (t *WaitTable[W]) partOf(router int32) *waitPart[W] {
+// PartOf reports which part — which spatial domain — owns a router.
+func (t *WaitTable[W]) PartOf(router int32) int {
 	i, j := 0, len(t.parts)-1
 	for i < j {
 		h := (i + j + 1) / 2
@@ -112,49 +149,69 @@ func (t *WaitTable[W]) partOf(router int32) *waitPart[W] {
 			j = h - 1
 		}
 	}
-	return &t.parts[i]
+	return i
 }
 
-// mark records that the router has waiters.
-func (p *waitPart[W]) mark(router int32) {
-	b := uint(router - p.lo)
-	p.words[b>>6] |= 1 << (b & 63)
-	p.sum[b>>12] |= 1 << (b >> 6 & 63)
-}
+func (t *WaitTable[W]) partOf(router int32) *waitPart[W] { return &t.parts[t.PartOf(router)] }
 
-// unmark records that the router's last waiter left.
-func (p *waitPart[W]) unmark(router int32) {
-	b := uint(router - p.lo)
-	if p.words[b>>6] &^= 1 << (b & 63); p.words[b>>6] == 0 {
-		p.sum[b>>12] &^= 1 << (b >> 6 & 63)
-	}
-}
-
-// below returns the highest marked router of the part strictly below the
-// given one, or -1.
+// below returns the highest router of the part with waiters strictly below
+// the given one, or -1.
 func (p *waitPart[W]) below(router int32) int32 {
 	b := uint(router - p.lo)
 	wi := int(b >> 6)
-	w := p.words[wi] & (1<<(b&63) - 1)
+	w := p.waiting.words[wi] & (1<<(b&63) - 1)
 	if w == 0 {
 		si := wi >> 6
-		s := p.sum[si] & (1<<(uint(wi)&63) - 1)
+		s := p.waiting.sum[si] & (1<<(uint(wi)&63) - 1)
 		for s == 0 {
 			if si--; si < 0 {
 				return -1
 			}
-			s = p.sum[si]
+			s = p.waiting.sum[si]
 		}
 		wi = si<<6 + 63 - bits.LeadingZeros64(s)
-		w = p.words[wi]
+		w = p.waiting.words[wi]
 	}
 	return p.lo + int32(wi<<6+63-bits.LeadingZeros64(w))
+}
+
+// Wake records that something a refused waiter of the router may have been
+// waiting for has changed — the engines call it when one of the router's
+// output channels is released — so the next WalkAwake offers the router's
+// waiters again. When domains run concurrently, only the router's own
+// domain may wake it; the others hand the router to the serial merge.
+func (t *WaitTable[W]) Wake(router int32) {
+	if t.head[router] != nil {
+		p := t.partOf(router)
+		p.awake.add(uint(router - p.lo))
+	}
+}
+
+// WakeAll wakes every router that has waiters: a change of the fault set
+// can unblock (or re-route) any of them.
+func (t *WaitTable[W]) WakeAll() {
+	for d := range t.parts {
+		p := &t.parts[d]
+		for i, w := range p.waiting.words {
+			p.awake.words[i] |= w
+		}
+		for i, w := range p.waiting.sum {
+			p.awake.sum[i] |= w
+		}
+	}
+}
+
+// Awake reports whether the next WalkAwake will visit the router's waiters.
+func (t *WaitTable[W]) Awake(router int32) bool {
+	p := t.partOf(router)
+	return p.awake.has(uint(router - p.lo))
 }
 
 // Enlist files a header that just entered a buffer of the router: within
 // the router's run, before every waiter with a larger (key, id). key is the
 // input policy's priority and id the packet ID; both must stay fixed until
-// the link is delisted. When domains run concurrently, only the router's
+// the link is delisted. The router is woken: the newcomer has not been
+// offered anything yet. When domains run concurrently, only the router's
 // own domain may enlist under it.
 func (t *WaitTable[W]) Enlist(l *WaitLink[W], router int32, key, id int64) {
 	if l.listed {
@@ -162,12 +219,13 @@ func (t *WaitTable[W]) Enlist(l *WaitLink[W], router int32, key, id int64) {
 	}
 	l.router, l.key, l.id, l.listed = router, key, id, true
 	p := t.partOf(router)
+	p.awake.add(uint(router - p.lo))
 	// pred is the link l goes after; nil puts l first in the part.
 	var pred *WaitLink[W]
 	if h := t.head[router]; h == nil {
 		// First waiter at this router: it follows the run of the nearest
 		// lower router that has waiters.
-		p.mark(router)
+		p.waiting.add(uint(router - p.lo))
 		if r := p.below(router); r >= 0 {
 			for pred = t.head[r]; pred.next != nil && pred.next.router == r; {
 				pred = pred.next
@@ -215,7 +273,7 @@ func (t *WaitTable[W]) unlink(p *waitPart[W], l *WaitLink[W]) {
 			t.head[l.router] = l.next
 		} else {
 			t.head[l.router] = nil
-			p.unmark(l.router)
+			p.waiting.remove(uint(l.router - p.lo))
 		}
 	}
 	l.next, l.prev, l.listed = nil, nil, false
@@ -224,32 +282,79 @@ func (t *WaitTable[W]) unlink(p *waitPart[W], l *WaitLink[W]) {
 // WaitCursor walks one part of the table: routers ascending, each router's
 // waiters in service order.
 //
-//	for it := t.Walk(d); it.Next(); {
+//	for it := t.WalkAwake(d); it.Next(); {
 //		w := it.Waiter()
 //		...
 //		it.Delist() // granted, or at its destination
 //	}
 //
-// During a walk the part may be changed only through the cursor's Delist.
+// During a walk the part may be changed only through the cursor's Delist
+// and Keep, and a WalkAwake must run to the end: it takes each awake router
+// out of the set as it goes.
 type WaitCursor[W any] struct {
 	t         *WaitTable[W]
 	p         *waitPart[W]
 	cur, next *WaitLink[W]
+
+	// An awake walk's place in the awake set: the unvisited bits of summary
+	// word si and of bitmap word wi, both already cleared in the set itself.
+	// cur's run ends where next is nil or at another router.
+	awake  bool
+	si, wi int
+	sw, ww uint64
 }
 
-// Walk starts a walk over part d.
+// Walk starts a walk over every waiter of part d. It is the walk of a step
+// with a probe attached — a blocked header is a Blocked event every cycle it
+// waits, so every waiter is visited every cycle — and of the tests' oracles;
+// it leaves the awake set alone.
 func (t *WaitTable[W]) Walk(d int) WaitCursor[W] {
 	p := &t.parts[d]
 	return WaitCursor[W]{t: t, p: p, next: p.first}
 }
 
+// WalkAwake starts a walk over the waiters at part d's awake routers, and
+// puts each router to sleep as the walk reaches it: unless Keep says
+// otherwise, every waiter it still has after the walk was offered and
+// refused, and stays refused until the router is woken.
+func (t *WaitTable[W]) WalkAwake(d int) WaitCursor[W] {
+	return WaitCursor[W]{t: t, p: &t.parts[d], awake: true, si: -1}
+}
+
 // Next advances to the next waiter and reports whether there is one.
 func (c *WaitCursor[W]) Next() bool {
+	if c.awake && (c.next == nil || c.next.router != c.cur.router) {
+		c.next = c.nextRun()
+	}
 	if c.cur = c.next; c.cur == nil {
 		return false
 	}
 	c.next = c.cur.next
 	return true
+}
+
+// nextRun takes the lowest unvisited awake router that has waiters out of
+// the awake set and returns its first waiter, or nil when none is left.
+func (c *WaitCursor[W]) nextRun() *WaitLink[W] {
+	a := &c.p.awake
+	for {
+		for c.ww == 0 {
+			for c.sw == 0 {
+				if c.si++; c.si >= len(a.sum) {
+					return nil
+				}
+				c.sw, a.sum[c.si] = a.sum[c.si], 0
+			}
+			c.wi = c.si<<6 + bits.TrailingZeros64(c.sw)
+			c.sw &= c.sw - 1
+			c.ww, a.words[c.wi] = a.words[c.wi], 0
+		}
+		r := c.p.lo + int32(c.wi<<6+bits.TrailingZeros64(c.ww))
+		c.ww &= c.ww - 1
+		if h := c.t.head[r]; h != nil {
+			return h
+		}
+	}
 }
 
 // Waiter returns the current waiter's owner.
@@ -258,3 +363,8 @@ func (c *WaitCursor[W]) Waiter() W { return c.cur.Owner }
 // Delist takes the current waiter out of the table; the walk continues
 // with its successor.
 func (c *WaitCursor[W]) Delist() { c.t.unlink(c.p, c.cur) }
+
+// Keep holds the current waiter's router awake for the next walk: the
+// waiter could not be offered its candidates this cycle for a reason that
+// passes by itself.
+func (c *WaitCursor[W]) Keep() { c.p.awake.add(uint(c.cur.router - c.p.lo)) }

@@ -145,7 +145,7 @@ func TestWaitTableVisitOrderProperty(t *testing.T) {
 				t.Fatalf("drained table still visits %d waiters", len(got))
 			}
 			for d := range table.parts {
-				for i, word := range table.parts[d].sum {
+				for i, word := range table.parts[d].waiting.sum {
 					if word != 0 {
 						t.Fatalf("drained table: part %d summary word %d = %#x", d, i, word)
 					}
@@ -153,6 +153,110 @@ func TestWaitTableVisitOrderProperty(t *testing.T) {
 			}
 			place(all[0])
 			sameOrder(t, -1, visit(table), reference(all))
+		})
+	}
+}
+
+// TestWaitTableAwakeWalkProperty drives the awake set through random
+// sequences of everything that touches it — Enlist (wakes the router), Wake,
+// WakeAll, Delist, and awake walks that delist some waiters and Keep others
+// — against a plain map as the model: an awake walk must visit exactly the
+// listed waiters at awake routers, in the full walk's order, and leave awake
+// exactly the routers it was told to Keep. The meshes span several bitmap
+// summary words and the part counts include one that does not divide the
+// node count.
+func TestWaitTableAwakeWalkProperty(t *testing.T) {
+	for _, tc := range []struct {
+		w, h, shards, waiters int
+	}{
+		{4, 4, 1, 40},
+		{6, 5, 7, 80},
+		{130, 130, 1, 300},
+		{70, 70, 3, 300},
+	} {
+		tc := tc
+		t.Run(fmt.Sprintf("%dx%d/parts-%d", tc.w, tc.h, tc.shards), func(t *testing.T) {
+			core := NewCore(Config{Topo: topology.NewMesh2D(tc.w, tc.h), Shards: tc.shards})
+			defer core.Close()
+			table := NewWaitTable[*waiter](&core)
+			nodes := tc.w * tc.h
+			rng := rand.New(rand.NewSource(int64(nodes*17 + tc.shards)))
+			all := make([]*waiter, tc.waiters)
+			for i := range all {
+				all[i] = &waiter{id: int64(i)}
+				all[i].link.Owner = all[i]
+			}
+			awake := map[int32]bool{}
+			randomRouter := func() int32 {
+				if rng.Intn(3) == 0 {
+					return int32(rng.Intn(nodes))
+				}
+				return int32(rng.Intn(6) * nodes / 6)
+			}
+			hasWaiters := func(r int32) bool {
+				for _, w := range all {
+					if w.link.Listed() && w.router == r {
+						return true
+					}
+				}
+				return false
+			}
+			for step := 0; step < 3000; step++ {
+				switch w := all[rng.Intn(len(all))]; {
+				case !w.link.Listed():
+					w.router, w.key = randomRouter(), int64(rng.Intn(4))
+					table.Enlist(&w.link, w.router, w.key, w.id)
+					awake[w.router] = true
+				case rng.Intn(4) == 0:
+					table.Delist(&w.link)
+				case rng.Intn(4) == 0:
+					// A release at some router: it wakes only if somebody
+					// waits there (a router without waiters has nobody to
+					// offer to, and Enlist wakes it anyway).
+					r := randomRouter()
+					table.Wake(r)
+					if hasWaiters(r) {
+						awake[r] = true
+					}
+				case rng.Intn(40) == 0:
+					table.WakeAll()
+					for _, x := range all {
+						if x.link.Listed() {
+							awake[x.router] = true
+						}
+					}
+				default:
+					var want []*waiter
+					for _, x := range reference(all) {
+						if awake[x.router] {
+							want = append(want, x)
+						}
+					}
+					kept := map[int32]bool{}
+					var seen []*waiter
+					for d := 0; d < table.Parts(); d++ {
+						for it := table.WalkAwake(d); it.Next(); {
+							x := it.Waiter()
+							seen = append(seen, x)
+							switch rng.Intn(5) {
+							case 0:
+								it.Delist()
+							case 1:
+								it.Keep()
+								kept[x.router] = true
+							}
+						}
+					}
+					sameOrder(t, step, seen, want)
+					awake = kept
+				}
+				for _, x := range all {
+					if x.link.Listed() && table.Awake(x.router) != awake[x.router] {
+						t.Fatalf("step %d: router %d awake = %v, model says %v", step, x.router, table.Awake(x.router), awake[x.router])
+					}
+				}
+				sameOrder(t, step, visit(table), reference(all))
+			}
 		})
 	}
 }
@@ -196,6 +300,14 @@ func TestWaitTableZeroAllocs(t *testing.T) {
 			table.Enlist(&w.link, int32(i*7%64), int64(i%3), w.id)
 		}
 		n := 0
+		for it := table.WalkAwake(0); it.Next(); n++ {
+			if n%2 == 0 {
+				it.Delist()
+			} else if n%3 == 0 {
+				it.Keep()
+			}
+		}
+		table.WakeAll()
 		for it := table.Walk(0); it.Next(); n++ {
 			if n%2 == 0 {
 				it.Delist()

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -8,6 +9,24 @@ import (
 	"turnmodel/internal/routing"
 	"turnmodel/internal/topology"
 )
+
+// activeWorms walks the active list, checking its links as it goes.
+func activeWorms(t *testing.T, n *Network) []*worm {
+	t.Helper()
+	var out []*worm
+	var prev *worm
+	for w := n.active.head; w != nil; prev, w = w, w.next {
+		if w.prev != prev {
+			t.Fatalf("cycle %d: active list: %v's back link is broken", n.core.Cycle, w.pkt)
+		}
+		out = append(out, w)
+	}
+	if n.active.tail != prev || n.active.len != len(out) {
+		t.Fatalf("cycle %d: active list: walked %d worms to %p, header says %d to %p",
+			n.core.Cycle, len(out), prev, n.active.len, n.active.tail)
+	}
+	return out
+}
 
 // checkInvariants verifies the simulator's structural invariants:
 //
@@ -21,13 +40,19 @@ import (
 //  4. The wait table holds exactly the headers waiting for an output, and
 //     visits them in the order of the global request sort it replaced
 //     (see checkWaitTable).
+//  5. No wake was lost and no recycled worm is still referred to (see
+//     lostWake).
 func checkInvariants(t *testing.T, n *Network) {
 	t.Helper()
-	checkWaitTable(t, n)
+	active := activeWorms(t, n)
+	checkWaitTable(t, n, active)
+	if err := lostWake(n, active); err != nil {
+		t.Fatal(err)
+	}
 	coveredBy := make(map[int32]*worm)
 	ownedWant := make(map[int32]*worm) // key: router*2n+dir
 	dims2 := 2 * n.dims
-	for _, w := range n.active {
+	for _, w := range active {
 		inNet := w.inNetwork()
 		if inNet < 1 {
 			t.Fatalf("%v: %d flits in network", w.pkt, inNet)
@@ -94,10 +119,10 @@ func checkInvariants(t *testing.T, n *Network) {
 // then packet ID, and demand that walking the table's parts in order visits
 // exactly that sequence — no waiter stranded outside the table, no entry
 // leaked for a worm that stopped waiting.
-func checkWaitTable(t *testing.T, n *Network) {
+func checkWaitTable(t *testing.T, n *Network, active []*worm) {
 	t.Helper()
 	var want []*worm
-	for _, w := range n.active {
+	for _, w := range active {
 		if !w.arrived && w.outDir == noDirection {
 			want = append(want, w)
 		}
@@ -126,6 +151,97 @@ func checkWaitTable(t *testing.T, n *Network) {
 			t.Fatalf("cycle %d: %v is in the table but its link says unlisted", n.core.Cycle, got[i].pkt)
 		}
 	}
+}
+
+// lostWake is the oracle for everything that sleeps: between two
+// steps, whoever is not on a list that the next step looks at must really
+// have nothing to do. A lost wake would otherwise show only as a watchdog
+// deadlock thousands of cycles later.
+//
+//	(a) No granted worm's target buffer is free: it would have been woken.
+//	(b) No waiter at a sleeping router would be granted if offered: its
+//	    candidates are computed, its routing delay has run out, and every
+//	    candidate output is held or broken.
+//	(c) The draining lists hold exactly the arrived worms, once each, and
+//	    every per-cycle list is empty.
+//	(d) Every node with a queued message and a free injection buffer is on
+//	    the injection worklist.
+//	(e) A worm on a free list is reachable from nowhere else: not the active
+//	    list, outOwner, the wait table or a draining list.
+func lostWake(n *Network, active []*worm) error {
+	cycle := n.core.Cycle
+	draining := make(map[*worm]int)
+	for d := range n.dom {
+		dm := &n.dom[d]
+		for _, w := range dm.draining {
+			draining[w]++
+		}
+		if len(dm.ready)+len(dm.woken)+len(dm.released)+len(dm.sources)+len(dm.finished)+len(dm.foreign)+len(dm.injected) != 0 ||
+			dm.flits != 0 || dm.mis != 0 || dm.moved {
+			return fmt.Errorf("cycle %d: domain %d carries per-cycle state across steps: %+v", cycle, d, *dm)
+		}
+	}
+	if len(n.finished)+len(n.vacated) != 0 {
+		return fmt.Errorf("cycle %d: %d finished worms and %d vacated buffers left over", cycle, len(n.finished), len(n.vacated))
+	}
+	live := make(map[*worm]bool)
+	for _, w := range active {
+		live[w] = true
+		switch {
+		case w.arrived:
+			if draining[w] != 1 {
+				return fmt.Errorf("cycle %d: %v has arrived and is on the draining lists %d times", cycle, w.pkt, draining[w])
+			}
+			delete(draining, w)
+		case w.outDir != noDirection:
+			next, _ := n.core.Grid.Neighbor(w.headRouter, w.outDir)
+			if want := n.bufID(next, int(w.outDir)); w.target != want {
+				return fmt.Errorf("cycle %d: %v granted %v at router %d targets buffer %d, want %d",
+					cycle, w.pkt, w.outDir, w.headRouter, w.target, want)
+			}
+			if !n.occupied[w.target] {
+				return fmt.Errorf("cycle %d: lost wake: %v holds output %v of router %d, its target buffer is free, and it did not move",
+					cycle, w.pkt, w.outDir, w.headRouter)
+			}
+		case !n.wait.Awake(int32(w.headRouter)):
+			r := w.headRouter
+			if r == w.pkt.Dst || !w.candsValid || cycle-w.headerArrival < n.routingDelay {
+				return fmt.Errorf("cycle %d: lost wake: %v waits at sleeping router %d without having been offered (dst %d, cands valid %v, arrived there at %d)",
+					cycle, w.pkt, r, w.pkt.Dst, w.candsValid, w.headerArrival)
+			}
+			for _, dd := range w.cands {
+				if k := int(r)*n.dims2 + int(dd); n.outOwner[k] == nil && !n.faulted[k] {
+					return fmt.Errorf("cycle %d: lost wake: %v waits at sleeping router %d though its candidate output %v is free",
+						cycle, w.pkt, r, dd)
+				}
+			}
+		}
+	}
+	for w := range draining {
+		return fmt.Errorf("cycle %d: draining list holds %v, which is not an arrived active worm", cycle, w.pkt)
+	}
+	for node := 0; node < n.topo.Nodes(); node++ {
+		id := topology.NodeID(node)
+		if n.core.QueueLen(id) > 0 && !n.occupied[n.bufID(id, n.dims2)] && !n.core.OnWorklist(id) {
+			return fmt.Errorf("cycle %d: lost wake: node %d has %d queued messages and a free injection buffer but is off the worklist",
+				cycle, node, n.core.QueueLen(id))
+		}
+	}
+	free := make(map[*worm]bool)
+	for d := range n.dom {
+		for _, w := range n.dom[d].free {
+			if free[w] || live[w] || w.wait.Listed() || w.pkt != nil {
+				return fmt.Errorf("cycle %d: free list of domain %d holds a worm that is listed twice, active, waiting or still has its packet", cycle, d)
+			}
+			free[w] = true
+		}
+	}
+	for key, w := range n.outOwner {
+		if free[w] {
+			return fmt.Errorf("cycle %d: channel %d is owned by a recycled worm", cycle, key)
+		}
+	}
+	return nil
 }
 
 func TestSimulatorInvariantsUnderRandomTraffic(t *testing.T) {

@@ -126,6 +126,10 @@ type Network struct {
 	occupied []bool  // buffer id -> flit present
 	outOwner []*worm // router*2n+dir -> holder of the output channel
 	faulted  []bool  // router*2n+dir -> broken (aliases core.Faulted)
+	// feeder maps a buffer to the outOwner key of the one channel that
+	// feeds it, -1 for injection buffers (the source feeds those): whoever
+	// vacates a buffer finds there the worm, or the source, waiting for it.
+	feeder []int32
 
 	// routerOf and portOf decode buffer ids without division.
 	routerOf []int32
@@ -140,18 +144,25 @@ type Network struct {
 	appender   routing.CandidateAppender
 	fastOutput bool
 
-	active    []*worm
+	// active lists the worms in the network in injection order, threaded
+	// through the worms themselves so that a retirement or an abort unlinks
+	// in O(1); nothing walks it per cycle but recovery's timeout scan.
+	active    wormList
 	delivered []*Packet
 	// wait holds the headers waiting for an output, filed by router in
-	// input-policy order (see engine.WaitTable); phase 2 walks it instead
-	// of collecting and sorting requests.
+	// input-policy order (see engine.WaitTable); phase 2 walks its awake
+	// routers instead of collecting and sorting requests.
 	wait *engine.WaitTable[*worm]
 
 	routingDelay int64
 
-	// victims is the per-cycle scratch list of timed-out worms;
+	// victims and vacated are recovery's per-cycle scratch: the timed-out
+	// worms and the buffers their aborts freed. finished collects the worms
+	// whose last flit was consumed this cycle, for retirePhase.
 	// candScratch is reused by reachable()'s candidate queries.
 	victims     []*worm
+	vacated     []int32
+	finished    []*worm
 	candScratch []topology.Direction
 	// channelFlits counts the flits each output channel has carried,
 	// for load analysis (router*2n+dir).
@@ -163,14 +174,16 @@ type Network struct {
 	freeBase int
 	freeFn   func(topology.Direction) bool
 
-	// Sharded stepping (see shard.go): dsc holds one netDomain per
-	// spatial domain and the Fn fields are the prebound per-phase worker
-	// tasks; shards mirrors core.ShardCount() and is 1 for serial Step.
-	shards     int
-	dsc        []netDomain
-	classifyFn func(d int)
-	planFn     func(d int)
-	applyFn    func(d int)
+	// dom holds one netDomain per spatial domain — per part of the wait
+	// table; a single one unless Config.Shards split the network — and the
+	// Fn fields are the prebound per-phase tasks (see shard.go). shards
+	// mirrors core.ShardCount(): above 1 the tasks run on the worker pool,
+	// otherwise Step runs them one domain after the other.
+	shards      int
+	dom         []netDomain
+	arbitrateFn func(d int)
+	drainFn     func(d int)
+	moveFn      func(d int)
 }
 
 // New builds a network simulator for the given configuration.
@@ -199,9 +212,11 @@ func New(cfg Config) *Network {
 	n.outOwner = make([]*worm, topo.Nodes()*n.dims2)
 	n.routerOf = make([]int32, topo.Nodes()*n.ports)
 	n.portOf = make([]int16, topo.Nodes()*n.ports)
+	n.feeder = make([]int32, topo.Nodes()*n.ports)
 	for b := range n.routerOf {
 		n.routerOf[b] = int32(b / n.ports)
 		n.portOf[b] = int16(b % n.ports)
+		n.feeder[b] = -1
 	}
 	n.core = engine.NewCore(engine.Config{
 		Topo:             topo,
@@ -221,14 +236,19 @@ func New(cfg Config) *Network {
 	n.core.InjPlace = n.placeWorm
 	n.core.Reachable = n.reachable
 	n.core.OnEpochChange = func() {
-		// The fault set changed, so masked candidate sets computed from
-		// the old set are stale: let waiting headers (those not yet
-		// granted an output channel) re-decide.
-		for _, w := range n.active {
-			if !w.arrived && w.outDir == noDirection {
-				w.candsValid = false
+		// The fault set changed: a header refused because of a broken
+		// channel may now be granted, so every router offers again; and
+		// masked candidate sets computed from the old set are stale, so
+		// the waiting headers (those not yet granted an output channel)
+		// re-decide.
+		if n.masked != nil {
+			for d := 0; d < n.wait.Parts(); d++ {
+				for it := n.wait.Walk(d); it.Next(); {
+					it.Waiter().candsValid = false
+				}
 			}
 		}
+		n.wait.WakeAll()
 	}
 	// Alias the core's fault bitmap: output allocation reads it with one
 	// load, and fault transitions are visible immediately.
@@ -243,34 +263,67 @@ func New(cfg Config) *Network {
 	n.freeFn = func(d topology.Direction) bool {
 		return n.outOwner[n.freeBase+int(d)] == nil && !n.faulted[n.freeBase+int(d)]
 	}
-	n.initShardDomains(cfg)
+	for key := range n.outOwner {
+		from, d := topology.NodeID(key/n.dims2), key%n.dims2
+		if next, ok := n.core.Grid.Neighbor(from, topology.Direction(d)); ok {
+			b := n.bufID(next, d)
+			if n.feeder[b] >= 0 {
+				panic(fmt.Sprintf("network: two channels feed buffer %d of node %d", d, next))
+			}
+			n.feeder[b] = int32(key)
+		}
+	}
+	n.initDomains()
 	n.wait = engine.NewWaitTable[*worm](&n.core)
 	return n
 }
 
 // newWorm puts the packet's header into the node's free injection buffer,
-// where it starts waiting for an output.
-func (n *Network) newWorm(node topology.NodeID, p *Packet) *worm {
+// where it starts waiting for an output. The worm comes off domain d's
+// free list when that has one: retirePhase and abort put worms there once
+// nothing in the network refers to them any more — not outOwner, the wait
+// table, a draining or ready list or the active list — and every field is
+// set afresh here.
+func (n *Network) newWorm(d int, node topology.NodeID, p *Packet) *worm {
+	dm := &n.dom[d]
+	var w *worm
+	if k := len(dm.free) - 1; k >= 0 {
+		w, dm.free[k], dm.free = dm.free[k], nil, dm.free[:k]
+	} else {
+		w = new(worm)
+	}
+	path := w.path
 	inj := n.bufID(node, n.dims2)
-	w := &worm{
+	*w = worm{
 		pkt:           p,
 		sent:          1,
 		outDir:        noDirection,
 		headerArrival: n.core.Cycle,
-		movedAt:       -1,
 		headRouter:    node,
 		inDir:         topology.Invalid,
 	}
 	w.wait.Owner = w
-	w.path = append(w.pathBuf[:0], inj)
+	if cap(path) <= len(w.pathBuf) {
+		// Only a heap buffer that a long route grew is worth inheriting.
+		path = w.pathBuf[:]
+	}
+	w.path = append(path[:0], inj)
 	n.occupied[inj] = true
 	n.enlist(w)
 	return w
 }
 
+// recycle puts a worm nothing refers to any more on a free list — the one
+// of its source's domain, whose injections will draw on it.
+func (n *Network) recycle(w *worm) {
+	dm := &n.dom[n.wait.PartOf(int32(w.pkt.Src))]
+	w.pkt, w.cands = nil, nil
+	dm.free = append(dm.free, w)
+}
+
 // placeWorm is the core's injection hook.
 func (n *Network) placeWorm(node topology.NodeID, p *Packet) {
-	n.active = append(n.active, n.newWorm(node, p))
+	n.active.pushBack(n.newWorm(n.wait.PartOf(int32(node)), node, p))
 }
 
 // enlist records that the worm's header entered a buffer at its head
@@ -340,7 +393,7 @@ func (n *Network) MaxQueueLen() int { return n.core.MaxQueueLen() }
 // InFlight counts packets that are queued, have flits in the network, or
 // are waiting out a retry backoff after an abort. Dropped packets are not
 // in flight: enqueued = delivered + dropped + in-flight at all times.
-func (n *Network) InFlight() int { return len(n.active) + n.core.Backlog() }
+func (n *Network) InFlight() int { return n.active.len + n.core.Backlog() }
 
 // FlitsConsumed is the total number of flits delivered to destination
 // processors since the start of the simulation.
@@ -368,13 +421,11 @@ func (n *Network) MaskedFaults() int64 {
 		return 0
 	}
 	total := n.masked.MaskedDecisions()
-	// The sharded step routes each request through its domain's wrapper
-	// (the wrapper's counters are not concurrent-safe); every request is
-	// processed exactly once, so the sum matches the serial count.
-	for d := range n.dsc {
-		if m := n.dsc[d].masked; m != nil {
-			total += m.MaskedDecisions()
-		}
+	// Arbitration routes each request through its domain's wrapper (the
+	// wrapper's counters are not concurrent-safe); every request is
+	// processed exactly once, so the sum does not depend on the domains.
+	for d := range n.dom {
+		total += n.dom[d].masked.MaskedDecisions()
 	}
 	return total
 }
@@ -413,14 +464,19 @@ func (n *Network) bufPort(buf int32) int { return int(n.portOf[buf]) }
 // output selection policies arbitrate), and then advances every worm that
 // can move by one hop. It returns a *DeadlockError if the watchdog fires.
 //
-// With Config.Shards > 1 the cycle runs on the domain-decomposed path
-// (see shard.go), which produces bit-identical results.
+// Nothing blocked is looked at. A header that was refused sleeps at its
+// router until an output there is released; a worm granted an output whose
+// target buffer is occupied sleeps until that buffer is vacated; a source
+// whose injection buffer is occupied sleeps likewise; and every release
+// delivers the one wake it implies (see wake, fold and
+// docs/performance.md). A step costs the grants, moves and releases it
+// makes, not the worms in the network.
+//
+// The phases that fan out run one task per spatial domain: on the worker
+// pool with Config.Shards > 1, one after the other otherwise — the same
+// tasks over the same lists, with bit-identical results (see shard.go).
 func (n *Network) Step() error {
-	if n.shards > 1 {
-		return n.stepSharded()
-	}
 	c := &n.core
-	progress := false
 
 	// Phase 0: fault transitions and deadlock recovery.
 	c.FaultPhase()
@@ -428,34 +484,38 @@ func (n *Network) Step() error {
 		n.recoveryPhase()
 	}
 
-	// Phase 1: injection, over the core's worklist of nodes with queued
-	// work. Due retries take priority over fresh messages; packets whose
-	// destination the fault set has cut off entirely are dropped without
-	// entering the network.
-	if c.InjectPhase() {
-		progress = true
+	// Phase 1: injection, over the core's worklist of nodes that have
+	// something to send and may have room to send it. Due retries take
+	// priority over fresh messages; packets whose destination the fault set
+	// has cut off entirely are dropped without entering the network.
+	progress := c.InjectPhase()
+	n.mergeInjected()
+	if n.active.len == 0 {
+		// An empty network: nobody waits, drains or moves.
+		return n.finishStep(progress)
 	}
 
-	// Phase 2: routing and output allocation for the waiting headers,
-	// router by router in input-policy order, straight off the wait table.
-	for d := 0; d < n.wait.Parts(); d++ {
-		n.arbitrate(d, n.masked, &c.Em)
+	// Phase 2: routing and output allocation for the waiting headers at the
+	// routers where something changed, router by router in input-policy
+	// order, straight off the wait table. A granted worm whose target
+	// buffer is free is ready to move; a header at its destination starts
+	// draining.
+	n.eachDomain(n.arbitrateFn)
+	if n.shards > 1 {
+		c.AbsorbShardEmitters()
 	}
 
-	// Phase 3: movement. Worms advance at most one hop each; a worm
-	// freed by another worm's tail may move in the same cycle, so
-	// iterate to a fixpoint.
-	for {
-		moved := false
-		for _, w := range n.active {
-			if w.movedAt != c.Cycle && n.tryAdvance(w) {
-				moved = true
-			}
-		}
-		if !moved {
+	// Phase 3: movement. Every draining worm delivers a flit and every
+	// ready worm advances one hop; each buffer a tail vacates wakes the
+	// worm stalled on it, which moves in the next round of the same cycle,
+	// until a round wakes nobody.
+	for task := n.drainFn; ; task = n.moveFn {
+		n.eachDomain(task)
+		moved, more := n.settle()
+		progress = progress || moved
+		if !more {
 			break
 		}
-		progress = true
 	}
 
 	// Phase 4: retire completed worms, then close the cycle.
@@ -464,20 +524,30 @@ func (n *Network) Step() error {
 }
 
 // arbitrate is phase 2 for one part of the wait table: every header
-// waiting at one of the part's routers — visited in ascending router order
-// and, within a router, in input-policy order — is marked arrived if it sits
-// at its destination, and otherwise offered its candidate outputs. A header
-// leaves the table when it is granted an output or arrives; a blocked one
-// stays where it is for the next cycle. The serial step walks every part
-// with its own fault-masking wrapper and emitter; the sharded step runs one
-// part per domain with the domain's (see classifyDomain).
-func (n *Network) arbitrate(d int, masked *routing.FaultAware, em *engine.Emitter) {
+// waiting at one of the part's awake routers — visited in ascending router
+// order and, within a router, in input-policy order — is marked arrived if
+// it sits at its destination, and otherwise offered its candidate outputs. A
+// header leaves the table when it is granted an output or arrives; a blocked
+// one stays where it is, and its router sleeps until one of its outputs is
+// released or the fault set changes: nothing else can turn the refusal into
+// a grant, because the candidates are fixed while the header waits and a
+// refusal consumes nothing (an OutputPolicy draws from the RNG only to pick
+// among free candidates). With a probe attached every waiter is visited
+// instead: a blocked header is a Blocked event every cycle it waits.
+func (n *Network) arbitrate(d int) {
 	c := &n.core
-	for it := n.wait.Walk(d); it.Next(); {
+	dm := &n.dom[d]
+	em := n.emitter(d)
+	it := n.wait.WalkAwake(d)
+	if em.Enabled() {
+		it = n.wait.Walk(d)
+	}
+	for it.Next() {
 		w := it.Waiter()
 		if n.routingDelay > 0 && c.Cycle-w.headerArrival < n.routingDelay {
 			// The routing decision is still in the router pipeline
 			// (Section 7's node-delay cost of adaptive route selection).
+			it.Keep()
 			continue
 		}
 		r := w.headRouter
@@ -486,6 +556,7 @@ func (n *Network) arbitrate(d int, masked *routing.FaultAware, em *engine.Emitte
 			// starts draining into the local processor.
 			w.arrived = true
 			it.Delist()
+			dm.draining = append(dm.draining, w)
 			continue
 		}
 		if !w.candsValid {
@@ -493,8 +564,8 @@ func (n *Network) arbitrate(d int, masked *routing.FaultAware, em *engine.Emitte
 			// direction), all fixed while the header waits in this buffer,
 			// so the candidate list is computed once per hop rather than
 			// once per cycle.
-			if masked != nil {
-				w.cands, w.candsMis = masked.FaultCandidates(r, w.pkt.Dst, w.inDir, w.inWrap, w.misroutes)
+			if dm.masked != nil {
+				w.cands, w.candsMis = dm.masked.FaultCandidates(r, w.pkt.Dst, w.inDir, w.inWrap, w.misroutes)
 			} else if n.appender != nil {
 				w.cands = n.appender.AppendCandidates(w.candBuf[:0], r, w.pkt.Dst, w.inDir, w.inWrap)
 			} else {
@@ -505,12 +576,11 @@ func (n *Network) arbitrate(d int, masked *routing.FaultAware, em *engine.Emitte
 		base := int(r) * n.dims2
 		if n.fastOutput {
 			// LowestDimension is "first free candidate": inline it and
-			// skip the policy's closure indirection. (The sharded step
-			// requires it, so this is its only arbitration.)
+			// skip the policy's closure indirection. (Stepping on the
+			// worker pool requires it, so this is its only arbitration.)
 			for _, dd := range w.cands {
 				if k := base + int(dd); n.outOwner[k] == nil && !n.faulted[k] {
-					n.outOwner[k] = w
-					w.outDir = dd
+					n.grant(w, dd, dm)
 					it.Delist()
 					break
 				}
@@ -522,8 +592,7 @@ func (n *Network) arbitrate(d int, masked *routing.FaultAware, em *engine.Emitte
 		}
 		n.freeBase = base
 		if dd, ok := n.output.Choose(w.cands, n.freeFn, w.inDir, n.rng); ok {
-			n.outOwner[base+int(dd)] = w
-			w.outDir = dd
+			n.grant(w, dd, dm)
 			it.Delist()
 		} else {
 			em.Blocked(c.Cycle, r)
@@ -531,60 +600,100 @@ func (n *Network) arbitrate(d int, masked *routing.FaultAware, em *engine.Emitte
 	}
 }
 
+// grant allocates the output channel to the waiting header. The worm is
+// ready to move if the buffer at the channel's far end is free — it stays
+// free until the worm takes it, the grant being exclusive — and otherwise
+// sleeps until the flit there leaves (see wake). Phase 2 writes no buffer,
+// so domains may read their neighbours' here.
+func (n *Network) grant(w *worm, dd topology.Direction, dm *netDomain) {
+	r := w.headRouter
+	next, ok := n.core.Grid.Neighbor(r, dd)
+	if !ok {
+		panic(fmt.Sprintf("network: allocated output %v at node %d has no channel", dd, r))
+	}
+	n.outOwner[int(r)*n.dims2+int(dd)] = w
+	w.outDir = dd
+	w.target = n.bufID(next, int(dd))
+	if !n.occupied[w.target] {
+		dm.ready = append(dm.ready, w)
+	}
+}
+
 // recoveryPhase aborts any worm whose header has been stuck past the stall
 // threshold (the timeout criterion of software-based deadlock recovery: a
 // genuinely deadlocked worm never moves again, and a worm starved that long
 // is treated the same). It is always serial: aborts mutate the active list
-// and shared retry state.
+// and shared retry state. The buffers the aborts vacate deliver their wakes
+// once every victim is gone, so that no wake finds a victim: a woken worm
+// is ready for this cycle's movement, a woken source for its injection.
 func (n *Network) recoveryPhase() {
 	c := &n.core
 	n.victims = n.victims[:0]
-	for _, w := range n.active {
+	for w := n.active.head; w != nil; w = w.next {
 		if !w.arrived && c.Cycle-w.headerArrival >= c.Recovery.StallCycles {
 			n.victims = append(n.victims, w)
 		}
 	}
-	for _, w := range n.victims {
-		n.abort(w)
+	if len(n.victims) == 0 {
+		return
 	}
+	dm := &n.dom[0]
+	for _, w := range n.victims {
+		n.abort(w, dm)
+	}
+	clear(n.victims)
+	for _, b := range n.vacated {
+		n.wake(b, dm)
+	}
+	n.vacated = n.vacated[:0]
+	n.fold(dm)
 }
 
-// retirePhase removes completed worms from the active list, preserving
-// order, and records their delivery.
+// retirePhase takes the worms whose last flit was consumed this cycle off
+// the active list and records their delivery — in the active list's order,
+// the order worms were injected in, whatever order movement finished them
+// in: TakeDelivered's order feeds the callers' floating-point latency sums.
+// Injection order is (injection cycle, source node), a source injecting at
+// most one worm per cycle. On a cycle that finished nobody it does nothing.
 func (n *Network) retirePhase() {
 	c := &n.core
-	out := n.active[:0]
-	for _, w := range n.active {
-		if w.delivered == w.pkt.Length {
-			w.pkt.Arrived = c.Cycle
-			n.delivered = append(n.delivered, w.pkt)
-			c.PacketsDone++
-			p := w.pkt
-			c.Em.Deliver(c.Cycle, p.Src, p.Dst, p.Length, p.Hops,
-				p.Injected-p.Created, p.Arrived-p.Injected)
-		} else {
-			out = append(out, w)
+	f := n.finished
+	for i := 1; i < len(f); i++ {
+		w := f[i]
+		j := i - 1
+		for ; j >= 0 && injectedBefore(w.pkt, f[j].pkt); j-- {
+			f[j+1] = f[j]
 		}
+		f[j+1] = w
 	}
-	for i := len(out); i < len(n.active); i++ {
-		n.active[i] = nil
+	for _, w := range f {
+		p := w.pkt
+		p.Arrived = c.Cycle
+		n.delivered = append(n.delivered, p)
+		c.PacketsDone++
+		c.Em.Deliver(c.Cycle, p.Src, p.Dst, p.Length, p.Hops,
+			p.Injected-p.Created, p.Arrived-p.Injected)
+		n.active.remove(w)
+		n.recycle(w)
 	}
-	n.active = out
+	clear(f)
+	n.finished = f[:0]
+}
+
+func injectedBefore(p, q *Packet) bool {
+	return p.Injected < q.Injected || p.Injected == q.Injected && p.Src < q.Src
 }
 
 // finishStep closes the cycle through the core and builds the deadlock
 // error if the watchdog fired.
 func (n *Network) finishStep(progress bool) error {
 	c := &n.core
-	if c.EndStep(progress, len(n.active)) {
+	if c.EndStep(progress, n.active.len) {
 		stuck := make([]*Packet, 0, 4)
-		for _, w := range n.active {
+		for w := n.active.head; w != nil && len(stuck) < 4; w = w.next {
 			stuck = append(stuck, w.pkt)
-			if len(stuck) == 4 {
-				break
-			}
 		}
-		return c.Deadlock(len(n.active), stuck)
+		return c.Deadlock(n.active.len, stuck)
 	}
 	return nil
 }
@@ -595,30 +704,31 @@ func (n *Network) finishStep(progress bool) error {
 // at its source with backoff or drops it. Only never-arrived worms are
 // aborted, and an arrived worm always consumes a flit each cycle, so a
 // victim has delivered no flits — aborting loses nothing already consumed.
-func (n *Network) abort(w *worm) {
+// The freed buffers go on the vacated list, and recoveryPhase delivers
+// their wakes.
+func (n *Network) abort(w *worm, dm *netDomain) {
 	last := len(w.path) - 1
 	inNet := w.inNetwork()
 	tailIdx := last - (inNet - 1)
 	for i := tailIdx; i <= last; i++ {
 		n.occupied[w.path[i]] = false
+		n.vacated = append(n.vacated, w.path[i])
 	}
 	for j := tailIdx + 1; j <= last; j++ {
-		from := n.bufRouter(w.path[j-1])
+		from := n.routerOf[w.path[j-1]]
 		dir := n.bufPort(w.path[j])
 		n.outOwner[int(from)*n.dims2+dir] = nil
+		n.release(from, dm)
 	}
 	if w.outDir != noDirection {
 		n.outOwner[int(w.headRouter)*n.dims2+int(w.outDir)] = nil
-		w.outDir = noDirection
+		n.release(int32(w.headRouter), dm)
 	}
 	n.wait.Delist(&w.wait)
-	for i, x := range n.active {
-		if x == w {
-			n.active = append(n.active[:i], n.active[i+1:]...)
-			break
-		}
-	}
-	n.core.FinishAbort(w.pkt)
+	n.active.remove(w)
+	p := w.pkt
+	n.recycle(w)
+	n.core.FinishAbort(p)
 }
 
 // reachable reports whether a packet injected at src can reach dst under
@@ -692,83 +802,69 @@ func (n *Network) reachable(src, dst topology.NodeID) bool {
 	return found
 }
 
-// tryAdvance moves the worm forward one hop if it can: the header moves
-// into the next free buffer (or a flit is consumed at the destination) and
+// wake delivers the one wake a vacated buffer implies, into the caller's
+// sink. An injection buffer wakes its source. Any other buffer is fed by
+// one channel, and if that channel is held, its holder is the worm granted
+// it and stalled on this buffer — a worm's own channels feed buffers its
+// own flits sit in — which is now ready to move: nothing else can take the
+// buffer first. Reading outOwner here is safe while domains move
+// concurrently: only phase 2 grants, and only the tail of the worm that
+// holds a channel releases it — the holder found here is standing still.
+func (n *Network) wake(b int32, dm *netDomain) {
+	if k := n.feeder[b]; k < 0 {
+		dm.sources = append(dm.sources, n.routerOf[b])
+	} else if o := n.outOwner[k]; o != nil {
+		dm.woken = append(dm.woken, o)
+	}
+}
+
+// advance moves a draining or ready worm forward one hop: the header moves
+// into its target buffer (or a flit is consumed at the destination) and
 // every trailing flit follows, with the tail releasing its buffer and, once
-// fully injected, the channel behind it.
-func (n *Network) tryAdvance(w *worm) bool {
-	if !n.canAdvance(w) {
-		return false
-	}
-	c := &n.core
-	if n.applyAdvance(w, &c.Em, &c.FlitsConsumed, &c.MisrouteHops) {
-		n.enlist(w)
-	}
-	return true
-}
-
-// canAdvance is tryAdvance's read-only half: whether the worm moves this
-// round. An arrived worm always drains a flit; a granted header moves iff
-// its target buffer is free. The sharded step's movement rounds evaluate it
-// for every worm at a barrier before any write (see shard.go), which is
-// sound because no write of the subsequent apply stage can invalidate a
-// positive answer: granted headers hold exclusive output channels, so two
-// movers never target one buffer, and frees only enable.
-func (n *Network) canAdvance(w *worm) bool {
-	if w.inNetwork() == 0 {
-		return false
-	}
-	if w.arrived {
-		return true
-	}
-	if w.outDir == noDirection {
-		return false
-	}
-	r := w.headRouter
-	next, ok := n.core.Grid.Neighbor(r, w.outDir)
-	if !ok {
-		panic(fmt.Sprintf("network: allocated output %v at node %d has no channel", w.outDir, r))
-	}
-	return !n.occupied[n.bufID(next, int(w.outDir))]
-}
-
-// applyAdvance is tryAdvance's write half: one hop for a worm canAdvance
-// approved. Every location it writes is exclusive to this worm — the
-// target buffer (via its output-channel grant), its own flits' buffers and
-// channels — so the sharded step may apply a whole round of moves in
-// parallel. The flit-consumed and misroute tallies and the probe events go
-// through the caller's sinks: the core's own for the serial path, the
-// domain's for the sharded one. It reports whether the header hopped into
-// a new buffer; the caller then enlists it there (the serial step at once,
-// a domain worker only under its own routers — see applyDomain).
-func (n *Network) applyAdvance(w *worm, em *engine.Emitter, flits, mis *int64) (hopped bool) {
+// fully injected, the channel behind it. Every location it writes is
+// exclusive to this worm — the target buffer (via its output-channel
+// grant), its own flits' buffers and channels — so domains advance their
+// worms concurrently, and no move can invalidate another: two movers never
+// target one buffer, and frees only enable. Movement therefore reaches the
+// same state in whatever order, and over however many rounds, the ready
+// worms are taken: the least fixpoint of "advance every worm that can".
+// Everything else a move produces goes to the domain's sink — the flit and
+// misroute tallies, the probe events, the wakes, the routers whose outputs
+// were released, the worm itself if it finished — and settle folds the
+// sinks in domain order. It reports whether the header hopped into a new
+// buffer; the caller then enlists it there.
+func (n *Network) advance(w *worm, dm *netDomain, em *engine.Emitter) (hopped bool) {
 	c := &n.core
 	last := len(w.path) - 1
 	inNet := w.inNetwork()
 	if hopped = !w.arrived; hopped {
 		r := w.headRouter
-		next, _ := c.Grid.Neighbor(r, w.outDir)
-		nb := n.bufID(next, int(w.outDir))
-		n.occupied[nb] = true
+		if n.occupied[w.target] {
+			panic(fmt.Sprintf("network: %v listed to move into buffer %d, which is occupied", w.pkt, w.target))
+		}
+		n.occupied[w.target] = true
 		if w.candsMis {
 			// The hop came from a misroute set: a nonminimal detour,
 			// charged against the packet's misroute budget.
 			w.misroutes++
-			*mis++
+			dm.mis++
 			w.candsMis = false
 		}
-		w.path = append(w.path, nb)
+		w.path = append(w.path, w.target)
 		w.pkt.Hops++
 		w.headerArrival = c.Cycle
 		w.inWrap = c.Grid.Wrap(r, w.outDir)
 		w.inDir = w.outDir
-		w.headRouter = next
+		w.headRouter = topology.NodeID(n.routerOf[w.target])
 		w.outDir = noDirection
 		w.candsValid = false
 	} else {
 		// The front flit is consumed by the destination processor.
 		w.delivered++
-		*flits++
+		dm.flits++
+		if w.delivered == w.pkt.Length {
+			dm.finished = append(dm.finished, w)
+		}
 	}
 
 	// Shift the tail: either a fresh flit enters the injection buffer or
@@ -780,19 +876,21 @@ func (n *Network) applyAdvance(w *worm, em *engine.Emitter, flits, mis *int64) (
 		// necessarily 0 here).
 		w.sent++
 	} else {
-		n.occupied[w.path[tailIdx]] = false
+		b := w.path[tailIdx]
+		n.occupied[b] = false
+		n.wake(b, dm)
 		if tailIdx+1 < len(w.path) {
-			from := n.bufRouter(w.path[tailIdx])
+			from := n.routerOf[b]
 			dir := n.bufPort(w.path[tailIdx+1])
 			key := int(from)*n.dims2 + dir
 			n.outOwner[key] = nil
+			n.release(from, dm)
 			// The tail has crossed: all of the packet's flits have now
 			// traversed this channel. Tallied at release so the counts
 			// reflect completed traversals only.
 			n.channelFlits[key] += int64(w.pkt.Length)
-			em.FlitMove(c.Cycle, from, topology.Direction(dir), w.pkt.Length)
+			em.FlitMove(c.Cycle, topology.NodeID(from), topology.Direction(dir), w.pkt.Length)
 		}
 	}
-	w.movedAt = c.Cycle
 	return hopped
 }

@@ -35,9 +35,9 @@ type worm struct {
 	// headerArrival is the cycle the header entered its current buffer,
 	// used by the local first-come-first-served input selection policy.
 	headerArrival int64
-	// movedAt is the cycle of the worm's last advance (-1: never); a worm
-	// advances at most once per cycle.
-	movedAt int64
+	// target is the buffer the allocated output channel leads to (valid
+	// while outDir is set): the worm advances when it is free.
+	target int32
 	// headRouter, inDir and inWrap cache the header's position state —
 	// the router holding its buffer, the direction it was travelling when
 	// it entered, and whether that hop crossed a wraparound — so the step
@@ -60,6 +60,8 @@ type worm struct {
 	// wait is the header's link in the wait table while it waits for an
 	// output at headRouter (see engine.WaitTable).
 	wait engine.WaitLink[*worm]
+	// next and prev link the worm into the active list.
+	next, prev *worm
 
 	candBuf [8]topology.Direction
 	pathBuf [16]int32
@@ -69,3 +71,36 @@ func (w *worm) inNetwork() int { return w.sent - w.delivered }
 
 // headBuf is the buffer of the most advanced in-network flit.
 func (w *worm) headBuf() int32 { return w.path[len(w.path)-1] }
+
+// wormList is a doubly linked list threaded through the worms' own links:
+// appending keeps injection order, and a worm leaves in O(1) from wherever
+// it is.
+type wormList struct {
+	head, tail *worm
+	len        int
+}
+
+func (l *wormList) pushBack(w *worm) {
+	if w.prev = l.tail; w.prev == nil {
+		l.head = w
+	} else {
+		w.prev.next = w
+	}
+	l.tail = w
+	l.len++
+}
+
+func (l *wormList) remove(w *worm) {
+	if w.prev == nil {
+		l.head = w.next
+	} else {
+		w.prev.next = w.next
+	}
+	if w.next == nil {
+		l.tail = w.prev
+	} else {
+		w.next.prev = w.prev
+	}
+	w.next, w.prev = nil, nil
+	l.len--
+}

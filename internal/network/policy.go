@@ -16,7 +16,11 @@ type OutputPolicy interface {
 	// Choose picks one of the candidate directions for which free
 	// reports true. in is the direction the header arrived travelling
 	// (topology.Invalid at the injection port). The boolean result is
-	// false when no candidate is free.
+	// false when no candidate is free, and then Choose must not have drawn
+	// from rng: a refused header is not offered again until one of its
+	// router's outputs is released (see Network.arbitrate), so a refusal
+	// that consumed random numbers would make the stream depend on how
+	// often refused headers are re-offered.
 	Choose(cands []topology.Direction, free func(topology.Direction) bool, in topology.Direction, rng *rand.Rand) (topology.Direction, bool)
 }
 

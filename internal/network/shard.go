@@ -1,74 +1,108 @@
 package network
 
 import (
+	"turnmodel/internal/engine"
 	"turnmodel/internal/routing"
 	"turnmodel/internal/topology"
 )
 
-// Sharded stepping: Config.Shards > 1 partitions the node space into
-// contiguous domains (engine.Core owns the bounds and the worker pool) and
-// runs the parallelizable phases of Step on one worker per domain. The
-// acceptance bar is bit-identical results at every shard count; the full
-// argument lives in docs/performance.md, the short form next to each phase
-// below. The differential harness (internal/engine/diff_test.go) and the
+// Spatial domains. The node space is one domain, or — with Config.Shards >
+// 1 — that many contiguous node ranges (engine.Core owns the bounds and the
+// worker pool), and the phases of Step that fan out run one task per
+// domain: on one pool worker each when sharded, one after the other when
+// not. Either way they are the same tasks over the same per-domain lists,
+// so there is one movement algorithm, the persistent state (draining lists,
+// awake routers, injection worklist, free lists) means the same thing in
+// both modes, and a network Closed in mid-run carries on serially from
+// exactly where its workers stopped. The acceptance bar is bit-identical
+// results at every shard count; the full argument lives in
+// docs/performance.md, the short form next to each task below. The
+// differential harness (internal/engine/shard_diff_test.go) and the
 // cross-shard tests in this package check it end to end.
 //
-// A worm belongs to the domain of its head router at the start of the
-// phase. Its flits may trail through other domains' nodes — that is fine,
+// A worm is moved by whichever domain has it on a list: the domain whose
+// router granted it or marked it arrived, or the domain whose move vacated
+// the buffer it was stalled on. Its flits may lie anywhere — that is fine,
 // because buffer and channel writes during movement are exclusive to the
-// worm (not to the domain), and the phases that consult another router's
-// state are either read-only at that point or serial.
+// worm (not to the domain), and whatever a move does to state another
+// domain owns goes through the mover's sink instead.
 
-// netDomain is one domain's per-cycle scratch: the worms it owns this
-// cycle, its mover list, the worms it injected this cycle (merged into the
-// active list in domain order), the worms whose headers it moved under
-// another domain's router (enlisted there after the movement barrier), its
-// fault-masking wrapper (the wrapper's counters are not concurrent-safe,
-// so each domain gets its own over the shared read-only Health), and its
-// counter deltas. Everything is preallocated or reused, keeping the
-// no-probe sharded step allocation-free. Padded against false sharing of
-// the counters.
+// netDomain is one domain's lists. draining persists from cycle to cycle;
+// ready lives from phase 0 (worms woken by aborts) and phase 2 (worms
+// granted a free buffer) to the movement round that drains it; the rest is
+// the domain's sink, filled by the moves its task makes in one round and
+// emptied by settle (fold) at the round's barrier. Everything is reused, keeping
+// the no-probe step allocation-free. Padded against false sharing.
 type netDomain struct {
-	owned    []*worm
-	movers   []*worm
-	injected []*worm
+	// lo and hi bound the domain's routers: the node range [lo, hi).
+	lo, hi int32
+
+	// draining holds the worms whose header reached one of the domain's
+	// routers as its destination and which still have flits to deliver:
+	// each delivers one per cycle.
+	draining []*worm
+	// ready holds the worms that can advance in the coming movement round:
+	// granted an output whose target buffer is free.
+	ready []*worm
+
+	// The sink. woken: worms whose target buffer a move of this round
+	// vacated — the next round's ready worms. released: other domains'
+	// routers one of whose output channels was released, to be woken in
+	// the wait table. sources: nodes whose injection buffer was vacated.
+	// finished: worms that delivered their last flit. foreign: worms whose
+	// header this domain moved under another domain's router, to be
+	// enlisted there.
+	woken    []*worm
+	released []int32
+	sources  []int32
+	finished []*worm
 	foreign  []*worm
-	masked   *routing.FaultAware
 	flits    int64
 	mis      int64
-	_        [64]byte
+	moved    bool
+
+	// injected holds the worms the domain's pool worker injected this
+	// cycle, until mergeInjected appends them to the active list; free is
+	// the domain's stock of recycled worms (see newWorm).
+	injected []*worm
+	free     []*worm
+	// masked is the domain's fault-masking wrapper, nil unless masking is
+	// on: the wrapper's counters are not concurrent-safe, so each domain
+	// arbitrates through its own over the shared read-only Health.
+	masked *routing.FaultAware
+	_      [64]byte
 }
 
-// initShardDomains finishes sharded-step construction inside New. The core
-// has already clamped the shard count; sharding additionally requires the
-// inlined LowestDimension output arbitration — any other policy draws from
-// a shared RNG stream or closure state whose order sharding would change,
-// so those configurations release the pool and fall back to serial
-// stepping.
-func (n *Network) initShardDomains(cfg Config) {
+// initDomains builds the domains inside New. The core has already clamped
+// the shard count; stepping on the pool additionally requires the inlined
+// LowestDimension output arbitration — any other policy draws from a shared
+// RNG stream or closure state whose order concurrent domains would change,
+// so those configurations release the pool and step serially, as one
+// domain.
+func (n *Network) initDomains() {
 	if n.core.ShardCount() > 1 && !n.fastOutput {
 		n.core.Close()
 	}
 	n.shards = n.core.ShardCount()
-	if n.shards <= 1 {
-		return
-	}
-	n.dsc = make([]netDomain, n.shards)
-	for d := range n.dsc {
-		dm := &n.dsc[d]
+	n.dom = make([]netDomain, n.shards)
+	for d := range n.dom {
+		n.dom[d].lo, n.dom[d].hi = 0, int32(n.topo.Nodes())
+		if n.shards > 1 {
+			n.dom[d].lo, n.dom[d].hi = n.core.ShardRange(d)
+		}
 		if n.core.Health != nil {
-			dm.masked = routing.NewFaultAware(n.alg, n.core.Health, n.core.FaultPol)
+			n.dom[d].masked = routing.NewFaultAware(n.alg, n.core.Health, n.core.FaultPol)
 		}
 	}
 	n.core.InjPlaceShard = n.placeWormShard
-	n.classifyFn = n.classifyDomain
-	n.planFn = n.planDomain
-	n.applyFn = n.applyDomain
+	n.arbitrateFn = n.arbitrate
+	n.drainFn = n.drainDomain
+	n.moveFn = n.moveDomain
 }
 
-// Close releases the sharded step's worker pool and returns the network to
-// serial stepping; idempotent and a no-op for serial networks. The pool
-// also has a finalizer, so an un-Closed network leaks nothing once
+// Close releases the worker pool and leaves the network stepping serially
+// over the same domains; idempotent and a no-op for serial networks. The
+// pool also has a finalizer, so an un-Closed network leaks nothing once
 // collected — Close just makes the release deterministic (the sweep runner
 // closes each point's network as it finishes).
 func (n *Network) Close() {
@@ -76,156 +110,174 @@ func (n *Network) Close() {
 	n.shards = 1
 }
 
+// eachDomain runs a phase's task for every domain: on the worker pool (a
+// barrier) when sharded, in domain order otherwise.
+func (n *Network) eachDomain(task func(d int)) {
+	if n.shards > 1 {
+		n.core.RunShards(task)
+		return
+	}
+	for d := range n.dom {
+		task(d)
+	}
+}
+
+// owns reports whether a task of the domain may touch the router's entry in
+// the wait table — its run of waiters and its bit in the awake set — itself.
+// While domains run concurrently that takes the router's own domain; the
+// others leave the router in their sink for settle.
+func (n *Network) owns(dm *netDomain, router int32) bool {
+	return n.shards <= 1 || dm.lo <= router && router < dm.hi
+}
+
+// release records that an output channel of the router was released: the
+// headers refused there are offered again next cycle.
+func (n *Network) release(router int32, dm *netDomain) {
+	if n.owns(dm, router) {
+		n.wait.Wake(router)
+	} else {
+		dm.released = append(dm.released, router)
+	}
+}
+
+// emitter is where domain d's tasks record probe events: the domain's own
+// buffer while domains run concurrently — settle absorbs the buffers in
+// domain order — and the core's directly otherwise.
+func (n *Network) emitter(d int) *engine.Emitter {
+	if n.shards > 1 {
+		return n.core.ShardEmitter(d)
+	}
+	return &n.core.Em
+}
+
 // placeWormShard is the core's sharded injection hook: identical to
 // placeWorm except that the worm is appended to the domain's injected list
-// instead of the shared active list; stepSharded merges the lists in
-// domain order, which reproduces the serial active-list order because
-// injection visits nodes in ascending order and domains are ascending node
-// ranges. The buffer write and the wait-table entry are at the injecting
+// instead of the shared active list, and comes off the domain's own free
+// list. The buffer write and the wait-table entry are at the injecting
 // node, which belongs to this domain.
 func (n *Network) placeWormShard(d int, node topology.NodeID, p *Packet) {
-	n.dsc[d].injected = append(n.dsc[d].injected, n.newWorm(node, p))
+	n.dom[d].injected = append(n.dom[d].injected, n.newWorm(d, node, p))
 }
 
-// classifyDomain is the parallel body of phase 2 for one domain: collect
-// the worms whose head router lies in the domain's node range (the movement
-// rounds plan over them), then arbitrate the domain's part of the wait
-// table.
-//
-// Serial equivalence: the serial step walks the table's parts in domain
-// order, and a part holds exactly the waiters at the domain's routers — so
-// the domains together visit every waiter the serial pass visits, each
-// router's in the same order. An offer only reads and writes arbitration
-// state at the waiter's own head router (outOwner, faulted, the router's
-// run of waiters and the part's bitmap words), which no other domain
-// touches in this phase, so every router's arbitration has exactly the
-// serial outcome. Blocked events go to the domain emitter and merge in
-// domain order, again the serial order.
-func (n *Network) classifyDomain(d int) {
-	c := &n.core
-	dm := &n.dsc[d]
-	lo, hi := c.ShardRange(d)
-	dm.owned = dm.owned[:0]
-	for _, w := range n.active {
-		if r := int32(w.headRouter); r >= lo && r < hi {
-			dm.owned = append(dm.owned, w)
+// mergeInjected appends the worms the pool workers injected to the active
+// list in domain order, which is the serial order: injection visits nodes
+// in ascending order and domains are ascending node ranges.
+func (n *Network) mergeInjected() {
+	for d := range n.dom {
+		dm := &n.dom[d]
+		for _, w := range dm.injected {
+			n.active.pushBack(w)
 		}
-	}
-	n.arbitrate(d, dm.masked, c.ShardEmitter(d))
-}
-
-// planDomain is the read-only half of one movement round: it collects the
-// domain's worms that can advance under the state frozen at the round's
-// barrier. No mover invalidates another (see canAdvance), so the plan is
-// exactly the set of moves the round applies.
-func (n *Network) planDomain(d int) {
-	dm := &n.dsc[d]
-	dm.movers = dm.movers[:0]
-	for _, w := range dm.owned {
-		if w.movedAt != n.core.Cycle && n.canAdvance(w) {
-			dm.movers = append(dm.movers, w)
-		}
+		clear(dm.injected)
+		dm.injected = dm.injected[:0]
 	}
 }
 
-// applyDomain applies one movement round's planned moves for the domain.
-// All writes are exclusive to each moving worm (see applyAdvance), so
-// domains apply concurrently; counter deltas and FlitMove events land in
-// the domain's sinks and merge after the movement loop. A header that
-// hopped starts waiting at its new router: this worker enlists it there
-// only if the router is its own — the wait table's lists and bitmap words
-// belong to the router's domain — and otherwise parks the worm on the
-// foreign list, which stepSharded enlists serially after the last round
-// (nothing reads the table during movement, and entries are filed in order
-// on insertion, so when and in what order they land is immaterial).
-func (n *Network) applyDomain(d int) {
-	c := &n.core
-	dm := &n.dsc[d]
-	em := c.ShardEmitter(d)
-	lo, hi := c.ShardRange(d)
-	for _, w := range dm.movers {
-		if !n.applyAdvance(w, em, &dm.flits, &dm.mis) {
+// drainDomain is the first movement round of a cycle for one domain: every
+// draining worm delivers a flit, then the ready worms advance (moveDomain).
+// A worm that delivered its last flit leaves the list for the sink.
+func (n *Network) drainDomain(d int) {
+	dm := &n.dom[d]
+	if len(dm.draining) > 0 {
+		em := n.emitter(d)
+		keep := dm.draining[:0]
+		for _, w := range dm.draining {
+			n.advance(w, dm, em)
+			if w.delivered < w.pkt.Length {
+				keep = append(keep, w)
+			}
+		}
+		clear(dm.draining[len(keep):])
+		dm.draining = keep
+		dm.moved = true
+	}
+	n.moveDomain(d)
+}
+
+// moveDomain is one movement round for one domain: each of its ready worms
+// advances one hop. Every one of them can — its target buffer was free when
+// it was listed and only the worm itself can fill it — so the round needs
+// no look at anybody else's state, and the worms it wakes go to the next
+// round rather than this one only because another domain may have to move
+// them. A header that hopped starts waiting at its new router: this task
+// enlists it there only if the router is its own — the wait table's lists
+// and bitmap words belong to the router's domain — and otherwise leaves it
+// to settle (nothing reads the table during movement, and entries are filed
+// in order on insertion, so when and in what order they land is
+// immaterial).
+func (n *Network) moveDomain(d int) {
+	dm := &n.dom[d]
+	if len(dm.ready) == 0 {
+		return
+	}
+	em := n.emitter(d)
+	for _, w := range dm.ready {
+		if !n.advance(w, dm, em) {
 			continue
 		}
-		if r := int32(w.headRouter); r >= lo && r < hi {
+		if n.owns(dm, int32(w.headRouter)) {
 			n.enlist(w)
 		} else {
 			dm.foreign = append(dm.foreign, w)
 		}
 	}
+	clear(dm.ready)
+	dm.ready = dm.ready[:0]
+	dm.moved = true
 }
 
-// stepSharded is Step's domain-decomposed body. Phases 0 (faults,
-// recovery) and 4 (retirement, watchdog) are inherently order-dependent
-// and stay serial; injection, routing/allocation and movement fan out over
-// the domains with barriers between phases.
+// settle is the serial end of a movement round: it folds the sink of every
+// domain that moved something into the shared state, in domain order, and
+// reports whether the round moved anything and whether it woke anybody —
+// whether another round is due.
 //
-// Movement runs as rounds of plan (read-only, collect movers) and apply
-// (disjoint writes) instead of the serial sweep-to-fixpoint loop. Both
-// compute the same least fixpoint: a move never blocks another possible
-// move this cycle (target buffers are exclusively granted) and frees only
-// enable, so the set of worms that advance — and therefore every buffer,
-// channel and counter after the phase — is identical to the serial
-// schedule's. Only the intra-cycle interleaving of FlitMove probe events
-// differs from serial (it is still deterministic for a fixed shard count);
-// per-cycle aggregation, which is all the metrics collector does, sees
-// identical streams.
-func (n *Network) stepSharded() error {
+// Only the interleaving of a cycle's FlitMove probe events depends on how
+// the worms were spread over rounds and domains (it is deterministic for a
+// fixed shard count); per-cycle aggregation, which is all the metrics
+// collector does, sees identical streams.
+func (n *Network) settle() (moved, more bool) {
+	for d := range n.dom {
+		dm := &n.dom[d]
+		if !dm.moved {
+			continue
+		}
+		dm.moved, moved = false, true
+		n.fold(dm)
+		more = more || len(dm.ready) > 0
+	}
+	if moved && n.shards > 1 {
+		n.core.AbsorbShardEmitters()
+	}
+	return moved, more
+}
+
+// fold empties one domain's sink into the shared state — the tallies, its
+// foreign headers into the wait table, the foreign routers it released woken
+// there, the sources it vacated back on the injection worklist, the worms
+// it finished to retirePhase — and makes the worms it woke its ready worms
+// (its ready list is empty: the round, or the previous cycle, drained it).
+func (n *Network) fold(dm *netDomain) {
 	c := &n.core
-	progress := false
-
-	// Phase 0: fault transitions and deadlock recovery (serial).
-	c.FaultPhase()
-	if c.Recovery.Enabled {
-		n.recoveryPhase()
+	c.FlitsConsumed += dm.flits
+	c.MisrouteHops += dm.mis
+	dm.flits, dm.mis = 0, 0
+	for _, w := range dm.foreign {
+		n.enlist(w)
 	}
-
-	// Phase 1: injection over the core's worklist, fanned out across the
-	// domains by the core; the worms each domain created are appended in
-	// domain order, reproducing the serial ascending-node active order.
-	if c.InjectPhase() {
-		progress = true
+	clear(dm.foreign)
+	dm.foreign = dm.foreign[:0]
+	for _, r := range dm.released {
+		n.wait.Wake(r)
 	}
-	for d := range n.dsc {
-		dm := &n.dsc[d]
-		n.active = append(n.active, dm.injected...)
-		for i := range dm.injected {
-			dm.injected[i] = nil
-		}
-		dm.injected = dm.injected[:0]
+	dm.released = dm.released[:0]
+	for _, node := range dm.sources {
+		c.WakeSource(topology.NodeID(node))
 	}
-
-	// Phase 2: routing and output allocation, one task per domain.
-	c.RunShards(n.classifyFn)
-	c.AbsorbShardEmitters()
-
-	// Phase 3: movement rounds to the fixpoint.
-	for {
-		c.RunShards(n.planFn)
-		total := 0
-		for d := range n.dsc {
-			total += len(n.dsc[d].movers)
-		}
-		if total == 0 {
-			break
-		}
-		progress = true
-		c.RunShards(n.applyFn)
+	dm.sources = dm.sources[:0]
+	if len(dm.finished) > 0 {
+		n.finished = append(n.finished, dm.finished...)
+		clear(dm.finished)
+		dm.finished = dm.finished[:0]
 	}
-	c.AbsorbShardEmitters()
-	for d := range n.dsc {
-		dm := &n.dsc[d]
-		c.FlitsConsumed += dm.flits
-		c.MisrouteHops += dm.mis
-		dm.flits, dm.mis = 0, 0
-		for i, w := range dm.foreign {
-			n.enlist(w)
-			dm.foreign[i] = nil
-		}
-		dm.foreign = dm.foreign[:0]
-	}
-
-	// Phase 4: retire completed worms, then close the cycle (serial).
-	n.retirePhase()
-	return n.finishStep(progress)
+	dm.ready, dm.woken = dm.woken, dm.ready
 }

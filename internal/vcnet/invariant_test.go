@@ -1,6 +1,7 @@
 package vcnet
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -21,9 +22,14 @@ import (
 //  4. The wait table holds exactly the headers waiting for an output, and
 //     visits them in the order of the global request sort it replaced
 //     (see checkWaitTable).
+//  5. No wake was lost and no recycled worm is still referred to (see
+//     lostWake).
 func checkInvariants(t *testing.T, n *Network) {
 	t.Helper()
 	checkWaitTable(t, n)
+	if err := lostWake(n); err != nil {
+		t.Fatal(err)
+	}
 	coveredBy := make(map[int32]*worm)
 	ownedWant := make(map[int]*worm)
 	for _, w := range n.active {
@@ -114,6 +120,67 @@ func checkWaitTable(t *testing.T, n *Network) {
 				n.core.Cycle, i, got[i].pkt, got[i].headRouter, want[i].pkt, want[i].headRouter)
 		}
 	}
+}
+
+// lostWake is the oracle for what sleeps in this engine — refused
+// headers and sources behind an occupied injection buffer; flits are swept
+// every cycle. Between two steps:
+//
+//	(b) No waiter at a sleeping router would be granted if offered: its
+//	    candidates are computed and every candidate output virtual channel
+//	    is held or on a broken link.
+//	(d) Every node with a queued message and a free injection buffer is on
+//	    the injection worklist.
+//	(e) A worm on a free list is reachable from nowhere else: not the active
+//	    list, owner or the wait table.
+//
+// (The letters are those of internal/network's oracle, whose (a) and (c)
+// are about the worms that sleep there.)
+func lostWake(n *Network) error {
+	cycle := n.core.Cycle
+	live := make(map[*worm]bool)
+	for _, w := range n.active {
+		live[w] = true
+		if w.arrived || w.routed || n.wait.Awake(int32(w.headRouter)) {
+			continue
+		}
+		r := w.headRouter
+		if r == w.pkt.Dst || !w.candsValid {
+			return fmt.Errorf("cycle %d: lost wake: %v waits at sleeping router %d without having been offered (dst %d, cands valid %v)",
+				cycle, w.pkt, r, w.pkt.Dst, w.candsValid)
+		}
+		for _, out := range w.cands {
+			if !n.faulted[int(r)*n.dims2+int(out.Dir)] && n.owner[n.ownerKey(r, out.Dir, out.VC)] == nil {
+				return fmt.Errorf("cycle %d: lost wake: %v waits at sleeping router %d though its candidate output %v is free",
+					cycle, w.pkt, r, out)
+			}
+		}
+	}
+	for node := 0; node < n.topo.Nodes(); node++ {
+		id := topology.NodeID(node)
+		if n.core.QueueLen(id) > 0 && !n.occupied[n.injID(id)] && !n.core.OnWorklist(id) {
+			return fmt.Errorf("cycle %d: lost wake: node %d has %d queued messages and a free injection buffer but is off the worklist",
+				cycle, node, n.core.QueueLen(id))
+		}
+	}
+	free := make(map[*worm]bool)
+	for d := range n.dsc {
+		if len(n.dsc[d].injected) != 0 {
+			return fmt.Errorf("cycle %d: domain %d still holds %d injected worms", cycle, d, len(n.dsc[d].injected))
+		}
+		for _, w := range n.dsc[d].free {
+			if free[w] || live[w] || w.wait.Listed() || w.pkt != nil {
+				return fmt.Errorf("cycle %d: free list of domain %d holds a worm that is listed twice, active, waiting or still has its packet", cycle, d)
+			}
+			free[w] = true
+		}
+	}
+	for key, w := range n.owner {
+		if free[w] {
+			return fmt.Errorf("cycle %d: channel %d is owned by a recycled worm", cycle, key)
+		}
+	}
+	return nil
 }
 
 func TestVCSimulatorInvariantsUnderRandomTraffic(t *testing.T) {

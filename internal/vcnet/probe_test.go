@@ -20,6 +20,7 @@ type ledgerProbe struct {
 	movedFlits     int64
 	movedThisCycle int64
 	wantMovedFlits int64 // sum of length*hops over delivered packets
+	blocked        int64
 	ticks          int64
 	faults         int64
 	aborted        int64
@@ -33,7 +34,7 @@ func (p *ledgerProbe) Inject(cycle int64, src, dst topology.NodeID, length int) 
 	p.injectedFlits += int64(length)
 }
 
-func (p *ledgerProbe) Blocked(cycle int64, node topology.NodeID) {}
+func (p *ledgerProbe) Blocked(cycle int64, node topology.NodeID) { p.blocked++ }
 
 func (p *ledgerProbe) FlitMove(cycle int64, from topology.NodeID, d topology.Direction, flits int) {
 	if flits != 1 {

@@ -167,8 +167,8 @@ type Network struct {
 	delivered []*Packet
 	// wait holds the headers waiting for an output virtual channel, filed
 	// by router in local-FCFS order (header arrival cycle, then packet ID;
-	// see engine.WaitTable); phase 2 walks it instead of collecting and
-	// sorting requests.
+	// see engine.WaitTable); phase 2 walks its awake routers instead of
+	// collecting and sorting requests.
 	wait *engine.WaitTable[*worm]
 
 	victims []*worm
@@ -177,21 +177,25 @@ type Network struct {
 	dirScratch  []topology.Direction
 	candScratch []vc.Out
 
-	// Sharded stepping (see stepSharded): one vcDomain of scratch per
-	// spatial domain, with the prebound phase-2 worker task; shards
-	// mirrors core.ShardCount() and is 1 for serial Step.
-	shards     int
-	dsc        []vcDomain
-	classifyFn func(d int)
+	// dsc holds one vcDomain per spatial domain — per part of the wait
+	// table; a single one unless Config.Shards split the network —
+	// and arbitrateFn is the prebound phase-2 task. shards mirrors
+	// core.ShardCount(): above 1 injection and phase 2 run on the worker
+	// pool (see Step).
+	shards      int
+	dsc         []vcDomain
+	arbitrateFn func(d int)
 }
 
-// vcDomain is one domain's phase-2 scratch: the worms it injected this
-// cycle, and — because the fault-masking wrapper's counters and the
+// vcDomain is one domain's share of what injection and phase 2 touch: the
+// worms its pool worker injected this cycle, its stock of recycled worms
+// (see newWorm), and — because the fault-masking wrapper's counters and the
 // appender's direction scratch are not concurrent-safe — a per-domain
-// wrapper over the shared read-only Health and a per-domain scratch slice.
-// Padded against false sharing.
+// wrapper over the shared read-only Health (nil unless masking is on) and a
+// per-domain scratch slice. Padded against false sharing.
 type vcDomain struct {
 	injected   []*worm
+	free       []*worm
 	masked     *vc.FaultAware
 	dirScratch []topology.Direction
 	_          [64]byte
@@ -252,14 +256,19 @@ func New(cfg Config) *Network {
 	n.core.InjPlace = n.placeWorm
 	n.core.Reachable = n.reachable
 	n.core.OnEpochChange = func() {
-		// The fault set changed, so masked candidate sets computed from
-		// the old set are stale: let waiting headers (those not yet
-		// granted an output channel) re-decide.
-		for _, w := range n.active {
-			if !w.arrived && !w.routed {
-				w.candsValid = false
+		// The fault set changed: a header refused because of a broken
+		// channel may now be granted, so every router offers again; and
+		// masked candidate sets computed from the old set are stale, so
+		// the waiting headers (those not yet granted an output channel)
+		// re-decide.
+		if n.masked != nil {
+			for d := 0; d < n.wait.Parts(); d++ {
+				for it := n.wait.Walk(d); it.Next(); {
+					it.Waiter().candsValid = false
+				}
 			}
 		}
+		n.wait.WakeAll()
 	}
 	n.faulted = n.core.Faulted
 	if n.core.Health != nil {
@@ -269,22 +278,19 @@ func New(cfg Config) *Network {
 	n.uncappedEject = cfg.UncappedEjection
 	n.wait = engine.NewWaitTable[*worm](&n.core)
 	n.shards = n.core.ShardCount()
-	if n.shards > 1 {
-		n.dsc = make([]vcDomain, n.shards)
-		for d := range n.dsc {
-			dm := &n.dsc[d]
-			if n.core.Health != nil {
-				dm.masked = vc.NewFaultAware(cfg.Routing, n.core.Health, n.core.FaultPol)
-			}
+	n.dsc = make([]vcDomain, n.shards)
+	for d := range n.dsc {
+		if n.core.Health != nil {
+			n.dsc[d].masked = vc.NewFaultAware(cfg.Routing, n.core.Health, n.core.FaultPol)
 		}
-		n.core.InjPlaceShard = n.placeWormShard
-		n.classifyFn = n.classifyDomain
 	}
+	n.core.InjPlaceShard = n.placeWormShard
+	n.arbitrateFn = n.arbitrate
 	return n
 }
 
-// Close releases the sharded step's worker pool and returns the network to
-// serial stepping; idempotent and a no-op for serial networks (the pool
+// Close releases the sharded step's worker pool and leaves the network
+// stepping serially over the same domains; idempotent and a no-op for serial networks (the pool
 // also carries a finalizer, so a forgotten Close leaks nothing once the
 // network is collected).
 func (n *Network) Close() {
@@ -293,13 +299,30 @@ func (n *Network) Close() {
 }
 
 // newWorm puts the packet's header into the node's free injection buffer,
-// where it starts waiting for an output.
-func (n *Network) newWorm(node topology.NodeID, p *Packet) *worm {
+// where it starts waiting for an output. The worm — and with it the
+// per-flit pos and movedAt slices, when they are long enough — comes off
+// domain d's free list when that has one: retirePhase and abort put worms
+// there once nothing in the network refers to them any more — not owner,
+// the wait table or the active list — and every field is set afresh here.
+func (n *Network) newWorm(d int, node topology.NodeID, p *Packet) *worm {
+	dm := &n.dsc[d]
+	var w *worm
+	var pos []int
+	var movedAt []int64
+	if k := len(dm.free) - 1; k >= 0 {
+		w, dm.free[k], dm.free = dm.free[k], nil, dm.free[:k]
+		pos, movedAt = w.pos, w.movedAt
+	} else {
+		w = new(worm)
+	}
+	if cap(pos) < p.Length {
+		pos, movedAt = make([]int, p.Length), make([]int64, p.Length)
+	}
 	inj := n.injID(node)
-	w := &worm{
+	*w = worm{
 		pkt:           p,
-		pos:           make([]int, p.Length),
-		movedAt:       make([]int64, p.Length),
+		pos:           pos[:p.Length],
+		movedAt:       movedAt[:p.Length],
 		sent:          1,
 		headerArrival: n.core.Cycle,
 		headRouter:    node,
@@ -323,18 +346,26 @@ func (n *Network) enlist(w *worm) {
 	n.wait.Enlist(&w.wait, int32(w.headRouter), w.headerArrival, w.pkt.ID)
 }
 
+// recycle puts a worm nothing refers to any more on a free list — the one
+// of its source's domain, whose injections will draw on it.
+func (n *Network) recycle(w *worm) {
+	dm := &n.dsc[n.wait.PartOf(int32(w.pkt.Src))]
+	w.pkt, w.cands = nil, nil
+	dm.free = append(dm.free, w)
+}
+
 // placeWorm is the core's injection hook.
 func (n *Network) placeWorm(node topology.NodeID, p *Packet) {
-	n.active = append(n.active, n.newWorm(node, p))
+	n.active = append(n.active, n.newWorm(n.wait.PartOf(int32(node)), node, p))
 }
 
 // placeWormShard is the core's sharded injection hook: placeWorm with the
-// worm parked on the domain's injected list; stepSharded appends the lists
-// to the active list in domain order, reproducing the serial
-// ascending-node injection order. The injecting node — and so the worm's
-// wait-table entry — belongs to this domain.
+// worm taken off the domain's own free list and parked on its injected
+// list; Step appends the lists to the active list in domain order,
+// reproducing the serial ascending-node injection order. The injecting
+// node — and so the worm's wait-table entry — belongs to this domain.
 func (n *Network) placeWormShard(d int, node topology.NodeID, p *Packet) {
-	n.dsc[d].injected = append(n.dsc[d].injected, n.newWorm(node, p))
+	n.dsc[d].injected = append(n.dsc[d].injected, n.newWorm(d, node, p))
 }
 
 // buffer ids: node*ports + dir*maxVC + vc for network buffers; the last
@@ -430,13 +461,11 @@ func (n *Network) MaskedFaults() int64 {
 		return 0
 	}
 	total := n.masked.MaskedDecisions()
-	// The sharded step routes each request through its domain's wrapper
-	// (the wrapper's counters are not concurrent-safe); every request is
-	// processed exactly once, so the sum matches the serial count.
+	// Arbitration routes each request through its domain's wrapper (the
+	// wrapper's counters are not concurrent-safe); every request is
+	// processed exactly once, so the sum does not depend on the domains.
 	for d := range n.dsc {
-		if m := n.dsc[d].masked; m != nil {
-			total += m.MaskedDecisions()
-		}
+		total += n.dsc[d].masked.MaskedDecisions()
 	}
 	return total
 }
@@ -458,14 +487,14 @@ func (n *Network) TakeDelivered() []*Packet {
 // Step advances one cycle: injection, routing/allocation, then per-flit
 // movement with one flit per physical channel per cycle.
 //
-// With Config.Shards > 1, injection and routing/allocation run on the
-// domain-decomposed path (see stepSharded) with bit-identical results.
+// With Config.Shards > 1, injection and routing/allocation fan out over the
+// spatial domains on the worker pool, with the same ordered merges as
+// internal/network's step and bit-identical results; per-flit movement —
+// whose physical-channel bandwidth arbitration is order-dependent — and
+// retirement stay serial. See docs/performance.md for why this engine
+// parallelizes fewer phases than internal/network.
 func (n *Network) Step() error {
-	if n.shards > 1 {
-		return n.stepSharded()
-	}
 	c := &n.core
-	progress := false
 
 	// Phase 0: fault transitions and deadlock recovery (mirrors
 	// internal/network).
@@ -474,17 +503,29 @@ func (n *Network) Step() error {
 		n.recoveryPhase()
 	}
 
-	// Phase 1: injection, over the core's worklist of nodes with queued
-	// work. Due retries take priority; packets whose destination the
-	// fault set has cut off entirely are dropped.
-	if c.InjectPhase() {
-		progress = true
+	// Phase 1: injection, over the core's worklist of nodes that have
+	// something to send and may have room to send it. Due retries take
+	// priority; packets whose destination the fault set has cut off
+	// entirely are dropped. The worms the pool workers injected merge in
+	// domain order, reproducing the serial ascending-node active order.
+	progress := c.InjectPhase()
+	for d := range n.dsc {
+		dm := &n.dsc[d]
+		n.active = append(n.active, dm.injected...)
+		clear(dm.injected)
+		dm.injected = dm.injected[:0]
 	}
 
-	// Phase 2: routing and allocation, local FCFS per router, straight
-	// off the wait table.
-	for d := 0; d < n.wait.Parts(); d++ {
-		n.arbitrate(d, n.masked, &n.dirScratch, &c.Em)
+	// Phase 2: routing and allocation at the routers where something
+	// changed, local FCFS per router, straight off the wait table: one
+	// task per domain, on the pool or one after the other.
+	if n.shards > 1 {
+		c.RunShards(n.arbitrateFn)
+		c.AbsorbShardEmitters()
+	} else {
+		for d := range n.dsc {
+			n.arbitrate(d)
+		}
 	}
 
 	// Phase 3: per-flit movement; phase 4: retirement and the watchdog.
@@ -552,6 +593,7 @@ func (n *Network) retirePhase() {
 			p := w.pkt
 			c.Em.Deliver(c.Cycle, p.Src, p.Dst, p.Length, p.Hops,
 				p.Injected-p.Created, p.Arrived-p.Injected)
+			n.recycle(w)
 		} else {
 			out = append(out, w)
 		}
@@ -580,16 +622,35 @@ func (n *Network) finishStep(progress bool) error {
 }
 
 // arbitrate is phase 2 for one part of the wait table: every header
-// waiting at one of the part's routers — routers ascending, each router's
-// waiters first come first served — is marked arrived if it sits at its
-// destination, and otherwise offered its candidate output virtual channels.
-// A header leaves the table when it is granted one or arrives; a blocked
-// one stays for the next cycle. The serial step walks every part with the
-// network's own masking wrapper, scratch and emitter; the sharded step runs
-// one part per domain with the domain's.
-func (n *Network) arbitrate(d int, masked *vc.FaultAware, dirScratch *[]topology.Direction, em *engine.Emitter) {
+// waiting at one of the part's awake routers — routers ascending, each
+// router's waiters first come first served — is marked arrived if it sits
+// at its destination, and otherwise offered its candidate output virtual
+// channels. A header leaves the table when it is granted one or arrives; a
+// blocked one stays, and its router sleeps until one of its output virtual
+// channels is released or the fault set changes — nothing else can turn the
+// refusal into a grant, the candidates being fixed while the header waits.
+// With a probe attached every waiter is visited instead: a blocked header
+// is a Blocked event every cycle it waits.
+//
+// The serial step runs the parts one after the other and the sharded step
+// one per pool worker. Serial equivalence: a part holds exactly the waiters
+// at the domain's routers, so the domains together make the serial pass's
+// offers, each router's in the serial order; an offer only touches
+// arbitration state at its own head router, which no other domain touches
+// in this phase; Blocked events merge in domain order.
+func (n *Network) arbitrate(d int) {
 	c := &n.core
-	for it := n.wait.Walk(d); it.Next(); {
+	dm := &n.dsc[d]
+	masked, dirScratch := dm.masked, &dm.dirScratch
+	em := &c.Em
+	if n.shards > 1 {
+		em = c.ShardEmitter(d)
+	}
+	it := n.wait.WalkAwake(d)
+	if em.Enabled() {
+		it = n.wait.Walk(d)
+	}
+	for it.Next() {
 		w := it.Waiter()
 		r := w.headRouter
 		if r == w.pkt.Dst {
@@ -630,60 +691,6 @@ func (n *Network) arbitrate(d int, masked *vc.FaultAware, dirScratch *[]topology
 	}
 }
 
-// classifyDomain is the parallel body of phase 2 for one domain. The serial
-// step walks the wait table's parts in domain order and a part holds
-// exactly the waiters at the domain's routers, so the domains together make
-// the serial pass's offers, each router's in the serial order; an offer
-// only touches arbitration state at its own head router, which no other
-// domain touches in this phase; Blocked events merge in domain order.
-func (n *Network) classifyDomain(d int) {
-	dm := &n.dsc[d]
-	n.arbitrate(d, dm.masked, &dm.dirScratch, n.core.ShardEmitter(d))
-}
-
-// stepSharded is Step's domain-decomposed body: injection and
-// routing/allocation fan out over the domains (with the same ordered
-// merges as internal/network's sharded step), while per-flit movement —
-// whose physical-channel bandwidth arbitration is order-dependent — and
-// retirement stay serial. See docs/performance.md for why this engine
-// parallelizes fewer phases than internal/network.
-func (n *Network) stepSharded() error {
-	c := &n.core
-	progress := false
-
-	// Phase 0: fault transitions and deadlock recovery (serial).
-	c.FaultPhase()
-	if c.Recovery.Enabled {
-		n.recoveryPhase()
-	}
-
-	// Phase 1: injection over the core's worklist, fanned out across the
-	// domains by the core; per-domain worm lists merge in domain order,
-	// reproducing the serial ascending-node active order.
-	if c.InjectPhase() {
-		progress = true
-	}
-	for d := range n.dsc {
-		dm := &n.dsc[d]
-		n.active = append(n.active, dm.injected...)
-		for i := range dm.injected {
-			dm.injected[i] = nil
-		}
-		dm.injected = dm.injected[:0]
-	}
-
-	// Phase 2: routing and output allocation, one task per domain.
-	c.RunShards(n.classifyFn)
-	c.AbsorbShardEmitters()
-
-	// Phases 3 and 4: serial movement, retirement, watchdog.
-	if n.movementPhase() {
-		progress = true
-	}
-	n.retirePhase()
-	return n.finishStep(progress)
-}
-
 // abort yanks a blocked worm out of the network. A victim is never
 // arrived, and done only advances on arrived worms, so no flit of it was
 // consumed: freeing every buffer its flits occupy and every virtual
@@ -692,6 +699,9 @@ func (n *Network) stepSharded() error {
 func (n *Network) abort(w *worm) {
 	for k := w.done; k < w.sent; k++ {
 		n.occupied[w.path[w.pos[k]]] = false
+		if w.pos[k] == 0 {
+			n.core.WakeSource(w.pkt.Src)
+		}
 	}
 	// Channels feeding path[j] stay owned until the tail flit passes
 	// path[j]; nothing has been released while the tail is uninjected.
@@ -703,12 +713,11 @@ func (n *Network) abort(w *worm) {
 		from := n.bufRouter(w.path[j-1])
 		dir, v := n.bufPort(w.path[j])
 		if dir != topology.Invalid {
-			n.owner[n.ownerKey(from, dir, v)] = nil
+			n.release(from, dir, v)
 		}
 	}
 	if w.routed {
-		n.owner[n.ownerKey(w.headRouter, w.out.Dir, w.out.VC)] = nil
-		w.routed = false
+		n.release(w.headRouter, w.out.Dir, w.out.VC)
 	}
 	n.wait.Delist(&w.wait)
 	for i, x := range n.active {
@@ -717,7 +726,25 @@ func (n *Network) abort(w *worm) {
 			break
 		}
 	}
-	n.core.FinishAbort(w.pkt)
+	p := w.pkt
+	n.recycle(w)
+	n.core.FinishAbort(p)
+}
+
+// release frees an output virtual channel and wakes its router: a header
+// refused there may have been waiting for it.
+func (n *Network) release(from topology.NodeID, dir topology.Direction, v int) {
+	n.owner[n.ownerKey(from, dir, v)] = nil
+	n.wait.Wake(int32(from))
+}
+
+// leave vacates the buffer at path[p] that flit k moves out of. When the
+// tail leaves the injection buffer, the source may inject again.
+func (n *Network) leave(w *worm, k, p int) {
+	n.occupied[w.path[p]] = false
+	if p == 0 && k == w.pkt.Length-1 {
+		n.core.WakeSource(w.pkt.Src)
+	}
 }
 
 // reachable reports whether a packet injected at src can reach dst under
@@ -824,7 +851,7 @@ func (n *Network) moveFlit(w *worm, k int) bool {
 				}
 				n.ejectUse[router] = cycle
 			}
-			n.occupied[cur] = false
+			n.leave(w, k, p)
 			w.pos[k] = p + 1
 			w.done++
 			c.FlitsConsumed++
@@ -845,7 +872,7 @@ func (n *Network) moveFlit(w *worm, k int) bool {
 		}
 		n.physUsed[physKey] = cycle
 		n.occupied[nb] = true
-		n.occupied[cur] = false
+		n.leave(w, k, p)
 		w.path = append(w.path, nb)
 		w.pos[k] = p + 1
 		w.pkt.Hops++
@@ -882,7 +909,7 @@ func (n *Network) moveFlit(w *worm, k int) bool {
 	}
 	n.physUsed[physKey] = cycle
 	n.occupied[nb] = true
-	n.occupied[cur] = false
+	n.leave(w, k, p)
 	w.pos[k] = p + 1
 	c.Em.FlitMove(cycle, router, dir, 1)
 	n.releaseBehind(w, p)
@@ -912,5 +939,5 @@ func (n *Network) releaseBehind(w *worm, p int) {
 	if dir == topology.Invalid {
 		return
 	}
-	n.owner[n.ownerKey(from, dir, v)] = nil
+	n.release(from, dir, v)
 }

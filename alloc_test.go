@@ -97,6 +97,22 @@ func wakingWave(net *turnmodel.Network, mesh *turnmodel.Mesh) []*turnmodel.Packe
 	return pkts
 }
 
+// drainingWave enqueues one 200-flit message — the paper's long message —
+// from every node (x, y) of a west-first mesh to its row neighbour (x^1, y).
+// Every node is then the destination of exactly one worm whose header
+// arrives after a single hop with 198 flits still at the source, so the mesh
+// is full of arrived worms whose drain moves nothing but counters: each
+// sleeps on its domain's timer for 198 cycles, wakes, shifts its tail for two
+// and retires, and its source injects the next message of its queue. It is
+// the workload of the draining allocation gate and of
+// BenchmarkNetworkStepDraining.
+func drainingWave(net *turnmodel.Network, mesh *turnmodel.Mesh) {
+	// Node (x, y) is number x + y*Size(0), and the row size is even.
+	for id := 0; id < mesh.Nodes(); id++ {
+		net.Enqueue(turnmodel.NodeID(id), turnmodel.NodeID(id^1), 200)
+	}
+}
+
 // TestStepZeroAllocs gates the no-probe step paths at zero heap
 // allocations per cycle: the observability layer must cost nothing when
 // unused, fault-aware routing must stay allocation-free once its candidate
@@ -104,8 +120,60 @@ func wakingWave(net *turnmodel.Network, mesh *turnmodel.Mesh) []*turnmodel.Packe
 // rather than allocate per cycle, a header entering and leaving the wait
 // table must cost no allocation (the moving cases), and neither must a wake,
 // a retirement or the injection that recycles the retired worm (the waking
+// cases), and neither must putting an arrived worm to sleep on its domain's
+// timer, counting its flits while it sleeps, or waking it (the draining
 // cases).
 func TestStepZeroAllocs(t *testing.T) {
+	for _, shards := range []int{0, 4} {
+		name := "no-probe-draining"
+		if shards > 1 {
+			name += "-sharded"
+		}
+		t.Run(name, func(t *testing.T) {
+			mesh := turnmodel.NewMesh2D(8, 8)
+			alg, err := turnmodel.NewRouting("west-first", mesh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net := turnmodel.NewNetwork(turnmodel.NetworkConfig{Routing: alg, Seed: 1, Shards: shards})
+			defer net.Close()
+			var stepErr error
+			step := func() {
+				if err := net.Step(); err != nil {
+					stepErr = err
+				}
+			}
+			// Two waves run to completion allocate the worms and grow the
+			// lists and the timers to their working size; the measured steps
+			// carry two more on recycled worms: 64 arrivals put to sleep, 198
+			// cycles of counted flits, 64 wakes, tails, retirements and
+			// re-injections, and the second wave's arrivals.
+			drainingWave(net, mesh)
+			drainingWave(net, mesh)
+			for net.InFlight() > 0 && stepErr == nil {
+				step()
+			}
+			net.TakeDelivered()
+			drainingWave(net, mesh)
+			drainingWave(net, mesh)
+			done, flits := net.PacketsDelivered(), net.FlitsConsumed()
+			// As in the waking cases, the delivered list growing back after
+			// TakeDelivered is the only allocation left, a handful in all.
+			allocs := testing.AllocsPerRun(300, step)
+			if stepErr != nil {
+				t.Fatal(stepErr)
+			}
+			if n := net.PacketsDelivered() - done; n != 64 {
+				t.Fatalf("%d packets delivered in the measured window, want the first wave's 64", n)
+			}
+			if n := net.FlitsConsumed() - flits; n < 64*250 {
+				t.Fatalf("only %d flits consumed in the measured window; the case no longer keeps the mesh full of draining worms", n)
+			}
+			if allocs != 0 {
+				t.Errorf("%s step path allocates %.1f allocs/op, want 0", name, allocs)
+			}
+		})
+	}
 	for _, shards := range []int{0, 4} {
 		name := "no-probe-waking"
 		if shards > 1 {

@@ -461,6 +461,49 @@ func BenchmarkNetworkStepTraffic(b *testing.B) {
 	}
 }
 
+// BenchmarkNetworkStepDraining measures a cycle of a 16x16 mesh kept full of
+// arrived 200-flit worms (see drainingWave in alloc_test.go): all 256 nodes
+// are consuming a flit per cycle, and all of it is quiet — one flit in at
+// the source, one out at the destination, nothing anybody else can see — bar
+// the two cycles in two hundred in which a worm's tail moves. The worms sleep
+// on their domains' timers through the quiet cycles, so a step costs the
+// handful of arrivals, wakes and retirements that fall into it, not the 256
+// flits it delivers; BENCH_baseline.json holds it under a ceiling that
+// advancing every draining worm every cycle exceeds several times over. Each
+// source sends a message every 200 cycles, so a wave enqueued every 200 steps
+// keeps every queue one deep (those Enqueues are the allocations reported).
+func BenchmarkNetworkStepDraining(b *testing.B) {
+	mesh := turnmodel.NewMesh2D(16, 16)
+	alg, err := turnmodel.NewRouting("west-first", mesh)
+	if err != nil {
+		b.Fatal(err)
+	}
+	net := turnmodel.NewNetwork(turnmodel.NetworkConfig{Routing: alg, Seed: 1})
+	drainingWave(net, mesh)
+	drainingWave(net, mesh)
+	for c := 0; c < 100; c++ {
+		if err := net.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	flits := net.FlitsConsumed()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%200 == 100 {
+			net.TakeDelivered()
+			drainingWave(net, mesh)
+		}
+		if err := net.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if got := net.FlitsConsumed() - flits; got < int64(b.N)*250 {
+		b.Fatalf("%d flits consumed in %d cycles; the mesh did not stay full of draining worms", got, b.N)
+	}
+}
+
 // BenchmarkNetworkStepFaultedRecovery measures the same moving-traffic
 // engine with the full fault subsystem live: a random transient-fault
 // process advancing every cycle and deadlock recovery armed. The delta

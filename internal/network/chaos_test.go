@@ -1,7 +1,9 @@
 package network
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"turnmodel/internal/fault"
@@ -11,10 +13,40 @@ import (
 )
 
 // chaosProbe extends the ledger with dropped-flit accounting so the soak
-// can prove flit conservation across abort/retry/drop.
+// can prove flit conservation across abort/retry/drop, and with the order of
+// the current step's Abort events so it can hold that order to the scan of
+// the active list that stall timers replaced (see stepAbortOrderChecked).
 type chaosProbe struct {
 	*ledgerProbe
 	droppedFlits int64
+	aborts       []string
+}
+
+func abortKey(src, dst topology.NodeID, length, attempt int) string {
+	return fmt.Sprintf("%d>%d/%d#%d", src, dst, length, attempt)
+}
+
+func (p *chaosProbe) Abort(cycle int64, src, dst topology.NodeID, length, attempt int) {
+	p.ledgerProbe.Abort(cycle, src, dst, length, attempt)
+	p.aborts = append(p.aborts, abortKey(src, dst, length, attempt))
+}
+
+// stepAbortOrderChecked steps once and demands that the step's Abort events
+// name exactly the worms stallVictims names, in its order: the order of the
+// active list, which is the order the retry lists and the probe have always
+// seen.
+func stepAbortOrderChecked(t *testing.T, n *Network, probe *chaosProbe) error {
+	t.Helper()
+	var want []string
+	for _, p := range stallVictims(n) {
+		want = append(want, abortKey(p.Src, p.Dst, p.Length, p.Aborts+1))
+	}
+	probe.aborts = probe.aborts[:0]
+	err := n.Step()
+	if !slices.Equal(probe.aborts, want) {
+		t.Fatalf("cycle %d: the step aborted %v, the scan of the active list says %v", n.core.Cycle-1, probe.aborts, want)
+	}
+	return err
 }
 
 func (p *chaosProbe) Drop(cycle int64, src, dst topology.NodeID, length int, reason metrics.DropReason) {
@@ -85,7 +117,7 @@ func TestChaosSoakRecovery(t *testing.T) {
 						enqueuedFlits += int64(length)
 					}
 				}
-				if err := net.Step(); err != nil {
+				if err := stepAbortOrderChecked(t, net, probe); err != nil {
 					t.Fatalf("recovery mode returned an error: %v", err)
 				}
 				checkInvariants(t, net)
@@ -98,7 +130,7 @@ func TestChaosSoakRecovery(t *testing.T) {
 			// Drain: stop offering load; transient faults keep firing but
 			// repair, and retries are capped, so the network must empty.
 			for i := 0; i < 400000 && net.InFlight() > 0; i++ {
-				if err := net.Step(); err != nil {
+				if err := stepAbortOrderChecked(t, net, probe); err != nil {
 					t.Fatalf("drain: %v", err)
 				}
 				checkInvariants(t, net)

@@ -28,6 +28,60 @@ func activeWorms(t *testing.T, n *Network) []*worm {
 	return out
 }
 
+// progress reports the flits the worm has sent and delivered before the given
+// cycle starts. For a worm asleep on a timer that is more than its fields say:
+// it has sent and delivered one flit in every cycle since it arrived, and
+// will have sent its last when cycle wakeAt starts.
+func (w *worm) progress(cycle int64) (sent, delivered int) {
+	if w.wakeAt == 0 {
+		return w.sent, w.delivered
+	}
+	slept := w.pkt.Length - w.sent - int(w.wakeAt-cycle)
+	return w.sent + slept, w.delivered + slept
+}
+
+// stallVictims is the per-cycle scan of the active list that recoveryPhase
+// ran before stall timeouts became timers, kept as their oracle: the packets
+// of the worms the step about to run must abort, in the order it must abort
+// them in.
+func stallVictims(n *Network) []*Packet {
+	c := &n.core
+	if !c.Recovery.Enabled {
+		return nil
+	}
+	var victims []*Packet
+	for w := n.active.head; w != nil; w = w.next {
+		if !w.arrived && c.Cycle-w.headerArrival >= c.Recovery.StallCycles {
+			victims = append(victims, w.pkt)
+		}
+	}
+	return victims
+}
+
+// stepVictimsChecked steps once and checks the step against stallVictims: the
+// worms the scan named, and no others, were aborted once each. (The order is
+// checked where a probe shows it: see chaosProbe.)
+func stepVictimsChecked(t *testing.T, n *Network) error {
+	t.Helper()
+	want := stallVictims(n)
+	before := make([]int, len(want))
+	for i, p := range want {
+		before[i] = p.Aborts
+	}
+	aborted := n.PacketsAborted()
+	err := n.Step()
+	for i, p := range want {
+		if p.Aborts != before[i]+1 {
+			t.Fatalf("cycle %d: %v stood still for %d cycles and was aborted %d times by the step",
+				n.core.Cycle-1, p, n.core.Recovery.StallCycles, p.Aborts-before[i])
+		}
+	}
+	if got := n.PacketsAborted() - aborted; got != int64(len(want)) {
+		t.Fatalf("cycle %d: the step aborted %d worms, the scan of the active list names %d", n.core.Cycle-1, got, len(want))
+	}
+	return err
+}
+
 // checkInvariants verifies the simulator's structural invariants:
 //
 //  1. The in-network flits of every worm occupy exactly the contiguous
@@ -36,7 +90,8 @@ func activeWorms(t *testing.T, n *Network) []*worm {
 //  2. Every output channel owned in outOwner is owned by an active worm,
 //     and the set of channels a worm owns is exactly the channels between
 //     its tail and head plus its pending head allocation.
-//  3. Flit conservation: sent - delivered flits are in the network.
+//  3. Flit conservation: sent - delivered flits are in the network, with
+//     sent and delivered as of this cycle boundary (see progress).
 //  4. The wait table holds exactly the headers waiting for an output, and
 //     visits them in the order of the global request sort it replaced
 //     (see checkWaitTable).
@@ -53,18 +108,19 @@ func checkInvariants(t *testing.T, n *Network) {
 	ownedWant := make(map[int32]*worm) // key: router*2n+dir
 	dims2 := 2 * n.dims
 	for _, w := range active {
-		inNet := w.inNetwork()
-		if inNet < 1 {
-			t.Fatalf("%v: %d flits in network", w.pkt, inNet)
+		sent, delivered := w.progress(n.core.Cycle)
+		inNet := sent - delivered
+		if inNet < 1 || inNet != w.inNetwork() {
+			t.Fatalf("%v: %d flits in network, inNetwork() says %d", w.pkt, inNet, w.inNetwork())
 		}
-		if w.sent < w.delivered || w.sent > w.pkt.Length {
-			t.Fatalf("%v: sent=%d delivered=%d", w.pkt, w.sent, w.delivered)
+		if sent < delivered || sent > w.pkt.Length || delivered < 0 {
+			t.Fatalf("%v: sent=%d delivered=%d", w.pkt, sent, delivered)
 		}
 		tailIdx := len(w.path) - inNet
 		if tailIdx < 0 {
 			t.Fatalf("%v: window longer than path (%d flits, %d buffers)", w.pkt, inNet, len(w.path))
 		}
-		if w.sent < w.pkt.Length && tailIdx != 0 {
+		if sent < w.pkt.Length && tailIdx != 0 {
 			t.Fatalf("%v: still injecting but tail at path[%d]", w.pkt, tailIdx)
 		}
 		for i := tailIdx; i < len(w.path); i++ {
@@ -162,20 +218,44 @@ func checkWaitTable(t *testing.T, n *Network, active []*worm) {
 //	(b) No waiter at a sleeping router would be granted if offered: its
 //	    candidates are computed, its routing delay has run out, and every
 //	    candidate output is held or broken.
-//	(c) The draining lists hold exactly the arrived worms, once each, and
-//	    every per-cycle list is empty.
+//	(c) Every arrived worm is on a draining list, fully injected, or asleep
+//	    on exactly one domain's timer — never both, never twice — due the
+//	    cycle its source sends its last flit: the cycle arbitrate marked it
+//	    arrived plus the flits then unsent. The draining lists and the timers
+//	    hold nothing else, and every per-cycle list is empty.
 //	(d) Every node with a queued message and a free injection buffer is on
 //	    the injection worklist.
 //	(e) A worm on a free list is reachable from nowhere else: not the active
-//	    list, outOwner, the wait table or a draining list.
+//	    list, outOwner, the wait table, a draining list or — by (c) — a
+//	    sleepers' timer.
+//	(f) Under recovery, every active worm that has not arrived has one live
+//	    stall entry — naming it and its packet — due no later than the cycle
+//	    its header will have stood still for StallCycles, and not overdue.
 func lostWake(n *Network, active []*worm) error {
 	cycle := n.core.Cycle
 	draining := make(map[*worm]int)
+	asleep := make(map[*worm]int)
+	stallAt := make(map[*worm][]int64)
 	for d := range n.dom {
 		dm := &n.dom[d]
 		for _, w := range dm.draining {
 			draining[w]++
 		}
+		var err error
+		dm.sleepers.Each(func(at int64, w *worm) {
+			asleep[w]++
+			if at != w.wakeAt || at < cycle {
+				err = fmt.Errorf("cycle %d: domain %d's timer holds %v due at %d, the worm says %d", cycle, d, w.pkt, at, w.wakeAt)
+			}
+		})
+		if err != nil {
+			return err
+		}
+		dm.stalls.Each(func(at int64, e stall) {
+			if e.w.pkt != nil && e.w.pkt.ID == e.id && !e.w.arrived {
+				stallAt[e.w] = append(stallAt[e.w], at)
+			}
+		})
 		if len(dm.ready)+len(dm.woken)+len(dm.released)+len(dm.sources)+len(dm.finished)+len(dm.foreign)+len(dm.injected) != 0 ||
 			dm.flits != 0 || dm.mis != 0 || dm.moved {
 			return fmt.Errorf("cycle %d: domain %d carries per-cycle state across steps: %+v", cycle, d, *dm)
@@ -189,10 +269,23 @@ func lostWake(n *Network, active []*worm) error {
 		live[w] = true
 		switch {
 		case w.arrived:
-			if draining[w] != 1 {
-				return fmt.Errorf("cycle %d: %v has arrived and is on the draining lists %d times", cycle, w.pkt, draining[w])
+			if draining[w]+asleep[w] != 1 {
+				return fmt.Errorf("cycle %d: %v has arrived and is on the draining lists %d times and on the timers %d times",
+					cycle, w.pkt, draining[w], asleep[w])
+			}
+			if draining[w] == 1 && (w.wakeAt != 0 || w.sent != w.pkt.Length) {
+				return fmt.Errorf("cycle %d: %v is on a draining list with %d of %d flits sent (wake at %d)",
+					cycle, w.pkt, w.sent, w.pkt.Length, w.wakeAt)
+			}
+			if asleep[w] == 1 {
+				marked := w.headerArrival + max(1, n.routingDelay)
+				if want := marked + int64(w.pkt.Length-w.sent); w.wakeAt != want || w.wakeAt < cycle {
+					return fmt.Errorf("cycle %d: %v arrived in cycle %d with %d of %d flits sent and sleeps until %d, want %d",
+						cycle, w.pkt, marked, w.sent, w.pkt.Length, w.wakeAt, want)
+				}
 			}
 			delete(draining, w)
+			delete(asleep, w)
 		case w.outDir != noDirection:
 			next, _ := n.core.Grid.Neighbor(w.headRouter, w.outDir)
 			if want := n.bufID(next, int(w.outDir)); w.target != want {
@@ -219,6 +312,21 @@ func lostWake(n *Network, active []*worm) error {
 	}
 	for w := range draining {
 		return fmt.Errorf("cycle %d: draining list holds %v, which is not an arrived active worm", cycle, w.pkt)
+	}
+	for w := range asleep {
+		return fmt.Errorf("cycle %d: a timer holds %v, which is not an arrived active worm", cycle, w.pkt)
+	}
+	if rec := n.core.Recovery; rec.Enabled {
+		for _, w := range active {
+			if w.arrived {
+				continue
+			}
+			at := stallAt[w]
+			if due := w.headerArrival + rec.StallCycles; len(at) != 1 || at[0] > due || at[0] < cycle {
+				return fmt.Errorf("cycle %d: lost timeout: %v, whose header times out in cycle %d, has live stall entries due %v, want one due by then",
+					cycle, w.pkt, due, at)
+			}
+		}
 	}
 	for node := 0; node < n.topo.Nodes(); node++ {
 		id := topology.NodeID(node)

@@ -146,7 +146,7 @@ type Network struct {
 
 	// active lists the worms in the network in injection order, threaded
 	// through the worms themselves so that a retirement or an abort unlinks
-	// in O(1); nothing walks it per cycle but recovery's timeout scan.
+	// in O(1); nothing walks it per cycle.
 	active    wormList
 	delivered []*Packet
 	// wait holds the headers waiting for an output, filed by router in
@@ -282,8 +282,10 @@ func New(cfg Config) *Network {
 // where it starts waiting for an output. The worm comes off domain d's
 // free list when that has one: retirePhase and abort put worms there once
 // nothing in the network refers to them any more — not outOwner, the wait
-// table, a draining or ready list or the active list — and every field is
-// set afresh here.
+// table, a draining or ready list, the sleepers' timer or the active list —
+// and every field is set afresh here. A stall timer may still name the worm:
+// its entry carries the packet's ID and is dropped when it no longer matches.
+// Under recovery the new worm's own stall timeout is armed.
 func (n *Network) newWorm(d int, node topology.NodeID, p *Packet) *worm {
 	dm := &n.dom[d]
 	var w *worm
@@ -310,6 +312,9 @@ func (n *Network) newWorm(d int, node topology.NodeID, p *Packet) *worm {
 	w.path = append(path[:0], inj)
 	n.occupied[inj] = true
 	n.enlist(w)
+	if rec := &n.core.Recovery; rec.Enabled {
+		dm.stalls.Push(w.headerArrival+rec.StallCycles, stall{w: w, id: p.ID})
+	}
 	return w
 }
 
@@ -469,8 +474,11 @@ func (n *Network) bufPort(buf int32) int { return int(n.portOf[buf]) }
 // target buffer is occupied sleeps until that buffer is vacated; a source
 // whose injection buffer is occupied sleeps likewise; and every release
 // delivers the one wake it implies (see wake, fold and
-// docs/performance.md). A step costs the grants, moves and releases it
-// makes, not the worms in the network.
+// docs/performance.md). Time is a wake source too: a worm whose header has
+// arrived while its source is still sending sleeps on its domain's timer
+// until its tail starts to move, and a stall timeout sleeps on one until it
+// is due (see drainDomain and recoveryPhase). A step costs the grants, hops,
+// releases and aborts it makes, not the worms or the flits in the network.
 //
 // The phases that fan out run one task per spatial domain: on the worker
 // pool with Config.Shards > 1, one after the other otherwise — the same
@@ -505,10 +513,11 @@ func (n *Network) Step() error {
 		c.AbsorbShardEmitters()
 	}
 
-	// Phase 3: movement. Every draining worm delivers a flit and every
-	// ready worm advances one hop; each buffer a tail vacates wakes the
-	// worm stalled on it, which moves in the next round of the same cycle,
-	// until a round wakes nobody.
+	// Phase 3: movement. Every arrived worm delivers a flit — the sleepers
+	// by being counted, the draining ones by shifting their tail — and every
+	// ready worm advances one hop; each buffer a tail vacates wakes the worm
+	// stalled on it, which moves in the next round of the same cycle, until
+	// a round wakes nobody.
 	for task := n.drainFn; ; task = n.moveFn {
 		n.eachDomain(task)
 		moved, more := n.settle()
@@ -553,10 +562,18 @@ func (n *Network) arbitrate(d int) {
 		r := w.headRouter
 		if r == w.pkt.Dst {
 			// Ejection channels are always available; the message
-			// starts draining into the local processor.
+			// starts draining into the local processor. While the source
+			// still has q flits to send, each cycle puts one flit in at the
+			// tail and takes one out at the head, and nothing else changes:
+			// the worm sleeps through those q cycles (see drainDomain).
 			w.arrived = true
 			it.Delist()
-			dm.draining = append(dm.draining, w)
+			if q := w.pkt.Length - w.sent; q > 0 {
+				w.wakeAt = c.Cycle + int64(q)
+				dm.sleepers.Push(w.wakeAt, w)
+			} else {
+				dm.draining = append(dm.draining, w)
+			}
 			continue
 		}
 		if !w.candsValid {
@@ -565,7 +582,7 @@ func (n *Network) arbitrate(d int) {
 			// so the candidate list is computed once per hop rather than
 			// once per cycle.
 			if dm.masked != nil {
-				w.cands, w.candsMis = dm.masked.FaultCandidates(r, w.pkt.Dst, w.inDir, w.inWrap, w.misroutes)
+				w.cands, w.candsMis = dm.masked.AppendFaultCandidates(w.candBuf[:0], r, w.pkt.Dst, w.inDir, w.inWrap, w.misroutes)
 			} else if n.appender != nil {
 				w.cands = n.appender.AppendCandidates(w.candBuf[:0], r, w.pkt.Dst, w.inDir, w.inWrap)
 			} else {
@@ -622,18 +639,48 @@ func (n *Network) grant(w *worm, dd topology.Direction, dm *netDomain) {
 // recoveryPhase aborts any worm whose header has been stuck past the stall
 // threshold (the timeout criterion of software-based deadlock recovery: a
 // genuinely deadlocked worm never moves again, and a worm starved that long
-// is treated the same). It is always serial: aborts mutate the active list
-// and shared retry state. The buffers the aborts vacate deliver their wakes
-// once every victim is gone, so that no wake finds a victim: a woken worm
-// is ready for this cycle's movement, a woken source for its injection.
+// is treated the same). It looks at the stall timers that are due, not at
+// the worms: every worm that has not arrived has exactly one entry, armed by
+// newWorm for the cycle its header would have stood still for StallCycles.
+// A due entry whose worm has arrived since, or has been retired and recycled
+// for another packet, is dropped; one whose header has moved is re-armed for
+// the cycle the new position times out; the rest are the victims, on exactly
+// the cycle the scan of every active worm this replaces found them. They are
+// aborted in injection order, the order of that scan: abort order is the
+// order of the retry lists and of the Abort, Retry and Drop events.
+//
+// It is always serial: aborts mutate the active list and shared retry state.
+// The buffers the aborts vacate deliver their wakes once every victim is
+// gone, so that no wake finds a victim: a woken worm is ready for this
+// cycle's movement, a woken source for its injection.
 func (n *Network) recoveryPhase() {
 	c := &n.core
-	n.victims = n.victims[:0]
-	for w := n.active.head; w != nil; w = w.next {
-		if !w.arrived && c.Cycle-w.headerArrival >= c.Recovery.StallCycles {
-			n.victims = append(n.victims, w)
+	v := n.victims[:0]
+	for d := range n.dom {
+		stalls := &n.dom[d].stalls
+		for {
+			e, ok := stalls.PopDue(c.Cycle)
+			if !ok {
+				break
+			}
+			w := e.w
+			if w.pkt == nil || w.pkt.ID != e.id || w.arrived {
+				continue
+			}
+			if due := w.headerArrival + c.Recovery.StallCycles; due > c.Cycle {
+				stalls.Push(due, e)
+				continue
+			}
+			// File the victim in injection order (there are rarely two).
+			i := len(v)
+			v = append(v, w)
+			for ; i > 0 && injectedBefore(w.pkt, v[i-1].pkt); i-- {
+				v[i] = v[i-1]
+			}
+			v[i] = w
 		}
 	}
+	n.victims = v
 	if len(n.victims) == 0 {
 		return
 	}
@@ -702,8 +749,9 @@ func (n *Network) finishStep(progress bool) error {
 // occupy is freed and every channel it still holds (including a pending
 // output allocation) is released; the shared core then requeues the packet
 // at its source with backoff or drops it. Only never-arrived worms are
-// aborted, and an arrived worm always consumes a flit each cycle, so a
-// victim has delivered no flits — aborting loses nothing already consumed.
+// aborted, and an arrived worm consumes a flit each cycle (asleep on the
+// timer or not), so a victim has delivered no flits — aborting loses nothing
+// already consumed.
 // The freed buffers go on the vacated list, and recoveryPhase delivers
 // their wakes.
 func (n *Network) abort(w *worm, dm *netDomain) {
@@ -769,7 +817,8 @@ func (n *Network) reachable(src, dst topology.NodeID) bool {
 			// relation, which can also reach around faults by misrouting;
 			// budget is ignored, an over-approximation that at worst
 			// retries a packet that will be aborted again.
-			cands, _ = n.masked.FaultCandidates(node, dst, in, inWrap, 0)
+			n.candScratch, _ = n.masked.AppendFaultCandidates(n.candScratch[:0], node, dst, in, inWrap, 0)
+			cands = n.candScratch
 		} else if n.appender != nil {
 			n.candScratch = n.appender.AppendCandidates(n.candScratch[:0], node, dst, in, inWrap)
 			cands = n.candScratch
@@ -821,7 +870,9 @@ func (n *Network) wake(b int32, dm *netDomain) {
 // advance moves a draining or ready worm forward one hop: the header moves
 // into its target buffer (or a flit is consumed at the destination) and
 // every trailing flit follows, with the tail releasing its buffer and, once
-// fully injected, the channel behind it. Every location it writes is
+// fully injected, the channel behind it. A draining worm is fully injected
+// (until then it sleeps on the timer), so every call is an event somebody
+// else can see: a header hop or a release. Every location it writes is
 // exclusive to this worm — the target buffer (via its output-channel
 // grant), its own flits' buffers and channels — so domains advance their
 // worms concurrently, and no move can invalidate another: two movers never

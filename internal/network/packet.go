@@ -32,6 +32,13 @@ type worm struct {
 	// router's input buffer; from then on the worm drains one flit per
 	// cycle into the local processor.
 	arrived bool
+	// wakeAt is the cycle an arrived worm's tail starts to move, while the
+	// worm sleeps on its domain's timer until then (0 otherwise): every
+	// cycle before it the source sends one more flit and the destination
+	// consumes one, which changes nothing anybody else can see, so sent and
+	// delivered stand still at their values on arrival and are brought up to
+	// date on waking.
+	wakeAt int64
 	// headerArrival is the cycle the header entered its current buffer,
 	// used by the local first-come-first-served input selection policy.
 	headerArrival int64

@@ -12,10 +12,10 @@ import (
 // domain: on one pool worker each when sharded, one after the other when
 // not. Either way they are the same tasks over the same per-domain lists,
 // so there is one movement algorithm, the persistent state (draining lists,
-// awake routers, injection worklist, free lists) means the same thing in
-// both modes, and a network Closed in mid-run carries on serially from
-// exactly where its workers stopped. The acceptance bar is bit-identical
-// results at every shard count; the full argument lives in
+// timers, awake routers, injection worklist, free lists) means the same
+// thing in both modes, and a network Closed in mid-run carries on serially
+// from exactly where its workers stopped. The acceptance bar is
+// bit-identical results at every shard count; the full argument lives in
 // docs/performance.md, the short form next to each task below. The
 // differential harness (internal/engine/shard_diff_test.go) and the
 // cross-shard tests in this package check it end to end.
@@ -27,20 +27,28 @@ import (
 // worm (not to the domain), and whatever a move does to state another
 // domain owns goes through the mover's sink instead.
 
-// netDomain is one domain's lists. draining persists from cycle to cycle;
-// ready lives from phase 0 (worms woken by aborts) and phase 2 (worms
-// granted a free buffer) to the movement round that drains it; the rest is
-// the domain's sink, filled by the moves its task makes in one round and
-// emptied by settle (fold) at the round's barrier. Everything is reused, keeping
-// the no-probe step allocation-free. Padded against false sharing.
+// netDomain is one domain's lists. draining and the two timers persist from
+// cycle to cycle; ready lives from phase 0 (worms woken by aborts) and phase
+// 2 (worms granted a free buffer) to the movement round that drains it; the
+// rest is the domain's sink, filled by the moves its task makes in one round
+// and emptied by settle (fold) at the round's barrier. Everything is reused,
+// keeping the no-probe step allocation-free. Padded against false sharing.
 type netDomain struct {
 	// lo and hi bound the domain's routers: the node range [lo, hi).
 	lo, hi int32
 
 	// draining holds the worms whose header reached one of the domain's
-	// routers as its destination and which still have flits to deliver:
-	// each delivers one per cycle.
+	// routers as its destination and whose tail is moving: each delivers a
+	// flit, vacates a buffer and releases a channel per cycle. sleepers holds
+	// the arrived worms whose source is still sending, each until the cycle
+	// it sends its last flit (worm.wakeAt): one flit in, one flit out, and
+	// nothing for anybody else to see, so the domain delivers their flits by
+	// counting them (see drainDomain).
 	draining []*worm
+	sleepers engine.Timers[*worm]
+	// stalls holds recovery's stall timeouts for the worms the domain
+	// injected, one per worm that has not arrived (see recoveryPhase).
+	stalls engine.Timers[stall]
 	// ready holds the worms that can advance in the coming movement round:
 	// granted an output whose target buffer is free.
 	ready []*worm
@@ -71,6 +79,14 @@ type netDomain struct {
 	// arbitrates through its own over the shared read-only Health.
 	masked *routing.FaultAware
 	_      [64]byte
+}
+
+// stall is one stall-timeout entry: the worm and the ID of the packet it
+// carried when the timer was armed. Worms are reused, so an entry that
+// outlived its worm's packet is told by the ID.
+type stall struct {
+	w  *worm
+	id int64
 }
 
 // initDomains builds the domains inside New. The core has already clamped
@@ -174,10 +190,38 @@ func (n *Network) mergeInjected() {
 }
 
 // drainDomain is the first movement round of a cycle for one domain: every
-// draining worm delivers a flit, then the ready worms advance (moveDomain).
-// A worm that delivered its last flit leaves the list for the sink.
+// arrived worm delivers a flit, then the ready worms advance (moveDomain).
+//
+// The sleepers deliver theirs without being touched: the domain adds their
+// number to its flit tally, which keeps FlitsConsumed exact at every cycle
+// boundary and shows the watchdog the progress. A sleeper that arbitrate put
+// on the timer in cycle a with q flits still to be sent is counted in cycles
+// a to a+q-1 and comes off the timer here in cycle a+q, credited with those q
+// flits in one addition and fully injected; from then on it is a draining
+// worm, whose every advance shifts its tail. In what order the woken worms
+// join the draining list changes nothing that outlives the cycle: each
+// advance writes only its own worm's buffers and channels, the wakes reach
+// the same fixpoint, headers are filed in the wait table by key, and the
+// finished are retired in injection order. Sleeping emits no probe event
+// either — FlitMove fires at a channel release, Deliver at retirement — so
+// probe streams are untouched. A worm that delivered its last flit leaves the
+// draining list for the sink.
 func (n *Network) drainDomain(d int) {
 	dm := &n.dom[d]
+	for {
+		w, ok := dm.sleepers.PopDue(n.core.Cycle)
+		if !ok {
+			break
+		}
+		w.delivered += w.pkt.Length - w.sent
+		w.sent = w.pkt.Length
+		w.wakeAt = 0
+		dm.draining = append(dm.draining, w)
+	}
+	if asleep := dm.sleepers.Len(); asleep > 0 {
+		dm.flits += int64(asleep)
+		dm.moved = true
+	}
 	if len(dm.draining) > 0 {
 		em := n.emitter(d)
 		keep := dm.draining[:0]

@@ -8,6 +8,12 @@ package network
 // cycle the every-cycle rescans of the previous engine moved it on. The
 // lost-wake oracle (lostWake in invariant_test.go) runs after every step of
 // every case, and TestLostWakeOracleCatches shows that it is not vacuous.
+//
+// Time wakes too (TestWakeTimer*): a worm whose header has arrived while its
+// source is still sending sleeps on its domain's timer until its tail starts
+// to move, and recovery's stall timeouts sleep on one until they are due.
+// Those cases pin the cycles to the ones on which the per-cycle drain and the
+// per-cycle scan of the active list — the previous engine — acted.
 
 import (
 	"fmt"
@@ -16,15 +22,17 @@ import (
 	"strings"
 	"testing"
 
+	"turnmodel/internal/engine"
 	"turnmodel/internal/fault"
 	"turnmodel/internal/routing"
 	"turnmodel/internal/topology"
 )
 
-// stepChecked steps once and runs every invariant.
+// stepChecked steps once, checking the step's aborts against the scan of the
+// active list that stall timers replaced, and runs every invariant.
 func stepChecked(t *testing.T, n *Network) {
 	t.Helper()
-	if err := n.Step(); err != nil {
+	if err := stepVictimsChecked(t, n); err != nil {
 		t.Fatal(err)
 	}
 	checkInvariants(t, n)
@@ -267,6 +275,296 @@ func TestWakeRepairGrantsWithoutMasking(t *testing.T) {
 	}
 }
 
+// sleepers counts the worms on the domains' timers.
+func sleepers(n *Network) int {
+	total := 0
+	for d := range n.dom {
+		total += n.dom[d].sleepers.Len()
+	}
+	return total
+}
+
+// TestWakeTimerLongWormSleepsThroughItsDrain: a 200-flit worm on a 3-hop path
+// arrives with 196 flits still to be sent and sleeps through exactly those
+// 196 cycles — on no draining list, its buffers and channels standing still —
+// while FlitsConsumed grows by exactly one on every one of them, as when the
+// worm was advanced every cycle. It wakes on the cycle its source sends
+// nothing more: that step frees the injection buffer (cycle Length-1, the
+// cycle the per-cycle drain freed it on), and three more free the path.
+func TestWakeTimerLongWormSleepsThroughItsDrain(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
+			mesh := topology.NewMesh2D(8, 2)
+			net := New(Config{Routing: routing.XY(mesh), Shards: shards})
+			t.Cleanup(net.Close)
+			const length, hops = 200, 3
+			src := mesh.ID(topology.Coord{1, 0})
+			p := net.Enqueue(src, mesh.ID(topology.Coord{1 + hops, 0}), length)
+			inj := net.bufID(src, net.dims2)
+			// The header is injected and makes its first hop in cycle 0 and
+			// one more per cycle; arbitration marks it arrived in cycle hops,
+			// the first cycle a flit is consumed.
+			const arrive, wake, last = hops, length - 1, hops + length - 1
+			for net.InFlight() > 0 {
+				c := net.Cycle()
+				if c > last {
+					t.Fatalf("cycle %d: not delivered", c)
+				}
+				before := net.FlitsConsumed()
+				stepChecked(t, net)
+				want := int64(0)
+				if c >= arrive {
+					want = 1
+				}
+				if got := net.FlitsConsumed() - before; got != want {
+					t.Fatalf("cycle %d: FlitsConsumed grew by %d, want %d", c, got, want)
+				}
+				sleeping := c >= arrive && c < wake
+				if got := sleepers(net) == 1; got != sleeping {
+					t.Fatalf("after cycle %d: %d worms on the timers, sleeping should be %v", c, sleepers(net), sleeping)
+				}
+				draining := 0
+				for d := range net.dom {
+					draining += len(net.dom[d].draining)
+				}
+				if wantDraining := c >= wake && c < last; (draining == 1) != wantDraining {
+					t.Fatalf("after cycle %d: %d worms on the draining lists, want one exactly from cycle %d to %d", c, draining, wake, last-1)
+				}
+				if got, want := net.occupied[inj], c < wake; got != want {
+					t.Fatalf("after cycle %d: injection buffer occupied = %v, want it freed by the step of cycle %d", c, got, wake)
+				}
+			}
+			if p.Arrived != last || p.Hops != hops {
+				t.Fatalf("delivered in cycle %d after %d hops, want cycle %d and %d hops", p.Arrived, p.Hops, last, hops)
+			}
+		})
+	}
+}
+
+// TestWakeTimerShortWormNeverSleeps: a 10-flit worm on a 12-hop path is fully
+// injected long before its header arrives, so its tail moves from the first
+// cycle of its drain and it goes straight onto a draining list — the timer is
+// never touched (an entry pushed in one step is popped in a later one at the
+// earliest, so an empty timer after every step means no push).
+func TestWakeTimerShortWormNeverSleeps(t *testing.T) {
+	mesh := topology.NewMesh2D(16, 2)
+	net := New(Config{Routing: routing.XY(mesh)})
+	p := net.Enqueue(mesh.ID(topology.Coord{1, 0}), mesh.ID(topology.Coord{13, 0}), 10)
+	drained := false
+	for net.InFlight() > 0 {
+		if net.Cycle() > 100 {
+			t.Fatal("not delivered")
+		}
+		stepChecked(t, net)
+		if sleepers(net) != 0 {
+			t.Fatalf("after cycle %d: the worm is on the timer", net.Cycle()-1)
+		}
+		drained = drained || len(net.dom[0].draining) == 1
+	}
+	if !drained {
+		t.Fatal("the worm was never seen on the draining list")
+	}
+	if want := int64(12 + 10 - 1); p.Arrived != want || net.FlitsConsumed() != 10 {
+		t.Fatalf("delivered in cycle %d with %d flits consumed, want cycle %d and 10", p.Arrived, net.FlitsConsumed(), want)
+	}
+}
+
+// TestWakeTimerSameSourceTimeoutsRetryInInjectionOrder: two one-flit worms
+// from one source run nose to tail into a channel a 400-flit worm is
+// streaming through, stop in the same cycle, time out in the same cycle, and
+// are retried from their source in the order they were injected in.
+func TestWakeTimerSameSourceTimeoutsRetryInInjectionOrder(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
+			mesh := topology.NewMesh2D(16, 2)
+			net := New(Config{
+				Routing:        routing.XY(mesh),
+				Recovery:       fault.Recovery{Enabled: true, StallCycles: 40},
+				WatchdogCycles: -1,
+				Shards:         shards,
+			})
+			t.Cleanup(net.Close)
+			at := func(x int) topology.NodeID { return mesh.ID(topology.Coord{x, 0}) }
+			net.Enqueue(at(9), at(11), 400) // holds (9,0)->(10,0) for 400 cycles
+			for c := 0; c < 5; c++ {
+				stepChecked(t, net)
+			}
+			first := net.Enqueue(at(3), at(12), 1)
+			second := net.Enqueue(at(3), at(12), 1)
+			for first.Aborts == 0 {
+				if net.Cycle() > 100 {
+					t.Fatal("the first worm was never aborted")
+				}
+				stepChecked(t, net)
+			}
+			aborted := net.Cycle() - 1
+			if second.Aborts != 1 || net.PacketsAborted() != 2 {
+				t.Fatalf("cycle %d aborted the first worm but not both (second: %d aborts, %d in all)", aborted, second.Aborts, net.PacketsAborted())
+			}
+			for second.Injected < 0 {
+				if net.Cycle() > aborted+100 {
+					t.Fatal("the second worm was never retried")
+				}
+				stepChecked(t, net)
+			}
+			if first.Injected != aborted+16 || second.Injected != first.Injected+1 {
+				t.Fatalf("aborted in cycle %d, retried in cycles %d and %d: want the first after its 16-cycle backoff and the second right behind it",
+					aborted, first.Injected, second.Injected)
+			}
+		})
+	}
+}
+
+// TestWakeTimerVictimsAbortInInjectionOrder builds the case in which the
+// timer's own order — (due cycle, push sequence) — is not injection order:
+// worm a is injected before worm b, but b stops first, so b's timeout is
+// re-armed first; then one cycle moves both for the last time, and their
+// final timeouts fall due together with b's ahead of a's in the heap. The
+// per-cycle scan aborted them in active-list order, a first, and so must
+// recoveryPhase: abort order is the order of the Abort and Drop events.
+//
+// Rows 0 and 1 of a 16x2 xy mesh are both broken east of column 9. A
+// one-flit blocker per row wedges at column 9 in cycle 3. a (injected in
+// cycle 1 at column 0 of row 0) stops behind its blocker in cycle 8; b
+// (injected in cycle 2 at column 4 of row 1) behind the other one in cycle 5.
+// Their first timeouts pop in cycles 41 and 42 and are re-armed for 48 and
+// 45. The blockers are aborted in cycle 43 and a and b both advance to column
+// 9 in that step. b's timeout pops in cycle 45 and a's in 48, both re-armed
+// for cycle 83: b's first.
+func TestWakeTimerVictimsAbortInInjectionOrder(t *testing.T) {
+	mesh := topology.NewMesh2D(16, 2)
+	at := func(x, y int) topology.NodeID { return mesh.ID(topology.Coord{x, y}) }
+	probe := &chaosProbe{ledgerProbe: &ledgerProbe{t: t}} // records the Abort events in order
+	net := New(Config{
+		Routing: routing.XY(mesh),
+		Faults: []topology.Channel{
+			{From: at(9, 0), Dir: topology.East},
+			{From: at(9, 1), Dir: topology.East},
+		},
+		Recovery:       fault.Recovery{Enabled: true, StallCycles: 40},
+		WatchdogCycles: -1,
+		Probe:          probe,
+	})
+	net.Enqueue(at(5, 0), at(12, 0), 1)
+	net.Enqueue(at(5, 1), at(12, 1), 1)
+	stepChecked(t, net)
+	a := net.Enqueue(at(0, 0), at(12, 0), 1)
+	stepChecked(t, net)
+	b := net.Enqueue(at(4, 1), at(12, 1), 1)
+	for net.Cycle() <= 83 {
+		stepChecked(t, net)
+		if c := net.Cycle() - 1; c == 43 && (a.Hops != 9 || b.Hops != 5 || net.PacketsAborted() != 2) {
+			t.Fatalf("cycle 43: a has made %d hops, b %d, %d worms aborted: the blockers were to go and a and b to reach column 9 together",
+				a.Hops, b.Hops, net.PacketsAborted())
+		}
+	}
+	if a.Aborts != 1 || b.Aborts != 1 || net.PacketsAborted() != 4 {
+		t.Fatalf("after cycle 83: a aborted %d times, b %d, %d aborts in all; want both aborted in that cycle", a.Aborts, b.Aborts, net.PacketsAborted())
+	}
+	var want []string
+	for _, src := range [][2]int{{5, 0}, {5, 1}, {0, 0}, {4, 1}} {
+		want = append(want, abortKey(at(src[0], src[1]), at(12, src[1]), 1, 1))
+	}
+	if !reflect.DeepEqual(probe.aborts, want) {
+		t.Fatalf("aborts %v, want %v: injection order, whatever order the timeouts were armed in", probe.aborts, want)
+	}
+}
+
+// TestWakeTimerStaleStallEntryAbortsNobody: a worm that is delivered well
+// inside the stall threshold leaves its timeout behind, and its struct is
+// recycled for the source's next packet, which wedges. When the stale entry
+// falls due it names a worm that is live, has not arrived and has not moved
+// — but carries another packet: it must be dropped, not re-armed (the second
+// entry would abort the worm a second time) and not honoured (the worm has
+// not stood still for StallCycles yet). The wedged worm is aborted once, on
+// its own timeout.
+func TestWakeTimerStaleStallEntryAbortsNobody(t *testing.T) {
+	net, mesh := brokenRowNet(t, 1)
+	at := func(x int) topology.NodeID { return mesh.ID(topology.Coord{x, 0}) }
+	quick := net.Enqueue(at(2), at(5), 2)
+	stepChecked(t, net)
+	recycled := net.active.head
+	for quick.Arrived < 0 {
+		stepChecked(t, net)
+	}
+	if net.Cycle() > 10 {
+		t.Fatalf("the quick packet took until cycle %d", net.Cycle())
+	}
+	for net.Cycle() < 20 {
+		stepChecked(t, net)
+	}
+	wedged := net.Enqueue(at(2), at(12), 1) // injected in cycle 20, stuck at (9,0) from cycle 26
+	stepChecked(t, net)
+	if net.active.head != recycled || recycled.pkt != wedged {
+		t.Fatal("the second packet did not get the first one's worm")
+	}
+	for net.Cycle() <= 26+40 {
+		c := net.Cycle()
+		stepChecked(t, net) // (f) of the lost-wake oracle counts the worm's live entries
+		if want := c >= 26+40; (wedged.Aborts == 1) != want {
+			t.Fatalf("after cycle %d the wedged worm has %d aborts; its header stopped in cycle 26 and the threshold is 40 (the stale entry fell due in cycle 40)",
+				c, wedged.Aborts)
+		}
+	}
+	if net.PacketsAborted() != 1 {
+		t.Fatalf("%d aborts, want 1", net.PacketsAborted())
+	}
+}
+
+// longWorkload drives uniform traffic of the paper's message lengths — 10 or
+// 200 flits — on an 8x8 west-first mesh, past saturation, so that at any
+// time several arrived worms are asleep on the timers; closeAt > 0 Closes
+// the network before the step of that cycle. It records every delivery and
+// the flits consumed at every cycle boundary.
+func longWorkload(t *testing.T, shards int, closeAt int64) (trace []string, sleptAtClose int) {
+	t.Helper()
+	net := New(Config{Routing: routing.WestFirst(topology.NewMesh2D(8, 8)), Seed: 3, Shards: shards})
+	defer net.Close()
+	rng := rand.New(rand.NewSource(41))
+	const cycles = 1200
+	for net.Cycle() < cycles || net.InFlight() > 0 {
+		c := net.Cycle()
+		if c > cycles+100000 {
+			t.Fatal("workload did not drain")
+		}
+		if c == closeAt {
+			sleptAtClose = sleepers(net)
+			net.Close()
+		}
+		if c < cycles && c%8 == 0 {
+			src, dst := topology.NodeID(rng.Intn(64)), topology.NodeID(rng.Intn(64))
+			if src != dst {
+				net.Enqueue(src, dst, []int{10, 200}[rng.Intn(2)])
+			}
+		}
+		stepChecked(t, net)
+		for _, p := range net.TakeDelivered() {
+			trace = append(trace, fmt.Sprintf("%d:%d@%d+%d/%d", c, p.ID, p.Injected, p.Arrived, p.Hops))
+		}
+		trace = append(trace, fmt.Sprintf("%d flits %d", c, net.FlitsConsumed()))
+	}
+	return trace, sleptAtClose
+}
+
+// TestWakeTimerCloseMidSleepMatchesSerial: a sharded network Closed while
+// worms sleep on several domains' timers carries on serially over the same
+// timers, and delivers every packet and counts every flit on the cycle a
+// never-sharded run does.
+func TestWakeTimerCloseMidSleepMatchesSerial(t *testing.T) {
+	serial, _ := longWorkload(t, 1, 0)
+	closed, slept := longWorkload(t, 4, 600)
+	if slept < 2 {
+		t.Fatalf("%d worms were asleep when the network was closed; the case needs several", slept)
+	}
+	if !reflect.DeepEqual(serial, closed) {
+		t.Fatalf("closed mid-sleep, the sharded run diverges from the serial one: %s", firstDiff(serial, closed))
+	}
+	sharded, _ := longWorkload(t, 4, 0)
+	if !reflect.DeepEqual(serial, sharded) {
+		t.Fatalf("the sharded run diverges from the serial one: %s", firstDiff(serial, sharded))
+	}
+}
+
 // wakeTrace is what wakeWorkload observes of a run.
 type wakeTrace struct {
 	deliveries []string
@@ -433,6 +731,9 @@ func TestLostWakeOracleCatches(t *testing.T) {
 		net.Enqueue(at(3), at(12), 1) // queued behind the follower... and injected once it has left
 		net.Enqueue(at(3), at(12), 5) // queued: five flits keep the injection buffer of (3,0) occupied
 		net.Enqueue(at(3), at(12), 1) // queued behind an occupied injection buffer
+		// Row 1 is whole: a 100-flit worm three hops along it arrives in
+		// cycle 3 and sleeps on the timer until cycle 99.
+		net.Enqueue(mesh.ID(topology.Coord{0, 1}), mesh.ID(topology.Coord{3, 1}), 100)
 		for c := 0; c < 30; c++ {
 			stepChecked(t, net)
 		}
@@ -447,17 +748,19 @@ func TestLostWakeOracleCatches(t *testing.T) {
 	}
 
 	net, mesh := build()
-	var granted, waiting *worm
+	var granted, waiting, sleeping *worm
 	for _, w := range activeWorms(t, net) {
 		switch {
+		case w.arrived:
+			sleeping = w
 		case w.outDir != noDirection:
 			granted = w
 		case w.headRouter == mesh.ID(topology.Coord{9, 0}):
 			waiting = w
 		}
 	}
-	if granted == nil || waiting == nil {
-		t.Fatal("the wedge did not produce a granted and a refused sleeper")
+	if granted == nil || waiting == nil || sleeping == nil || sleeping.wakeAt != 99 {
+		t.Fatal("the wedge did not produce a granted, a refused and a timed sleeper")
 	}
 	if net.wait.Awake(int32(waiting.headRouter)) {
 		t.Fatal("the refused header's router is awake")
@@ -474,10 +777,28 @@ func TestLostWakeOracleCatches(t *testing.T) {
 	objects("repaired channel", net, "candidate output")
 	net.faulted[k] = true
 
-	// (c) An arrived worm falls off the draining lists.
+	// (c) An arrived worm is on no draining list and no timer; the sleeper's
+	// timer entry is dropped; it is due on another cycle than the one its
+	// source sends its last flit in; the sleeper is also on a draining list.
+	stalls := net.dom[0].stalls
 	waiting.arrived = true
-	objects("arrived worm", net, "draining lists 0 times")
+	net.dom[0].stalls = engine.Timers[stall]{} // (its stall entry, now stale, would trip (f) first)
+	objects("arrived worm", net, "draining lists 0 times and on the timers 0 times")
 	waiting.arrived = false
+	net.dom[0].stalls = stalls
+
+	sleepers := net.dom[0].sleepers
+	net.dom[0].sleepers = engine.Timers[*worm]{}
+	objects("dropped timer entry", net, "draining lists 0 times and on the timers 0 times")
+	net.dom[0].sleepers.Push(98, sleeping)
+	objects("early timer entry", net, "due at 98, the worm says 99")
+	net.dom[0].sleepers = sleepers
+	sleeping.wakeAt = 98
+	objects("early wake", net, "the worm says 98")
+	sleeping.wakeAt = 99
+	net.dom[0].draining = append(net.dom[0].draining, sleeping)
+	objects("sleeper also draining", net, "draining lists 1 times and on the timers 1 times")
+	net.dom[0].draining = net.dom[0].draining[:0]
 
 	// (d) An injection buffer is vacated without waking its source.
 	inj := net.bufID(mesh.ID(topology.Coord{3, 0}), net.dims2)
@@ -487,6 +808,16 @@ func TestLostWakeOracleCatches(t *testing.T) {
 	net.occupied[inj] = false
 	objects("vacated injection buffer", net, "off the worklist")
 	net.occupied[inj] = true
+
+	// (f) A worm that can still time out has lost its stall entry, or has two.
+	net.dom[0].stalls = engine.Timers[stall]{}
+	objects("dropped stall entry", net, "lost timeout")
+	net.dom[0].stalls = stalls
+	// (Due after every other entry, the copy lands behind them in the heap's
+	// array and moves none: restoring the saved header undoes the push.)
+	net.dom[0].stalls.Push(1<<40, stall{w: waiting, id: waiting.pkt.ID})
+	objects("doubled stall entry", net, "lost timeout")
+	net.dom[0].stalls = stalls
 
 	// (e) A recycled worm is still referred to.
 	net.dom[0].free = append(net.dom[0].free, granted)

@@ -48,11 +48,17 @@ type Misrouter interface {
 // the network is healthy. A FaultAware is bound to one simulator instance
 // through its Health and is not safe for concurrent use across engines.
 type FaultAware struct {
-	base   Algorithm
-	topo   topology.Topology
-	health *fault.Health
-	pol    fault.RoutingPolicy
-	mis    Misrouter // nil: base cannot misroute safely, or limit is 0
+	base     Algorithm
+	appender CandidateAppender // base's allocation-free form, or nil
+	topo     topology.Topology
+	health   *fault.Health
+	pol      fault.RoutingPolicy
+	mis      Misrouter // nil: base cannot misroute safely, or limit is 0
+
+	// ahead is the k-hop look-ahead's stack of candidate sets, one frame
+	// per level of deadWithin's recursion; nothing that outlives a decision
+	// points into it.
+	ahead []topology.Direction
 
 	masked    int64
 	misroutes int64
@@ -66,6 +72,7 @@ func NewFaultAware(base Algorithm, health *fault.Health, pol fault.RoutingPolicy
 		panic("routing: NewFaultAware requires an enabled policy")
 	}
 	f := &FaultAware{base: base, topo: base.Topology(), health: health, pol: pol}
+	f.appender, _ = base.(CandidateAppender)
 	if m, ok := base.(Misrouter); ok && pol.MisrouteLimit > 0 {
 		f.mis = m
 	}
@@ -94,9 +101,9 @@ func (f *FaultAware) MisrouteDecisions() int64 { return f.misroutes }
 
 // Candidates implements Algorithm: the relation with the misroute budget
 // treated as always available. The simulators instead call FaultCandidates
-// with the packet's actual misroute count; this form over-approximates it
-// (a superset of every budgeted relation), which is exactly what CDG
-// construction wants.
+// (or its append form) with the packet's actual misroute count; this form
+// over-approximates it (a superset of every budgeted relation), which is
+// exactly what CDG construction wants.
 func (f *FaultAware) Candidates(current, dest topology.NodeID, in topology.Direction, inWrap bool) []topology.Direction {
 	cands, _ := f.FaultCandidates(current, dest, in, inWrap, 0)
 	return cands
@@ -121,14 +128,35 @@ func (f *FaultAware) Candidates(current, dest topology.NodeID, in topology.Direc
 // nonminimal detour, and a hop taken from the set counts against the
 // packet's misroute budget.
 func (f *FaultAware) FaultCandidates(current, dest topology.NodeID, in topology.Direction, inWrap bool, misrouted int) ([]topology.Direction, bool) {
-	base := f.base.Candidates(current, dest, in, inWrap)
-	if len(base) == 0 || f.health.Active() == 0 {
-		return base, false
+	return f.AppendFaultCandidates(nil, current, dest, in, inWrap, misrouted)
+}
+
+// appendBase appends the base algorithm's candidates to dst, without
+// allocating when the algorithm can.
+func (f *FaultAware) appendBase(dst []topology.Direction, current, dest topology.NodeID, in topology.Direction, inWrap bool) []topology.Direction {
+	if f.appender != nil {
+		return f.appender.AppendCandidates(dst, current, dest, in, inWrap)
 	}
-	// Filter in place: Algorithm.Candidates returns a fresh slice per
-	// call, and nothing is overwritten unless it survives the filter, so
-	// the unfiltered set stays intact whenever we fall through.
-	keep := base[:0]
+	return append(dst, f.base.Candidates(current, dest, in, inWrap)...)
+}
+
+// AppendFaultCandidates is FaultCandidates appending into dst: the same
+// directions in the same order, in the caller's storage — the simulators
+// pass the worm's own buffer and keep the result while the header waits, so
+// it never points into the wrapper — and with no allocation per decision
+// when the base algorithm implements CandidateAppender (the misroute
+// fallback of case 3, taken when every candidate is known dead, still
+// builds its set afresh).
+func (f *FaultAware) AppendFaultCandidates(dst []topology.Direction, current, dest topology.NodeID, in topology.Direction, inWrap bool, misrouted int) ([]topology.Direction, bool) {
+	start := len(dst)
+	dst = f.appendBase(dst, current, dest, in, inWrap)
+	base := dst[start:]
+	if len(base) == 0 || f.health.Active() == 0 {
+		return dst, false
+	}
+	// Filter in place: nothing is overwritten unless it survives the
+	// filter, so the unfiltered set stays intact whenever we fall through.
+	keep := dst[:start]
 	khop := f.health.Visibility() == fault.VisibilityKHop
 	for _, d := range base {
 		if f.health.Faulted(current, d) {
@@ -139,8 +167,8 @@ func (f *FaultAware) FaultCandidates(current, dest topology.NodeID, in topology.
 		}
 		keep = append(keep, d)
 	}
-	if len(keep) > 0 {
-		if len(keep) < len(base) {
+	if len(keep) > start {
+		if len(keep) < len(dst) {
 			f.masked++
 		}
 		return keep, false
@@ -149,10 +177,10 @@ func (f *FaultAware) FaultCandidates(current, dest topology.NodeID, in topology.
 		if alt := f.misrouteSet(current, dest, in, inWrap); len(alt) > 0 {
 			f.masked++
 			f.misroutes++
-			return alt, true
+			return append(keep, alt...), true
 		}
 	}
-	return base, false
+	return dst, false
 }
 
 // deadWithin reports whether hopping from node along d leads into a region
@@ -169,19 +197,21 @@ func (f *FaultAware) deadWithin(origin, dest, node topology.NodeID, d topology.D
 	if !ok || nb == dest {
 		return false
 	}
-	cands := f.base.Candidates(nb, dest, d, f.topo.Wraparound(node, d))
-	if len(cands) == 0 {
-		return false
-	}
-	for _, nd := range cands {
+	// This level's candidates are a frame on the look-ahead stack: indexed,
+	// not ranged over, because a deeper level may grow — and move — it.
+	start := len(f.ahead)
+	f.ahead = f.appendBase(f.ahead, nb, dest, d, f.topo.Wraparound(node, d))
+	end := len(f.ahead)
+	dead := end > start
+	for i := start; i < end && dead; i++ {
+		nd := f.ahead[i]
 		if f.health.Known(origin, nb, nd) {
 			continue // known broken; try the next continuation
 		}
-		if !f.deadWithin(origin, dest, nb, nd, depth-1) {
-			return false
-		}
+		dead = f.deadWithin(origin, dest, nb, nd, depth-1)
 	}
-	return true
+	f.ahead = f.ahead[:start]
+	return dead
 }
 
 // misrouteSet is the base algorithm's safe detour set minus directly

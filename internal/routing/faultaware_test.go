@@ -331,3 +331,218 @@ func TestNamesSortedAndStable(t *testing.T) {
 		t.Fatal("Names() exposes shared backing storage")
 	}
 }
+
+// referenceFaultCandidates is FaultCandidates as it was before the append
+// form existed — every candidate set a fresh slice from Algorithm.Candidates,
+// the look-ahead recursing over fresh slices — kept as the oracle for
+// AppendFaultCandidates. It reads the wrapper's configuration and counts in
+// its own counters.
+type referenceFaultAware struct {
+	f                 *FaultAware
+	masked, misroutes int64
+}
+
+func (r *referenceFaultAware) candidates(current, dest topology.NodeID, in topology.Direction, inWrap bool, misrouted int) ([]topology.Direction, bool) {
+	f := r.f
+	base := f.base.Candidates(current, dest, in, inWrap)
+	if len(base) == 0 || f.health.Active() == 0 {
+		return base, false
+	}
+	var keep []topology.Direction
+	khop := f.health.Visibility() == fault.VisibilityKHop
+	for _, d := range base {
+		if f.health.Faulted(current, d) {
+			continue
+		}
+		if khop && r.deadWithin(current, dest, current, d, f.health.Radius()) {
+			continue
+		}
+		keep = append(keep, d)
+	}
+	if len(keep) > 0 {
+		if len(keep) < len(base) {
+			r.masked++
+		}
+		return keep, false
+	}
+	if f.mis != nil && misrouted < f.pol.MisrouteLimit {
+		var alt []topology.Direction
+		for _, d := range f.mis.MisrouteCandidates(current, dest, in, inWrap) {
+			if !f.health.Faulted(current, d) {
+				alt = append(alt, d)
+			}
+		}
+		if len(alt) > 0 {
+			r.masked++
+			r.misroutes++
+			return alt, true
+		}
+	}
+	return base, false
+}
+
+func (r *referenceFaultAware) deadWithin(origin, dest, node topology.NodeID, d topology.Direction, depth int) bool {
+	f := r.f
+	if depth <= 0 {
+		return false
+	}
+	nb, ok := f.topo.Neighbor(node, d)
+	if !ok || nb == dest {
+		return false
+	}
+	cands := f.base.Candidates(nb, dest, d, f.topo.Wraparound(node, d))
+	if len(cands) == 0 {
+		return false
+	}
+	for _, nd := range cands {
+		if f.health.Known(origin, nb, nd) {
+			continue
+		}
+		if !r.deadWithin(origin, dest, nb, nd, depth-1) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAppendFaultCandidatesMatchesReference holds the append form to the
+// allocating one it replaced, for every registered algorithm — those with an
+// allocation-free base path and the turn-rule ones without — on mesh, torus
+// and hypercube, under local and k-hop visibility, over every (router,
+// destination, arrival direction) of random fault sets: the same directions
+// in the same order after the caller's prefix, the same misroute flag, the
+// same masked and misroute counts, the prefix untouched, and a result that a
+// later decision — which reuses the look-ahead stack — does not disturb.
+func TestAppendFaultCandidatesMatchesReference(t *testing.T) {
+	topos := []topology.Topology{
+		topology.NewMesh2D(5, 4),
+		topology.NewTorus(4, 4),
+		topology.NewHypercube(4),
+	}
+	policies := []fault.RoutingPolicy{
+		{Visibility: fault.VisibilityLocal, MisrouteLimit: 2},
+		{Visibility: fault.VisibilityKHop, Radius: 3, MisrouteLimit: 2},
+	}
+	rng := rand.New(rand.NewSource(1805))
+	prefix := []topology.Direction{topology.North, topology.West}
+	decisions, maskedSeen, misSeen, fallbacks := 0, int64(0), int64(0), 0
+	for _, topo := range topos {
+		for _, name := range Names() {
+			alg, err := New(name, topo)
+			if err != nil {
+				continue
+			}
+			if _, ok := alg.(CandidateAppender); !ok {
+				fallbacks++
+			}
+			for _, pol := range policies {
+				plan := randomFaultPlan(rng, topo, 6)
+				_, health := newHealthState(t, topo, plan, pol)
+				fa := NewFaultAware(alg, health, pol)
+				ref := &referenceFaultAware{f: fa}
+				var held []topology.Direction // the previous decision's result
+				var heldWant []topology.Direction
+				// Every state a packet can be in: injected anywhere, then
+				// wherever the masked relation leads (the turn-rule
+				// algorithms reject states their rule cannot reach).
+				type state struct {
+					node topology.NodeID
+					in   topology.Direction
+				}
+				for dst := topology.NodeID(0); int(dst) < topo.Nodes(); dst++ {
+					seen := make(map[state]bool)
+					var queue []state
+					for src := topology.NodeID(0); int(src) < topo.Nodes(); src++ {
+						if src != dst {
+							queue = append(queue, state{src, topology.Invalid})
+						}
+					}
+					for len(queue) > 0 {
+						st := queue[0]
+						queue = queue[1:]
+						if seen[st] {
+							continue
+						}
+						seen[st] = true
+						cur, in, inWrap := st.node, st.in, false
+						if in != topology.Invalid {
+							prev, _ := topo.Neighbor(cur, in.Opposite())
+							inWrap = topo.Wraparound(prev, in)
+						}
+						misrouted := rng.Intn(3)
+						want, wantMis := ref.candidates(cur, dst, in, inWrap, misrouted)
+						buf := append(make([]topology.Direction, 0, 16), prefix...)
+						got, gotMis := fa.AppendFaultCandidates(buf, cur, dst, in, inWrap, misrouted)
+						decisions++
+						if gotMis != wantMis || !equalDirs(got[len(prefix):], want) || !equalDirs(got[:len(prefix)], prefix) {
+							t.Fatalf("%s on %s, %s, faults %+v: at %d for %d arriving %v (misrouted %d) got %v misroute=%v, want prefix %v then %v misroute=%v",
+								name, topo.Name(), pol, plan, cur, dst, in, misrouted, got, gotMis, prefix, want, wantMis)
+						}
+						if !equalDirs(held, heldWant) {
+							t.Fatalf("%s on %s: the decision at %d for %d overwrote the previous decision's result", name, topo.Name(), cur, dst)
+						}
+						held, heldWant = got, append(prefix[:len(prefix):len(prefix)], want...)
+						for _, d := range want {
+							if health.Faulted(cur, d) {
+								continue
+							}
+							if nb, ok := topo.Neighbor(cur, d); ok && nb != dst {
+								queue = append(queue, state{nb, d})
+							}
+						}
+					}
+				}
+				if fa.MaskedDecisions() != ref.masked || fa.MisrouteDecisions() != ref.misroutes {
+					t.Fatalf("%s on %s, %s: counted masked=%d misroutes=%d, the reference %d and %d",
+						name, topo.Name(), pol, fa.MaskedDecisions(), fa.MisrouteDecisions(), ref.masked, ref.misroutes)
+				}
+				maskedSeen += ref.masked
+				misSeen += ref.misroutes
+			}
+		}
+	}
+	if decisions < 10000 || maskedSeen == 0 || misSeen == 0 || fallbacks == 0 {
+		t.Fatalf("%d decisions, %d masked, %d misrouted, %d algorithms without AppendCandidates: the case no longer covers the ladder",
+			decisions, maskedSeen, misSeen, fallbacks)
+	}
+}
+
+func equalDirs(a, b []topology.Direction) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAppendFaultCandidatesZeroAllocs pins what the append form is for: with
+// faults active and the k-hop look-ahead running, a masked decision of an
+// algorithm that implements CandidateAppender allocates nothing.
+func TestAppendFaultCandidatesZeroAllocs(t *testing.T) {
+	mesh := topology.NewMesh2D(8, 8)
+	alg, err := New("negative-first", mesh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := fault.RoutingPolicy{Visibility: fault.VisibilityKHop, Radius: 3, MisrouteLimit: 2}
+	plan := fault.Plan{Static: []topology.Channel{{From: 27, Dir: topology.West}, {From: 20, Dir: topology.South}}}
+	_, health := newHealthState(t, mesh, plan, pol)
+	fa := NewFaultAware(alg, health, pol)
+	var buf [8]topology.Direction
+	decide := func() {
+		for cur := topology.NodeID(0); cur < 64; cur++ {
+			fa.AppendFaultCandidates(buf[:0], cur, 0, topology.Invalid, false, pol.MisrouteLimit)
+		}
+	}
+	decide() // grows the look-ahead stack to its depth
+	if fa.MaskedDecisions() == 0 {
+		t.Fatal("no decision was masked; the case does not reach the filter")
+	}
+	if allocs := testing.AllocsPerRun(20, decide); allocs != 0 {
+		t.Errorf("%v allocations per 64 decisions, want 0", allocs)
+	}
+}

@@ -112,14 +112,13 @@ func journalRecords(t *testing.T, st *jobstore.Store, key string) []jobstore.Rec
 	return recs
 }
 
-// assertJournalInvariants checks the exactly-once shape every finished
-// journal must have: exactly one terminal record, and strictly increasing
-// fencing tokens across started records (each new executor out-fences the
-// last). A job's Done channel closes just before its terminal record is
-// appended (settle: finish, then journalFinish), so a caller arriving
-// straight from waitDone may be early; the journal is re-read until the
-// record lands.
-func assertJournalInvariants(t *testing.T, st *jobstore.Store, key, wantState string) {
+// waitTerminalRecord re-reads the job's journal until its last record is the
+// terminal one, and returns the records. A job's Done channel closes just
+// before its terminal record is appended (settle: finish, then
+// journalFinish), so a caller arriving straight from waitDone may be early —
+// and until the record lands, the journal, and with it every other replica,
+// still says the job is running.
+func waitTerminalRecord(t *testing.T, st *jobstore.Store, key string) []jobstore.Record {
 	t.Helper()
 	recs := journalRecords(t, st, key)
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); recs = journalRecords(t, st, key) {
@@ -128,6 +127,16 @@ func assertJournalInvariants(t *testing.T, st *jobstore.Store, key, wantState st
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+	return recs
+}
+
+// assertJournalInvariants checks the exactly-once shape every finished
+// journal must have: exactly one terminal record, and strictly increasing
+// fencing tokens across started records (each new executor out-fences the
+// last). It waits for the terminal record first (see waitTerminalRecord).
+func assertJournalInvariants(t *testing.T, st *jobstore.Store, key, wantState string) {
+	t.Helper()
+	recs := waitTerminalRecord(t, st, key)
 	terminals := 0
 	var lastFence uint64
 	for _, rec := range recs {
@@ -502,6 +511,9 @@ func TestTwoReplicasSharedStore(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("report from a = %d", code)
 	}
+	// b learns that the job finished from the journal's terminal record,
+	// which a appends after closing Done: until it lands b answers 409.
+	waitTerminalRecord(t, e.openStore(t), e.key)
 	rawB, code := getReport(t, tsB, stA.ID)
 	if code != http.StatusOK {
 		t.Fatalf("report from b = %d", code)

@@ -9,7 +9,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"turnmodel/internal/fault"
@@ -263,45 +262,17 @@ func measure(cfg RunParams, algName string, topo topology.Topology, net engine, 
 
 	// Per-node Poisson arrival processes: the mean interarrival time in
 	// cycles delivers InjectionRate flits per cycle on average.
-	meanGap := meanLength(cfg.Lengths) / cfg.InjectionRate
-	next := make([]float64, topo.Nodes())
-	for i := range next {
-		next[i] = rng.ExpFloat64() * meanGap
-	}
-	// generate fires every arrival due at the cycle and reports the first
-	// future cycle at which any node generates again — the injection
-	// horizon the event-driven clock may leap to. The min-scan rides the
-	// node loop generate already runs, so horizon tracking adds no pass.
-	// Generation is arrival-driven: nextDue remembers that cycle, and until
-	// the clock reaches it no node is due, so the scan over all nodes is
-	// skipped outright (at paper rates most cycles have no arrival). The
-	// same nodes fire at the same cycles in the same order, so the RNG
-	// stream is untouched.
-	nextDue := int64(0)
-	generate := func(cycle int64) int64 {
-		if cycle < nextDue {
-			return nextDue
+	// arr.generate fires every arrival due at the cycle and reports the
+	// first future cycle at which any node generates again — the injection
+	// horizon the event-driven clock may leap to. It costs the arrivals, not
+	// the nodes (see arrivals).
+	arr := newArrivals(rng, topo.Nodes(), meanLength(cfg.Lengths)/cfg.InjectionRate)
+	fire := func(node topology.NodeID) {
+		dst := cfg.Pattern.Dest(node, rng)
+		if dst == node {
+			return // fixed point: consumed locally
 		}
-		earliest := math.Inf(1)
-		for node := range next {
-			for next[node] <= float64(cycle) {
-				next[node] += rng.ExpFloat64() * meanGap
-				dst := cfg.Pattern.Dest(topology.NodeID(node), rng)
-				if dst == topology.NodeID(node) {
-					continue // fixed point: consumed locally
-				}
-				length := cfg.Lengths[rng.Intn(len(cfg.Lengths))]
-				net.Enqueue(topology.NodeID(node), dst, length)
-			}
-			if next[node] < earliest {
-				earliest = next[node]
-			}
-		}
-		nextDue = math.MaxInt64 // nothing ever generates (zero-rate run)
-		if !math.IsInf(earliest, 1) {
-			nextDue = int64(math.Ceil(earliest))
-		}
-		return nextDue
+		net.Enqueue(node, dst, cfg.Lengths[rng.Intn(len(cfg.Lengths))])
 	}
 
 	var lat stats.Sample
@@ -319,7 +290,7 @@ func measure(cfg RunParams, algName string, topo topology.Topology, net engine, 
 	// nothing — so the RNG stream, and with it every Result, is
 	// bit-identical in both modes.
 	for !deadlocked && net.Cycle() < cfg.WarmupCycles {
-		nextGen := generate(net.Cycle())
+		nextGen := arr.generate(net.Cycle(), fire)
 		net.SetInjectionHorizon(minCycle(nextGen, cfg.WarmupCycles))
 		if err := net.Step(); err != nil {
 			deadlocked = true
@@ -342,7 +313,7 @@ func measure(cfg RunParams, algName string, topo topology.Topology, net engine, 
 
 	measureEnd := measureStart + cfg.MeasureCycles
 	for !deadlocked && net.Cycle() < measureEnd {
-		nextGen := generate(net.Cycle())
+		nextGen := arr.generate(net.Cycle(), fire)
 		net.SetInjectionHorizon(minCycle(nextGen, measureEnd))
 		if err := net.Step(); err != nil {
 			deadlocked = true

@@ -5,7 +5,11 @@
 // 2n virtual directions of the network.
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"slices"
+)
 
 // NodeID is a dense node index in [0, Nodes()).
 type NodeID int
@@ -91,7 +95,18 @@ type grid struct {
 	sizes   []int
 	strides []int
 	nodes   int
+	// coords is the node-major coordinate table: coordinate dim of node id
+	// is coords[id*dims+dim]. Every routing decision reads 2*dims
+	// coordinates, and a load is cheaper than the division and remainder
+	// that derive one. It is nil for a grid too large to tabulate (see
+	// maxCoordEntries), which computes its coordinates instead.
+	coords []int16
 }
+
+// maxCoordEntries bounds the coordinate table at 4 MB: room for a 1000x1000
+// mesh, while a 30-cube — a legal topology for the analysis tools, which
+// never simulate it — is not tabulated.
+const maxCoordEntries = 1 << 21
 
 func newGrid(sizes []int) grid {
 	if len(sizes) == 0 {
@@ -107,14 +122,30 @@ func newGrid(sizes []int) grid {
 		g.strides[i] = g.nodes
 		g.nodes *= k
 	}
+	dims := len(sizes)
+	if g.nodes*dims > maxCoordEntries || slices.Max(sizes) > math.MaxInt16 {
+		return g
+	}
+	// One pass: each node's row is its predecessor's, incremented with
+	// carry like an odometer (dimension 0 varies fastest).
+	g.coords = make([]int16, g.nodes*dims)
+	for row := dims; row < len(g.coords); row += dims {
+		copy(g.coords[row:row+dims], g.coords[row-dims:row])
+		for i := 0; ; i++ {
+			if g.coords[row+i]++; int(g.coords[row+i]) < sizes[i] {
+				break
+			}
+			g.coords[row+i] = 0
+		}
+	}
 	return g
 }
 
-func (g grid) Dims() int        { return len(g.sizes) }
-func (g grid) Size(dim int) int { return g.sizes[dim] }
-func (g grid) Nodes() int       { return g.nodes }
+func (g *grid) Dims() int        { return len(g.sizes) }
+func (g *grid) Size(dim int) int { return g.sizes[dim] }
+func (g *grid) Nodes() int       { return g.nodes }
 
-func (g grid) Coord(id NodeID) Coord {
+func (g *grid) Coord(id NodeID) Coord {
 	if id < 0 || int(id) >= g.nodes {
 		panic(fmt.Sprintf("topology: node %d out of range [0,%d)", id, g.nodes))
 	}
@@ -127,7 +158,7 @@ func (g grid) Coord(id NodeID) Coord {
 	return c
 }
 
-func (g grid) ID(c Coord) NodeID {
+func (g *grid) ID(c Coord) NodeID {
 	if len(c) != len(g.sizes) {
 		panic(fmt.Sprintf("topology: coordinate %v has %d dims; topology has %d", c, len(c), len(g.sizes)))
 	}
@@ -142,14 +173,17 @@ func (g grid) ID(c Coord) NodeID {
 }
 
 // coordAt returns coordinate i of a node without allocating.
-func (g grid) coordAt(id NodeID, dim int) int {
+func (g *grid) coordAt(id NodeID, dim int) int {
+	if g.coords != nil {
+		return int(g.coords[int(id)*len(g.sizes)+dim])
+	}
 	return (int(id) / g.strides[dim]) % g.sizes[dim]
 }
 
 // CoordAt returns a single coordinate of a node without allocating the
 // full Coord vector; it is the hot-loop counterpart of Coord, promoted to
 // every grid-based topology.
-func (g grid) CoordAt(id NodeID, dim int) int { return g.coordAt(id, dim) }
+func (g *grid) CoordAt(id NodeID, dim int) int { return g.coordAt(id, dim) }
 
 // MinimalAppender is implemented by topologies that can append their
 // MinimalDirections into a caller-provided buffer. The contract is exact:

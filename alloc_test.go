@@ -77,6 +77,28 @@ func movingNetwork(tb testing.TB, shards int) (*turnmodel.Network, []*turnmodel.
 	return net, pkts
 }
 
+// movingVCNetwork is movingNetwork on the virtual-channel engine: the same
+// 600-flit messages from every node (x, y) of an 8x8 mesh to
+// ((x+4) mod 8, (y+3) mod 8), routed double-y, whose y links carry two
+// virtual channels, so every flit crossing one claims its bandwidth.
+func movingVCNetwork(tb testing.TB, shards int) (*turnmodel.VCNetwork, []*turnmodel.Packet) {
+	tb.Helper()
+	mesh := turnmodel.NewMesh2D(8, 8)
+	alg, err := turnmodel.NewVCRouting("double-y", mesh)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	net := turnmodel.NewVCNetwork(turnmodel.VCNetworkConfig{Routing: alg, Shards: shards})
+	var pkts []*turnmodel.Packet
+	for y := 0; y < 8; y++ {
+		for x := 0; x < 8; x++ {
+			dst := mesh.ID(turnmodel.Coord{(x + 4) % 8, (y + 3) % 8})
+			pkts = append(pkts, net.Enqueue(mesh.ID(turnmodel.Coord{x, y}), dst, 600))
+		}
+	}
+	return net, pkts
+}
+
 // wakingWave enqueues the allocation gate's wake workload on an 8x8
 // west-first mesh: four short messages (3 to 7 flits) from every node
 // (x, y) to ((x+4) mod 8, (y+3) mod 8). Short worms queued four deep keep
@@ -122,7 +144,8 @@ func drainingWave(net *turnmodel.Network, mesh *turnmodel.Mesh) {
 // a retirement or the injection that recycles the retired worm (the waking
 // cases), and neither must putting an arrived worm to sleep on its domain's
 // timer, counting its flits while it sleeps, or waking it (the draining
-// cases).
+// cases), and neither must moving the virtual-channel engine's worms (the
+// vcnet moving cases).
 func TestStepZeroAllocs(t *testing.T) {
 	for _, shards := range []int{0, 4} {
 		name := "no-probe-draining"
@@ -261,6 +284,47 @@ func TestStepZeroAllocs(t *testing.T) {
 			}
 			if moved := hops() - before; moved < 100 {
 				t.Fatalf("only %d header hops in the measured window; the case no longer exercises enlist/delist", moved)
+			}
+			if net.PacketsDelivered() != 0 {
+				t.Fatalf("%d packets delivered inside the measured window; deliveries allocate by design", net.PacketsDelivered())
+			}
+			if allocs != 0 {
+				t.Errorf("%s step path allocates %.1f allocs/op, want 0", name, allocs)
+			}
+		})
+	}
+	for _, shards := range []int{0, 4} {
+		name := "vcnet-no-probe-moving"
+		if shards > 1 {
+			name += "-sharded"
+		}
+		t.Run(name, func(t *testing.T) {
+			net, pkts := movingVCNetwork(t, shards)
+			defer net.Close()
+			hops := func() (n int) {
+				for _, p := range pkts {
+					n += p.Hops
+				}
+				return n
+			}
+			var stepErr error
+			step := func() {
+				if err := net.Step(); err != nil {
+					stepErr = err
+				}
+			}
+			// As in the network engine's moving cases: the first step injects
+			// the worms, the measured ones move them — headers hopping into
+			// and out of the wait table, worms woken by their grants and
+			// visited while they stream, their runs advancing.
+			step()
+			before := hops()
+			allocs := testing.AllocsPerRun(18, step)
+			if stepErr != nil {
+				t.Fatal(stepErr)
+			}
+			if moved := hops() - before; moved < 100 {
+				t.Fatalf("only %d header hops in the measured window; the case no longer exercises movement", moved)
 			}
 			if net.PacketsDelivered() != 0 {
 				t.Fatalf("%d packets delivered inside the measured window; deliveries allocate by design", net.PacketsDelivered())

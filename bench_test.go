@@ -543,12 +543,11 @@ func BenchmarkNetworkStepFaultedRecovery(b *testing.B) {
 	}
 }
 
-// wedgedVCNetwork is wedgedNetwork on the per-flit virtual-channel engine: a
-// 16x16 double-y mesh whose eastbound physical channels out of column 8 are
+// wedgedVCNetwork is wedgedNetwork on the virtual-channel engine: a 16x16
+// double-y mesh whose eastbound physical channels out of column 8 are
 // broken, westbound-sourced worms piled against the break, watchdog off.
-// Every subsequent Step does identical work — the blocked headers are
-// offered their (faulted or owned) virtual channels and every stalled flit
-// is polled.
+// Nothing in it can move, so nothing in it is looked at: the refused
+// headers' routers sleep and no worm is due for a visit.
 func wedgedVCNetwork(tb testing.TB) *turnmodel.VCNetwork {
 	tb.Helper()
 	mesh := turnmodel.NewMesh2D(16, 16)
@@ -580,7 +579,8 @@ func wedgedVCNetwork(tb testing.TB) *turnmodel.VCNetwork {
 
 // BenchmarkVCNetStep is BenchmarkNetworkStep/no-probe for internal/vcnet:
 // the steady-state cost of one cycle over a permanently wedged network,
-// the virtual-channel engine's gated step number.
+// gated by an absolute ceiling (BENCH_baseline.json) that a per-cycle look
+// at the blocked worms or their flits would exceed.
 func BenchmarkVCNetStep(b *testing.B) {
 	net := wedgedVCNetwork(b)
 	b.ReportAllocs()
@@ -594,7 +594,7 @@ func BenchmarkVCNetStep(b *testing.B) {
 
 // BenchmarkVCNetStepTraffic is BenchmarkNetworkStepTraffic for
 // internal/vcnet: the same preloaded working set and trickle of arrivals,
-// on a double-y mesh simulated flit by flit.
+// on a double-y mesh whose y links carry two virtual channels.
 func BenchmarkVCNetStepTraffic(b *testing.B) {
 	mesh := turnmodel.NewMesh2D(16, 16)
 	alg, err := turnmodel.NewVCRouting("double-y", mesh)
@@ -656,7 +656,7 @@ func BenchmarkExtensionHex(b *testing.B) {
 }
 
 // BenchmarkExtensionVC benchmarks the virtual-channel double-y experiment
-// on the per-flit VC simulator.
+// on the virtual-channel simulator.
 func BenchmarkExtensionVC(b *testing.B) {
 	mesh := turnmodel.NewMesh2D(16, 16)
 	for _, name := range []string{"double-y", "west-first"} {

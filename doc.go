@@ -36,7 +36,7 @@
 //     a configurable routing-decision delay
 //   - internal/vc: virtual-channel routing (dateline torus DOR, double-y
 //     fully adaptive, CCC) and its dependency-graph verifier
-//   - internal/vcnet: the per-flit virtual-channel simulator
+//   - internal/vcnet: the flit-level virtual-channel simulator
 //   - internal/traffic: workloads
 //   - internal/sim: the experiment harness, the paper's figures, and the
 //     extension experiments

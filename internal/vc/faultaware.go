@@ -53,13 +53,22 @@ func (l lifted) MisrouteCandidates(current, dest topology.NodeID, inDir topology
 // dependencies from the virtual-channel dependency graph and misrouting
 // uses only relations the base algorithm already permits, so deadlock
 // freedom is preserved; FaultRelationVC feeds the wrapped relation back
-// into FromRouting for a per-fault-set mechanical check.
+// into FromRouting for a per-fault-set mechanical check. A FaultAware owns
+// scratch storage and is not safe for concurrent use.
 type FaultAware struct {
-	base   Algorithm
-	topo   topology.Topology
-	health *fault.Health
-	pol    fault.RoutingPolicy
-	mis    Misrouter // nil: base cannot misroute safely, or limit is 0
+	base     Algorithm
+	appender CandidateAppender // base's allocation-free form, or nil
+	topo     topology.Topology
+	health   *fault.Health
+	pol      fault.RoutingPolicy
+	mis      Misrouter // nil: base cannot misroute safely, or limit is 0
+
+	// ahead is the k-hop look-ahead's stack of candidate sets, one frame
+	// per level of deadWithin's recursion, and dirs the direction scratch
+	// the base appender asks for; nothing that outlives a decision points
+	// into either.
+	ahead []Out
+	dirs  []topology.Direction
 
 	masked    int64
 	misroutes int64
@@ -72,6 +81,7 @@ func NewFaultAware(base Algorithm, health *fault.Health, pol fault.RoutingPolicy
 		panic("vc: NewFaultAware requires an enabled policy")
 	}
 	f := &FaultAware{base: base, topo: base.Topology(), health: health, pol: pol}
+	f.appender, _ = base.(CandidateAppender)
 	if m, ok := base.(Misrouter); ok && pol.MisrouteLimit > 0 {
 		f.mis = m
 	}
@@ -98,7 +108,7 @@ func (f *FaultAware) MisrouteDecisions() int64 { return f.misroutes }
 
 // Candidates implements Algorithm with the misroute budget treated as
 // always available — the over-approximation CDG construction wants. The
-// simulator calls FaultCandidates with the packet's actual count.
+// simulator calls AppendFaultCandidates with the packet's actual count.
 func (f *FaultAware) Candidates(current, dest topology.NodeID, inDir topology.Direction, inVC int) []Out {
 	outs, _ := f.FaultCandidates(current, dest, inDir, inVC, 0)
 	return outs
@@ -106,16 +116,38 @@ func (f *FaultAware) Candidates(current, dest topology.NodeID, inDir topology.Di
 
 // FaultCandidates mirrors routing.(*FaultAware).FaultCandidates on
 // virtual-channel outputs; the second result marks a misroute fallback
-// set. See that method for the four-case ladder.
+// set. See that method for the four-case ladder. It is the allocating form
+// of AppendFaultCandidates.
 func (f *FaultAware) FaultCandidates(current, dest topology.NodeID, inDir topology.Direction, inVC, misrouted int) ([]Out, bool) {
-	base := f.base.Candidates(current, dest, inDir, inVC)
-	if len(base) == 0 || f.health.Active() == 0 {
-		return base, false
+	return f.AppendFaultCandidates(nil, current, dest, inDir, inVC, misrouted)
+}
+
+// appendBase appends the base algorithm's candidates to dst, without
+// allocating when the algorithm can.
+func (f *FaultAware) appendBase(dst []Out, current, dest topology.NodeID, inDir topology.Direction, inVC int) []Out {
+	if f.appender != nil {
+		dst, f.dirs = f.appender.AppendCandidates(dst, f.dirs, current, dest, inDir, inVC)
+		return dst
 	}
-	// In-place filter; Candidates returns a fresh slice per call and no
-	// entry is overwritten unless it survives, so the unfiltered set is
-	// intact if we fall through to it.
-	keep := base[:0]
+	return append(dst, f.base.Candidates(current, dest, inDir, inVC)...)
+}
+
+// AppendFaultCandidates is FaultCandidates appending into dst: the same
+// outputs in the same order, in the caller's storage — the simulator passes
+// the worm's own buffer and keeps the result while the header waits, so it
+// never points into the wrapper — and with no allocation per decision when
+// the base algorithm implements CandidateAppender (the misroute fallback,
+// taken when every candidate is known dead, still builds its set afresh).
+func (f *FaultAware) AppendFaultCandidates(dst []Out, current, dest topology.NodeID, inDir topology.Direction, inVC, misrouted int) ([]Out, bool) {
+	start := len(dst)
+	dst = f.appendBase(dst, current, dest, inDir, inVC)
+	base := dst[start:]
+	if len(base) == 0 || f.health.Active() == 0 {
+		return dst, false
+	}
+	// Filter in place: nothing is overwritten unless it survives the
+	// filter, so the unfiltered set stays intact whenever we fall through.
+	keep := dst[:start]
 	khop := f.health.Visibility() == fault.VisibilityKHop
 	for _, o := range base {
 		if f.health.Faulted(current, o.Dir) {
@@ -126,8 +158,8 @@ func (f *FaultAware) FaultCandidates(current, dest topology.NodeID, inDir topolo
 		}
 		keep = append(keep, o)
 	}
-	if len(keep) > 0 {
-		if len(keep) < len(base) {
+	if len(keep) > start {
+		if len(keep) < len(dst) {
 			f.masked++
 		}
 		return keep, false
@@ -136,10 +168,10 @@ func (f *FaultAware) FaultCandidates(current, dest topology.NodeID, inDir topolo
 		if alt := f.misrouteSet(current, dest, inDir, inVC); len(alt) > 0 {
 			f.masked++
 			f.misroutes++
-			return alt, true
+			return append(keep, alt...), true
 		}
 	}
-	return base, false
+	return dst, false
 }
 
 // deadWithin reports whether taking output o from node leads into a
@@ -153,19 +185,21 @@ func (f *FaultAware) deadWithin(origin, dest, node topology.NodeID, o Out, depth
 	if !ok || nb == dest {
 		return false
 	}
-	cands := f.base.Candidates(nb, dest, o.Dir, o.VC)
-	if len(cands) == 0 {
-		return false
-	}
-	for _, no := range cands {
+	// This level's candidates are a frame on the look-ahead stack: indexed,
+	// not ranged over, because a deeper level may grow — and move — it.
+	start := len(f.ahead)
+	f.ahead = f.appendBase(f.ahead, nb, dest, o.Dir, o.VC)
+	end := len(f.ahead)
+	dead := end > start
+	for i := start; i < end && dead; i++ {
+		no := f.ahead[i]
 		if f.health.Known(origin, nb, no.Dir) {
 			continue // known broken; try the next continuation
 		}
-		if !f.deadWithin(origin, dest, nb, no, depth-1) {
-			return false
-		}
+		dead = f.deadWithin(origin, dest, nb, no, depth-1)
 	}
-	return true
+	f.ahead = f.ahead[:start]
+	return dead
 }
 
 // misrouteSet is the base algorithm's safe detour set minus directly

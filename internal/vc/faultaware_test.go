@@ -1,6 +1,7 @@
 package vc
 
 import (
+	"math/rand"
 	"testing"
 
 	"turnmodel/internal/fault"
@@ -138,5 +139,217 @@ func TestVCFaultAwarePassthroughWhenHealthy(t *testing.T) {
 	}
 	if fa.MaskedDecisions() != 0 {
 		t.Errorf("healthy network counted %d masked decisions", fa.MaskedDecisions())
+	}
+}
+
+// referenceFaultAware is FaultCandidates as it was before the append form
+// existed — every candidate set a fresh slice from Algorithm.Candidates,
+// the look-ahead recursing over fresh slices — kept as the oracle for
+// AppendFaultCandidates. It reads the wrapper's configuration and counts in
+// its own counters.
+type referenceFaultAware struct {
+	f                 *FaultAware
+	masked, misroutes int64
+}
+
+func (r *referenceFaultAware) candidates(current, dest topology.NodeID, inDir topology.Direction, inVC, misrouted int) ([]Out, bool) {
+	f := r.f
+	base := f.base.Candidates(current, dest, inDir, inVC)
+	if len(base) == 0 || f.health.Active() == 0 {
+		return base, false
+	}
+	var keep []Out
+	khop := f.health.Visibility() == fault.VisibilityKHop
+	for _, o := range base {
+		if f.health.Faulted(current, o.Dir) {
+			continue
+		}
+		if khop && r.deadWithin(current, dest, current, o, f.health.Radius()) {
+			continue
+		}
+		keep = append(keep, o)
+	}
+	if len(keep) > 0 {
+		if len(keep) < len(base) {
+			r.masked++
+		}
+		return keep, false
+	}
+	if f.mis != nil && misrouted < f.pol.MisrouteLimit {
+		var alt []Out
+		for _, o := range f.mis.MisrouteCandidates(current, dest, inDir, inVC) {
+			if !f.health.Faulted(current, o.Dir) {
+				alt = append(alt, o)
+			}
+		}
+		if len(alt) > 0 {
+			r.masked++
+			r.misroutes++
+			return alt, true
+		}
+	}
+	return base, false
+}
+
+func (r *referenceFaultAware) deadWithin(origin, dest, node topology.NodeID, o Out, depth int) bool {
+	f := r.f
+	if depth <= 0 {
+		return false
+	}
+	nb, ok := f.topo.Neighbor(node, o.Dir)
+	if !ok || nb == dest {
+		return false
+	}
+	cands := f.base.Candidates(nb, dest, o.Dir, o.VC)
+	if len(cands) == 0 {
+		return false
+	}
+	for _, no := range cands {
+		if f.health.Known(origin, nb, no.Dir) {
+			continue
+		}
+		if !r.deadWithin(origin, dest, nb, no, depth-1) {
+			return false
+		}
+	}
+	return true
+}
+
+func equalOuts(a, b []Out) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestVCAppendFaultCandidatesMatchesReference holds the append form to the
+// allocating one it replaced, for the native schemes (double-y, dateline),
+// a lifted algorithm that misroutes, and the cube-connected-cycles scheme,
+// which has no allocation-free base path, under local and k-hop visibility,
+// over every (router, destination, arrival channel) the masked relation
+// reaches on random fault sets: the same outputs in the same order after the
+// caller's prefix, the same misroute flag, the same masked and misroute
+// counts, the prefix untouched, and a result that a later decision — which
+// reuses the look-ahead stack — does not disturb.
+func TestVCAppendFaultCandidatesMatchesReference(t *testing.T) {
+	mesh := topology.NewMesh2D(5, 4)
+	lifted, err := New("negative-first", mesh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	algs := []Algorithm{
+		DoubleY(mesh),
+		DatelineDOR(topology.NewKaryNCube(4, 2)),
+		lifted,
+		NewCCCAscending(topology.NewCCC(3)),
+	}
+	policies := []fault.RoutingPolicy{
+		{Visibility: fault.VisibilityLocal, MisrouteLimit: 2},
+		{Visibility: fault.VisibilityKHop, Radius: 3, MisrouteLimit: 2},
+	}
+	rng := rand.New(rand.NewSource(3017))
+	prefix := []Out{{topology.North, 1}, {topology.West, 0}}
+	decisions, maskedSeen, misSeen, fallbacks := 0, int64(0), int64(0), 0
+	for _, alg := range algs {
+		topo := alg.Topology()
+		if _, ok := alg.(CandidateAppender); !ok {
+			fallbacks++
+		}
+		for _, pol := range policies {
+			chans := topo.Channels()
+			var plan fault.Plan
+			for len(plan.Static) < 6 {
+				plan.Static = append(plan.Static, chans[rng.Intn(len(chans))])
+			}
+			fa := vcWrapper(t, alg, plan, pol)
+			ref := &referenceFaultAware{f: fa}
+			var held, heldWant []Out // the previous decision's result
+			type state struct {
+				node topology.NodeID
+				in   topology.Direction
+				vc   int
+			}
+			for dst := topology.NodeID(0); int(dst) < topo.Nodes(); dst++ {
+				seen := make(map[state]bool)
+				var queue []state
+				for src := topology.NodeID(0); int(src) < topo.Nodes(); src++ {
+					if src != dst {
+						queue = append(queue, state{src, topology.Invalid, 0})
+					}
+				}
+				for len(queue) > 0 {
+					st := queue[0]
+					queue = queue[1:]
+					if seen[st] {
+						continue
+					}
+					seen[st] = true
+					misrouted := rng.Intn(3)
+					want, wantMis := ref.candidates(st.node, dst, st.in, st.vc, misrouted)
+					buf := append(make([]Out, 0, 16), prefix...)
+					got, gotMis := fa.AppendFaultCandidates(buf, st.node, dst, st.in, st.vc, misrouted)
+					decisions++
+					if gotMis != wantMis || !equalOuts(got[len(prefix):], want) || !equalOuts(got[:len(prefix)], prefix) {
+						t.Fatalf("%s, %s, faults %+v: at %d for %d arriving %v/vc%d (misrouted %d) got %v misroute=%v, want prefix %v then %v misroute=%v",
+							alg.Name(), pol, plan, st.node, dst, st.in, st.vc, misrouted, got, gotMis, prefix, want, wantMis)
+					}
+					if !equalOuts(held, heldWant) {
+						t.Fatalf("%s: the decision at %d for %d overwrote the previous decision's result", alg.Name(), st.node, dst)
+					}
+					held, heldWant = got, append(prefix[:len(prefix):len(prefix)], want...)
+					for _, o := range want {
+						if fa.health.Faulted(st.node, o.Dir) {
+							continue
+						}
+						if nb, ok := topo.Neighbor(st.node, o.Dir); ok && nb != dst {
+							queue = append(queue, state{nb, o.Dir, o.VC})
+						}
+					}
+				}
+			}
+			if fa.MaskedDecisions() != ref.masked || fa.MisrouteDecisions() != ref.misroutes {
+				t.Fatalf("%s, %s: counted masked=%d misroutes=%d, the reference %d and %d",
+					alg.Name(), pol, fa.MaskedDecisions(), fa.MisrouteDecisions(), ref.masked, ref.misroutes)
+			}
+			maskedSeen += ref.masked
+			misSeen += ref.misroutes
+		}
+	}
+	if decisions < 2000 || maskedSeen == 0 || misSeen == 0 || fallbacks == 0 {
+		t.Fatalf("%d decisions, %d masked, %d misrouted, %d algorithms without AppendCandidates: the case no longer covers the ladder",
+			decisions, maskedSeen, misSeen, fallbacks)
+	}
+}
+
+// TestVCAppendFaultCandidatesZeroAllocs pins what the append form is for:
+// with faults active and the k-hop look-ahead running, a masked decision of
+// an algorithm that implements CandidateAppender allocates nothing.
+func TestVCAppendFaultCandidatesZeroAllocs(t *testing.T) {
+	for _, name := range []string{"double-y", "negative-first"} {
+		mesh := topology.NewMesh2D(8, 8)
+		alg, err := New(name, mesh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol := fault.RoutingPolicy{Visibility: fault.VisibilityKHop, Radius: 3}
+		fa := vcWrapper(t, alg, fault.Plan{Static: []topology.Channel{{From: 27, Dir: topology.West}, {From: 20, Dir: topology.South}}}, pol)
+		var buf [8]Out
+		decide := func() {
+			for cur := topology.NodeID(1); cur < 64; cur++ {
+				fa.AppendFaultCandidates(buf[:0], cur, 0, topology.Invalid, 0, 0)
+			}
+		}
+		decide() // grows the look-ahead stack and the direction scratch
+		if fa.MaskedDecisions() == 0 {
+			t.Fatalf("%s: no decision was masked; the case does not reach the filter", name)
+		}
+		if allocs := testing.AllocsPerRun(20, decide); allocs != 0 {
+			t.Errorf("%s: %v allocations per 63 decisions, want 0", name, allocs)
+		}
 	}
 }

@@ -10,15 +10,45 @@ import (
 	"turnmodel/internal/vc"
 )
 
-// checkInvariants verifies the per-flit engine's structural invariants:
+// activeWorms lists the worms in the network in slot order.
+func activeWorms(n *Network) []*worm {
+	var ws []*worm
+	for _, w := range n.slots {
+		if w != nil {
+			ws = append(ws, w)
+		}
+	}
+	return ws
+}
+
+// positions expands a worm's runs into the per-flit positions the engine
+// no longer keeps: pos[k] is the path index of in-network flit k, -1
+// for the flits not in the network.
+func positions(w *worm) []int {
+	pos := make([]int, w.pkt.Length)
+	for k := range pos {
+		pos[k] = -1
+	}
+	for _, r := range w.runs {
+		for k := r.first; k <= r.last; k++ {
+			pos[k] = r.front - (k - r.first)
+		}
+	}
+	return pos
+}
+
+// checkInvariants verifies the engine's structural invariants:
 //
-//  1. Within a worm, flit positions are strictly decreasing with flit
-//     index (no overtaking) and every in-network flit's buffer is marked
-//     occupied, with no sharing between flits or worms.
+//  1. The runs partition the in-network flits done..sent-1, head first,
+//     and within a worm flit positions strictly decrease with flit index
+//     (no overtaking); every in-network flit's buffer is marked occupied,
+//     with no sharing between flits or worms; the slots are in injection
+//     order — (injection cycle, source), a source injecting at most one
+//     worm per cycle — and every worm knows its own.
 //  2. Channel ownership: a worm owns exactly the channels feeding the
 //     path positions its tail flit has not yet crossed, plus its pending
 //     head allocation.
-//  3. sent/done counters stay consistent with the position array.
+//  3. sent/done counters stay consistent with the runs.
 //  4. The wait table holds exactly the headers waiting for an output, and
 //     visits them in the order of the global request sort it replaced
 //     (see checkWaitTable).
@@ -32,20 +62,40 @@ func checkInvariants(t *testing.T, n *Network) {
 	}
 	coveredBy := make(map[int32]*worm)
 	ownedWant := make(map[int]*worm)
-	for _, w := range n.active {
+	active := activeWorms(n)
+	if len(active) != n.live {
+		t.Fatalf("the slots hold %d worms, live counts %d", len(active), n.live)
+	}
+	for i, w := range active {
+		if n.slots[w.slot] != w {
+			t.Fatalf("%v does not sit in its slot %d", w.pkt, w.slot)
+		}
+		if p, q := w.pkt, active[max(i-1, 0)].pkt; i > 0 && (q.Injected > p.Injected || q.Injected == p.Injected && q.Src >= p.Src) {
+			t.Fatalf("slots out of injection order: %v after %v", p, q)
+		}
 		if w.done > w.sent || w.sent > w.pkt.Length {
 			t.Fatalf("%v: done=%d sent=%d", w.pkt, w.done, w.sent)
 		}
-		prev := len(w.path)
+		next, prev := w.done, len(w.path)
+		for i, r := range w.runs {
+			if r.first != next || r.last < r.first {
+				t.Fatalf("%v: run %d holds flits %d..%d, want it to start at %d", w.pkt, i, r.first, r.last, next)
+			}
+			next = r.last + 1
+			if i > 0 && r.front >= prev {
+				t.Fatalf("%v: run %d at %d overlaps or overtook the run ahead, whose last flit is at %d", w.pkt, i, r.front, prev)
+			}
+			prev = r.tail()
+		}
+		if next != w.sent {
+			t.Fatalf("%v: runs end at flit %d, sent=%d", w.pkt, next, w.sent)
+		}
+		pos := positions(w)
 		for k := w.done; k < w.sent; k++ {
-			p := w.pos[k]
+			p := pos[k]
 			if p < 0 || p >= len(w.path) {
 				t.Fatalf("%v: flit %d at invalid position %d", w.pkt, k, p)
 			}
-			if p >= prev {
-				t.Fatalf("%v: flit %d overtook flit %d (%d >= %d)", w.pkt, k, k-1, p, prev)
-			}
-			prev = p
 			buf := w.path[p]
 			if !n.occupied[buf] {
 				t.Fatalf("%v: flit %d's buffer %d not occupied", w.pkt, k, buf)
@@ -59,7 +109,7 @@ func checkInvariants(t *testing.T, n *Network) {
 		// 1 if the tail has not been injected yet) to the end of path.
 		lo := 1
 		if w.sent == w.pkt.Length {
-			lo = w.pos[w.pkt.Length-1] + 1
+			lo = pos[w.pkt.Length-1] + 1
 		}
 		for j := lo; j < len(w.path); j++ {
 			from := n.bufRouter(w.path[j-1])
@@ -90,7 +140,7 @@ func checkInvariants(t *testing.T, n *Network) {
 func checkWaitTable(t *testing.T, n *Network) {
 	t.Helper()
 	var want []*worm
-	for _, w := range n.active {
+	for _, w := range activeWorms(n) {
 		if !w.arrived && !w.routed {
 			want = append(want, w)
 		}
@@ -122,9 +172,36 @@ func checkWaitTable(t *testing.T, n *Network) {
 	}
 }
 
+// canMove restates the per-flit movement rules of the sweep the runs
+// replaced, on the state between two steps — when every bandwidth stamp is
+// stale, so only buffers and grants decide: some flit of w can move in the
+// next cycle if it sits at the front of an arrived worm (it is consumed),
+// is a header granted a channel whose far buffer is free, or is a body flit
+// whose next buffer on the path is free; or the next flit can be injected.
+func canMove(n *Network, w *worm) bool {
+	pos := positions(w)
+	for k := w.done; k < w.sent; k++ {
+		p := pos[k]
+		switch {
+		case p < len(w.path)-1:
+			if !n.occupied[w.path[p+1]] {
+				return true
+			}
+		case w.arrived:
+			return true
+		case k == 0 && w.routed:
+			next, _ := n.core.Grid.Neighbor(w.headRouter, w.out.Dir)
+			if !n.occupied[n.bufID(next, w.out.Dir, w.out.VC)] {
+				return true
+			}
+		}
+	}
+	return w.sent < w.pkt.Length && !n.occupied[w.path[0]]
+}
+
 // lostWake is the oracle for what sleeps in this engine — refused
-// headers and sources behind an occupied injection buffer; flits are swept
-// every cycle. Between two steps:
+// headers, worms with nothing to move and sources behind an occupied
+// injection buffer. Between two steps:
 //
 //	(b) No waiter at a sleeping router would be granted if offered: its
 //	    candidates are computed and every candidate output virtual channel
@@ -133,14 +210,34 @@ func checkWaitTable(t *testing.T, n *Network) {
 //	    the injection worklist.
 //	(e) A worm on a free list is reachable from nowhere else: not the active
 //	    list, owner or the wait table.
+//	(f) Under recovery every worm that has not arrived has exactly one live
+//	    stall entry, due by the cycle its header times out.
+//	(m) A worm that is not due for the next movement phase's first visits
+//	    cannot move (canMove); the movement phase in progress left nothing
+//	    behind.
 //
-// (The letters are those of internal/network's oracle, whose (a) and (c)
-// are about the worms that sleep there.)
+// (The letters (b) to (f) are those of internal/network's oracle, whose (a)
+// and (c) are about the worms that sleep there.)
 func lostWake(n *Network) error {
 	cycle := n.core.Cycle
 	live := make(map[*worm]bool)
-	for _, w := range n.active {
+	active := activeWorms(n)
+	if len(n.finished) != 0 || n.moving {
+		return fmt.Errorf("cycle %d: the movement phase left %d worms finished", cycle, len(n.finished))
+	}
+	for s := 0; s < 64*len(n.awake); s++ {
+		if n.round.has(s) || n.later.has(s) {
+			return fmt.Errorf("cycle %d: the movement phase left slot %d due", cycle, s)
+		}
+		if n.awake.has(s) && (s >= len(n.slots) || n.slots[s] == nil) {
+			return fmt.Errorf("cycle %d: empty slot %d is due for a visit", cycle, s)
+		}
+	}
+	for _, w := range active {
 		live[w] = true
+		if !n.awake.has(w.slot) && canMove(n, w) {
+			return fmt.Errorf("cycle %d: lost wake: %v can move but is not due for a visit", cycle, w.pkt)
+		}
 		if w.arrived || w.routed || n.wait.Awake(int32(w.headRouter)) {
 			continue
 		}
@@ -164,15 +261,37 @@ func lostWake(n *Network) error {
 		}
 	}
 	free := make(map[*worm]bool)
+	stalls := make(map[*worm]int)
 	for d := range n.dsc {
-		if len(n.dsc[d].injected) != 0 {
-			return fmt.Errorf("cycle %d: domain %d still holds %d injected worms", cycle, d, len(n.dsc[d].injected))
+		dm := &n.dsc[d]
+		if len(dm.injected) != 0 || len(dm.granted) != 0 {
+			return fmt.Errorf("cycle %d: domain %d still holds %d injected and %d granted worms", cycle, d, len(dm.injected), len(dm.granted))
 		}
-		for _, w := range n.dsc[d].free {
+		for _, w := range dm.free {
 			if free[w] || live[w] || w.wait.Listed() || w.pkt != nil {
 				return fmt.Errorf("cycle %d: free list of domain %d holds a worm that is listed twice, active, waiting or still has its packet", cycle, d)
 			}
 			free[w] = true
+		}
+		var late error
+		dm.stalls.Each(func(at int64, e stall) {
+			if e.w.pkt == nil || e.w.pkt.ID != e.id || e.w.arrived {
+				return
+			}
+			stalls[e.w]++
+			if at > e.w.headerArrival+n.core.Recovery.StallCycles {
+				late = fmt.Errorf("cycle %d: %v's stall entry is due at %d, after its header times out", cycle, e.w.pkt, at)
+			}
+		})
+		if late != nil {
+			return late
+		}
+	}
+	if n.core.Recovery.Enabled {
+		for _, w := range active {
+			if !w.arrived && stalls[w] != 1 {
+				return fmt.Errorf("cycle %d: lost timeout: %v has %d live stall entries", cycle, w.pkt, stalls[w])
+			}
 		}
 	}
 	for key, w := range n.owner {

@@ -152,8 +152,9 @@ func TestProbeConservation(t *testing.T) {
 }
 
 // TestProbeUtilizationBounded checks collector utilization stays in [0,1]
-// when fed by the per-flit engine, where the bound is exact by
-// construction (physUsed admits one flit per physical channel per cycle).
+// when fed by this engine, where the bound is exact by construction (one
+// flit per physical channel per cycle: a one-VC channel's holder sends its
+// flits across one after the other).
 func TestProbeUtilizationBounded(t *testing.T) {
 	mesh := topology.NewMesh2D(8, 8)
 	alg, err := vc.New("west-first", mesh)

@@ -2,8 +2,14 @@
 // virtual channels. Unlike internal/network — where a physical channel
 // belongs to one worm at a time, so a worm always advances as a unit —
 // virtual channels share a physical channel's bandwidth (one flit per
-// cycle per physical link), worms interleave flit by flit, and bubbles
-// form naturally. Flits are therefore simulated individually.
+// cycle per physical link), so the worms multiplexed on a link interleave
+// flit by flit and bubbles open inside them. A worm is therefore kept as a
+// short list of runs — stretches of consecutive flits in consecutive
+// buffers — each of which advances one buffer per cycle as a unit and
+// splits where one of its flits is refused bandwidth. Movement visits only
+// the worms that can move, in the order a sweep of every flit in flight
+// would reach them, so the results are those of that sweep (see
+// movementPhase and docs/performance.md).
 //
 // The router model otherwise matches Section 6: one single-flit buffer per
 // input virtual channel, unbounded source queues, immediate consumption at
@@ -16,6 +22,8 @@ package vcnet
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"turnmodel/internal/engine"
 	"turnmodel/internal/fault"
@@ -52,9 +60,9 @@ type Config struct {
 	// zero value leaves routing fault-oblivious.
 	FaultRouting fault.RoutingPolicy
 	// Probe receives simulation events (see metrics.Probe); nil disables
-	// instrumentation. Unlike internal/network, FlitMove is emitted per
-	// flit per physical-channel crossing, so utilization derived from it
-	// is exact.
+	// instrumentation. Unlike internal/network, FlitMove is emitted once
+	// per flit per physical-channel crossing — a run that advances reports
+	// each of its flits — so utilization derived from it is exact.
 	Probe metrics.Probe
 	// UncappedEjection lifts the one-flit-per-cycle limit on each node's
 	// ejection channel, matching internal/network's model of Section 6
@@ -67,9 +75,9 @@ type Config struct {
 	// Shards partitions the network into contiguous spatial domains for
 	// intra-simulation parallelism, mirroring network.Config.Shards, with
 	// bit-identical results at every shard count. In this engine only
-	// injection and routing/allocation fan out: per-flit movement
-	// arbitrates per-cycle physical-channel bandwidth across worms
-	// (physUsed/ejectUse), which is inherently order-dependent, so it
+	// injection and routing/allocation fan out: movement arbitrates each
+	// cycle's physical-channel bandwidth (physUsed/ejectUse) among the
+	// worms in injection order, which is inherently order-dependent, so it
 	// stays serial (see docs/performance.md). Values <= 1 step serially.
 	Shards int
 	// DisableEventSkip turns off event-driven cycle skipping (see
@@ -84,24 +92,28 @@ type Config struct {
 // simulators alias the shared engine type).
 type Packet = network.Packet
 
-// worm tracks a packet's flits individually. path is the chain of input
-// buffers the header has entered; pos[k] is the index into path where flit
-// k currently sits, -1 before injection, len(path) after consumption.
+// worm is a packet in the network. path is the chain of input buffers the
+// header has entered; the flits done..sent-1 are in the network, the ones
+// before done consumed, the ones from sent on still at the source.
 type worm struct {
 	pkt  *Packet
 	path []int32
-	pos  []int
-	// outVC is the allocated output at the header's current router, or
-	// -1 while the header waits.
+	// runs partitions the in-network flits into runs, head first: within
+	// a run flit k sits at path index front-(k-first), and a run's last flit
+	// sits further up the path than the next run's first. Backed by runBuf
+	// until a worm fragments further.
+	runs []run
+	// slot is the worm's index in Network.slots, whose order is injection
+	// order — the order of every movement round.
+	slot int
+	// out is the allocated output at the header's current router, valid
+	// while routed.
 	out    vc.Out
 	routed bool
 	// arrived is set once the header has entered the destination router.
 	arrived       bool
 	headerArrival int64
 	sent, done    int
-	// movedAt[k] is the cycle flit k last moved; a flit moves at most
-	// once per cycle.
-	movedAt []int64
 	// headRouter, inDir and inVC cache the header's position state — the
 	// router holding its buffer and the virtual channel it arrived on —
 	// so the step loop never decodes buffer ids.
@@ -125,9 +137,57 @@ type worm struct {
 
 	candBuf [8]vc.Out
 	pathBuf [16]int32
+	runBuf  [4]run
 }
 
+// run is a stretch of a worm's flits, first..last, in consecutive buffers:
+// flit first at path index front, the others behind it. Its flits all moved
+// in cycle moved, or none of them did this cycle.
+type run struct {
+	first, last int
+	front       int
+	moved       int64
+}
+
+// tail is the path index of the run's last flit.
+func (r *run) tail() int { return r.front - (r.last - r.first) }
+
 func (w *worm) headBuf() int32 { return w.path[len(w.path)-1] }
+
+// mergeRuns joins neighbouring runs that have come to sit nose to tail and
+// share their moved-this-cycle status, so a worm that stopped fragmenting
+// moves as one run again.
+func (w *worm) mergeRuns(cycle int64) {
+	rs := w.runs
+	if len(rs) < 2 {
+		return
+	}
+	k := 0
+	for _, r := range rs[1:] {
+		if p := &rs[k]; p.tail() == r.front+1 && (p.moved == cycle) == (r.moved == cycle) {
+			p.last = r.last
+			continue
+		}
+		k++
+		rs[k] = r
+	}
+	w.runs = rs[:k+1]
+}
+
+// slotSet is a set of slots — indices into Network.slots — as a bitmap, so
+// that its members come out in slot order, which is injection order.
+type slotSet []uint64
+
+func (b slotSet) add(s int)      { b[s>>6] |= 1 << (s & 63) }
+func (b slotSet) remove(s int)   { b[s>>6] &^= 1 << (s & 63) }
+func (b slotSet) has(s int) bool { return b[s>>6]&(1<<(s&63)) != 0 }
+
+// stall is a worm's stall timeout (recovery only); the packet ID tells an
+// entry that outlived its packet from a live one, worms being recycled.
+type stall struct {
+	w  *worm
+	id int64
+}
 
 // Network is the virtual-channel simulator state.
 type Network struct {
@@ -145,10 +205,16 @@ type Network struct {
 
 	// physUsed and ejectUse enforce one flit per physical (respectively
 	// ejection) channel per cycle; stamping with the cycle number makes
-	// "clear at start of phase" free. uncappedEject disables the
-	// ejection limit (Config.UncappedEjection).
+	// "clear at start of phase" free. Only physical channels carrying more
+	// than one virtual channel are stamped: a one-VC channel is held by one
+	// worm, whose flits cross it at most once each. stampOf names, for
+	// every buffer, the physUsed entry of the physical channel feeding it,
+	// or -1 when that carries one virtual channel (or the buffer is an
+	// injection buffer). uncappedEject disables the ejection limit
+	// (Config.UncappedEjection).
 	physUsed      []int64 // node*2n+dir -> last cycle the channel carried a flit
 	ejectUse      []int64 // node -> last cycle the ejection channel was used
+	stampOf       []int32 // buffer id -> physUsed index, or -1
 	uncappedEject bool
 
 	// routerOf, portDir and portVC decode buffer ids without division;
@@ -163,7 +229,13 @@ type Network struct {
 	masked   *vc.FaultAware
 	appender vc.CandidateAppender
 
-	active    []*worm
+	// slots holds the worms in the network in injection order, nil where
+	// one has left since the last compaction (see activate); live counts
+	// them. finished collects the worms whose last flit was consumed this
+	// cycle, for retirePhase.
+	slots     []*worm
+	live      int
+	finished  []*worm
 	delivered []*Packet
 	// wait holds the headers waiting for an output virtual channel, filed
 	// by router in local-FCFS order (header arrival cycle, then packet ID;
@@ -171,9 +243,18 @@ type Network struct {
 	// collecting and sorting requests.
 	wait *engine.WaitTable[*worm]
 
+	// awake holds the slots of the worms the next movement phase visits
+	// first; round and later are the current and the next round of the
+	// movement phase in progress, whose visit is at slot cursor, and more
+	// records that a wake landed in later (see movementPhase and wakeWorm).
+	// All three have a bit for every slot.
+	awake, round, later slotSet
+	moving, more        bool
+	cursor              int
+
 	victims []*worm
-	// dirScratch and candScratch are reused by the appender fast path and
-	// reachable()'s candidate queries.
+	// dirScratch and candScratch are reused by reachable()'s candidate
+	// queries.
 	dirScratch  []topology.Direction
 	candScratch []vc.Out
 
@@ -188,13 +269,17 @@ type Network struct {
 }
 
 // vcDomain is one domain's share of what injection and phase 2 touch: the
-// worms its pool worker injected this cycle, its stock of recycled worms
-// (see newWorm), and — because the fault-masking wrapper's counters and the
-// appender's direction scratch are not concurrent-safe — a per-domain
-// wrapper over the shared read-only Health (nil unless masking is on) and a
-// per-domain scratch slice. Padded against false sharing.
+// worms its pool worker injected this cycle, the worms its phase 2 granted
+// an output or found arrived (movement's first visits), its stall timers
+// and its stock of recycled worms (see newWorm), and — because the
+// fault-masking wrapper's counters and scratch and the appender's direction
+// scratch are not concurrent-safe — a per-domain wrapper over the shared
+// read-only Health (nil unless masking is on) and a per-domain scratch
+// slice. Padded against false sharing.
 type vcDomain struct {
 	injected   []*worm
+	granted    []*worm
+	stalls     engine.Timers[stall]
 	free       []*worm
 	masked     *vc.FaultAware
 	dirScratch []topology.Direction
@@ -227,15 +312,25 @@ func New(cfg Config) *Network {
 	n.routerOf = make([]int32, topo.Nodes()*n.ports)
 	n.portDir = make([]int16, topo.Nodes()*n.ports)
 	n.portVC = make([]int16, topo.Nodes()*n.ports)
+	n.stampOf = make([]int32, topo.Nodes()*n.ports)
+	multi := make([]bool, n.dims2)
+	for d := range multi {
+		multi[d] = cfg.Routing.VCs(topology.Direction(d)) > 1
+	}
 	for b := range n.routerOf {
 		n.routerOf[b] = int32(b / n.ports)
+		n.stampOf[b] = -1
 		p := b % n.ports
 		if p == n.ports-1 {
 			n.portDir[b] = int16(topology.Invalid)
 			n.portVC[b] = 0
-		} else {
-			n.portDir[b] = int16(p / n.maxVC)
-			n.portVC[b] = int16(p % n.maxVC)
+			continue
+		}
+		d := topology.Direction(p / n.maxVC)
+		n.portDir[b] = int16(d)
+		n.portVC[b] = int16(p % n.maxVC)
+		if from, ok := topo.Neighbor(topology.NodeID(b/n.ports), d.Opposite()); ok && multi[d] {
+			n.stampOf[b] = int32(int(from)*n.dims2 + int(d))
 		}
 	}
 	n.core = engine.NewCore(engine.Config{
@@ -299,44 +394,47 @@ func (n *Network) Close() {
 }
 
 // newWorm puts the packet's header into the node's free injection buffer,
-// where it starts waiting for an output. The worm — and with it the
-// per-flit pos and movedAt slices, when they are long enough — comes off
-// domain d's free list when that has one: retirePhase and abort put worms
-// there once nothing in the network refers to them any more — not owner,
-// the wait table or the active list — and every field is set afresh here.
+// where it starts waiting for an output. The worm — and with it a path or
+// run list that outgrew the worm's inline buffers — comes off domain d's
+// free list when that has one: retirePhase and abort put worms there once
+// nothing in the network refers to them any more — not owner, the wait
+// table or the slots — and every field is set afresh here. A stall timer
+// may still name the worm: its entry carries the packet's ID and is dropped
+// when that no longer matches. Under recovery the new worm's own stall
+// timeout is armed.
 func (n *Network) newWorm(d int, node topology.NodeID, p *Packet) *worm {
 	dm := &n.dsc[d]
 	var w *worm
-	var pos []int
-	var movedAt []int64
 	if k := len(dm.free) - 1; k >= 0 {
 		w, dm.free[k], dm.free = dm.free[k], nil, dm.free[:k]
-		pos, movedAt = w.pos, w.movedAt
 	} else {
 		w = new(worm)
 	}
-	if cap(pos) < p.Length {
-		pos, movedAt = make([]int, p.Length), make([]int64, p.Length)
-	}
+	path, runs := w.path, w.runs
 	inj := n.injID(node)
 	*w = worm{
 		pkt:           p,
-		pos:           pos[:p.Length],
-		movedAt:       movedAt[:p.Length],
 		sent:          1,
 		headerArrival: n.core.Cycle,
 		headRouter:    node,
 		inDir:         topology.Invalid,
 	}
 	w.wait.Owner = w
-	w.path = append(w.pathBuf[:0], inj)
-	for i := range w.pos {
-		w.pos[i] = -1
-		w.movedAt[i] = -1
+	if cap(path) <= len(w.pathBuf) {
+		path = w.pathBuf[:]
 	}
-	w.pos[0] = 0
+	w.path = append(path[:0], inj)
+	if cap(runs) <= len(w.runBuf) {
+		runs = w.runBuf[:]
+	}
+	// The header has not moved this cycle: granted in phase 2, it hops in
+	// phase 3 of the cycle it was injected in.
+	w.runs = append(runs[:0], run{moved: -1})
 	n.occupied[inj] = true
 	n.enlist(w)
+	if rec := &n.core.Recovery; rec.Enabled {
+		dm.stalls.Push(w.headerArrival+rec.StallCycles, stall{w: w, id: p.ID})
+	}
 	return w
 }
 
@@ -344,6 +442,47 @@ func (n *Network) newWorm(d int, node topology.NodeID, p *Packet) *worm {
 // router and waits there for an output, first come first served.
 func (n *Network) enlist(w *worm) {
 	n.wait.Enlist(&w.wait, int32(w.headRouter), w.headerArrival, w.pkt.ID)
+}
+
+// activate gives a newly injected worm the next slot. When more than half
+// of the slots are holes left by worms that retired or were aborted, the
+// live worms are first packed down, in order, taking their awake bits with
+// them — activate runs before the movement phase, when no round is under
+// way — so slots and bitmaps stay within twice the population.
+func (n *Network) activate(w *worm) {
+	if len(n.slots) >= 2*n.live+64 {
+		k := 0
+		for s, x := range n.slots {
+			if x == nil {
+				continue
+			}
+			if n.awake.has(s) {
+				n.awake.remove(s)
+				n.awake.add(k)
+			}
+			x.slot = k
+			n.slots[k] = x
+			k++
+		}
+		clear(n.slots[k:])
+		n.slots = n.slots[:k]
+	}
+	w.slot = len(n.slots)
+	n.slots = append(n.slots, w)
+	n.live++
+	if words := (len(n.slots) + 63) >> 6; words > len(n.awake) {
+		n.awake = append(n.awake, 0)
+		n.round = append(n.round, 0)
+		n.later = append(n.later, 0)
+	}
+}
+
+// deactivate takes a worm that retired or was aborted out of the slots; a
+// movement phase is not under way, so only its awake bit can be set.
+func (n *Network) deactivate(w *worm) {
+	n.slots[w.slot] = nil
+	n.awake.remove(w.slot)
+	n.live--
 }
 
 // recycle puts a worm nothing refers to any more on a free list — the one
@@ -356,14 +495,14 @@ func (n *Network) recycle(w *worm) {
 
 // placeWorm is the core's injection hook.
 func (n *Network) placeWorm(node topology.NodeID, p *Packet) {
-	n.active = append(n.active, n.newWorm(n.wait.PartOf(int32(node)), node, p))
+	n.activate(n.newWorm(n.wait.PartOf(int32(node)), node, p))
 }
 
 // placeWormShard is the core's sharded injection hook: placeWorm with the
 // worm taken off the domain's own free list and parked on its injected
-// list; Step appends the lists to the active list in domain order,
-// reproducing the serial ascending-node injection order. The injecting
-// node — and so the worm's wait-table entry — belongs to this domain.
+// list; Step activates the lists in domain order, reproducing the serial
+// ascending-node injection order. The injecting node — and so the worm's
+// wait-table entry — belongs to this domain.
 func (n *Network) placeWormShard(d int, node topology.NodeID, p *Packet) {
 	n.dsc[d].injected = append(n.dsc[d].injected, n.newWorm(d, node, p))
 }
@@ -390,6 +529,12 @@ func (n *Network) bufPort(buf int32) (topology.Direction, int) {
 
 func (n *Network) ownerKey(node topology.NodeID, d topology.Direction, v int) int {
 	return (int(node)*n.dims2+int(d))*n.maxVC + v
+}
+
+// feederKey is the owner key of the virtual channel from buffer from's
+// router into buffer to, the one channel that feeds to.
+func (n *Network) feederKey(from, to int32) int {
+	return (int(n.routerOf[from])*n.dims2+int(n.portDir[to]))*n.maxVC + int(n.portVC[to])
 }
 
 // Cycle is the current simulation time.
@@ -429,7 +574,7 @@ func (n *Network) QueueLen(node topology.NodeID) int { return n.core.QueueLen(no
 
 // InFlight counts queued, in-network, and retry-pending packets:
 // enqueued = delivered + dropped + in-flight at all times.
-func (n *Network) InFlight() int { return len(n.active) + n.core.Backlog() }
+func (n *Network) InFlight() int { return n.live + n.core.Backlog() }
 
 // FlitsConsumed is the cumulative delivered flit count.
 func (n *Network) FlitsConsumed() int64 { return n.core.FlitsConsumed }
@@ -484,15 +629,18 @@ func (n *Network) TakeDelivered() []*Packet {
 	return out
 }
 
-// Step advances one cycle: injection, routing/allocation, then per-flit
-// movement with one flit per physical channel per cycle.
+// Step advances one cycle: injection, routing/allocation, then movement
+// with one flit per physical channel per cycle.
 //
-// With Config.Shards > 1, injection and routing/allocation fan out over the
-// spatial domains on the worker pool, with the same ordered merges as
-// internal/network's step and bit-identical results; per-flit movement —
-// whose physical-channel bandwidth arbitration is order-dependent — and
-// retirement stay serial. See docs/performance.md for why this engine
-// parallelizes fewer phases than internal/network.
+// Nothing that cannot move is looked at: movement visits the worms woken
+// since their last visit (see movementPhase), stall timeouts sleep on
+// timers (see recoveryPhase), and retirement runs only on a cycle that
+// finished a worm. With Config.Shards > 1, injection and routing/allocation
+// fan out over the spatial domains on the worker pool, with the same
+// ordered merges as internal/network's step and bit-identical results;
+// movement — whose physical-channel bandwidth arbitration is
+// order-dependent — and retirement stay serial. See docs/performance.md for
+// why this engine parallelizes fewer phases than internal/network.
 func (n *Network) Step() error {
 	c := &n.core
 
@@ -506,19 +654,27 @@ func (n *Network) Step() error {
 	// Phase 1: injection, over the core's worklist of nodes that have
 	// something to send and may have room to send it. Due retries take
 	// priority; packets whose destination the fault set has cut off
-	// entirely are dropped. The worms the pool workers injected merge in
-	// domain order, reproducing the serial ascending-node active order.
+	// entirely are dropped. The worms the pool workers injected are
+	// activated in domain order, reproducing the serial ascending-node
+	// injection order.
 	progress := c.InjectPhase()
 	for d := range n.dsc {
 		dm := &n.dsc[d]
-		n.active = append(n.active, dm.injected...)
+		for _, w := range dm.injected {
+			n.activate(w)
+		}
 		clear(dm.injected)
 		dm.injected = dm.injected[:0]
+	}
+	if n.live == 0 {
+		// An empty network: nobody waits or moves.
+		return n.finishStep(progress)
 	}
 
 	// Phase 2: routing and allocation at the routers where something
 	// changed, local FCFS per router, straight off the wait table: one
-	// task per domain, on the pool or one after the other.
+	// task per domain, on the pool or one after the other. The worms it
+	// granted an output or found arrived are movement's to visit.
 	if n.shards > 1 {
 		c.RunShards(n.arbitrateFn)
 		c.AbsorbShardEmitters()
@@ -527,96 +683,177 @@ func (n *Network) Step() error {
 			n.arbitrate(d)
 		}
 	}
+	for d := range n.dsc {
+		dm := &n.dsc[d]
+		for _, w := range dm.granted {
+			n.awake.add(w.slot)
+		}
+		clear(dm.granted)
+		dm.granted = dm.granted[:0]
+	}
 
-	// Phase 3: per-flit movement; phase 4: retirement and the watchdog.
+	// Phase 3: movement; phase 4: retirement and the watchdog.
 	if n.movementPhase() {
 		progress = true
 	}
-	n.retirePhase()
+	if len(n.finished) > 0 {
+		n.retirePhase()
+	}
 	return n.finishStep(progress)
 }
 
 // recoveryPhase aborts any worm whose header has been stuck past the stall
-// threshold; always serial (aborts mutate the active list and shared retry
-// state).
+// threshold. It looks at the stall timers that are due, not at the worms:
+// every worm that has not arrived has exactly one entry, armed by newWorm
+// for the cycle its header would have stood still for StallCycles. A due
+// entry whose worm has arrived since, or has been retired and recycled for
+// another packet, is dropped; one whose header has moved is re-armed for the
+// cycle the new position times out; the rest are the victims, on exactly
+// the cycle a scan of every active worm would find them. They are aborted
+// in injection order, the order of that scan: abort order is the order of
+// the retry lists and of the Abort, Retry and Drop events. Always serial
+// (aborts mutate the slots and shared retry state).
 func (n *Network) recoveryPhase() {
 	c := &n.core
-	n.victims = n.victims[:0]
-	for _, w := range n.active {
-		if !w.arrived && c.Cycle-w.headerArrival >= c.Recovery.StallCycles {
-			n.victims = append(n.victims, w)
+	v := n.victims[:0]
+	for d := range n.dsc {
+		stalls := &n.dsc[d].stalls
+		for {
+			e, ok := stalls.PopDue(c.Cycle)
+			if !ok {
+				break
+			}
+			w := e.w
+			if w.pkt == nil || w.pkt.ID != e.id || w.arrived {
+				continue
+			}
+			if due := w.headerArrival + c.Recovery.StallCycles; due > c.Cycle {
+				stalls.Push(due, e)
+				continue
+			}
+			v = append(v, w)
 		}
 	}
-	for _, w := range n.victims {
+	sortBySlot(v)
+	for _, w := range v {
 		n.abort(w)
 	}
+	clear(v)
+	n.victims = v[:0]
 }
 
-// movementPhase is the per-flit movement loop. Worms are processed
-// head-to-tail so a worm pipelines within itself; iterate to a fixpoint so
-// a flit can enter a buffer another packet vacated this cycle. Each flit
-// moves at most once (movedAt), and each physical channel carries at most
-// one flit (physUsed/ejectUse are stamped with the current cycle, so
-// clearing them between cycles is free).
+// movementPhase moves every worm that can move, with the outcome of a sweep
+// that visits every active worm in injection order — each worm's flits head
+// to tail, one buffer each, each physical channel carrying one flit — and
+// repeats until a round moves nothing, so that a flit can enter a buffer
+// another worm vacated earlier in the cycle. Each physical channel and each
+// ejection channel carries at most one flit per cycle — stamped in physUsed
+// and ejectUse with the current cycle, so clearing them between cycles is
+// free, and won by the first worm in visit order to ask: the visit order is
+// the arbitration. (A channel with one virtual channel needs no stamp: its
+// one holder's flits cross it one after the other.)
 //
+// A visit that moves nothing changes nothing, so the rounds visit only the
+// worms that can have something to move — in injection order, as the sweep
+// would reach them. A worm is due in the next cycle's first round if it
+// moved (its flits may move on) or one of its flits was refused bandwidth
+// (the stamps clear with the cycle), and in this cycle's if phase 2 granted
+// its header an output or found it arrived, or recovery freed a buffer it
+// waits for. Within a cycle only a header can be blocked by another worm:
+// it waits for the previous holder's tail to leave the buffer its new
+// virtual channel feeds, and the tail's leaving wakes it (wakeWorm) — into
+// the round under way if the sweep's cursor has not yet passed it, into the
+// next round otherwise, which is exactly when the sweep would reach it.
 // Movement is serial even under sharding: the bandwidth stamps arbitrate
-// competing worms on shared physical channels in visit order, so any
-// reordering — unlike in internal/network, where a granted worm's target
-// buffer is exclusively owned — could change which flit wins a channel.
+// competing worms in visit order, so any reordering could change which flit
+// wins a channel.
 func (n *Network) movementPhase() bool {
 	progress := false
+	n.moving = true
+	n.round, n.awake = n.awake, n.round
+	words := (len(n.slots) + 63) >> 6
 	for {
-		any := false
-		for _, w := range n.active {
-			if n.moveWorm(w) {
-				any = true
+		n.more = false
+		for i := 0; i < words; i++ {
+			// Reread the word after every visit: a wake may have added a
+			// slot beyond the cursor to it.
+			for n.round[i] != 0 {
+				s := i<<6 | bits.TrailingZeros64(n.round[i])
+				n.round.remove(s)
+				n.cursor = s
+				w := n.slots[s]
+				moved, refused := n.moveWorm(w)
+				if moved {
+					progress = true
+				}
+				if (moved || refused) && w.done < w.pkt.Length {
+					n.awake.add(s)
+				}
 			}
 		}
-		if !any {
+		n.round, n.later = n.later, n.round
+		if !n.more {
 			break
 		}
-		progress = true
 	}
+	n.moving = false
 	return progress
 }
 
-// retirePhase removes completed worms from the active list, preserving
-// order, and records their delivery.
+// wakeWorm makes a worm due for a visit: between steps, in the next
+// movement phase's first round; during one, in the round under way if that
+// has not reached the worm's slot yet, and in the next one otherwise.
+func (n *Network) wakeWorm(w *worm) {
+	switch {
+	case !n.moving:
+		n.awake.add(w.slot)
+	case w.slot > n.cursor:
+		n.round.add(w.slot)
+	default:
+		n.later.add(w.slot)
+		n.more = true
+	}
+}
+
+// retirePhase takes the worms whose last flit was consumed this cycle out
+// of the slots and records their delivery, in injection order whatever
+// order movement finished them in: TakeDelivered's order feeds the callers'
+// floating-point latency sums.
 func (n *Network) retirePhase() {
 	c := &n.core
-	out := n.active[:0]
-	for _, w := range n.active {
-		if w.done == w.pkt.Length {
-			w.pkt.Arrived = c.Cycle
-			n.delivered = append(n.delivered, w.pkt)
-			c.PacketsDone++
-			p := w.pkt
-			c.Em.Deliver(c.Cycle, p.Src, p.Dst, p.Length, p.Hops,
-				p.Injected-p.Created, p.Arrived-p.Injected)
-			n.recycle(w)
-		} else {
-			out = append(out, w)
-		}
+	f := n.finished
+	sortBySlot(f)
+	for _, w := range f {
+		p := w.pkt
+		p.Arrived = c.Cycle
+		n.delivered = append(n.delivered, p)
+		c.PacketsDone++
+		c.Em.Deliver(c.Cycle, p.Src, p.Dst, p.Length, p.Hops,
+			p.Injected-p.Created, p.Arrived-p.Injected)
+		n.deactivate(w)
+		n.recycle(w)
 	}
-	for i := len(out); i < len(n.active); i++ {
-		n.active[i] = nil
-	}
-	n.active = out
+	clear(f)
+	n.finished = f[:0]
+}
+
+// sortBySlot puts worms in slot order, which is injection order.
+func sortBySlot(ws []*worm) {
+	slices.SortFunc(ws, func(a, b *worm) int { return a.slot - b.slot })
 }
 
 // finishStep closes the cycle through the core and builds the deadlock
 // error if the watchdog fired.
 func (n *Network) finishStep(progress bool) error {
 	c := &n.core
-	if c.EndStep(progress, len(n.active)) {
+	if c.EndStep(progress, n.live) {
 		stuck := make([]*Packet, 0, 4)
-		for _, w := range n.active {
-			stuck = append(stuck, w.pkt)
-			if len(stuck) == 4 {
-				break
+		for _, w := range n.slots {
+			if w != nil && len(stuck) < 4 {
+				stuck = append(stuck, w.pkt)
 			}
 		}
-		return c.Deadlock(len(n.active), stuck)
+		return c.Deadlock(n.live, stuck)
 	}
 	return nil
 }
@@ -625,7 +862,8 @@ func (n *Network) finishStep(progress bool) error {
 // waiting at one of the part's awake routers — routers ascending, each
 // router's waiters first come first served — is marked arrived if it sits
 // at its destination, and otherwise offered its candidate output virtual
-// channels. A header leaves the table when it is granted one or arrives; a
+// channels. A header leaves the table when it is granted one or arrives,
+// and its worm goes on the domain's granted list for movement to visit; a
 // blocked one stays, and its router sleeps until one of its output virtual
 // channels is released or the fault set changes — nothing else can turn the
 // refusal into a grant, the candidates being fixed while the header waits.
@@ -641,7 +879,6 @@ func (n *Network) finishStep(progress bool) error {
 func (n *Network) arbitrate(d int) {
 	c := &n.core
 	dm := &n.dsc[d]
-	masked, dirScratch := dm.masked, &dm.dirScratch
 	em := &c.Em
 	if n.shards > 1 {
 		em = c.ShardEmitter(d)
@@ -656,16 +893,18 @@ func (n *Network) arbitrate(d int) {
 		if r == w.pkt.Dst {
 			w.arrived = true
 			it.Delist()
+			dm.granted = append(dm.granted, w)
 			continue
 		}
 		if !w.candsValid {
 			// Fixed while the header waits in this buffer; computed
 			// once per hop rather than once per cycle.
-			if masked != nil {
-				w.cands, w.candsMis = masked.FaultCandidates(r, w.pkt.Dst, w.inDir, w.inVC, w.misroutes)
+			if dm.masked != nil {
+				w.cands, w.candsMis = dm.masked.AppendFaultCandidates(
+					w.candBuf[:0], r, w.pkt.Dst, w.inDir, w.inVC, w.misroutes)
 			} else if n.appender != nil {
-				w.cands, *dirScratch = n.appender.AppendCandidates(
-					w.candBuf[:0], *dirScratch, r, w.pkt.Dst, w.inDir, w.inVC)
+				w.cands, dm.dirScratch = n.appender.AppendCandidates(
+					w.candBuf[:0], dm.dirScratch, r, w.pkt.Dst, w.inDir, w.inVC)
 			} else {
 				w.cands = n.alg.Candidates(r, w.pkt.Dst, w.inDir, w.inVC)
 			}
@@ -682,6 +921,7 @@ func (n *Network) arbitrate(d int) {
 				w.out = out
 				w.routed = true
 				it.Delist()
+				dm.granted = append(dm.granted, w)
 				break
 			}
 		}
@@ -695,56 +935,51 @@ func (n *Network) arbitrate(d int) {
 // arrived, and done only advances on arrived worms, so no flit of it was
 // consumed: freeing every buffer its flits occupy and every virtual
 // channel it still owns loses nothing; the shared core then requeues the
-// packet at its source with backoff or drops it.
+// packet at its source with backoff or drops it. A header granted the
+// channel feeding a freed buffer may have been waiting for it, and is woken.
 func (n *Network) abort(w *worm) {
-	for k := w.done; k < w.sent; k++ {
-		n.occupied[w.path[w.pos[k]]] = false
-		if w.pos[k] == 0 {
-			n.core.WakeSource(w.pkt.Src)
+	for i := range w.runs {
+		r := &w.runs[i]
+		for j := r.tail(); j <= r.front; j++ {
+			n.occupied[w.path[j]] = false
+			if j == 0 {
+				n.core.WakeSource(w.pkt.Src)
+			}
 		}
 	}
 	// Channels feeding path[j] stay owned until the tail flit passes
 	// path[j]; nothing has been released while the tail is uninjected.
 	tailPos := 0
 	if w.sent == w.pkt.Length {
-		tailPos = w.pos[w.pkt.Length-1]
+		tailPos = w.runs[len(w.runs)-1].tail()
 	}
 	for j := tailPos + 1; j < len(w.path); j++ {
-		from := n.bufRouter(w.path[j-1])
-		dir, v := n.bufPort(w.path[j])
-		if dir != topology.Invalid {
-			n.release(from, dir, v)
-		}
+		n.release(n.feederKey(w.path[j-1], w.path[j]), n.bufRouter(w.path[j-1]))
 	}
 	if w.routed {
-		n.release(w.headRouter, w.out.Dir, w.out.VC)
+		n.release(n.ownerKey(w.headRouter, w.out.Dir, w.out.VC), w.headRouter)
 	}
 	n.wait.Delist(&w.wait)
-	for i, x := range n.active {
-		if x == w {
-			n.active = append(n.active[:i], n.active[i+1:]...)
-			break
+	for i := range w.runs {
+		r := &w.runs[i]
+		for j := max(r.tail(), 1); j <= r.front; j++ {
+			if x := n.owner[n.feederKey(w.path[j-1], w.path[j])]; x != nil {
+				n.wakeWorm(x)
+			}
 		}
 	}
+	n.deactivate(w)
 	p := w.pkt
 	n.recycle(w)
 	n.core.FinishAbort(p)
 }
 
-// release frees an output virtual channel and wakes its router: a header
-// refused there may have been waiting for it.
-func (n *Network) release(from topology.NodeID, dir topology.Direction, v int) {
-	n.owner[n.ownerKey(from, dir, v)] = nil
+// release frees the output virtual channel with the given owner key, one
+// of router from's, and wakes the router: a header refused there may have
+// been waiting for it.
+func (n *Network) release(key int, from topology.NodeID) {
+	n.owner[key] = nil
 	n.wait.Wake(int32(from))
-}
-
-// leave vacates the buffer at path[p] that flit k moves out of. When the
-// tail leaves the injection buffer, the source may inject again.
-func (n *Network) leave(w *worm, k, p int) {
-	n.occupied[w.path[p]] = false
-	if p == 0 && k == w.pkt.Length-1 {
-		n.core.WakeSource(w.pkt.Src)
-	}
 }
 
 // reachable reports whether a packet injected at src can reach dst under
@@ -778,7 +1013,8 @@ func (n *Network) reachable(src, dst topology.NodeID) bool {
 			// Under fault-aware routing the packet follows the masked
 			// relation, so retry feasibility must too (misroute budget
 			// treated as fresh, matching a reinjected packet).
-			outs, _ = n.masked.FaultCandidates(node, dst, inDir, inVC, 0)
+			n.candScratch, _ = n.masked.AppendFaultCandidates(n.candScratch[:0], node, dst, inDir, inVC, 0)
+			outs = n.candScratch
 		} else if n.appender != nil {
 			n.candScratch, n.dirScratch = n.appender.AppendCandidates(
 				n.candScratch[:0], n.dirScratch, node, dst, inDir, inVC)
@@ -809,135 +1045,204 @@ func (n *Network) reachable(src, dst topology.NodeID) bool {
 	return found
 }
 
-// moveWorm advances whichever flits of w can move this cycle, head first.
-// It returns true if anything moved.
-func (n *Network) moveWorm(w *worm) bool {
-	cycle := n.core.Cycle
-	anything := false
-	for k := w.done; k < w.sent; k++ {
-		if w.movedAt[k] == cycle {
-			continue
-		}
-		if n.moveFlit(w, k) {
-			w.movedAt[k] = cycle
-			anything = true
-		}
-	}
-	// Inject the next flit if the injection buffer just freed up.
-	if w.sent < w.pkt.Length && !n.occupied[w.path[0]] && w.movedAt[w.sent] != cycle {
-		w.pos[w.sent] = 0
-		n.occupied[w.path[0]] = true
-		w.movedAt[w.sent] = cycle
-		w.sent++
-		anything = true
-	}
-	return anything
-}
-
-// moveFlit tries to advance flit k of worm w by one hop.
-func (n *Network) moveFlit(w *worm, k int) bool {
+// moveWorm advances whatever of w can move this cycle, run by run from the
+// head: a run whose first flit can move — consumed at the destination, the
+// header hopping over its allocated channel, or a body flit entering the
+// free buffer ahead — advances one buffer together with as many of its
+// flits as are granted bandwidth, and splits behind the first that is not;
+// then the next flit enters the injection buffer if that is free. This is
+// flit-by-flit movement head to tail with one move per flit per cycle: a
+// flit blocked by its predecessor's buffer moves exactly when its
+// predecessor does. It reports whether anything moved and whether a flit
+// was refused bandwidth.
+func (n *Network) moveWorm(w *worm) (moved, refused bool) {
 	c := &n.core
 	cycle := c.Cycle
-	p := w.pos[k]
-	cur := w.path[p]
-	if p == len(w.path)-1 {
-		// Front of the worm: either the header extends the path or a
-		// flit is consumed at the destination.
-		router := w.headRouter
-		if w.arrived {
-			if !n.uncappedEject {
-				if n.ejectUse[router] == cycle {
-					return false
-				}
-				n.ejectUse[router] = cycle
+	w.mergeRuns(cycle)
+	// ahead is the path index of the nearest flit ahead of the run being
+	// moved; a run may only enter a free buffer.
+	ahead := len(w.path)
+	for i := 0; i < len(w.runs); i++ {
+		r := w.runs[i]
+		size := r.last - r.first + 1
+		if r.moved == cycle {
+			ahead = r.tail()
+			continue
+		}
+		// m counts the run's flits that move, head first.
+		m, eject := 0, false
+		switch {
+		case r.front+1 < len(w.path):
+			if r.front+1 != ahead {
+				m = n.advance(w, r.front, size)
+				refused = refused || m < size
 			}
-			n.leave(w, k, p)
-			w.pos[k] = p + 1
+		case w.arrived:
+			if n.uncappedEject || n.ejectUse[w.headRouter] != cycle {
+				if !n.uncappedEject {
+					n.ejectUse[w.headRouter] = cycle
+				}
+				m, eject = 1+n.advance(w, r.front-1, size-1), true
+				refused = refused || m < size
+			} else {
+				refused = true
+			}
+		case w.routed:
+			// The front of a worm whose header has not arrived is the
+			// header.
+			hopped, busy := n.hop(w)
+			if hopped {
+				m = 1 + n.advance(w, r.front-1, size-1)
+			}
+			refused = refused || busy || hopped && m < size
+		}
+		if m == 0 {
+			ahead = r.tail()
+			continue
+		}
+		moved = true
+
+		// Flits first..first+m-1 advanced one buffer: the one the last of
+		// them left is vacated, the one ahead of the run filled, unless the
+		// first was consumed.
+		lastMoved := r.first + m - 1
+		vacated := r.front - m + 1
+		n.occupied[w.path[vacated]] = false
+		advanced := run{first: r.first, last: lastMoved, front: r.front + 1, moved: cycle}
+		if eject {
+			advanced.first++
+			advanced.front = r.front
 			w.done++
 			c.FlitsConsumed++
-			n.releaseBehind(w, p)
-			return true
+			if w.done == w.pkt.Length {
+				n.finished = append(n.finished, w)
+			}
+		} else {
+			n.occupied[w.path[r.front+1]] = true
 		}
-		if k != 0 || !w.routed {
-			return false
+		if lastMoved == w.pkt.Length-1 {
+			n.tailLeft(w, vacated)
 		}
-		next, ok := c.Grid.Neighbor(router, w.out.Dir)
-		if !ok {
-			panic(fmt.Sprintf("vcnet: allocated output %v at node %d has no channel", w.out, router))
+		rest := run{first: lastMoved + 1, last: r.last, front: r.front - m, moved: r.moved}
+		switch {
+		case advanced.first > advanced.last && m == size:
+			// The run was one flit, consumed.
+			w.runs = slices.Delete(w.runs, i, i+1)
+			i--
+			ahead = vacated + 1
+		case advanced.first > advanced.last:
+			w.runs[i] = rest
+			ahead = rest.tail()
+		case m == size:
+			w.runs[i] = advanced
+			ahead = vacated + 1
+		default:
+			// Split: the rest was refused, and stays put this cycle.
+			w.runs[i] = advanced
+			w.runs = slices.Insert(w.runs, i+1, rest)
+			i++
+			ahead = rest.tail()
 		}
-		physKey := int(router)*n.dims2 + int(w.out.Dir)
-		nb := n.bufID(next, w.out.Dir, w.out.VC)
-		if n.physUsed[physKey] == cycle || n.occupied[nb] {
-			return false
-		}
-		n.physUsed[physKey] = cycle
-		n.occupied[nb] = true
-		n.leave(w, k, p)
-		w.path = append(w.path, nb)
-		w.pos[k] = p + 1
-		w.pkt.Hops++
-		w.headerArrival = cycle
-		w.inDir = w.out.Dir
-		w.inVC = w.out.VC
-		w.headRouter = next
-		w.routed = false
-		w.candsValid = false
-		if w.candsMis {
-			// The hop came from a misroute fallback set: charge the
-			// packet's budget and the network-wide counter.
-			w.misroutes++
-			c.MisrouteHops++
-			w.candsMis = false
-		}
-		c.Em.FlitMove(cycle, router, w.out.Dir, 1)
-		n.releaseBehind(w, p)
-		// Movement is serial at every shard count, so the header joins
-		// its new router's waiters directly.
-		n.enlist(w)
+	}
+	if w.sent < w.pkt.Length && !n.occupied[w.path[0]] {
+		// Only the worm's own flits enter its injection buffer, and one
+		// left it in this visit, so the new flit joins that flit's run.
+		n.occupied[w.path[0]] = true
+		w.runs[len(w.runs)-1].last++
+		w.sent++
+	}
+	return moved, refused
+}
+
+// stamp claims this cycle's bandwidth of the physical channel with
+// physUsed index k (-1: a channel that needs no claim), and reports
+// whether it was still free.
+func (n *Network) stamp(k int32) bool {
+	if k < 0 {
 		return true
 	}
-	// Body flit: follow the path.
-	nb := w.path[p+1]
-	if n.occupied[nb] {
+	if n.physUsed[k] == n.core.Cycle {
 		return false
 	}
-	router := n.bufRouter(cur)
-	dir := topology.Direction(n.portDir[nb])
-	physKey := int(router)*n.dims2 + int(dir)
-	if n.physUsed[physKey] == cycle {
-		return false
-	}
-	n.physUsed[physKey] = cycle
-	n.occupied[nb] = true
-	n.leave(w, k, p)
-	w.pos[k] = p + 1
-	c.Em.FlitMove(cycle, router, dir, 1)
-	n.releaseBehind(w, p)
+	n.physUsed[k] = n.core.Cycle
 	return true
 }
 
-// releaseBehind releases the output virtual channel feeding path[p+1] if
-// the flit that just left path[p] was the worm's tail (no more flits will
-// cross that channel).
-func (n *Network) releaseBehind(w *worm, p int) {
-	// The flit that moved sat at path[p]. If it is the last flit of the
-	// packet, the channel it just crossed (feeding path[p+1]) is done.
-	// For non-final flits nothing is released.
-	if w.sent < w.pkt.Length {
-		return
+// advance moves the k flits of w at path indices p, p-1, ... each into
+// the buffer ahead of it, front first, until one is refused bandwidth, and
+// returns how many moved. The buffer ahead of the first must be free; each
+// of the others is the one its predecessor left.
+func (n *Network) advance(w *worm, p, k int) int {
+	em := &n.core.Em
+	if n.maxVC == 1 && !em.Enabled() {
+		return k
 	}
-	// Tail flit is flit Length-1; it just moved from p to p+1 only if
-	// its position is now p+1.
-	if w.pos[w.pkt.Length-1] != p+1 {
-		return
+	for j := 0; j < k; j++ {
+		to := w.path[p-j+1]
+		if !n.stamp(n.stampOf[to]) {
+			return j
+		}
+		if em.Enabled() {
+			em.FlitMove(n.core.Cycle, n.bufRouter(w.path[p-j]), topology.Direction(n.portDir[to]), 1)
+		}
 	}
-	if p+1 >= len(w.path) {
-		return
+	return k
+}
+
+// hop moves the routed header over its allocated channel into the next
+// router and files it in the wait table there. It reports whether the
+// header moved and, if not, whether it was refused bandwidth (rather than
+// finding the buffer still held by the previous holder's tail, which wakes
+// it when it leaves).
+func (n *Network) hop(w *worm) (moved, refused bool) {
+	c := &n.core
+	cycle := c.Cycle
+	router := w.headRouter
+	next, ok := c.Grid.Neighbor(router, w.out.Dir)
+	if !ok {
+		panic(fmt.Sprintf("vcnet: allocated output %v at node %d has no channel", w.out, router))
 	}
-	from := n.bufRouter(w.path[p])
-	dir, v := n.bufPort(w.path[p+1])
-	if dir == topology.Invalid {
-		return
+	nb := n.bufID(next, w.out.Dir, w.out.VC)
+	if n.occupied[nb] {
+		return false, false
 	}
-	n.release(from, dir, v)
+	if !n.stamp(n.stampOf[nb]) {
+		return false, true
+	}
+	w.path = append(w.path, nb)
+	w.pkt.Hops++
+	w.headerArrival = cycle
+	w.inDir = w.out.Dir
+	w.inVC = w.out.VC
+	w.headRouter = next
+	w.routed = false
+	w.candsValid = false
+	if w.candsMis {
+		// The hop came from a misroute fallback set: charge the packet's
+		// budget and the network-wide counter.
+		w.misroutes++
+		c.MisrouteHops++
+		w.candsMis = false
+	}
+	c.Em.FlitMove(cycle, router, w.out.Dir, 1)
+	// Movement is serial at every shard count, so the header joins its
+	// new router's waiters directly.
+	n.enlist(w)
+	return true, false
+}
+
+// tailLeft handles the tail flit of w leaving path[p]. No more flits will
+// cross the channel it entered by (unless it was consumed), so that channel
+// is released; the buffer it left may be what a header granted the channel
+// feeding it waits for, so that header is woken; and when the buffer is the
+// injection buffer, the source may inject again.
+func (n *Network) tailLeft(w *worm, p int) {
+	if p+1 < len(w.path) {
+		n.release(n.feederKey(w.path[p], w.path[p+1]), n.bufRouter(w.path[p]))
+	}
+	if p == 0 {
+		n.core.WakeSource(w.pkt.Src)
+	} else if x := n.owner[n.feederKey(w.path[p-1], w.path[p])]; x != nil {
+		n.wakeWorm(x)
+	}
 }

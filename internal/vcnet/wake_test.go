@@ -2,19 +2,22 @@ package vcnet
 
 // Wake-edge tests for the sleepers this engine has: refused headers, woken
 // when an output virtual channel of their router is released or the fault set
-// changes, and sources behind an occupied injection buffer, woken when the
-// tail leaves it. (Flits are swept every cycle: bandwidth arbitration among
-// virtual channels is order-dependent.) The cases mirror internal/network's
-// wake_test.go on the algorithm lifted to one virtual channel; the lost-wake
-// oracle runs after every step.
+// changes; worms with nothing to move, woken by a grant, an arrival, or the
+// previous holder's tail leaving the buffer their header waits for; and
+// sources behind an occupied injection buffer, woken when the tail leaves it.
+// The cases mirror internal/network's wake_test.go on the algorithm lifted to
+// one virtual channel, plus the movement cases of this engine's runs; the
+// lost-wake oracle runs after every step.
 
 import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"turnmodel/internal/fault"
+	"turnmodel/internal/metrics"
 	"turnmodel/internal/routing"
 	"turnmodel/internal/topology"
 	"turnmodel/internal/vc"
@@ -264,5 +267,253 @@ func TestLostWakeVCSoak(t *testing.T) {
 				t.Fatal("no worm was ever aborted; the soak did not exercise the abort wakes")
 			}
 		})
+	}
+}
+
+// wormOf finds the worm carrying the packet, or nil.
+func wormOf(n *Network, p *Packet) *worm {
+	for _, w := range n.slots {
+		if w != nil && w.pkt == p {
+			return w
+		}
+	}
+	return nil
+}
+
+// awakeCount is the number of worms due for the next movement phase.
+func awakeCount(n *Network) int {
+	k := 0
+	for s := range n.slots {
+		if n.awake.has(s) {
+			k++
+		}
+	}
+	return k
+}
+
+// TestWakeVCStreamingWormOneVisitPerCycle: a lone 200-flit xy worm — one
+// virtual channel everywhere, so nothing is ever stamped — is one run from
+// injection to delivery, and between any two steps it is the only worm due
+// for a visit, once: a step visits it once, however many flits it moves.
+func TestWakeVCStreamingWormOneVisitPerCycle(t *testing.T) {
+	mesh := topology.NewMesh2D(8, 8)
+	at := func(x, y int) topology.NodeID { return mesh.ID(topology.Coord{x, y}) }
+	net := New(Config{Routing: vc.Lift(routing.XY(mesh))})
+	p := net.Enqueue(at(0, 0), at(7, 5), 200)
+	for p.Arrived < 0 {
+		if net.Cycle() > 1000 {
+			t.Fatal("the worm was not delivered")
+		}
+		consumed := net.FlitsConsumed()
+		stepChecked(t, net)
+		w := wormOf(net, p)
+		if w == nil {
+			break
+		}
+		if len(w.runs) != 1 {
+			t.Fatalf("cycle %d: the worm is %d runs, want 1", net.Cycle(), len(w.runs))
+		}
+		if k := awakeCount(net); k != 1 || !net.awake.has(w.slot) {
+			t.Fatalf("cycle %d: %d worms due, want exactly the streaming one", net.Cycle(), k)
+		}
+		if w.arrived && w.done > 0 && net.FlitsConsumed()-consumed != 1 {
+			t.Fatalf("cycle %d: %d flits consumed, want one a cycle", net.Cycle(), net.FlitsConsumed()-consumed)
+		}
+	}
+	if want := int64(mesh.Distance(p.Src, p.Dst) + p.Length - 1); p.Latency() != want {
+		t.Fatalf("latency %d, want %d", p.Latency(), want)
+	}
+	if k := awakeCount(net); k != 0 {
+		t.Fatalf("%d worms due in an empty network", k)
+	}
+}
+
+// TestWakeVCRunSplitsAndRemerges: on a double-y mesh, W climbs column 1 on
+// the y links' second virtual channel while V — older, west-pending, with
+// the westward links of column 1's lowest rows broken — climbs it on the
+// first. In cycle 1 V takes the link (1,1)->(1,2), and W's second flit, due
+// to cross it, is refused: W's run splits behind its header. The header
+// then stops at (1,5), whose link north H holds; the flits behind close up
+// on it, and the two runs merge again before any flit is consumed.
+func TestWakeVCRunSplitsAndRemerges(t *testing.T) {
+	mesh := topology.NewMesh2D(4, 8)
+	at := func(x, y int) topology.NodeID { return mesh.ID(topology.Coord{x, y}) }
+	var faults []topology.Channel
+	for y := 0; y < 3; y++ {
+		faults = append(faults, topology.Channel{From: at(1, y), Dir: topology.West})
+	}
+	net := New(Config{Routing: vc.DoubleY(mesh), Faults: faults})
+	v := net.Enqueue(at(1, 0), at(0, 5), 1)
+	wp := net.Enqueue(at(1, 1), at(1, 7), 30)
+	net.Enqueue(at(1, 5), at(1, 7), 8) // H
+	stepChecked(t, net)
+	stepChecked(t, net)
+	w := wormOf(net, wp)
+	if v.Hops != 2 || len(w.runs) != 2 || w.runs[1].front != 0 || w.runs[1].first != 1 {
+		t.Fatalf("cycle 1: V made %d hops, W's runs are %v: want V over (1,1)->(1,2) and W's second flit left behind at its source", v.Hops, w.runs)
+	}
+	if d, vcs := topology.Direction(net.portDir[w.path[1]]), net.alg.VCs(topology.North); d != topology.North || vcs != 2 {
+		t.Fatalf("W's second flit waits to cross a %v link with %d virtual channels", d, vcs)
+	}
+	for len(w.runs) > 1 {
+		if net.Cycle() > 10 {
+			t.Fatalf("cycle %d: W is still %v", net.Cycle(), w.runs)
+		}
+		stepChecked(t, net)
+	}
+	if w.done != 0 || wp.Hops != mesh.Distance(at(1, 1), at(1, 5)) {
+		t.Fatalf("the runs merged with %d flits consumed and the header %d hops out", w.done, wp.Hops)
+	}
+}
+
+// flitMoves records the probe's FlitMove events in order.
+type flitMoves struct {
+	metrics.NopProbe
+	events []flitMove
+}
+
+type flitMove struct {
+	cycle int64
+	from  topology.NodeID
+	dir   topology.Direction
+}
+
+func (p *flitMoves) FlitMove(cycle int64, from topology.NodeID, d topology.Direction, flits int) {
+	p.events = append(p.events, flitMove{cycle, from, d})
+}
+
+// TestWakeVCTailLeaveJoinsRoundInInjectionOrder: header X is granted the
+// channel (4,0)->(5,0) while the previous holder Y's tail still sits in the
+// buffer it feeds, Y being held up ahead by an older long worm; X sleeps.
+// When Y moves on, its tail leaving that buffer wakes X, which hops in the
+// same cycle — in the round under way when X was injected after Y (the
+// sweep's cursor has not reached X yet), in the next round when X was
+// injected before Y (the cursor has passed it). A worm W injected after all
+// of them, moving in that cycle's first round, shows which: the sweep visits
+// X before W in the first case and after W in the second.
+func TestWakeVCTailLeaveJoinsRoundInInjectionOrder(t *testing.T) {
+	for _, xFirst := range []bool{false, true} {
+		name := "same-round"
+		if xFirst {
+			name = "next-round"
+		}
+		t.Run(name, func(t *testing.T) {
+			mesh := topology.NewMesh2D(16, 2)
+			at := func(x, y int) topology.NodeID { return mesh.ID(topology.Coord{x, y}) }
+			probe := &flitMoves{}
+			net := New(Config{Routing: vc.Lift(routing.XY(mesh)), Probe: probe})
+			// B, the oldest, holds (7,0)->(8,0) and stops Y; when its tail
+			// leaves (8,0) it wakes Y in the same round, and Y's tail leaving
+			// (5,0) wakes X.
+			var x *Packet
+			net.Enqueue(at(7, 0), at(10, 0), 30)
+			if xFirst {
+				x = net.Enqueue(at(0, 0), at(6, 0), 1) // reaches (4,0) after Y's tail
+			}
+			stepChecked(t, net)
+			y := net.Enqueue(at(4, 0), at(12, 0), 3)
+			if !xFirst {
+				x = net.Enqueue(at(4, 0), at(6, 0), 1) // queued behind Y at its source
+			}
+			// X's header waits at (4,0) having made this many hops.
+			waits := mesh.Distance(x.Src, at(4, 0))
+			slept := false
+			for x.Hops <= waits {
+				if net.Cycle() == 5 {
+					net.Enqueue(at(0, 1), at(15, 1), 100) // W, streaming along row 1
+				}
+				if net.Cycle() > 200 {
+					t.Fatal("X never hopped")
+				}
+				stepChecked(t, net)
+				if w := wormOf(net, x); w != nil && w.routed && x.Hops == waits && !net.awake.has(w.slot) {
+					slept = true
+				}
+			}
+			hop := net.Cycle() - 1
+			wy := wormOf(net, y)
+			if !slept || wy == nil || wormOf(net, x).slot < wy.slot == !xFirst {
+				t.Fatalf("X did not sleep granted (%v), or the injection order is not the case's", slept)
+			}
+			xAt, wAt, yAt := -1, -1, -1
+			for i, e := range probe.events {
+				switch {
+				case e.cycle != hop:
+				case e.from == at(4, 0) && e.dir == topology.East:
+					xAt = i
+				case e.from == at(5, 0) && e.dir == topology.East:
+					yAt = i // Y's tail leaving the buffer X waits for
+				case e.from >= at(0, 1) && wAt < 0:
+					wAt = i
+				}
+			}
+			if xAt < 0 || yAt < 0 || wAt < 0 || yAt > xAt {
+				t.Fatalf("cycle %d: X hop at event %d, Y's tail at %d, W's first move at %d", hop, xAt, yAt, wAt)
+			}
+			if xFirst != (xAt > wAt) {
+				t.Fatalf("cycle %d: X hopped at event %d, W first moved at %d: X must move %s W", hop, xAt, wAt,
+					map[bool]string{true: "after", false: "before"}[xFirst])
+			}
+		})
+	}
+}
+
+// TestLostWakeVCOracleCatches: every movement clause of the lost-wake
+// oracle objects when the wake it guards is dropped.
+func TestLostWakeVCOracleCatches(t *testing.T) {
+	objects := func(name string, net *Network, want string) {
+		t.Helper()
+		err := lostWake(net)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: oracle says %v, want an objection containing %q", name, err, want)
+		}
+	}
+
+	// A dropped tail wake: X sleeps granted the channel into the buffer Y's
+	// tail sits in; the tail leaves it without waking X.
+	mesh := topology.NewMesh2D(16, 2)
+	at := func(x, y int) topology.NodeID { return mesh.ID(topology.Coord{x, y}) }
+	net := New(Config{Routing: vc.Lift(routing.XY(mesh))})
+	net.Enqueue(at(4, 0), at(12, 0), 3)
+	net.Enqueue(at(7, 0), at(10, 0), 30)
+	x := net.Enqueue(at(4, 0), at(6, 0), 1)
+	for c := 0; c < 10; c++ {
+		stepChecked(t, net)
+	}
+	wx := wormOf(net, x)
+	if wx == nil || !wx.routed || net.awake.has(wx.slot) {
+		t.Fatal("X is not asleep granted")
+	}
+	nb := net.bufID(at(5, 0), topology.East, 0)
+	net.occupied[nb] = false
+	objects("dropped tail wake", net, "can move but is not due")
+	net.occupied[nb] = true
+
+	// A dropped grant wake: Z waits behind a broken link; the link comes
+	// back and Z is granted it without being made due.
+	fnet := New(Config{
+		Routing: vc.Lift(routing.XY(mesh)),
+		Faults:  []topology.Channel{{From: at(3, 0), Dir: topology.East}},
+	})
+	z := fnet.Enqueue(at(3, 0), at(6, 0), 2)
+	for c := 0; c < 5; c++ {
+		stepChecked(t, fnet)
+	}
+	wz := wormOf(fnet, z)
+	if wz == nil || wz.routed || fnet.awake.has(wz.slot) {
+		t.Fatal("Z is not waiting behind the broken link")
+	}
+	fnet.faulted[int(at(3, 0))*fnet.dims2+int(topology.East)] = false
+	fnet.wait.Delist(&wz.wait)
+	wz.routed, wz.out = true, vc.Out{Dir: topology.East}
+	fnet.owner[fnet.ownerKey(at(3, 0), topology.East, 0)] = wz
+	objects("dropped grant wake", fnet, "can move but is not due")
+	fnet.awake.add(wz.slot)
+	if err := lostWake(fnet); err != nil {
+		t.Fatalf("with the grant's wake delivered the oracle still objects: %v", err)
+	}
+
+	if err := lostWake(net); err != nil {
+		t.Fatalf("after undoing the sabotage the oracle still objects: %v", err)
 	}
 }

@@ -135,6 +135,20 @@ func drainingWave(net *turnmodel.Network, mesh *turnmodel.Mesh) {
 	}
 }
 
+// drainingVCWave is drainingWave on the virtual-channel engine's double-y
+// mesh, each node sending to its column neighbour (x, y^1) instead: every
+// worm crosses one y link, whose two virtual channels make its bandwidth
+// something to arbitrate, so each sleeps reserving that link as well as its
+// ejection channel. It is the workload of the vcnet sleeping allocation gate
+// and of BenchmarkVCNetStepDraining.
+func drainingVCWave(net *turnmodel.VCNetwork, mesh *turnmodel.Mesh) {
+	for id := 0; id < mesh.Nodes(); id++ {
+		c := mesh.Coord(turnmodel.NodeID(id))
+		c[1] ^= 1
+		net.Enqueue(turnmodel.NodeID(id), mesh.ID(c), 200)
+	}
+}
+
 // TestStepZeroAllocs gates the no-probe step paths at zero heap
 // allocations per cycle: the observability layer must cost nothing when
 // unused, fault-aware routing must stay allocation-free once its candidate
@@ -145,8 +159,57 @@ func drainingWave(net *turnmodel.Network, mesh *turnmodel.Mesh) {
 // cases), and neither must putting an arrived worm to sleep on its domain's
 // timer, counting its flits while it sleeps, or waking it (the draining
 // cases), and neither must moving the virtual-channel engine's worms (the
-// vcnet moving cases).
+// vcnet moving cases) or putting them to sleep with their reservations,
+// counting them and waking them (the vcnet sleeping cases).
 func TestStepZeroAllocs(t *testing.T) {
+	for _, shards := range []int{0, 4} {
+		name := "vcnet-no-probe-sleeping"
+		if shards > 1 {
+			name += "-sharded"
+		}
+		t.Run(name, func(t *testing.T) {
+			mesh := turnmodel.NewMesh2D(8, 8)
+			alg, err := turnmodel.NewVCRouting("double-y", mesh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net := turnmodel.NewVCNetwork(turnmodel.VCNetworkConfig{Routing: alg, Shards: shards})
+			defer net.Close()
+			var stepErr error
+			step := func() {
+				if err := net.Step(); err != nil {
+					stepErr = err
+				}
+			}
+			// As in the draining cases: two waves run to completion size the
+			// worms, slots and timers; the measured steps carry two more on
+			// recycled worms — 64 arrivals put to sleep with their
+			// reservations, 196 cycles of counted flits, 64 timers popped,
+			// tails, retirements and re-injections.
+			drainingVCWave(net, mesh)
+			drainingVCWave(net, mesh)
+			for net.InFlight() > 0 && stepErr == nil {
+				step()
+			}
+			net.TakeDelivered()
+			drainingVCWave(net, mesh)
+			drainingVCWave(net, mesh)
+			done, flits := net.PacketsDelivered(), net.FlitsConsumed()
+			allocs := testing.AllocsPerRun(300, step)
+			if stepErr != nil {
+				t.Fatal(stepErr)
+			}
+			if n := net.PacketsDelivered() - done; n != 64 {
+				t.Fatalf("%d packets delivered in the measured window, want the first wave's 64", n)
+			}
+			if n := net.FlitsConsumed() - flits; n < 64*250 {
+				t.Fatalf("only %d flits consumed in the measured window; the case no longer keeps the mesh full of sleeping worms", n)
+			}
+			if allocs != 0 {
+				t.Errorf("%s step path allocates %.1f allocs/op, want 0", name, allocs)
+			}
+		})
+	}
 	for _, shards := range []int{0, 4} {
 		name := "no-probe-draining"
 		if shards > 1 {

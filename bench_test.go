@@ -592,6 +592,46 @@ func BenchmarkVCNetStep(b *testing.B) {
 	}
 }
 
+// BenchmarkVCNetStepDraining is BenchmarkNetworkStepDraining for
+// internal/vcnet: a 16x16 double-y mesh kept full of arrived 200-flit worms
+// (see drainingVCWave in alloc_test.go), each streaming over a y link into
+// its destination, 256 flits consumed per cycle. The worms sleep on a timer
+// while they stream, their y links and ejection channels reserved, so a step
+// costs the handful of arrivals, wakes, tails and retirements that fall into
+// it, not a visit per worm; BENCH_baseline.json holds it under a ceiling
+// that visiting every streaming worm every cycle exceeds several times over.
+func BenchmarkVCNetStepDraining(b *testing.B) {
+	mesh := turnmodel.NewMesh2D(16, 16)
+	alg, err := turnmodel.NewVCRouting("double-y", mesh)
+	if err != nil {
+		b.Fatal(err)
+	}
+	net := turnmodel.NewVCNetwork(turnmodel.VCNetworkConfig{Routing: alg})
+	drainingVCWave(net, mesh)
+	drainingVCWave(net, mesh)
+	for c := 0; c < 100; c++ {
+		if err := net.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	flits := net.FlitsConsumed()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%200 == 100 {
+			net.TakeDelivered()
+			drainingVCWave(net, mesh)
+		}
+		if err := net.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if got := net.FlitsConsumed() - flits; got < int64(b.N)*250 {
+		b.Fatalf("%d flits consumed in %d cycles; the mesh did not stay full of streaming worms", got, b.N)
+	}
+}
+
 // BenchmarkVCNetStepTraffic is BenchmarkNetworkStepTraffic for
 // internal/vcnet: the same preloaded working set and trickle of arrivals,
 // on a double-y mesh whose y links carry two virtual channels.

@@ -1,10 +1,11 @@
 // Package engine is the shared core of the two flit-level simulators:
 // internal/network (physical channels, worms advance as units) and
-// internal/vcnet (virtual channels, flits move individually). Both engines
-// step through the same per-cycle skeleton — fault transitions, source
-// injection, routing + output allocation, movement, retirement — and this
-// package owns everything in that skeleton that does not depend on the
-// channel model:
+// internal/vcnet (virtual channels sharing each physical channel's
+// bandwidth, worms advance as runs of flits that split where a flit is
+// refused it). Both engines step through the same per-cycle skeleton —
+// fault transitions, source injection, routing + output allocation,
+// movement, retirement — and this package owns everything in that skeleton
+// that does not depend on the channel model:
 //
 //   - Grid: flat integer neighbor/wraparound tables replacing interface
 //     lookups in the hot loops;

@@ -32,10 +32,25 @@ import (
 //
 // only when a change of the engine's results is intentional.
 
-// vcGoldenCase is one (topology, algorithm, fault, ejection) setting.
+// vcGoldenCase is one (topology, algorithm, fault, ejection) setting and the
+// traffic it is driven with.
 type vcGoldenCase struct {
 	name string
 	cfg  func() Config
+	load vcLoad
+}
+
+// vcLoad is a golden case's traffic: every node generates a message with
+// probability 1/period per cycle, of 1 to 200 flits drawn uniformly, or —
+// when lengths is set — of one of lengths with equal probability; with hot
+// set, one message in four goes to node hotspot and the rest to a uniformly
+// drawn node. The zero value is period 200, uniform lengths and no hotspot:
+// about half a flit per node per cycle, past saturation.
+type vcLoad struct {
+	period  int
+	lengths []int
+	hot     bool
+	hotspot topology.NodeID
 }
 
 func vcGoldenCases() []vcGoldenCase {
@@ -48,12 +63,19 @@ func vcGoldenCases() []vcGoldenCase {
 		}
 		return vc.Lift(a)
 	}
+	// The paper's 10/200-flit mix at about 0.05 flits per node per cycle
+	// (105 flits a message on average), a quarter of it aimed at the centre
+	// of a 16x16 mesh: most flits belong to long worms whose header arrived
+	// while their source is still sending, and the hotspot's ejection
+	// channel, like double-y's y links, is contended.
+	big := topology.NewMesh2D(16, 16)
+	low := vcLoad{period: 2100, lengths: []int{10, 200}, hot: true, hotspot: big.ID(topology.Coord{8, 8})}
 	return []vcGoldenCase{
 		// Every link carries two virtual channels, so every crossing is
 		// arbitrated for bandwidth.
-		{"torus8-dateline-dor", func() Config { return Config{Routing: vc.DatelineDOR(torus())} }},
-		{"mesh8-double-y", func() Config { return Config{Routing: vc.DoubleY(mesh())} }},
-		{"ccc3-ascending", func() Config { return Config{Routing: vc.NewCCCAscending(topology.NewCCC(3))} }},
+		{"torus8-dateline-dor", func() Config { return Config{Routing: vc.DatelineDOR(torus())} }, vcLoad{}},
+		{"mesh8-double-y", func() Config { return Config{Routing: vc.DoubleY(mesh())} }, vcLoad{}},
+		{"ccc3-ascending", func() Config { return Config{Routing: vc.NewCCCAscending(topology.NewCCC(3))} }, vcLoad{}},
 		{"torus8-dateline-dor-faulted-recovery", func() Config {
 			t := torus()
 			return Config{
@@ -64,7 +86,7 @@ func vcGoldenCases() []vcGoldenCase {
 				},
 				Recovery: fault.Recovery{Enabled: true, StallCycles: 300},
 			}
-		}},
+		}, vcLoad{}},
 		{"mesh8-double-y-faulted-recovery-masked", func() Config {
 			m := mesh()
 			return Config{
@@ -76,13 +98,15 @@ func vcGoldenCases() []vcGoldenCase {
 				Recovery:     fault.Recovery{Enabled: true, StallCycles: 300},
 				FaultRouting: fault.RoutingPolicy{Visibility: fault.VisibilityKHop, MisrouteLimit: 3},
 			}
-		}},
+		}, vcLoad{}},
 		{"mesh8-double-y-uncapped", func() Config {
 			return Config{Routing: vc.DoubleY(mesh()), UncappedEjection: true}
-		}},
+		}, vcLoad{}},
 		// One virtual channel everywhere, ejection capped: the case the
 		// differential harness (uncapped) does not cover.
-		{"mesh8-west-first", func() Config { return Config{Routing: lifted("west-first")} }},
+		{"mesh8-west-first", func() Config { return Config{Routing: lifted("west-first")} }, vcLoad{}},
+		{"mesh16-xy-lowload-hotspot", func() Config { return Config{Routing: vc.Lift(routing.XY(big))} }, low},
+		{"mesh16-double-y-lowload-hotspot", func() Config { return Config{Routing: vc.DoubleY(big)} }, low},
 	}
 }
 
@@ -129,9 +153,8 @@ func (p *streamProbe) Drop(cycle int64, src, dst topology.NodeID, length int, re
 }
 func (p *streamProbe) Tick(cycle int64) { p.put(9, cycle) }
 
-// vcDigest runs one case at one seed past saturation — every node generates
-// a message of 1 to 200 flits with probability 1/200 per cycle, about half a
-// flit per node per cycle — for 6000 cycles and hashes the outcome.
+// vcDigest runs one case at one seed under its load (see vcLoad) for 6000
+// cycles and hashes the outcome.
 func vcDigest(t *testing.T, c vcGoldenCase, seed int64, probe bool) string {
 	t.Helper()
 	cfg := c.cfg()
@@ -144,17 +167,30 @@ func vcDigest(t *testing.T, c vcGoldenCase, seed int64, probe bool) string {
 	defer net.Close()
 	nodes := cfg.Routing.Topology().Nodes()
 	rng := rand.New(rand.NewSource(seed*104729 + 7))
+	period := c.load.period
+	if period == 0 {
+		period = 200
+	}
 	var pkts []*Packet
 	for net.Cycle() < 6000 {
 		for node := 0; node < nodes; node++ {
-			if rng.Intn(200) != 0 {
+			if rng.Intn(period) != 0 {
 				continue
 			}
 			dst := topology.NodeID(rng.Intn(nodes))
+			if c.load.hot && rng.Intn(4) == 0 {
+				dst = c.load.hotspot
+			}
 			if dst == topology.NodeID(node) {
 				continue
 			}
-			pkts = append(pkts, net.Enqueue(topology.NodeID(node), dst, 1+rng.Intn(200)))
+			var length int
+			if ls := c.load.lengths; ls != nil {
+				length = ls[rng.Intn(len(ls))]
+			} else {
+				length = 1 + rng.Intn(200)
+			}
+			pkts = append(pkts, net.Enqueue(topology.NodeID(node), dst, length))
 		}
 		if err := net.Step(); err != nil {
 			t.Fatalf("%s: %v", c.name, err)

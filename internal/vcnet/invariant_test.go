@@ -21,15 +21,31 @@ func activeWorms(n *Network) []*worm {
 	return ws
 }
 
+// view is w as the sweep holds it between steps: a sleeper's runs, done and
+// sent are advanced by the cycles it has streamed through (see slept), the
+// way the sweep would have advanced them.
+func view(n *Network, w *worm) (runs []run, done, sent int) {
+	if w.wakeAt == 0 {
+		return w.runs, w.done, w.sent
+	}
+	k := w.slept(n.core.Cycle)
+	r := w.runs[0]
+	r.first += k
+	r.last += k
+	r.moved = n.core.Cycle - 1
+	return []run{r}, w.done + k, w.sent + k
+}
+
 // positions expands a worm's runs into the per-flit positions the engine
 // no longer keeps: pos[k] is the path index of in-network flit k, -1
 // for the flits not in the network.
-func positions(w *worm) []int {
+func positions(n *Network, w *worm) []int {
 	pos := make([]int, w.pkt.Length)
 	for k := range pos {
 		pos[k] = -1
 	}
-	for _, r := range w.runs {
+	runs, _, _ := view(n, w)
+	for _, r := range runs {
 		for k := r.first; k <= r.last; k++ {
 			pos[k] = r.front - (k - r.first)
 		}
@@ -54,6 +70,8 @@ func positions(w *worm) []int {
 //     (see checkWaitTable).
 //  5. No wake was lost and no recycled worm is still referred to (see
 //     lostWake).
+//
+// A sleeper is checked as the sweep holds it (see view).
 func checkInvariants(t *testing.T, n *Network) {
 	t.Helper()
 	checkWaitTable(t, n)
@@ -73,11 +91,12 @@ func checkInvariants(t *testing.T, n *Network) {
 		if p, q := w.pkt, active[max(i-1, 0)].pkt; i > 0 && (q.Injected > p.Injected || q.Injected == p.Injected && q.Src >= p.Src) {
 			t.Fatalf("slots out of injection order: %v after %v", p, q)
 		}
-		if w.done > w.sent || w.sent > w.pkt.Length {
-			t.Fatalf("%v: done=%d sent=%d", w.pkt, w.done, w.sent)
+		runs, done, sent := view(n, w)
+		if done > sent || sent > w.pkt.Length {
+			t.Fatalf("%v: done=%d sent=%d", w.pkt, done, sent)
 		}
-		next, prev := w.done, len(w.path)
-		for i, r := range w.runs {
+		next, prev := done, len(w.path)
+		for i, r := range runs {
 			if r.first != next || r.last < r.first {
 				t.Fatalf("%v: run %d holds flits %d..%d, want it to start at %d", w.pkt, i, r.first, r.last, next)
 			}
@@ -87,11 +106,11 @@ func checkInvariants(t *testing.T, n *Network) {
 			}
 			prev = r.tail()
 		}
-		if next != w.sent {
-			t.Fatalf("%v: runs end at flit %d, sent=%d", w.pkt, next, w.sent)
+		if next != sent {
+			t.Fatalf("%v: runs end at flit %d, sent=%d", w.pkt, next, sent)
 		}
-		pos := positions(w)
-		for k := w.done; k < w.sent; k++ {
+		pos := positions(n, w)
+		for k := done; k < sent; k++ {
 			p := pos[k]
 			if p < 0 || p >= len(w.path) {
 				t.Fatalf("%v: flit %d at invalid position %d", w.pkt, k, p)
@@ -108,7 +127,7 @@ func checkInvariants(t *testing.T, n *Network) {
 		// Ownership window: from just after the tail flit's position (or
 		// 1 if the tail has not been injected yet) to the end of path.
 		lo := 1
-		if w.sent == w.pkt.Length {
+		if sent == w.pkt.Length {
 			lo = pos[w.pkt.Length-1] + 1
 		}
 		for j := lo; j < len(w.path); j++ {
@@ -179,8 +198,9 @@ func checkWaitTable(t *testing.T, n *Network) {
 // is a header granted a channel whose far buffer is free, or is a body flit
 // whose next buffer on the path is free; or the next flit can be injected.
 func canMove(n *Network, w *worm) bool {
-	pos := positions(w)
-	for k := w.done; k < w.sent; k++ {
+	pos := positions(n, w)
+	_, done, sent := view(n, w)
+	for k := done; k < sent; k++ {
 		p := pos[k]
 		switch {
 		case p < len(w.path)-1:
@@ -196,7 +216,7 @@ func canMove(n *Network, w *worm) bool {
 			}
 		}
 	}
-	return w.sent < w.pkt.Length && !n.occupied[w.path[0]]
+	return sent < w.pkt.Length && !n.occupied[w.path[0]]
 }
 
 // lostWake is the oracle for what sleeps in this engine — refused
@@ -212,9 +232,16 @@ func canMove(n *Network, w *worm) bool {
 //	    list, owner or the wait table.
 //	(f) Under recovery every worm that has not arrived has exactly one live
 //	    stall entry, due by the cycle its header times out.
-//	(m) A worm that is not due for the next movement phase's first visits
-//	    cannot move (canMove); the movement phase in progress left nothing
-//	    behind.
+//	(m) A worm that is neither due for the next movement phase's first
+//	    visits nor asleep cannot move (canMove); the movement phase in
+//	    progress left nothing behind.
+//	(s) Every sleeper streams as the sweep holds it — arrived, one run
+//	    from the injection buffer to the destination buffer, a flit still
+//	    at the source — is not due, and has exactly one live timer entry,
+//	    due at its wakeAt and not before the next cycle; asleep counts the
+//	    sleepers. Every reservation names a live sleeper whose path uses
+//	    that channel, and every channel a sleeper claims each cycle is
+//	    reserved by it, so no two sleepers share a channel.
 //
 // (The letters (b) to (f) are those of internal/network's oracle, whose (a)
 // and (c) are about the worms that sleep there.)
@@ -222,8 +249,11 @@ func lostWake(n *Network) error {
 	cycle := n.core.Cycle
 	live := make(map[*worm]bool)
 	active := activeWorms(n)
-	if len(n.finished) != 0 || n.moving {
+	if len(n.finished) != 0 || n.moving || n.dozed != 0 {
 		return fmt.Errorf("cycle %d: the movement phase left %d worms finished", cycle, len(n.finished))
+	}
+	if err := lostSleeper(n, active); err != nil {
+		return err
 	}
 	for s := 0; s < 64*len(n.awake); s++ {
 		if n.round.has(s) || n.later.has(s) {
@@ -235,7 +265,7 @@ func lostWake(n *Network) error {
 	}
 	for _, w := range active {
 		live[w] = true
-		if !n.awake.has(w.slot) && canMove(n, w) {
+		if !n.awake.has(w.slot) && w.wakeAt == 0 && canMove(n, w) {
 			return fmt.Errorf("cycle %d: lost wake: %v can move but is not due for a visit", cycle, w.pkt)
 		}
 		if w.arrived || w.routed || n.wait.Awake(int32(w.headRouter)) {
@@ -274,7 +304,7 @@ func lostWake(n *Network) error {
 			free[w] = true
 		}
 		var late error
-		dm.stalls.Each(func(at int64, e stall) {
+		dm.stalls.Each(func(at int64, e timed) {
 			if e.w.pkt == nil || e.w.pkt.ID != e.id || e.w.arrived {
 				return
 			}
@@ -300,6 +330,78 @@ func lostWake(n *Network) error {
 		}
 	}
 	return nil
+}
+
+// lostSleeper is the lost-wake oracle's clause (s).
+func lostSleeper(n *Network, active []*worm) error {
+	cycle := n.core.Cycle
+	entries := make(map[*worm]int)
+	n.sleepers.Each(func(at int64, e timed) {
+		if e.w.pkt != nil && e.w.pkt.ID == e.id && e.w.wakeAt == at {
+			entries[e.w]++
+		}
+	})
+	claimer := make(map[int32]*worm)
+	asleep := 0
+	for _, w := range active {
+		if w.wakeAt == 0 {
+			continue
+		}
+		asleep++
+		runs, _, sent := view(n, w)
+		if !w.arrived || len(runs) != 1 || runs[0].front != len(w.path)-1 || runs[0].tail() != 0 || sent >= w.pkt.Length {
+			return fmt.Errorf("cycle %d: %v sleeps but does not stream (arrived %v, runs %v of a %d-buffer path, sent %d)",
+				cycle, w.pkt, w.arrived, runs, len(w.path), sent)
+		}
+		if n.awake.has(w.slot) {
+			return fmt.Errorf("cycle %d: sleeper %v is due for a visit", cycle, w.pkt)
+		}
+		if entries[w] != 1 || w.wakeAt < cycle {
+			return fmt.Errorf("cycle %d: lost timer: sleeper %v has %d live timer entries and is due at %d",
+				cycle, w.pkt, entries[w], w.wakeAt)
+		}
+		for _, k := range claims(n, w) {
+			if o := claimer[k]; o != nil {
+				return fmt.Errorf("cycle %d: sleepers %v and %v both claim channel %d each cycle", cycle, o.pkt, w.pkt, k)
+			}
+			claimer[k] = w
+			if n.resv[k] != w || n.physUsed[k] != reserved {
+				return fmt.Errorf("cycle %d: lost reservation: sleeper %v claims channel %d each cycle, which reads %d reserved by %v",
+					cycle, w.pkt, k, n.physUsed[k], n.resv[k])
+			}
+		}
+	}
+	if asleep != n.asleep {
+		return fmt.Errorf("cycle %d: %d worms sleep, asleep counts %d", cycle, asleep, n.asleep)
+	}
+	for k, w := range n.resv {
+		if (w != nil) != (n.physUsed[k] == reserved) {
+			return fmt.Errorf("cycle %d: channel %d reads %d and is reserved by %v", cycle, k, n.physUsed[k], w)
+		}
+		if w != nil && claimer[int32(k)] != w {
+			return fmt.Errorf("cycle %d: channel %d is reserved by a worm that is not a sleeper claiming it", cycle, k)
+		}
+	}
+	return nil
+}
+
+// claims restates which channels a worm streaming into its destination
+// claims each cycle: the ejection channel, unless ejection is uncapped, and
+// the physical channel into every buffer of its path that carries more than
+// one virtual channel.
+func claims(n *Network, w *worm) []int32 {
+	var ks []int32
+	if n.ejectBase >= 0 {
+		ks = append(ks, n.ejectBase+int32(w.headRouter))
+	}
+	for j := 1; j < len(w.path); j++ {
+		to := w.path[j]
+		d, _ := n.bufPort(to)
+		if from, ok := n.topo.Neighbor(n.bufRouter(to), d.Opposite()); ok && n.alg.VCs(d) > 1 {
+			ks = append(ks, int32(int(from)*n.dims2+int(d)))
+		}
+	}
+	return ks
 }
 
 func TestVCSimulatorInvariantsUnderRandomTraffic(t *testing.T) {

@@ -9,7 +9,10 @@
 // splits where one of its flits is refused bandwidth. Movement visits only
 // the worms that can move, in the order a sweep of every flit in flight
 // would reach them, so the results are those of that sweep (see
-// movementPhase and docs/performance.md).
+// movementPhase and docs/performance.md). A worm whose header has arrived
+// and which streams as one run — a flit in at the source and one out at the
+// destination each cycle — sleeps on a timer instead, holding the bandwidth
+// it would win each cycle as a reservation (see sleep).
 //
 // The router model otherwise matches Section 6: one single-flit buffer per
 // input virtual channel, unbounded source queues, immediate consumption at
@@ -22,6 +25,7 @@ package vcnet
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -130,6 +134,10 @@ type worm struct {
 	candsValid bool
 	candsMis   bool
 	misroutes  int
+	// wakeAt is, while the worm sleeps (see sleep), the cycle its timer is
+	// due; 0 when it is awake. A sleeper's done, sent and run are as they
+	// stood when it fell asleep (see slept).
+	wakeAt int64
 
 	// wait is the header's link in the wait table while it waits for an
 	// output at headRouter (see engine.WaitTable).
@@ -151,6 +159,12 @@ type run struct {
 
 // tail is the path index of the run's last flit.
 func (r *run) tail() int { return r.front - (r.last - r.first) }
+
+// slept reports how many cycles a sleeping worm has streamed through by the
+// start of cycle c: it fell asleep at the end of its visit in cycle
+// wakeAt − (Length − sent), and has consumed and injected one flit in every
+// cycle since.
+func (w *worm) slept(c int64) int { return int(c-w.wakeAt) + w.pkt.Length - w.sent - 1 }
 
 func (w *worm) headBuf() int32 { return w.path[len(w.path)-1] }
 
@@ -182,12 +196,16 @@ func (b slotSet) add(s int)      { b[s>>6] |= 1 << (s & 63) }
 func (b slotSet) remove(s int)   { b[s>>6] &^= 1 << (s & 63) }
 func (b slotSet) has(s int) bool { return b[s>>6]&(1<<(s&63)) != 0 }
 
-// stall is a worm's stall timeout (recovery only); the packet ID tells an
-// entry that outlived its packet from a live one, worms being recycled.
-type stall struct {
+// timed is a timer entry naming a worm — its stall timeout (recovery only)
+// or the end of its sleep; the packet ID tells an entry that outlived its
+// packet from a live one, worms being recycled.
+type timed struct {
 	w  *worm
 	id int64
 }
+
+// reserved is the physUsed value of a channel a sleeping worm reserves.
+const reserved = math.MaxInt64
 
 // Network is the virtual-channel simulator state.
 type Network struct {
@@ -203,19 +221,21 @@ type Network struct {
 	owner    []*worm // output virtual channel -> holder
 	faulted  []bool  // physical channel broken (node*2n+dir), aliases core
 
-	// physUsed and ejectUse enforce one flit per physical (respectively
-	// ejection) channel per cycle; stamping with the cycle number makes
+	// physUsed enforces one flit per physical channel per cycle, the
+	// ejection channels included; stamping with the cycle number makes
 	// "clear at start of phase" free. Only physical channels carrying more
 	// than one virtual channel are stamped: a one-VC channel is held by one
 	// worm, whose flits cross it at most once each. stampOf names, for
 	// every buffer, the physUsed entry of the physical channel feeding it,
 	// or -1 when that carries one virtual channel (or the buffer is an
-	// injection buffer). uncappedEject disables the ejection limit
-	// (Config.UncappedEjection).
-	physUsed      []int64 // node*2n+dir -> last cycle the channel carried a flit
-	ejectUse      []int64 // node -> last cycle the ejection channel was used
-	stampOf       []int32 // buffer id -> physUsed index, or -1
-	uncappedEject bool
+	// injection buffer). ejectBase is the entry of node 0's ejection
+	// channel, the others following in node order, or -1 when ejection is
+	// not limited (Config.UncappedEjection). An entry a sleeping worm
+	// reserves reads reserved, and resv names the sleeper.
+	physUsed  []int64 // node*2n+dir, then ejectBase+node -> last cycle the channel carried a flit
+	resv      []*worm // physUsed index -> the sleeper reserving the channel
+	stampOf   []int32 // buffer id -> physUsed index, or -1
+	ejectBase int32
 
 	// routerOf, portDir and portVC decode buffer ids without division;
 	// injection buffers decode to (Invalid, 0).
@@ -245,12 +265,20 @@ type Network struct {
 
 	// awake holds the slots of the worms the next movement phase visits
 	// first; round and later are the current and the next round of the
-	// movement phase in progress, whose visit is at slot cursor, and more
-	// records that a wake landed in later (see movementPhase and wakeWorm).
-	// All three have a bit for every slot.
+	// movement phase in progress, whose visit is at slot cursor, first
+	// records that the round is the phase's first, and more that a wake
+	// landed in later (see movementPhase and wakeWorm). All three sets have
+	// a bit for every slot.
 	awake, round, later slotSet
-	moving, more        bool
+	moving, first, more bool
 	cursor              int
+
+	// sleepers holds the timers of the worms asleep (see sleep); asleep
+	// counts those worms and dozed the ones that fell asleep in the movement
+	// phase under way. Entries of a sleep that was broken stay behind and
+	// are dropped when due.
+	sleepers      engine.Timers[timed]
+	asleep, dozed int
 
 	victims []*worm
 	// dirScratch and candScratch are reused by reachable()'s candidate
@@ -279,7 +307,7 @@ type Network struct {
 type vcDomain struct {
 	injected   []*worm
 	granted    []*worm
-	stalls     engine.Timers[stall]
+	stalls     engine.Timers[timed]
 	free       []*worm
 	masked     *vc.FaultAware
 	dirScratch []topology.Direction
@@ -301,13 +329,14 @@ func New(cfg Config) *Network {
 	n.ports = n.dims2*n.maxVC + 1
 	n.occupied = make([]bool, topo.Nodes()*n.ports)
 	n.owner = make([]*worm, topo.Nodes()*n.dims2*n.maxVC)
-	n.physUsed = make([]int64, topo.Nodes()*n.dims2)
-	n.ejectUse = make([]int64, topo.Nodes())
+	n.physUsed = make([]int64, topo.Nodes()*(n.dims2+1))
+	n.resv = make([]*worm, len(n.physUsed))
 	for i := range n.physUsed {
 		n.physUsed[i] = -1
 	}
-	for i := range n.ejectUse {
-		n.ejectUse[i] = -1
+	n.ejectBase = int32(topo.Nodes() * n.dims2)
+	if cfg.UncappedEjection {
+		n.ejectBase = -1
 	}
 	n.routerOf = make([]int32, topo.Nodes()*n.ports)
 	n.portDir = make([]int16, topo.Nodes()*n.ports)
@@ -370,7 +399,6 @@ func New(cfg Config) *Network {
 		n.masked = vc.NewFaultAware(cfg.Routing, n.core.Health, n.core.FaultPol)
 	}
 	n.appender, _ = cfg.Routing.(vc.CandidateAppender)
-	n.uncappedEject = cfg.UncappedEjection
 	n.wait = engine.NewWaitTable[*worm](&n.core)
 	n.shards = n.core.ShardCount()
 	n.dsc = make([]vcDomain, n.shards)
@@ -433,7 +461,7 @@ func (n *Network) newWorm(d int, node topology.NodeID, p *Packet) *worm {
 	n.occupied[inj] = true
 	n.enlist(w)
 	if rec := &n.core.Recovery; rec.Enabled {
-		dm.stalls.Push(w.headerArrival+rec.StallCycles, stall{w: w, id: p.ID})
+		dm.stalls.Push(w.headerArrival+rec.StallCycles, timed{w: w, id: p.ID})
 	}
 	return w
 }
@@ -633,14 +661,15 @@ func (n *Network) TakeDelivered() []*Packet {
 // with one flit per physical channel per cycle.
 //
 // Nothing that cannot move is looked at: movement visits the worms woken
-// since their last visit (see movementPhase), stall timeouts sleep on
-// timers (see recoveryPhase), and retirement runs only on a cycle that
-// finished a worm. With Config.Shards > 1, injection and routing/allocation
-// fan out over the spatial domains on the worker pool, with the same
-// ordered merges as internal/network's step and bit-identical results;
-// movement — whose physical-channel bandwidth arbitration is
-// order-dependent — and retirement stay serial. See docs/performance.md for
-// why this engine parallelizes fewer phases than internal/network.
+// since their last visit (see movementPhase), worms streaming into their
+// destination and stall timeouts sleep on timers (see sleep and
+// recoveryPhase), and retirement runs only on a cycle that finished a worm.
+// With Config.Shards > 1, injection and routing/allocation fan out over the
+// spatial domains on the worker pool, with the same ordered merges as
+// internal/network's step and bit-identical results; movement — whose
+// physical-channel bandwidth arbitration is order-dependent — and
+// retirement stay serial. See docs/performance.md for why this engine
+// parallelizes fewer phases than internal/network.
 func (n *Network) Step() error {
 	c := &n.core
 
@@ -748,10 +777,10 @@ func (n *Network) recoveryPhase() {
 // repeats until a round moves nothing, so that a flit can enter a buffer
 // another worm vacated earlier in the cycle. Each physical channel and each
 // ejection channel carries at most one flit per cycle — stamped in physUsed
-// and ejectUse with the current cycle, so clearing them between cycles is
-// free, and won by the first worm in visit order to ask: the visit order is
-// the arbitration. (A channel with one virtual channel needs no stamp: its
-// one holder's flits cross it one after the other.)
+// with the current cycle, so clearing the stamps between cycles is free, and
+// won by the first worm in visit order to ask: the visit order is the
+// arbitration. (A channel with one virtual channel needs no stamp: its one
+// holder's flits cross it one after the other.)
 //
 // A visit that moves nothing changes nothing, so the rounds visit only the
 // worms that can have something to move — in injection order, as the sweep
@@ -767,9 +796,23 @@ func (n *Network) recoveryPhase() {
 // Movement is serial even under sharding: the bandwidth stamps arbitrate
 // competing worms in visit order, so any reordering could change which flit
 // wins a channel.
+//
+// The sleepers (see sleep) whose timers are due wake first, into the first
+// round; the ones still asleep when the rounds are over each consumed a flit
+// this cycle, and are counted.
 func (n *Network) movementPhase() bool {
+	c := &n.core
+	for {
+		e, ok := n.sleepers.PopDue(c.Cycle)
+		if !ok {
+			break
+		}
+		if w := e.w; w.pkt != nil && w.pkt.ID == e.id && w.wakeAt == c.Cycle {
+			n.endSleep(w)
+		}
+	}
 	progress := false
-	n.moving = true
+	n.moving, n.first = true, true
 	n.round, n.awake = n.awake, n.round
 	words := (len(n.slots) + 63) >> 6
 	for {
@@ -786,17 +829,23 @@ func (n *Network) movementPhase() bool {
 				if moved {
 					progress = true
 				}
-				if (moved || refused) && w.done < w.pkt.Length {
+				if (moved || refused) && w.done < w.pkt.Length && w.wakeAt == 0 {
 					n.awake.add(s)
 				}
 			}
 		}
 		n.round, n.later = n.later, n.round
+		n.first = false
 		if !n.more {
 			break
 		}
 	}
 	n.moving = false
+	if k := n.asleep - n.dozed; k > 0 {
+		c.FlitsConsumed += int64(k)
+		progress = true
+	}
+	n.dozed = 0
 	return progress
 }
 
@@ -813,6 +862,90 @@ func (n *Network) wakeWorm(w *worm) {
 		n.later.add(w.slot)
 		n.more = true
 	}
+}
+
+// sleep puts a streaming worm to sleep until its source has nothing left to
+// send. moveWorm calls it at the end of a visit that left w arrived, one run
+// from the injection buffer to the destination buffer, with every flit moved
+// and the front one consumed, and at least two flits still at the source; no
+// probe is attached (FlitMove is owed for every flit of every visit). Until
+// the source sends its last flit, each cycle's visit would do the same: take
+// the ejection channel and the bandwidth of every stamped channel of the
+// path, consume a flit, move the others up and inject the next — nothing
+// another worm can see but the bandwidth. So the worm leaves the visits for
+// a timer due in the cycle it is to inject its last flit (wakeAt = now +
+// Length − sent), and reserves the channels instead: physUsed reads reserved
+// and resv names the worm. The sweep visits a streaming worm in the first
+// round at its slot, so a claim on a reserved channel made after that place
+// (a later round, or the first at a larger slot) is refused, as the sweep
+// refused it; one made before it breaks the sleep (see preempt). While the
+// worm sleeps, movementPhase counts its flit each cycle.
+//
+// No two sleepers share a channel: of two worms claiming one each cycle,
+// one is refused and so is not eligible; and a sleeper's own flits hold
+// every buffer of its path, so no other worm is blocked on it, woken by it or
+// aborted, and it is never woken by anything but its timer or a claim.
+func (n *Network) sleep(w *worm) {
+	w.wakeAt = n.core.Cycle + int64(w.pkt.Length-w.sent)
+	n.sleepers.Push(w.wakeAt, timed{w: w, id: w.pkt.ID})
+	n.asleep++
+	n.dozed++
+	n.reserve(w, reserved, w)
+}
+
+// endSleep wakes a sleeper in the current cycle, before the place the sweep
+// would visit it: its flits, counters and run are brought to where they
+// stood at the end of the previous cycle, its reservations are released and
+// it is made due (wakeWorm), for the first round at its slot.
+func (n *Network) endSleep(w *worm) {
+	cycle := n.core.Cycle
+	k := w.slept(cycle)
+	w.done += k
+	w.sent += k
+	r := &w.runs[0]
+	r.first += k
+	r.last += k
+	r.moved = cycle - 1
+	w.wakeAt = 0
+	n.asleep--
+	n.reserve(w, cycle-1, nil)
+	n.wakeWorm(w)
+}
+
+// preempt settles a claim on a channel sleeper s reserves: made before the
+// sweep's visit of s — in the first round, at a smaller slot — it breaks the
+// sleep, leaving the channel free for the claimant, and s joins the round at
+// its slot, where it is refused as the sweep refused it; made after that
+// visit it is refused. It reports whether the channel is free.
+func (n *Network) preempt(s *worm) bool {
+	if !n.first || n.cursor >= s.slot {
+		return false
+	}
+	n.endSleep(s)
+	return true
+}
+
+// reserve sets the physUsed entries of the channels a streaming worm claims
+// each cycle — every stamped channel of its path and its ejection channel —
+// to u, and their resv entries to by.
+func (n *Network) reserve(w *worm, u int64, by *worm) {
+	for _, b := range w.path[1:] {
+		if k := n.stampOf[b]; k >= 0 {
+			n.physUsed[k], n.resv[k] = u, by
+		}
+	}
+	if k := n.ejectOf(w.headRouter); k >= 0 {
+		n.physUsed[k], n.resv[k] = u, by
+	}
+}
+
+// ejectOf is the physUsed index of the node's ejection channel, or -1 when
+// ejection is not limited.
+func (n *Network) ejectOf(node topology.NodeID) int32 {
+	if n.ejectBase < 0 {
+		return -1
+	}
+	return n.ejectBase + int32(node)
 }
 
 // retirePhase takes the worms whose last flit was consumed this cycle out
@@ -1054,11 +1187,14 @@ func (n *Network) reachable(src, dst topology.NodeID) bool {
 // flit-by-flit movement head to tail with one move per flit per cycle: a
 // flit blocked by its predecessor's buffer moves exactly when its
 // predecessor does. It reports whether anything moved and whether a flit
-// was refused bandwidth.
+// was refused bandwidth. A worm left streaming falls asleep (see sleep).
 func (n *Network) moveWorm(w *worm) (moved, refused bool) {
 	c := &n.core
 	cycle := c.Cycle
 	w.mergeRuns(cycle)
+	// streamed records that the worm was one run, which moved whole with
+	// its front flit consumed.
+	whole, streamed := len(w.runs) == 1, false
 	// ahead is the path index of the nearest flit ahead of the run being
 	// moved; a run may only enter a free buffer.
 	ahead := len(w.path)
@@ -1078,12 +1214,10 @@ func (n *Network) moveWorm(w *worm) (moved, refused bool) {
 				refused = refused || m < size
 			}
 		case w.arrived:
-			if n.uncappedEject || n.ejectUse[w.headRouter] != cycle {
-				if !n.uncappedEject {
-					n.ejectUse[w.headRouter] = cycle
-				}
+			if n.stamp(n.ejectOf(w.headRouter)) {
 				m, eject = 1+n.advance(w, r.front-1, size-1), true
 				refused = refused || m < size
+				streamed = whole && m == size
 			} else {
 				refused = true
 			}
@@ -1151,17 +1285,21 @@ func (n *Network) moveWorm(w *worm) (moved, refused bool) {
 		w.runs[len(w.runs)-1].last++
 		w.sent++
 	}
+	if streamed && w.sent < w.pkt.Length-1 && !c.Em.Enabled() {
+		n.sleep(w)
+	}
 	return moved, refused
 }
 
 // stamp claims this cycle's bandwidth of the physical channel with
 // physUsed index k (-1: a channel that needs no claim), and reports
-// whether it was still free.
+// whether it was still free — a channel a sleeper reserves is free only to
+// a claim that breaks the sleep (see preempt).
 func (n *Network) stamp(k int32) bool {
 	if k < 0 {
 		return true
 	}
-	if n.physUsed[k] == n.core.Cycle {
+	if u := n.physUsed[k]; u >= n.core.Cycle && (u == n.core.Cycle || !n.preempt(n.resv[k])) {
 		return false
 	}
 	n.physUsed[k] = n.core.Cycle

@@ -3,8 +3,10 @@ package vcnet
 // Wake-edge tests for the sleepers this engine has: refused headers, woken
 // when an output virtual channel of their router is released or the fault set
 // changes; worms with nothing to move, woken by a grant, an arrival, or the
-// previous holder's tail leaving the buffer their header waits for; and
-// sources behind an occupied injection buffer, woken when the tail leaves it.
+// previous holder's tail leaving the buffer their header waits for; sources
+// behind an occupied injection buffer, woken when the tail leaves it; and
+// worms streaming into their destination, asleep on a timer until their
+// source is done or an earlier claim breaks their reservation.
 // The cases mirror internal/network's wake_test.go on the algorithm lifted to
 // one virtual channel, plus the movement cases of this engine's runs; the
 // lost-wake oracle runs after every step.
@@ -16,6 +18,7 @@ import (
 	"strings"
 	"testing"
 
+	"turnmodel/internal/engine"
 	"turnmodel/internal/fault"
 	"turnmodel/internal/metrics"
 	"turnmodel/internal/routing"
@@ -295,10 +298,12 @@ func awakeCount(n *Network) int {
 // virtual channel everywhere, so nothing is ever stamped — is one run from
 // injection to delivery, and between any two steps it is the only worm due
 // for a visit, once: a step visits it once, however many flits it moves.
+// A probe is attached, so the worm never sleeps (TestWakeVCSleepLoneWorm
+// has the probe-off run).
 func TestWakeVCStreamingWormOneVisitPerCycle(t *testing.T) {
 	mesh := topology.NewMesh2D(8, 8)
 	at := func(x, y int) topology.NodeID { return mesh.ID(topology.Coord{x, y}) }
-	net := New(Config{Routing: vc.Lift(routing.XY(mesh))})
+	net := New(Config{Routing: vc.Lift(routing.XY(mesh)), Probe: &flitMoves{}})
 	p := net.Enqueue(at(0, 0), at(7, 5), 200)
 	for p.Arrived < 0 {
 		if net.Cycle() > 1000 {
@@ -458,6 +463,284 @@ func TestWakeVCTailLeaveJoinsRoundInInjectionOrder(t *testing.T) {
 	}
 }
 
+// enq is one message of a pinned-cycle scenario, enqueued at cycle at.
+type enq struct {
+	at       int64
+	src, dst topology.NodeID
+	length   int
+}
+
+// sleepTwins runs the traffic to completion on cfg, calling watch after
+// every step, and again serially with a probe attached, which never lets a
+// worm sleep (FlitMove is owed for every flit): the two runs must inject and
+// deliver every packet on the same cycles over the same hops, and consume
+// the same number of flits in every cycle.
+func sleepTwins(t *testing.T, cfg Config, traffic []enq, watch func(net *Network, pkts []*Packet)) {
+	t.Helper()
+	run := func(cfg Config, watch func(*Network, []*Packet)) (pkts []*Packet, flits []int64) {
+		net := New(cfg)
+		defer net.Close()
+		for next := 0; next < len(traffic) || net.InFlight() > 0; {
+			if net.Cycle() > 5000 {
+				t.Fatal("the traffic did not drain")
+			}
+			for ; next < len(traffic) && traffic[next].at == net.Cycle(); next++ {
+				e := traffic[next]
+				pkts = append(pkts, net.Enqueue(e.src, e.dst, e.length))
+			}
+			stepChecked(t, net)
+			flits = append(flits, net.FlitsConsumed())
+			watch(net, pkts)
+		}
+		return pkts, flits
+	}
+	off, offFlits := run(cfg, watch)
+	ref := cfg
+	ref.Shards, ref.Probe = 0, &flitMoves{}
+	on, onFlits := run(ref, func(net *Network, _ []*Packet) {
+		if net.asleep != 0 {
+			t.Fatalf("cycle %d: a worm sleeps with a probe attached", net.Cycle()-1)
+		}
+	})
+	for c := range max(len(offFlits), len(onFlits)) {
+		if c >= len(offFlits) || c >= len(onFlits) || offFlits[c] != onFlits[c] {
+			t.Fatalf("cycle %d: %d flits consumed by its end, %d with a probe attached (runs of %d and %d cycles)",
+				c, offFlits[min(c, len(offFlits)-1)], onFlits[min(c, len(onFlits)-1)], len(offFlits), len(onFlits))
+		}
+	}
+	for i, p := range off {
+		if q := on[i]; p.Injected != q.Injected || p.Arrived != q.Arrived || p.Hops != q.Hops {
+			t.Fatalf("%v, with a probe attached %v", p, q)
+		}
+	}
+}
+
+// TestWakeVCSleepLoneWorm: a lone 200-flit xy worm on 3 hops is due for a
+// visit while its header travels and in the cycle it is found arrived; at
+// the end of that visit it falls asleep until its source is to send its
+// last flit, and from then on it is visited while its tail drains. The run
+// matches the probe-on run, which visits it every cycle, cycle for cycle.
+func TestWakeVCSleepLoneWorm(t *testing.T) {
+	mesh := topology.NewMesh2D(8, 8)
+	at := func(x, y int) topology.NodeID { return mesh.ID(topology.Coord{x, y}) }
+	var visits []int64
+	asleep := 0
+	sleepTwins(t, Config{Routing: vc.Lift(routing.XY(mesh))}, []enq{{0, at(1, 2), at(4, 2), 200}},
+		func(net *Network, pkts []*Packet) {
+			w := wormOf(net, pkts[0])
+			switch {
+			case w == nil:
+			case net.awake.has(w.slot) || w.wakeAt == net.Cycle():
+				visits = append(visits, net.Cycle())
+			case w.wakeAt != 0:
+				asleep++
+			}
+		})
+	// Injected and hopping in cycles 0 to 2, found arrived in cycle 3, when
+	// its fifth flit is sent: 195 left, the last to be sent in cycle 198.
+	// Its tail drains in cycles 199 to 202.
+	want := []int64{1, 2, 3, 198, 199, 200, 201, 202}
+	if !reflect.DeepEqual(visits, want) || asleep != 198-4 {
+		t.Fatalf("the worm is due before the steps of cycles %v and asleep for %d cycles, want %v and %d", visits, asleep, want, 198-4)
+	}
+}
+
+// claimWatch follows the sleeper S (the message of 200 flits) and the
+// claimant B of a sleep-break scenario between steps. ready reports that B
+// is claiming a channel S reserves, won that it has had it. With B injected
+// before S, the sweep visits B first, so S's sleep must end before its timer
+// in exactly the step B's claim first succeeds, with S refused in that step.
+// With B injected after S, B must be refused while S sleeps on to its timer.
+// check reports what the scenario failed to show.
+func claimWatch(t *testing.T, bFirst bool, ready, won func(net *Network, b *Packet) bool) (watch func(*Network, []*Packet), check func()) {
+	var (
+		timer  int64 = -1 // S's first timer
+		broke  int64 = -1 // the step S's sleep ended in before its timer
+		waited int        // steps B was refused in while S slept on
+		was    bool       // S asleep before the step
+		done   int        // S's done before the step, as the sweep holds it
+		bWon   bool
+	)
+	watch = func(net *Network, pkts []*Packet) {
+		if len(pkts) < 2 {
+			return
+		}
+		sp, bp := pkts[0], pkts[1]
+		if bFirst {
+			sp, bp = bp, sp
+		}
+		step := net.Cycle() - 1
+		w := wormOf(net, sp)
+		if w == nil {
+			return
+		}
+		asleep := w.wakeAt != 0
+		if asleep && timer < 0 {
+			timer = w.wakeAt
+		}
+		now := won(net, bp)
+		if was && !asleep && step < timer && broke < 0 {
+			broke = step
+			if !now || bWon {
+				t.Fatalf("step %d: S's sleep ended before its timer (%d) but not in the step B's claim first succeeded", step, timer)
+			}
+			if len(w.runs) == 1 && w.done != done {
+				t.Fatalf("step %d: S broke its sleep and moved whole (done %d -> %d)", step, done, w.done)
+			}
+		}
+		if was && asleep && !now && ready(net, bp) {
+			waited++
+		}
+		_, done, _ = view(net, w)
+		was, bWon = asleep, now
+	}
+	check = func() {
+		switch {
+		case timer < 0:
+			t.Fatal("S never slept")
+		case bFirst && broke < 0:
+			t.Fatal("B, injected first, never broke S's sleep")
+		case !bFirst && broke >= 0:
+			t.Fatalf("B, injected after S, broke its sleep in step %d", broke)
+		case !bFirst && waited == 0:
+			t.Fatal("B never claimed a channel S reserves while S slept")
+		}
+	}
+	return watch, check
+}
+
+// sleepBreakCases runs a sleep-break scenario both ways round: B injected in
+// cycle 0 and S in cycle 1, and the other way.
+func sleepBreakCases(t *testing.T, cfg Config, s, b enq, ready, won func(net *Network, b *Packet) bool) {
+	for _, bFirst := range []bool{true, false} {
+		name := "smaller-slot-breaks"
+		if !bFirst {
+			name = "larger-slot-refused"
+		}
+		t.Run(name, func(t *testing.T) {
+			first, second := s, b
+			if bFirst {
+				first, second = b, s
+			}
+			first.at, second.at = 0, 1
+			watch, check := claimWatch(t, bFirst, ready, won)
+			sleepTwins(t, cfg, []enq{first, second}, watch)
+			check()
+		})
+	}
+}
+
+// arrived and ejected are the ready and won of an ejection-break scenario:
+// B's header has been found arrived, and B has consumed a flit.
+func arrived(net *Network, b *Packet) bool {
+	w := wormOf(net, b)
+	return w != nil && w.arrived
+}
+
+func ejected(net *Network, b *Packet) bool {
+	w := wormOf(net, b)
+	return w == nil && b.Arrived >= 0 || w != nil && w.done > 0
+}
+
+// TestWakeVCSleepEjectionBreak: S streams from (4,0) into (5,0) and sleeps,
+// reserving (5,0)'s ejection channel; B comes down column 5 and is found
+// arrived there while S sleeps.
+func TestWakeVCSleepEjectionBreak(t *testing.T) {
+	mesh := topology.NewMesh2D(8, 8)
+	at := func(x, y int) topology.NodeID { return mesh.ID(topology.Coord{x, y}) }
+	sleepBreakCases(t, Config{Routing: vc.Lift(routing.XY(mesh))},
+		enq{0, at(4, 0), at(5, 0), 200}, enq{0, at(5, 7), at(5, 0), 20}, arrived, ejected)
+}
+
+// TestWakeVCSleepChannelBreak: on a double-y mesh whose westward links out
+// of column 1's three lowest routers are broken, S climbs column 1 on the y
+// links' second virtual channel into (1,3) and sleeps, reserving the links;
+// B comes west along row 1 to (1,3) and, west-pending but unable to turn
+// west, climbs from (1,1) to (1,3) on the first virtual channel of the same
+// links while S sleeps.
+func TestWakeVCSleepChannelBreak(t *testing.T) {
+	mesh := topology.NewMesh2D(8, 8)
+	at := func(x, y int) topology.NodeID { return mesh.ID(topology.Coord{x, y}) }
+	var faults []topology.Channel
+	for y := 0; y < 3; y++ {
+		faults = append(faults, topology.Channel{From: at(1, y), Dir: topology.West})
+	}
+	// Six hops west take B's header to (1,1); the seventh crosses the link
+	// (1,1)->(1,2).
+	atLink := func(net *Network, b *Packet) bool {
+		w := wormOf(net, b)
+		return w != nil && b.Hops == 6 && w.routed
+	}
+	crossed := func(_ *Network, b *Packet) bool { return b.Hops > 6 }
+	sleepBreakCases(t, Config{Routing: vc.DoubleY(mesh), Faults: faults},
+		enq{0, at(1, 0), at(1, 3), 200}, enq{0, at(7, 1), at(0, 3), 20}, atLink, crossed)
+}
+
+// TestWakeVCSleepCompactionAndClose: the sleep survives the two things that
+// rearrange a network around a worm without touching it. A compaction in
+// activate packs the slots while S sleeps, moving S to a smaller slot, and
+// B, still before it, breaks the sleep at the new slot; and a sharded
+// network Close()d while S sleeps steps on serially. Both runs match the
+// serial probe-on run.
+func TestWakeVCSleepCompactionAndClose(t *testing.T) {
+	mesh := topology.NewMesh2D(16, 16)
+	at := func(x, y int) topology.NodeID { return mesh.ID(topology.Coord{x, y}) }
+	xy := vc.Lift(routing.XY(mesh))
+
+	t.Run("compaction", func(t *testing.T) {
+		// E (slot 0) retires at once; B (slot 1) comes 25 hops from the far
+		// corner to S's destination; S (slot 2) sleeps from cycle 2. The 72
+		// one-flit messages of cycles 3 and 4 stay clear of all three and are
+		// gone by cycle 6, whose injection finds 75 slots for 2 worms and
+		// packs them.
+		traffic := []enq{{0, at(0, 1), at(1, 1), 1}, {0, at(15, 15), at(5, 0), 20}, {1, at(4, 0), at(5, 0), 200}}
+		for c := int64(3); c <= 4; c++ {
+			for y := 2; y < 14; y++ {
+				for x := 8; x < 14; x += 2 {
+					traffic = append(traffic, enq{c, at(x, y), at(x+1, y), 1})
+				}
+			}
+		}
+		traffic = append(traffic, enq{6, at(10, 15), at(11, 15), 1})
+		watch, check := claimWatch(t, true, arrived, ejected)
+		moved := false
+		sleepTwins(t, Config{Routing: xy}, traffic, func(net *Network, pkts []*Packet) {
+			if len(pkts) < 3 {
+				return
+			}
+			watch(net, pkts[1:3])
+			if w := wormOf(net, pkts[2]); w != nil && w.wakeAt != 0 && w.slot == 1 {
+				moved = true
+			}
+		})
+		check()
+		if !moved {
+			t.Fatal("no compaction moved S while it slept")
+		}
+	})
+
+	t.Run("close", func(t *testing.T) {
+		watch, check := claimWatch(t, true, arrived, ejected)
+		closed := false
+		sleepTwins(t, Config{Routing: xy, Shards: 2},
+			[]enq{{0, at(5, 7), at(5, 0), 20}, {1, at(4, 0), at(5, 0), 200}},
+			func(net *Network, pkts []*Packet) {
+				watch(net, pkts)
+				if len(pkts) < 2 {
+					return
+				}
+				if w := wormOf(net, pkts[1]); !closed && w != nil && w.wakeAt != 0 {
+					net.Close()
+					closed = true
+				}
+			})
+		check()
+		if !closed {
+			t.Fatal("S never slept, so the network was not closed under it")
+		}
+	})
+}
+
 // TestLostWakeVCOracleCatches: every movement clause of the lost-wake
 // oracle objects when the wake it guards is dropped.
 func TestLostWakeVCOracleCatches(t *testing.T) {
@@ -514,6 +797,35 @@ func TestLostWakeVCOracleCatches(t *testing.T) {
 	}
 
 	if err := lostWake(net); err != nil {
+		t.Fatalf("after undoing the sabotage the oracle still objects: %v", err)
+	}
+
+	// A dropped reservation and a dropped timer: S streams over one y link
+	// of a double-y mesh, (1,0)->(1,1), and sleeps, reserving the link and
+	// the ejection channel at (1,1).
+	snet := New(Config{Routing: vc.DoubleY(mesh)})
+	s := snet.Enqueue(at(1, 0), at(1, 1), 200)
+	for c := 0; c < 5; c++ {
+		stepChecked(t, snet)
+	}
+	ws := wormOf(snet, s)
+	if ws == nil || ws.wakeAt == 0 {
+		t.Fatal("S is not asleep")
+	}
+	ks := claims(snet, ws)
+	if len(ks) != 2 {
+		t.Fatalf("S claims channels %v each cycle, want its ejection channel and one y link", ks)
+	}
+	for _, k := range ks {
+		snet.physUsed[k], snet.resv[k] = snet.Cycle()-1, nil
+		objects("dropped reservation", snet, "lost reservation")
+		snet.physUsed[k], snet.resv[k] = reserved, ws
+	}
+	timers := snet.sleepers
+	snet.sleepers = engine.Timers[timed]{}
+	objects("dropped timer", snet, "lost timer")
+	snet.sleepers = timers
+	if err := lostWake(snet); err != nil {
 		t.Fatalf("after undoing the sabotage the oracle still objects: %v", err)
 	}
 }

@@ -15,9 +15,8 @@ import (
 // traffic piles against the break, and the watchdog is disabled. Every
 // subsequent Step does identical work — arbitration over the same blocked
 // headers — which makes it the reference workload for both the step
-// benchmarks and the allocation gates. shards > 1 steps the same workload
-// through the domain-decomposed path (0 or 1 steps serially).
-func wedgedNetwork(tb testing.TB, probe turnmodel.Probe, ftroute turnmodel.FaultRoutingPolicy, shards int) *turnmodel.Network {
+// benchmarks and the allocation gates.
+func wedgedNetwork(tb testing.TB, probe turnmodel.Probe, ftroute turnmodel.FaultRoutingPolicy) *turnmodel.Network {
 	tb.Helper()
 	mesh := turnmodel.NewMesh2D(16, 16)
 	alg, err := turnmodel.NewRouting("xy", mesh)
@@ -33,7 +32,6 @@ func wedgedNetwork(tb testing.TB, probe turnmodel.Probe, ftroute turnmodel.Fault
 	net := turnmodel.NewNetwork(turnmodel.NetworkConfig{
 		Routing: alg, Seed: 1, WatchdogCycles: -1,
 		Faults: faults, Probe: probe, FaultRouting: ftroute,
-		Shards: shards,
 	})
 	for y := 0; y < 16; y++ {
 		for x := 0; x < 4; x++ {
@@ -59,14 +57,14 @@ func wedgedNetwork(tb testing.TB, probe turnmodel.Probe, ftroute turnmodel.Fault
 // blocked headers piling up behind the long bodies. Routes are 7 hops,
 // inside a worm's inline path buffer. It returns the packets so the
 // caller can check that headers really moved.
-func movingNetwork(tb testing.TB, shards int) (*turnmodel.Network, []*turnmodel.Packet) {
+func movingNetwork(tb testing.TB) (*turnmodel.Network, []*turnmodel.Packet) {
 	tb.Helper()
 	mesh := turnmodel.NewMesh2D(8, 8)
 	alg, err := turnmodel.NewRouting("west-first", mesh)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	net := turnmodel.NewNetwork(turnmodel.NetworkConfig{Routing: alg, Seed: 1, Shards: shards})
+	net := turnmodel.NewNetwork(turnmodel.NetworkConfig{Routing: alg, Seed: 1})
 	var pkts []*turnmodel.Packet
 	for y := 0; y < 8; y++ {
 		for x := 0; x < 8; x++ {
@@ -81,14 +79,14 @@ func movingNetwork(tb testing.TB, shards int) (*turnmodel.Network, []*turnmodel.
 // 600-flit messages from every node (x, y) of an 8x8 mesh to
 // ((x+4) mod 8, (y+3) mod 8), routed double-y, whose y links carry two
 // virtual channels, so every flit crossing one claims its bandwidth.
-func movingVCNetwork(tb testing.TB, shards int) (*turnmodel.VCNetwork, []*turnmodel.Packet) {
+func movingVCNetwork(tb testing.TB) (*turnmodel.VCNetwork, []*turnmodel.Packet) {
 	tb.Helper()
 	mesh := turnmodel.NewMesh2D(8, 8)
 	alg, err := turnmodel.NewVCRouting("double-y", mesh)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	net := turnmodel.NewVCNetwork(turnmodel.VCNetworkConfig{Routing: alg, Shards: shards})
+	net := turnmodel.NewVCNetwork(turnmodel.VCNetworkConfig{Routing: alg})
 	var pkts []*turnmodel.Packet
 	for y := 0; y < 8; y++ {
 		for x := 0; x < 8; x++ {
@@ -124,7 +122,7 @@ func wakingWave(net *turnmodel.Network, mesh *turnmodel.Mesh) []*turnmodel.Packe
 // Every node is then the destination of exactly one worm whose header
 // arrives after a single hop with 198 flits still at the source, so the mesh
 // is full of arrived worms whose drain moves nothing but counters: each
-// sleeps on its domain's timer for 198 cycles, wakes, shifts its tail for two
+// sleeps on a timer for 198 cycles, wakes, shifts its tail for two
 // and retires, and its source injects the next message of its queue. It is
 // the workload of the draining allocation gate and of
 // BenchmarkNetworkStepDraining.
@@ -152,267 +150,227 @@ func drainingVCWave(net *turnmodel.VCNetwork, mesh *turnmodel.Mesh) {
 // TestStepZeroAllocs gates the no-probe step paths at zero heap
 // allocations per cycle: the observability layer must cost nothing when
 // unused, fault-aware routing must stay allocation-free once its candidate
-// caches are warm, the sharded step must reuse its per-domain scratch
-// rather than allocate per cycle, a header entering and leaving the wait
+// caches are warm, a header entering and leaving the wait
 // table must cost no allocation (the moving cases), and neither must a wake,
 // a retirement or the injection that recycles the retired worm (the waking
-// cases), and neither must putting an arrived worm to sleep on its domain's
-// timer, counting its flits while it sleeps, or waking it (the draining
+// cases), and neither must putting an arrived worm to sleep on a timer, counting its flits while it sleeps, or waking it (the draining
 // cases), and neither must moving the virtual-channel engine's worms (the
 // vcnet moving cases) or putting them to sleep with their reservations,
 // counting them and waking them (the vcnet sleeping cases).
 func TestStepZeroAllocs(t *testing.T) {
-	for _, shards := range []int{0, 4} {
-		name := "vcnet-no-probe-sleeping"
-		if shards > 1 {
-			name += "-sharded"
+	t.Run("vcnet-no-probe-sleeping", func(t *testing.T) {
+		mesh := turnmodel.NewMesh2D(8, 8)
+		alg, err := turnmodel.NewVCRouting("double-y", mesh)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			mesh := turnmodel.NewMesh2D(8, 8)
-			alg, err := turnmodel.NewVCRouting("double-y", mesh)
-			if err != nil {
-				t.Fatal(err)
+		net := turnmodel.NewVCNetwork(turnmodel.VCNetworkConfig{Routing: alg})
+		var stepErr error
+		step := func() {
+			if err := net.Step(); err != nil {
+				stepErr = err
 			}
-			net := turnmodel.NewVCNetwork(turnmodel.VCNetworkConfig{Routing: alg, Shards: shards})
-			defer net.Close()
-			var stepErr error
-			step := func() {
-				if err := net.Step(); err != nil {
-					stepErr = err
-				}
-			}
-			// As in the draining cases: two waves run to completion size the
-			// worms, slots and timers; the measured steps carry two more on
-			// recycled worms — 64 arrivals put to sleep with their
-			// reservations, 196 cycles of counted flits, 64 timers popped,
-			// tails, retirements and re-injections.
-			drainingVCWave(net, mesh)
-			drainingVCWave(net, mesh)
-			for net.InFlight() > 0 && stepErr == nil {
-				step()
-			}
-			net.TakeDelivered()
-			drainingVCWave(net, mesh)
-			drainingVCWave(net, mesh)
-			done, flits := net.PacketsDelivered(), net.FlitsConsumed()
-			allocs := testing.AllocsPerRun(300, step)
-			if stepErr != nil {
-				t.Fatal(stepErr)
-			}
-			if n := net.PacketsDelivered() - done; n != 64 {
-				t.Fatalf("%d packets delivered in the measured window, want the first wave's 64", n)
-			}
-			if n := net.FlitsConsumed() - flits; n < 64*250 {
-				t.Fatalf("only %d flits consumed in the measured window; the case no longer keeps the mesh full of sleeping worms", n)
-			}
-			if allocs != 0 {
-				t.Errorf("%s step path allocates %.1f allocs/op, want 0", name, allocs)
-			}
-		})
-	}
-	for _, shards := range []int{0, 4} {
-		name := "no-probe-draining"
-		if shards > 1 {
-			name += "-sharded"
 		}
-		t.Run(name, func(t *testing.T) {
-			mesh := turnmodel.NewMesh2D(8, 8)
-			alg, err := turnmodel.NewRouting("west-first", mesh)
-			if err != nil {
-				t.Fatal(err)
-			}
-			net := turnmodel.NewNetwork(turnmodel.NetworkConfig{Routing: alg, Seed: 1, Shards: shards})
-			defer net.Close()
-			var stepErr error
-			step := func() {
-				if err := net.Step(); err != nil {
-					stepErr = err
-				}
-			}
-			// Two waves run to completion allocate the worms and grow the
-			// lists and the timers to their working size; the measured steps
-			// carry two more on recycled worms: 64 arrivals put to sleep, 198
-			// cycles of counted flits, 64 wakes, tails, retirements and
-			// re-injections, and the second wave's arrivals.
-			drainingWave(net, mesh)
-			drainingWave(net, mesh)
-			for net.InFlight() > 0 && stepErr == nil {
-				step()
-			}
-			net.TakeDelivered()
-			drainingWave(net, mesh)
-			drainingWave(net, mesh)
-			done, flits := net.PacketsDelivered(), net.FlitsConsumed()
-			// As in the waking cases, the delivered list growing back after
-			// TakeDelivered is the only allocation left, a handful in all.
-			allocs := testing.AllocsPerRun(300, step)
-			if stepErr != nil {
-				t.Fatal(stepErr)
-			}
-			if n := net.PacketsDelivered() - done; n != 64 {
-				t.Fatalf("%d packets delivered in the measured window, want the first wave's 64", n)
-			}
-			if n := net.FlitsConsumed() - flits; n < 64*250 {
-				t.Fatalf("only %d flits consumed in the measured window; the case no longer keeps the mesh full of draining worms", n)
-			}
-			if allocs != 0 {
-				t.Errorf("%s step path allocates %.1f allocs/op, want 0", name, allocs)
-			}
-		})
-	}
-	for _, shards := range []int{0, 4} {
-		name := "no-probe-waking"
-		if shards > 1 {
-			name += "-sharded"
+		// As in the draining cases: two waves run to completion size the
+		// worms, slots and timers; the measured steps carry two more on
+		// recycled worms — 64 arrivals put to sleep with their
+		// reservations, 196 cycles of counted flits, 64 timers popped,
+		// tails, retirements and re-injections.
+		drainingVCWave(net, mesh)
+		drainingVCWave(net, mesh)
+		for net.InFlight() > 0 && stepErr == nil {
+			step()
 		}
-		t.Run(name, func(t *testing.T) {
-			mesh := turnmodel.NewMesh2D(8, 8)
-			alg, err := turnmodel.NewRouting("west-first", mesh)
-			if err != nil {
-				t.Fatal(err)
+		net.TakeDelivered()
+		drainingVCWave(net, mesh)
+		drainingVCWave(net, mesh)
+		done, flits := net.PacketsDelivered(), net.FlitsConsumed()
+		allocs := testing.AllocsPerRun(300, step)
+		if stepErr != nil {
+			t.Fatal(stepErr)
+		}
+		if n := net.PacketsDelivered() - done; n != 64 {
+			t.Fatalf("%d packets delivered in the measured window, want the first wave's 64", n)
+		}
+		if n := net.FlitsConsumed() - flits; n < 64*250 {
+			t.Fatalf("only %d flits consumed in the measured window; the case no longer keeps the mesh full of sleeping worms", n)
+		}
+		if allocs != 0 {
+			t.Errorf("step path allocates %.1f allocs/op, want 0", allocs)
+		}
+	})
+	t.Run("no-probe-draining", func(t *testing.T) {
+		mesh := turnmodel.NewMesh2D(8, 8)
+		alg, err := turnmodel.NewRouting("west-first", mesh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net := turnmodel.NewNetwork(turnmodel.NetworkConfig{Routing: alg, Seed: 1})
+		var stepErr error
+		step := func() {
+			if err := net.Step(); err != nil {
+				stepErr = err
 			}
-			net := turnmodel.NewNetwork(turnmodel.NetworkConfig{Routing: alg, Seed: 1, Shards: shards})
-			defer net.Close()
-			var stepErr error
-			step := func() {
-				if err := net.Step(); err != nil {
-					stepErr = err
-				}
+		}
+		// Two waves run to completion allocate the worms and grow the
+		// lists and the timers to their working size; the measured steps
+		// carry two more on recycled worms: 64 arrivals put to sleep, 198
+		// cycles of counted flits, 64 wakes, tails, retirements and
+		// re-injections, and the second wave's arrivals.
+		drainingWave(net, mesh)
+		drainingWave(net, mesh)
+		for net.InFlight() > 0 && stepErr == nil {
+			step()
+		}
+		net.TakeDelivered()
+		drainingWave(net, mesh)
+		drainingWave(net, mesh)
+		done, flits := net.PacketsDelivered(), net.FlitsConsumed()
+		// As in the waking cases, the delivered list growing back after
+		// TakeDelivered is the only allocation left, a handful in all.
+		allocs := testing.AllocsPerRun(300, step)
+		if stepErr != nil {
+			t.Fatal(stepErr)
+		}
+		if n := net.PacketsDelivered() - done; n != 64 {
+			t.Fatalf("%d packets delivered in the measured window, want the first wave's 64", n)
+		}
+		if n := net.FlitsConsumed() - flits; n < 64*250 {
+			t.Fatalf("only %d flits consumed in the measured window; the case no longer keeps the mesh full of draining worms", n)
+		}
+		if allocs != 0 {
+			t.Errorf("step path allocates %.1f allocs/op, want 0", allocs)
+		}
+	})
+	t.Run("no-probe-waking", func(t *testing.T) {
+		mesh := turnmodel.NewMesh2D(8, 8)
+		alg, err := turnmodel.NewRouting("west-first", mesh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net := turnmodel.NewNetwork(turnmodel.NetworkConfig{Routing: alg, Seed: 1})
+		var stepErr error
+		step := func() {
+			if err := net.Step(); err != nil {
+				stepErr = err
 			}
-			// A first wave, run to completion, allocates the worms and grows
-			// every list to its working size; the measured steps then carry
-			// an identical second wave on recycled worms.
-			wakingWave(net, mesh)
-			for net.InFlight() > 0 && stepErr == nil {
-				step()
+		}
+		// A first wave, run to completion, allocates the worms and grows
+		// every list to its working size; the measured steps then carry
+		// an identical second wave on recycled worms.
+		wakingWave(net, mesh)
+		for net.InFlight() > 0 && stepErr == nil {
+			step()
+		}
+		net.TakeDelivered()
+		pkts := wakingWave(net, mesh)
+		start, done := net.Cycle(), net.PacketsDelivered()
+		// The only allocation left is the delivered list growing back
+		// after TakeDelivered — under ten in all, which AllocsPerRun's
+		// truncated average forgives; one per wake, per retirement or
+		// per injection would be several per step.
+		allocs := testing.AllocsPerRun(120, step)
+		if stepErr != nil {
+			t.Fatal(stepErr)
+		}
+		if n := net.PacketsDelivered() - done; n < 100 {
+			t.Fatalf("only %d packets delivered in the measured window; the case no longer exercises retirement", n)
+		}
+		woken := 0
+		for _, p := range pkts {
+			if p.Injected > start {
+				woken++
 			}
-			net.TakeDelivered()
-			pkts := wakingWave(net, mesh)
-			start, done := net.Cycle(), net.PacketsDelivered()
-			// The only allocation left is the delivered list growing back
-			// after TakeDelivered — under ten in all, which AllocsPerRun's
-			// truncated average forgives; one per wake, per retirement or
-			// per injection would be several per step.
-			allocs := testing.AllocsPerRun(120, step)
-			if stepErr != nil {
-				t.Fatal(stepErr)
-			}
-			if n := net.PacketsDelivered() - done; n < 100 {
-				t.Fatalf("only %d packets delivered in the measured window; the case no longer exercises retirement", n)
-			}
-			woken := 0
+		}
+		if woken < 100 {
+			t.Fatalf("only %d messages were injected by a woken source in the measured window", woken)
+		}
+		if allocs != 0 {
+			t.Errorf("step path allocates %.1f allocs/op, want 0", allocs)
+		}
+	})
+	t.Run("no-probe-moving", func(t *testing.T) {
+		net, pkts := movingNetwork(t)
+		hops := func() (n int) {
 			for _, p := range pkts {
-				if p.Injected > start {
-					woken++
-				}
+				n += p.Hops
 			}
-			if woken < 100 {
-				t.Fatalf("only %d messages were injected by a woken source in the measured window", woken)
-			}
-			if allocs != 0 {
-				t.Errorf("%s step path allocates %.1f allocs/op, want 0", name, allocs)
-			}
-		})
-	}
-	for _, shards := range []int{0, 4} {
-		name := "no-probe-moving"
-		if shards > 1 {
-			name += "-sharded"
+			return n
 		}
-		t.Run(name, func(t *testing.T) {
-			net, pkts := movingNetwork(t, shards)
-			defer net.Close()
-			hops := func() (n int) {
-				for _, p := range pkts {
-					n += p.Hops
-				}
-				return n
+		var stepErr error
+		step := func() {
+			if err := net.Step(); err != nil {
+				stepErr = err
 			}
-			var stepErr error
-			step := func() {
-				if err := net.Step(); err != nil {
-					stepErr = err
-				}
-			}
-			// The first step injects (and so allocates) the worms; the
-			// measured ones only move them. AllocsPerRun truncates the
-			// average, so the sharded step's scratch lists growing to their
-			// working size — a handful of allocations in all — passes, while
-			// anything per hop or per waiter would not.
-			step()
-			before := hops()
-			allocs := testing.AllocsPerRun(18, step)
-			if stepErr != nil {
-				t.Fatal(stepErr)
-			}
-			if moved := hops() - before; moved < 100 {
-				t.Fatalf("only %d header hops in the measured window; the case no longer exercises enlist/delist", moved)
-			}
-			if net.PacketsDelivered() != 0 {
-				t.Fatalf("%d packets delivered inside the measured window; deliveries allocate by design", net.PacketsDelivered())
-			}
-			if allocs != 0 {
-				t.Errorf("%s step path allocates %.1f allocs/op, want 0", name, allocs)
-			}
-		})
-	}
-	for _, shards := range []int{0, 4} {
-		name := "vcnet-no-probe-moving"
-		if shards > 1 {
-			name += "-sharded"
 		}
-		t.Run(name, func(t *testing.T) {
-			net, pkts := movingVCNetwork(t, shards)
-			defer net.Close()
-			hops := func() (n int) {
-				for _, p := range pkts {
-					n += p.Hops
-				}
-				return n
+		// The first step injects (and so allocates) the worms; the
+		// measured ones only move them. AllocsPerRun truncates the
+		// average, so the scratch lists growing to their working size — a
+		// handful of allocations in all — passes, while anything per hop or
+		// per waiter would not.
+		step()
+		before := hops()
+		allocs := testing.AllocsPerRun(18, step)
+		if stepErr != nil {
+			t.Fatal(stepErr)
+		}
+		if moved := hops() - before; moved < 100 {
+			t.Fatalf("only %d header hops in the measured window; the case no longer exercises enlist/delist", moved)
+		}
+		if net.PacketsDelivered() != 0 {
+			t.Fatalf("%d packets delivered inside the measured window; deliveries allocate by design", net.PacketsDelivered())
+		}
+		if allocs != 0 {
+			t.Errorf("step path allocates %.1f allocs/op, want 0", allocs)
+		}
+	})
+	t.Run("vcnet-no-probe-moving", func(t *testing.T) {
+		net, pkts := movingVCNetwork(t)
+		hops := func() (n int) {
+			for _, p := range pkts {
+				n += p.Hops
 			}
-			var stepErr error
-			step := func() {
-				if err := net.Step(); err != nil {
-					stepErr = err
-				}
+			return n
+		}
+		var stepErr error
+		step := func() {
+			if err := net.Step(); err != nil {
+				stepErr = err
 			}
-			// As in the network engine's moving cases: the first step injects
-			// the worms, the measured ones move them — headers hopping into
-			// and out of the wait table, worms woken by their grants and
-			// visited while they stream, their runs advancing.
-			step()
-			before := hops()
-			allocs := testing.AllocsPerRun(18, step)
-			if stepErr != nil {
-				t.Fatal(stepErr)
-			}
-			if moved := hops() - before; moved < 100 {
-				t.Fatalf("only %d header hops in the measured window; the case no longer exercises movement", moved)
-			}
-			if net.PacketsDelivered() != 0 {
-				t.Fatalf("%d packets delivered inside the measured window; deliveries allocate by design", net.PacketsDelivered())
-			}
-			if allocs != 0 {
-				t.Errorf("%s step path allocates %.1f allocs/op, want 0", name, allocs)
-			}
-		})
-	}
+		}
+		// As in the network engine's moving cases: the first step injects
+		// the worms, the measured ones move them — headers hopping into
+		// and out of the wait table, worms woken by their grants and
+		// visited while they stream, their runs advancing.
+		step()
+		before := hops()
+		allocs := testing.AllocsPerRun(18, step)
+		if stepErr != nil {
+			t.Fatal(stepErr)
+		}
+		if moved := hops() - before; moved < 100 {
+			t.Fatalf("only %d header hops in the measured window; the case no longer exercises movement", moved)
+		}
+		if net.PacketsDelivered() != 0 {
+			t.Fatalf("%d packets delivered inside the measured window; deliveries allocate by design", net.PacketsDelivered())
+		}
+		if allocs != 0 {
+			t.Errorf("step path allocates %.1f allocs/op, want 0", allocs)
+		}
+	})
 	cases := []struct {
 		name    string
 		ftroute turnmodel.FaultRoutingPolicy
-		shards  int
 	}{
-		{"no-probe", turnmodel.FaultRoutingPolicy{}, 0},
+		{"no-probe", turnmodel.FaultRoutingPolicy{}},
 		{"no-probe-ftroute", turnmodel.FaultRoutingPolicy{
 			Visibility:    turnmodel.FaultVisibilityKHop,
 			MisrouteLimit: 4,
-		}, 0},
-		{"no-probe-sharded", turnmodel.FaultRoutingPolicy{}, 4},
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			net := wedgedNetwork(t, nil, tc.ftroute, tc.shards)
-			defer net.Close()
+			net := wedgedNetwork(t, nil, tc.ftroute)
 			var stepErr error
 			allocs := testing.AllocsPerRun(200, func() {
 				if err := net.Step(); err != nil {

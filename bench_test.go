@@ -5,6 +5,7 @@
 package turnmodel_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -117,7 +118,7 @@ func BenchmarkSweepRunner(b *testing.B) {
 	for _, jobs := range counts {
 		b.Run(fmt.Sprintf("jobs-%d", jobs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				frs, _, err := turnmodel.RunSweepPlan(turnmodel.SweepPlan{
+				out, err := turnmodel.RunSweep(context.Background(), turnmodel.SweepOptions{
 					Specs:        []turnmodel.FigureSpec{spec},
 					WarmupCycles: 500, MeasureCycles: 1000,
 					Seed: 1, Jobs: jobs,
@@ -125,7 +126,7 @@ func BenchmarkSweepRunner(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(frs) != 1 || len(frs[0].Series) != 4 {
+				if len(out.Figures) != 1 || len(out.Figures[0].Series) != 4 {
 					b.Fatal("wrong result shape")
 				}
 			}
@@ -280,7 +281,7 @@ func BenchmarkAblationInputPolicy(b *testing.B) {
 // benchmark additionally reports allocs for inspection.
 func BenchmarkNetworkStep(b *testing.B) {
 	run := func(b *testing.B, probe turnmodel.Probe, ftroute turnmodel.FaultRoutingPolicy) {
-		net := wedgedNetwork(b, probe, ftroute, 0)
+		net := wedgedNetwork(b, probe, ftroute)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -306,12 +307,10 @@ func BenchmarkNetworkStep(b *testing.B) {
 }
 
 // bigWedgedNetwork is wedgedNetwork scaled to a size x size mesh for the
-// sharded-step benchmark: eastbound channels out of the middle column are
+// large-mesh benchmark: eastbound channels out of the middle column are
 // faulted and four worms per row pile against the break from just west of
-// it, so every row band — and therefore every contiguous spatial domain —
-// holds the same number of permanently blocked headers doing identical
-// arbitration work each cycle.
-func bigWedgedNetwork(tb testing.TB, size, shards int) *turnmodel.Network {
+// it, so every row holds the same number of permanently blocked headers.
+func bigWedgedNetwork(tb testing.TB, size int) *turnmodel.Network {
 	tb.Helper()
 	mesh := turnmodel.NewMesh2D(size, size)
 	alg, err := turnmodel.NewRouting("xy", mesh)
@@ -327,7 +326,7 @@ func bigWedgedNetwork(tb testing.TB, size, shards int) *turnmodel.Network {
 	}
 	net := turnmodel.NewNetwork(turnmodel.NetworkConfig{
 		Routing: alg, Seed: 1, WatchdogCycles: -1,
-		Faults: faults, Shards: shards,
+		Faults: faults,
 	})
 	// Sources sit just west of the break so the pile-up forms within a few
 	// hundred cycles even on a 1000-wide mesh.
@@ -344,45 +343,37 @@ func bigWedgedNetwork(tb testing.TB, size, shards int) *turnmodel.Network {
 	return net
 }
 
-// BenchmarkShardedStep steps one wedged 1000x1000 mesh (4000 blocked worms
-// spread evenly over the rows) serially and split into 2 and 4 spatial
-// domains. Nothing blocked is looked at, so none of these steps has
-// anything to do: the benchmark is the "blocked costs O(1)" gate — a step
-// must not grow with the worms standing in the network or with the million
-// nodes around them — and, sharded, the price of the barriers of an empty
-// cycle. Parallel speedup is BenchmarkShardedStepMoving's to measure.
-func BenchmarkShardedStep(b *testing.B) {
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			net := bigWedgedNetwork(b, 1000, shards)
-			defer net.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := net.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+// BenchmarkLargeMeshStep steps one wedged 1000x1000 mesh (4000 blocked
+// worms spread evenly over the rows). Nothing blocked is looked at, so the
+// step has nothing to do: the benchmark is the "blocked costs O(1)" gate —
+// a step must not grow with the worms standing in the network or with the
+// million nodes around them.
+func BenchmarkLargeMeshStep(b *testing.B) {
+	net := bigWedgedNetwork(b, 1000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := net.Step(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-// streamingNetwork is the sharded-step benchmark's moving workload: on a
+// streamingNetwork is the large-mesh benchmark's moving workload: on a
 // size x size xy mesh every row's westmost node sends 200-flit messages to
 // the row's eastmost node, one after the other, for as long as the
 // benchmark runs. Once the pipeline is full each row carries size/200 worms
 // nose to tail, every one of which makes a full header-to-tail hop every
 // cycle — a grant, a move, a tail crossing and the wake it implies — so a
-// cycle is size*size/200 moves spread evenly over the rows, and therefore
-// over any contiguous split of the node range into spatial domains.
-func streamingNetwork(tb testing.TB, size, shards, steps int) *turnmodel.Network {
+// cycle is size*size/200 moves.
+func streamingNetwork(tb testing.TB, size, steps int) *turnmodel.Network {
 	tb.Helper()
 	mesh := turnmodel.NewMesh2D(size, size)
 	alg, err := turnmodel.NewRouting("xy", mesh)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	net := turnmodel.NewNetwork(turnmodel.NetworkConfig{Routing: alg, Seed: 1, Shards: shards})
+	net := turnmodel.NewNetwork(turnmodel.NetworkConfig{Routing: alg, Seed: 1})
 	const length = 200
 	// Run until the first worms have retired: from then on every injection
 	// recycles a worm whose path buffer already spans the row, and a step
@@ -402,28 +393,18 @@ func streamingNetwork(tb testing.TB, size, shards, steps int) *turnmodel.Network
 	return net
 }
 
-// BenchmarkShardedStepMoving measures intra-simulation parallelism: one
-// 1000x1000 mesh with 5000 worms streaming along its rows (see
-// streamingNetwork), every one of them moving every cycle, stepped serially
-// and with the network split into 2 and 4 spatial domains. The workload per
-// cycle is identical in every variant — sharding is an execution strategy,
-// and the cross-shard tests pin bit-identical results — so the ns/op ratio
-// is pure parallel speedup (plus barrier overhead). The committed baseline
-// gates the 4-shard speedup on machines with at least 4 CPUs (see
-// BENCH_baseline.json "speedups" and docs/performance.md).
-func BenchmarkShardedStepMoving(b *testing.B) {
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			net := streamingNetwork(b, 1000, shards, b.N)
-			defer net.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := net.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+// BenchmarkLargeMeshStepMoving steps one 1000x1000 mesh with 5000 worms
+// streaming along its rows (see streamingNetwork), every one of them moving
+// every cycle: the cost of a busy step on a mesh far larger than the
+// paper's.
+func BenchmarkLargeMeshStepMoving(b *testing.B) {
+	net := streamingNetwork(b, 1000, b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := net.Step(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -466,8 +447,8 @@ func BenchmarkNetworkStepTraffic(b *testing.B) {
 // are consuming a flit per cycle, and all of it is quiet — one flit in at
 // the source, one out at the destination, nothing anybody else can see — bar
 // the two cycles in two hundred in which a worm's tail moves. The worms sleep
-// on their domains' timers through the quiet cycles, so a step costs the
-// handful of arrivals, wakes and retirements that fall into it, not the 256
+// on a timer through the quiet cycles, so a step costs the handful of
+// arrivals, wakes and retirements that fall into it, not the 256
 // flits it delivers; BENCH_baseline.json holds it under a ceiling that
 // advancing every draining worm every cycle exceeds several times over. Each
 // source sends a message every 200 cycles, so a wave enqueued every 200 steps

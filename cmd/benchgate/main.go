@@ -71,16 +71,13 @@ type Entry struct {
 
 // Speedup is one relative gate between two benchmarks of the same run.
 type Speedup struct {
-	// Name is the benchmark whose speedup is gated (e.g. the sharded
-	// step); Vs is its reference (e.g. the serial step).
+	// Name is the benchmark whose speedup is gated (e.g. the event-driven
+	// sweep); Vs is its reference (e.g. the stepped one).
 	Name string `json:"name"`
 	Vs   string `json:"vs"`
 	// Min is the required ratio Vs/Name of ns/op (2.0 = at least twice
 	// as fast).
 	Min float64 `json:"min_speedup"`
-	// MinProcs skips the gate on machines with fewer CPUs — a parallel
-	// speedup cannot materialize without the cores. 0 always enforces.
-	MinProcs int `json:"min_procs,omitempty"`
 }
 
 // benchLine matches one result line of `go test -bench -benchmem` output,
@@ -221,7 +218,7 @@ func run() error {
 		allowed = 0.10
 	}
 
-	failed, missing := gate(base, got, allowed, runtime.NumCPU(), os.Stdout)
+	failed, missing := gate(base, got, allowed, os.Stdout)
 	if missing > 0 {
 		return fmt.Errorf("benchgate: %d baseline benchmark(s) not present in the measured output", missing)
 	}
@@ -233,11 +230,10 @@ func run() error {
 
 // gate compares the measured entries against the baseline — baselined
 // ns/op within the allowed band, then the hard ceilings, then the relative
-// speedup gates — writing one
-// status line per comparison. It returns how many comparisons failed and
-// how many baselined benchmarks were missing from the measurement. procs
-// is the CPU count used for Speedup.MinProcs skips (injected for tests).
-func gate(base Baseline, got map[string]Entry, allowed float64, procs int, w io.Writer) (failed, missing int) {
+// speedup gates — writing one status line per comparison. It returns how
+// many comparisons failed and how many baselined benchmarks were missing
+// from the measurement.
+func gate(base Baseline, got map[string]Entry, allowed float64, w io.Writer) (failed, missing int) {
 	names := make([]string, 0, len(base.Benchmarks))
 	for name := range base.Benchmarks {
 		names = append(names, name)
@@ -277,11 +273,6 @@ func gate(base Baseline, got map[string]Entry, allowed float64, procs int, w io.
 			status, ab.Name, cur.NsPerOp, ab.MaxNsPerOp)
 	}
 	for _, sp := range base.Speedups {
-		if sp.MinProcs > 0 && procs < sp.MinProcs {
-			fmt.Fprintf(w, "SKIP  %-50s needs %d CPUs, have %d\n",
-				sp.Name+" vs "+sp.Vs, sp.MinProcs, procs)
-			continue
-		}
 		cur, okCur := lookup(got, sp.Name)
 		ref, okRef := lookup(got, sp.Vs)
 		if !okCur || !okRef {

@@ -82,7 +82,7 @@ func TestGate(t *testing.T) {
 		// speedup B/A = 1200/1050 = 1.14x < 2.0: fails too
 	}
 	var out strings.Builder
-	failed, missing := gate(base, got, 0.10, 1, &out)
+	failed, missing := gate(base, got, 0.10, &out)
 	if failed != 2 || missing != 1 {
 		t.Fatalf("gate: failed=%d missing=%d, want 2, 1\n%s", failed, missing, out.String())
 	}
@@ -109,14 +109,14 @@ func TestGateAbsolute(t *testing.T) {
 	// Under the ceiling (decorated measurement resolves): passes.
 	var out strings.Builder
 	got := map[string]Entry{"BenchmarkCached-8": {NsPerOp: 2e5}}
-	if failed, missing := gate(base, got, 0.10, 1, &out); failed != 0 || missing != 0 {
+	if failed, missing := gate(base, got, 0.10, &out); failed != 0 || missing != 0 {
 		t.Fatalf("warm: failed=%d missing=%d\n%s", failed, missing, out.String())
 	}
 
 	// Over the ceiling — e.g. cached serving regressed to simulation.
 	out.Reset()
 	got = map[string]Entry{"BenchmarkCached": {NsPerOp: 2e7}}
-	if failed, _ := gate(base, got, 0.10, 1, &out); failed != 1 {
+	if failed, _ := gate(base, got, 0.10, &out); failed != 1 {
 		t.Fatalf("regressed: failed=%d, want 1\n%s", failed, out.String())
 	}
 	if !strings.Contains(out.String(), "FAIL  BenchmarkCached") {
@@ -126,7 +126,7 @@ func TestGateAbsolute(t *testing.T) {
 	// Not measured at all counts as missing, so CI cannot silently drop
 	// the benchmark from its -bench regex.
 	out.Reset()
-	if failed, missing := gate(base, map[string]Entry{}, 0.10, 1, &out); failed != 0 || missing != 1 {
+	if failed, missing := gate(base, map[string]Entry{}, 0.10, &out); failed != 0 || missing != 1 {
 		t.Fatalf("unmeasured: failed=%d missing=%d, want missing=1\n%s", failed, missing, out.String())
 	}
 }
@@ -135,7 +135,7 @@ func TestGateSpeedup(t *testing.T) {
 	base := Baseline{
 		Benchmarks: map[string]Entry{},
 		Speedups: []Speedup{
-			{Name: "BenchmarkFast", Vs: "BenchmarkSlow", Min: 2.0, MinProcs: 4},
+			{Name: "BenchmarkFast", Vs: "BenchmarkSlow", Min: 2.0},
 		},
 	}
 	got := map[string]Entry{
@@ -143,29 +143,26 @@ func TestGateSpeedup(t *testing.T) {
 		"BenchmarkSlow":   {NsPerOp: 1000},
 	}
 
-	// Under MinProcs the gate is skipped, not failed or missing: a
-	// parallel speedup cannot materialize without the cores.
+	// 2.5x >= 2.0x passes.
 	var out strings.Builder
-	if failed, missing := gate(base, got, 0.10, 2, &out); failed != 0 || missing != 0 {
-		t.Fatalf("procs=2: failed=%d missing=%d, want skip\n%s", failed, missing, out.String())
-	}
-	if !strings.Contains(out.String(), "SKIP") {
-		t.Errorf("procs=2 output missing SKIP:\n%s", out.String())
-	}
-
-	// With the cores, 2.5x >= 2.0x passes.
-	out.Reset()
-	if failed, missing := gate(base, got, 0.10, 8, &out); failed != 0 || missing != 0 {
-		t.Fatalf("procs=8: failed=%d missing=%d, want pass\n%s", failed, missing, out.String())
+	if failed, missing := gate(base, got, 0.10, &out); failed != 0 || missing != 0 {
+		t.Fatalf("failed=%d missing=%d, want pass\n%s", failed, missing, out.String())
 	}
 	if !strings.Contains(out.String(), "2.50x speedup") {
-		t.Errorf("procs=8 output missing ratio:\n%s", out.String())
+		t.Errorf("output missing ratio:\n%s", out.String())
+	}
+
+	// 1.5x < 2.0x fails.
+	out.Reset()
+	got["BenchmarkFast-8"] = Entry{NsPerOp: 667}
+	if failed, missing := gate(base, got, 0.10, &out); failed != 1 || missing != 0 {
+		t.Fatalf("slow: failed=%d missing=%d, want failed=1\n%s", failed, missing, out.String())
 	}
 
 	// A speedup gate whose legs were not measured counts as missing —
 	// the CI bench regex must keep covering both.
 	out.Reset()
-	if failed, missing := gate(base, map[string]Entry{}, 0.10, 8, &out); failed != 0 || missing != 1 {
+	if failed, missing := gate(base, map[string]Entry{}, 0.10, &out); failed != 0 || missing != 1 {
 		t.Fatalf("unmeasured: failed=%d missing=%d, want missing=1\n%s", failed, missing, out.String())
 	}
 }

@@ -32,7 +32,6 @@ func main() {
 		outPol   = flag.String("output", "", fmt.Sprintf("output selection policy: one of %v", network.OutputPolicyNames()))
 		inPol    = flag.String("input", "", fmt.Sprintf("input selection policy: one of %v", network.InputPolicyNames()))
 		useVC    = flag.Bool("vc", false, "run on the virtual-channel simulator (accepts VC algorithms such as double-y, dateline-dor, ccc-ascending)")
-		shards   = flag.Int("shards", 1, "spatial domains stepped in parallel within the one network (results are identical at any value)")
 		eventdrv = flag.Bool("eventdriven", true, "leap the clock over provably idle cycles (results are identical either way; disable to step every cycle)")
 		metrics  = flag.Bool("metrics", false, "collect and print run metrics: latency percentiles, delay split, channel-utilization heatmap")
 		verbose  = flag.Bool("v", false, "print the full result breakdown")
@@ -110,7 +109,6 @@ func main() {
 				FaultPlan:        plan,
 				Recovery:         rec,
 				FaultRouting:     ftpol,
-				Shards:           *shards,
 				DisableEventSkip: !*eventdrv,
 			},
 		}, cache)
@@ -144,7 +142,6 @@ func main() {
 			FaultPlan:        plan,
 			Recovery:         rec,
 			FaultRouting:     ftpol,
-			Shards:           *shards,
 			DisableEventSkip: !*eventdrv,
 		},
 		Output: output,

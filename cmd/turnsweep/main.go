@@ -49,7 +49,6 @@ func main() {
 		measure  = flag.Int64("measure", 40000, "measurement cycles")
 		seed     = flag.Int64("seed", 1, "random seed")
 		jobs     = flag.Int("jobs", 0, "parallel sweep workers (0 = all CPUs)")
-		shards   = flag.Int("shards", 1, "spatial domains stepped in parallel within every job's network; composes with -jobs (results are identical at any value)")
 		eventdrv = flag.Bool("eventdriven", true, "leap the clock over provably idle cycles (results are identical either way; disable to step every cycle)")
 		jsonOut  = flag.String("json", "", "also write a structured JSON report to this file")
 		seedMode = flag.String("seedmode", "paired", "per-job seed derivation: paired (common random numbers; matches the archived tables) or hash (independent streams)")
@@ -118,7 +117,6 @@ func main() {
 			MeasureCycles:    *measure,
 			Seed:             *seed,
 			Jobs:             cli.Jobs(*jobs),
-			Shards:           *shards,
 			DisableEventSkip: !*eventdrv,
 			Cache:            cache,
 		})
@@ -139,7 +137,6 @@ func main() {
 			MeasureCycles:    *measure,
 			Seed:             *seed,
 			Jobs:             cli.Jobs(*jobs),
-			Shards:           *shards,
 			DisableEventSkip: !*eventdrv,
 			Cache:            cache,
 		})
@@ -176,7 +173,6 @@ func main() {
 			MeasureCycles:    *measure,
 			Seed:             *seed,
 			Jobs:             cli.Jobs(*jobs),
-			Shards:           *shards,
 			SeedFn:           seedFn,
 			Metrics:          *metrics,
 			FaultPlan:        fault.Plan{Rate: *faultRate, Repair: *faultRepair},

@@ -48,18 +48,12 @@ type Config struct {
 	FaultRouting fault.RoutingPolicy
 	// Probe receives simulation events; nil disables instrumentation.
 	Probe metrics.Probe
-	// Shards is the number of spatial domains the network is partitioned
-	// into for intra-simulation parallelism (see shard.go). Values <= 1
-	// select serial stepping; the count is capped at the node count.
-	// Results are bit-identical at every shard count.
-	Shards int
 	// DisableEventSkip turns off event-driven cycle skipping: with it set,
 	// EndStep never leaps the clock even when the caller has promised an
 	// injection horizon (see SetInjectionHorizon), so every cycle is
 	// stepped individually. The default (false) keeps skipping available;
 	// it is an execution strategy, not a model change — results are
-	// bit-identical either way — so, like Shards, it never enters cache
-	// keys.
+	// bit-identical either way — so it never enters cache keys.
 	DisableEventSkip bool
 }
 
@@ -121,14 +115,8 @@ type Core struct {
 	// Reachable answers the post-abort retry feasibility query.
 	// OnEpochChange fires when the fault set's epoch advances (the engine
 	// invalidates cached candidate sets of waiting headers and wakes them).
-	// InjPlaceShard is the sharded counterpart of InjPlace: it runs on
-	// domain d's worker and must defer any shared-state mutation (such as
-	// appending to the engine's active list) to the engine's post-barrier
-	// merge. Required when ShardCount() > 1; both hooks must be set, since
-	// InjFree and InjPlace also serve serial helpers.
 	InjFree       func(node topology.NodeID) bool
 	InjPlace      func(node topology.NodeID, p *Packet)
-	InjPlaceShard func(d int, node topology.NodeID, p *Packet)
 	Reachable     func(src, dst topology.NodeID) bool
 	OnEpochChange func()
 
@@ -163,14 +151,6 @@ type Core struct {
 	skipDisabled bool
 	skipped      int64
 	leaps        int64
-
-	// Sharding state (see shard.go); shards is 1 for serial stepping.
-	shards    int
-	bounds    []int32
-	shardEm   []Emitter
-	shardInjs []shardInj
-	pool      *Pool
-	injectFn  func(d int)
 }
 
 // NewCore builds the shared state for a topology and the engine-
@@ -209,7 +189,6 @@ func NewCore(cfg Config) Core {
 		c.Watchdog = 10000
 	}
 	c.skipDisabled = cfg.DisableEventSkip
-	c.initShards(cfg.Shards, cfg.Probe)
 	return c
 }
 
@@ -222,9 +201,6 @@ func (c *Core) Bind() {
 			c.Em.Fault(c.Cycle, from, dir, failed)
 		}
 	}
-	// Method values bound here point at the final address; binding them in
-	// NewCore would capture the soon-discarded stack copy.
-	c.injectFn = c.injectDomain
 }
 
 // Enqueue creates a packet at the current cycle and queues it at src. The
@@ -296,8 +272,6 @@ func (c *Core) OnWorklist(node topology.NodeID) bool { return c.inPending[node] 
 // WakeSource tells the core that the node's injection buffer was vacated:
 // if messages wait in its source queue, the node goes back on the
 // injection worklist it left when InjectPhase found the buffer occupied.
-// Serial phases only; a parallel phase collects the nodes and wakes them at
-// its barrier.
 func (c *Core) WakeSource(node topology.NodeID) {
 	if c.qhead[node] < len(c.queues[node]) {
 		c.addPending(int32(node))
@@ -318,9 +292,7 @@ func (c *Core) sortPending() { slices.Sort(c.pending) }
 
 // popRetry returns the first due retry packet at the node, or nil. Entries
 // are scanned in abort order so an early abort with a long backoff does not
-// block a later one with a short backoff. The caller owns the retryCount
-// bookkeeping: the sharded injection path tracks per-domain deltas instead
-// of racing on the shared counter.
+// block a later one with a short backoff.
 func (c *Core) popRetry(node int32) *Packet {
 	if c.retries == nil {
 		return nil
@@ -330,14 +302,14 @@ func (c *Core) popRetry(node int32) *Packet {
 		if q[i].at <= c.Cycle {
 			p := q[i].p
 			c.retries[node] = append(q[:i], q[i+1:]...)
+			c.retryCount--
 			return p
 		}
 	}
 	return nil
 }
 
-// popQueue dequeues the node's oldest generated packet, or nil. As with
-// popRetry, the caller owns the queued bookkeeping.
+// popQueue dequeues the node's oldest generated packet, or nil.
 func (c *Core) popQueue(node int32) *Packet {
 	if c.qhead[node] >= len(c.queues[node]) {
 		return nil
@@ -349,6 +321,7 @@ func (c *Core) popQueue(node int32) *Packet {
 		c.queues[node] = c.queues[node][:0]
 		c.qhead[node] = 0
 	}
+	c.queued--
 	return p
 }
 
@@ -382,19 +355,11 @@ func (c *Core) FaultPhase() {
 // just placed — and WakeSource brings the node back when the buffer is
 // vacated. The cost is the nodes that can inject, not the nodes that want
 // to. It reports whether anything happened (progress).
-//
-// With ShardCount() > 1 the sorted worklist is partitioned at the domain
-// bounds and injected in parallel (see injectSharded); because nodes are
-// injection-independent, the per-domain results merged in domain order are
-// identical to this serial loop.
 func (c *Core) InjectPhase() bool {
 	if len(c.pending) == 0 {
 		return false
 	}
 	c.sortPending()
-	if c.shards > 1 && c.InjPlaceShard != nil {
-		return c.injectSharded()
-	}
 	progress := false
 	out := c.pending[:0]
 	for _, nd := range c.pending {
@@ -402,14 +367,10 @@ func (c *Core) InjectPhase() bool {
 		if c.InjFree(node) {
 			for {
 				p := c.popRetry(nd)
-				if p != nil {
-					c.retryCount--
-				} else {
-					p = c.popQueue(nd)
-					if p == nil {
+				if p == nil {
+					if p = c.popQueue(nd); p == nil {
 						break
 					}
-					c.queued--
 				}
 				if c.Recovery.Enabled && c.Faults != nil && c.Faults.ActiveFaults() > 0 &&
 					c.CutOff(node, p.Dst) {

@@ -125,19 +125,6 @@ func (e *Emitter) Drop(cycle int64, src, dst topology.NodeID, length int, reason
 	e.events = append(e.events, probeEvent{kind: evDrop, cycle: cycle, a: src, b: dst, x: int64(length), reason: reason})
 }
 
-// Absorb appends another emitter's buffered events, in their emission
-// order, and clears the source. The sharded step paths emit into
-// per-domain emitters during parallel phases and absorb them at the phase
-// barrier in domain order, so the merged event stream is identical to the
-// serial one.
-func (e *Emitter) Absorb(from *Emitter) {
-	if e.probe == nil || len(from.events) == 0 {
-		return
-	}
-	e.events = append(e.events, from.events...)
-	from.events = from.events[:0]
-}
-
 // Tick flushes every buffered event to the probe in order, then forwards
 // the end-of-cycle Tick.
 func (e *Emitter) Tick(cycle int64) {

@@ -3,10 +3,8 @@ package engine
 // Timers is where whatever waits for a cycle, rather than for a release,
 // sleeps: a binary min-heap of values keyed by the cycle they are due at,
 // entries due at the same cycle leaving in the order they were pushed. The
-// engines keep one per spatial domain and per kind of sleeper, so a domain's
-// task pushes and pops its own heap without synchronisation, the state means
-// the same whether the domains step on the worker pool or one after the
-// other, and the pop order — (cycle, push sequence) — is deterministic.
+// engines keep one per kind of sleeper, and the pop order — (cycle, push
+// sequence) — is deterministic.
 //
 // The zero value is an empty set of timers. It grows on demand and never
 // shrinks, so once it has held its peak population it allocates nothing.

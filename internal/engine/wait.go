@@ -17,24 +17,22 @@ import "math/bits"
 // arrival cycle, packet creation cycle) was fixed when it got there, and
 // the packet ID never changes. The visit order — router, then key, then ID
 // — is exactly the order the engines used to obtain by sorting all requests
-// every cycle, so Blocked probe events, the draws of randomized output
-// policies and the sharded step's "domain order = serial order" argument
-// are unchanged.
+// every cycle, so Blocked probe events and the draws of randomized output
+// policies are unchanged.
 //
-// The waiters of a part form one doubly linked list in visit order,
-// threaded through links the engines embed in their worms: a walk follows
-// next pointers and touches no memory the offers would not touch anyway,
-// which keeps a million-node mesh with a few thousand sparse waiters as
-// cheap per waiter as a 256-node one. The per-router index (head) and the
-// two-level bitmap of routers with waiters are consulted only to place a
-// newcomer: head finds its router's run, and when the router had no
-// waiter, the bitmap finds the nearest lower router that has, whose run the
-// newcomer follows.
+// The waiters form one doubly linked list in visit order, threaded through
+// links the engines embed in their worms: a walk follows next pointers and
+// touches no memory the offers would not touch anyway, which keeps a
+// million-node mesh with a few thousand sparse waiters as cheap per waiter
+// as a 256-node one. The per-router index (head) and the two-level bitmap
+// of routers with waiters are consulted only to place a newcomer: head
+// finds its router's run, and when the router had no waiter, the bitmap
+// finds the nearest lower router that has, whose run the newcomer follows.
 //
 // Waiting is also sleeping. A header that was offered its candidates and
 // refused stays refused until something at its router changes: an output
 // channel there is released, the fault set changes, or — for a header still
-// in the routing pipeline — time passes. So each part keeps, in a second
+// in the routing pipeline — time passes. So the table keeps, in a second
 // bitmap of the same shape, the routers that are awake: Enlist wakes the
 // newcomer's router, the engines call Wake when they release one of a
 // router's outputs and WakeAll when the fault set changes, and the cursor's
@@ -43,11 +41,6 @@ import "math/bits"
 // each run in service order, so whatever the offers draw or emit keeps its
 // order — and puts each router to sleep as it reaches it. A cycle's phase 2
 // then costs the wakes since the last one, not the waiters.
-//
-// Parts are the sharded step's spatial domains. Each owns its list and its
-// bitmap words outright (domains never share a word), and a router's
-// entries are only ever touched by the domain that owns the router, so
-// domains walk and delist concurrently.
 
 // WaitLink is one header's place in the table. The engines embed one in
 // each worm; Owner is the worm, set once at construction.
@@ -69,8 +62,8 @@ func (l *WaitLink[W]) before(m *WaitLink[W]) bool {
 	return l.key < m.key || l.key == m.key && l.id < m.id
 }
 
-// routerSet is a set of one part's routers as a two-level bitmap: bit r-lo
-// of words, with bit w of sum set iff words[w] is nonzero.
+// routerSet is a set of routers as a two-level bitmap: bit r of words,
+// with bit w of sum set iff words[w] is nonzero.
 type routerSet struct {
 	words []uint64
 	sum   []uint64
@@ -94,139 +87,89 @@ func (s *routerSet) remove(b uint) {
 
 func (s *routerSet) has(b uint) bool { return s.words[b>>6]&(1<<(b&63)) != 0 }
 
-// waitPart is one domain's share of the table: its waiters' list, the set
-// of its routers that have waiters, and the set of its routers that are
-// awake (see WalkAwake); both sets are indexed by router - lo.
-type waitPart[W any] struct {
+// WaitTable holds every header waiting for an output: the waiters' list,
+// the set of routers that have waiters, and the set of routers that are
+// awake (see WalkAwake). It is O(nodes) words and allocates nothing after
+// construction.
+type WaitTable[W any] struct {
+	head    []*WaitLink[W] // router -> its first waiter
 	first   *WaitLink[W]
-	lo      int32
 	waiting routerSet
 	awake   routerSet
 }
 
-// WaitTable holds every header waiting for an output. It is O(nodes) words
-// and allocates nothing after construction.
-type WaitTable[W any] struct {
-	head  []*WaitLink[W] // router -> its first waiter
-	parts []waitPart[W]
+// NewWaitTable builds the table for a network of the given node count.
+func NewWaitTable[W any](nodes int) *WaitTable[W] {
+	return &WaitTable[W]{
+		head:    make([]*WaitLink[W], nodes),
+		waiting: newRouterSet(nodes),
+		awake:   newRouterSet(nodes),
+	}
 }
 
-// NewWaitTable builds the table for a Core's node space, with one part per
-// spatial domain (one part in all for serial stepping).
-func NewWaitTable[W any](c *Core) *WaitTable[W] {
-	t := &WaitTable[W]{
-		head:  make([]*WaitLink[W], c.Topo.Nodes()),
-		parts: make([]waitPart[W], c.shards),
-	}
-	for d := range t.parts {
-		lo, hi := int32(0), int32(c.Topo.Nodes())
-		if c.shards > 1 {
-			lo, hi = c.ShardRange(d)
-		}
-		t.parts[d] = waitPart[W]{
-			lo:      lo,
-			waiting: newRouterSet(int(hi - lo)),
-			awake:   newRouterSet(int(hi - lo)),
-		}
-	}
-	return t
-}
-
-// Parts reports how many parts the table has; Walk visits one. Walking
-// parts 0..Parts()-1 in order visits every waiter in ascending router
-// order, which is what the serial step does — also after a sharded
-// simulator was Closed back to serial stepping.
-func (t *WaitTable[W]) Parts() int { return len(t.parts) }
-
-// PartOf reports which part — which spatial domain — owns a router.
-func (t *WaitTable[W]) PartOf(router int32) int {
-	i, j := 0, len(t.parts)-1
-	for i < j {
-		h := (i + j + 1) / 2
-		if t.parts[h].lo <= router {
-			i = h
-		} else {
-			j = h - 1
-		}
-	}
-	return i
-}
-
-func (t *WaitTable[W]) partOf(router int32) *waitPart[W] { return &t.parts[t.PartOf(router)] }
-
-// below returns the highest router of the part with waiters strictly below
-// the given one, or -1.
-func (p *waitPart[W]) below(router int32) int32 {
-	b := uint(router - p.lo)
+// below returns the highest router with waiters strictly below the given
+// one, or -1.
+func (t *WaitTable[W]) below(router int32) int32 {
+	b := uint(router)
 	wi := int(b >> 6)
-	w := p.waiting.words[wi] & (1<<(b&63) - 1)
+	w := t.waiting.words[wi] & (1<<(b&63) - 1)
 	if w == 0 {
 		si := wi >> 6
-		s := p.waiting.sum[si] & (1<<(uint(wi)&63) - 1)
+		s := t.waiting.sum[si] & (1<<(uint(wi)&63) - 1)
 		for s == 0 {
 			if si--; si < 0 {
 				return -1
 			}
-			s = p.waiting.sum[si]
+			s = t.waiting.sum[si]
 		}
 		wi = si<<6 + 63 - bits.LeadingZeros64(s)
-		w = p.waiting.words[wi]
+		w = t.waiting.words[wi]
 	}
-	return p.lo + int32(wi<<6+63-bits.LeadingZeros64(w))
+	return int32(wi<<6 + 63 - bits.LeadingZeros64(w))
 }
 
 // Wake records that something a refused waiter of the router may have been
 // waiting for has changed — the engines call it when one of the router's
 // output channels is released — so the next WalkAwake offers the router's
-// waiters again. When domains run concurrently, only the router's own
-// domain may wake it; the others hand the router to the serial merge.
+// waiters again.
 func (t *WaitTable[W]) Wake(router int32) {
 	if t.head[router] != nil {
-		p := t.partOf(router)
-		p.awake.add(uint(router - p.lo))
+		t.awake.add(uint(router))
 	}
 }
 
 // WakeAll wakes every router that has waiters: a change of the fault set
 // can unblock (or re-route) any of them.
 func (t *WaitTable[W]) WakeAll() {
-	for d := range t.parts {
-		p := &t.parts[d]
-		for i, w := range p.waiting.words {
-			p.awake.words[i] |= w
-		}
-		for i, w := range p.waiting.sum {
-			p.awake.sum[i] |= w
-		}
+	for i, w := range t.waiting.words {
+		t.awake.words[i] |= w
+	}
+	for i, w := range t.waiting.sum {
+		t.awake.sum[i] |= w
 	}
 }
 
 // Awake reports whether the next WalkAwake will visit the router's waiters.
-func (t *WaitTable[W]) Awake(router int32) bool {
-	p := t.partOf(router)
-	return p.awake.has(uint(router - p.lo))
-}
+func (t *WaitTable[W]) Awake(router int32) bool { return t.awake.has(uint(router)) }
 
 // Enlist files a header that just entered a buffer of the router: within
 // the router's run, before every waiter with a larger (key, id). key is the
 // input policy's priority and id the packet ID; both must stay fixed until
 // the link is delisted. The router is woken: the newcomer has not been
-// offered anything yet. When domains run concurrently, only the router's
-// own domain may enlist under it.
+// offered anything yet.
 func (t *WaitTable[W]) Enlist(l *WaitLink[W], router int32, key, id int64) {
 	if l.listed {
 		panic("engine: header enlisted twice")
 	}
 	l.router, l.key, l.id, l.listed = router, key, id, true
-	p := t.partOf(router)
-	p.awake.add(uint(router - p.lo))
-	// pred is the link l goes after; nil puts l first in the part.
+	t.awake.add(uint(router))
+	// pred is the link l goes after; nil puts l first in the table.
 	var pred *WaitLink[W]
 	if h := t.head[router]; h == nil {
 		// First waiter at this router: it follows the run of the nearest
 		// lower router that has waiters.
-		p.waiting.add(uint(router - p.lo))
-		if r := p.below(router); r >= 0 {
+		t.waiting.add(uint(router))
+		if r := t.below(router); r >= 0 {
 			for pred = t.head[r]; pred.next != nil && pred.next.router == r; {
 				pred = pred.next
 			}
@@ -241,7 +184,7 @@ func (t *WaitTable[W]) Enlist(l *WaitLink[W], router int32, key, id int64) {
 		}
 	}
 	if l.prev = pred; pred == nil {
-		l.next, p.first = p.first, l
+		l.next, t.first = t.first, l
 	} else {
 		l.next, pred.next = pred.next, l
 	}
@@ -255,13 +198,13 @@ func (t *WaitTable[W]) Enlist(l *WaitLink[W], router int32, key, id int64) {
 // worm's.
 func (t *WaitTable[W]) Delist(l *WaitLink[W]) {
 	if l.listed {
-		t.unlink(t.partOf(l.router), l)
+		t.unlink(l)
 	}
 }
 
-func (t *WaitTable[W]) unlink(p *waitPart[W], l *WaitLink[W]) {
+func (t *WaitTable[W]) unlink(l *WaitLink[W]) {
 	if l.prev == nil {
-		p.first = l.next
+		t.first = l.next
 	} else {
 		l.prev.next = l.next
 	}
@@ -273,27 +216,26 @@ func (t *WaitTable[W]) unlink(p *waitPart[W], l *WaitLink[W]) {
 			t.head[l.router] = l.next
 		} else {
 			t.head[l.router] = nil
-			p.waiting.remove(uint(l.router - p.lo))
+			t.waiting.remove(uint(l.router))
 		}
 	}
 	l.next, l.prev, l.listed = nil, nil, false
 }
 
-// WaitCursor walks one part of the table: routers ascending, each router's
-// waiters in service order.
+// WaitCursor walks the table: routers ascending, each router's waiters in
+// service order.
 //
-//	for it := t.WalkAwake(d); it.Next(); {
+//	for it := t.WalkAwake(); it.Next(); {
 //		w := it.Waiter()
 //		...
 //		it.Delist() // granted, or at its destination
 //	}
 //
-// During a walk the part may be changed only through the cursor's Delist
+// During a walk the table may be changed only through the cursor's Delist
 // and Keep, and a WalkAwake must run to the end: it takes each awake router
 // out of the set as it goes.
 type WaitCursor[W any] struct {
 	t         *WaitTable[W]
-	p         *waitPart[W]
 	cur, next *WaitLink[W]
 
 	// An awake walk's place in the awake set: the unvisited bits of summary
@@ -304,21 +246,20 @@ type WaitCursor[W any] struct {
 	sw, ww uint64
 }
 
-// Walk starts a walk over every waiter of part d. It is the walk of a step
+// Walk starts a walk over every waiter. It is the walk of a step
 // with a probe attached — a blocked header is a Blocked event every cycle it
 // waits, so every waiter is visited every cycle — and of the tests' oracles;
 // it leaves the awake set alone.
-func (t *WaitTable[W]) Walk(d int) WaitCursor[W] {
-	p := &t.parts[d]
-	return WaitCursor[W]{t: t, p: p, next: p.first}
+func (t *WaitTable[W]) Walk() WaitCursor[W] {
+	return WaitCursor[W]{t: t, next: t.first}
 }
 
-// WalkAwake starts a walk over the waiters at part d's awake routers, and
+// WalkAwake starts a walk over the waiters at the awake routers, and
 // puts each router to sleep as the walk reaches it: unless Keep says
 // otherwise, every waiter it still has after the walk was offered and
 // refused, and stays refused until the router is woken.
-func (t *WaitTable[W]) WalkAwake(d int) WaitCursor[W] {
-	return WaitCursor[W]{t: t, p: &t.parts[d], awake: true, si: -1}
+func (t *WaitTable[W]) WalkAwake() WaitCursor[W] {
+	return WaitCursor[W]{t: t, awake: true, si: -1}
 }
 
 // Next advances to the next waiter and reports whether there is one.
@@ -336,7 +277,7 @@ func (c *WaitCursor[W]) Next() bool {
 // nextRun takes the lowest unvisited awake router that has waiters out of
 // the awake set and returns its first waiter, or nil when none is left.
 func (c *WaitCursor[W]) nextRun() *WaitLink[W] {
-	a := &c.p.awake
+	a := &c.t.awake
 	for {
 		for c.ww == 0 {
 			for c.sw == 0 {
@@ -349,7 +290,7 @@ func (c *WaitCursor[W]) nextRun() *WaitLink[W] {
 			c.sw &= c.sw - 1
 			c.ww, a.words[c.wi] = a.words[c.wi], 0
 		}
-		r := c.p.lo + int32(c.wi<<6+bits.TrailingZeros64(c.ww))
+		r := c.wi<<6 + bits.TrailingZeros64(c.ww)
 		c.ww &= c.ww - 1
 		if h := c.t.head[r]; h != nil {
 			return h
@@ -362,9 +303,9 @@ func (c *WaitCursor[W]) Waiter() W { return c.cur.Owner }
 
 // Delist takes the current waiter out of the table; the walk continues
 // with its successor.
-func (c *WaitCursor[W]) Delist() { c.t.unlink(c.p, c.cur) }
+func (c *WaitCursor[W]) Delist() { c.t.unlink(c.cur) }
 
 // Keep holds the current waiter's router awake for the next walk: the
 // waiter could not be offered its candidates this cycle for a reason that
 // passes by itself.
-func (c *WaitCursor[W]) Keep() { c.p.awake.add(uint(c.cur.router - c.p.lo)) }
+func (c *WaitCursor[W]) Keep() { c.t.awake.add(uint(c.cur.router)) }

@@ -64,19 +64,12 @@ func (p *chaosProbe) Drop(cycle int64, src, dst topology.NodeID, length int, rea
 // as delivered or dropped — aborts and retries lose nothing.
 func TestChaosSoakRecovery(t *testing.T) {
 	cases := []struct {
-		name   string
-		alg    routing.Algorithm
-		shards int
+		name string
+		alg  routing.Algorithm
 	}{
-		{"mesh-west-first", routing.WestFirst(topology.NewMesh2D(4, 4)), 0},
-		{"mesh-negative-first", routing.NegativeFirst(topology.NewMesh2D(4, 4)), 0},
-		{"torus-negative-first", routing.NegativeFirstTorus(topology.NewKaryNCube(4, 2)), 0},
-		// Sharded soaks: the same invariants and conservation laws must
-		// hold while the step fans out over domain workers (and, under
-		// -race, the race detector watches the handoffs). 3 and 5 do not
-		// divide 16 nodes, so domain sizes are uneven.
-		{"mesh-west-first-sharded", routing.WestFirst(topology.NewMesh2D(4, 4)), 3},
-		{"torus-negative-first-sharded", routing.NegativeFirstTorus(topology.NewKaryNCube(4, 2)), 5},
+		{"mesh-west-first", routing.WestFirst(topology.NewMesh2D(4, 4))},
+		{"mesh-negative-first", routing.NegativeFirst(topology.NewMesh2D(4, 4))},
+		{"torus-negative-first", routing.NegativeFirstTorus(topology.NewKaryNCube(4, 2))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -89,9 +82,7 @@ func TestChaosSoakRecovery(t *testing.T) {
 				// actually happen within the soak window.
 				FaultPlan: fault.Plan{Rate: 5e-5, Repair: 300, Seed: 99},
 				Recovery:  fault.Recovery{Enabled: true, StallCycles: 200},
-				Shards:    tc.shards,
 			})
-			defer net.Close()
 			topo := tc.alg.Topology()
 			rng := rand.New(rand.NewSource(21))
 			enqueued := int64(0)

@@ -79,7 +79,6 @@ func policyDigest(t *testing.T, w goldenWorkload, in InputPolicy, out OutputPoli
 	cfg := w.config(t)
 	cfg.Input, cfg.Output, cfg.Seed = in, out, seed
 	net := New(cfg)
-	defer net.Close()
 	nodes := cfg.Routing.Topology().Nodes()
 	rng := rand.New(rand.NewSource(seed*7919 + 1))
 	var pkts []*Packet

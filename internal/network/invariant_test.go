@@ -190,10 +190,8 @@ func checkWaitTable(t *testing.T, n *Network, active []*worm) {
 		return servedBefore(n.input, want[i], want[j])
 	})
 	var got []*worm
-	for d := 0; d < n.wait.Parts(); d++ {
-		for it := n.wait.Walk(d); it.Next(); {
-			got = append(got, it.Waiter())
-		}
+	for it := n.wait.Walk(); it.Next(); {
+		got = append(got, it.Waiter())
 	}
 	if len(got) != len(want) {
 		t.Fatalf("cycle %d: wait table holds %d headers, %d are waiting", n.core.Cycle, len(got), len(want))
@@ -218,16 +216,16 @@ func checkWaitTable(t *testing.T, n *Network, active []*worm) {
 //	(b) No waiter at a sleeping router would be granted if offered: its
 //	    candidates are computed, its routing delay has run out, and every
 //	    candidate output is held or broken.
-//	(c) Every arrived worm is on a draining list, fully injected, or asleep
-//	    on exactly one domain's timer — never both, never twice — due the
-//	    cycle its source sends its last flit: the cycle arbitrate marked it
-//	    arrived plus the flits then unsent. The draining lists and the timers
-//	    hold nothing else, and every per-cycle list is empty.
+//	(c) Every arrived worm is on the draining list, fully injected, or asleep
+//	    on the sleepers' timer — never both, never twice — due the cycle its
+//	    source sends its last flit: the cycle arbitrate marked it arrived plus
+//	    the flits then unsent. The draining list and the timer hold nothing
+//	    else, and every per-cycle list is empty.
 //	(d) Every node with a queued message and a free injection buffer is on
 //	    the injection worklist.
-//	(e) A worm on a free list is reachable from nowhere else: not the active
-//	    list, outOwner, the wait table, a draining list or — by (c) — a
-//	    sleepers' timer.
+//	(e) A worm on the free list is reachable from nowhere else: not the
+//	    active list, outOwner, the wait table, the draining list or — by (c)
+//	    — the sleepers' timer.
 //	(f) Under recovery, every active worm that has not arrived has one live
 //	    stall entry — naming it and its packet — due no later than the cycle
 //	    its header will have stood still for StallCycles, and not overdue.
@@ -236,33 +234,27 @@ func lostWake(n *Network, active []*worm) error {
 	draining := make(map[*worm]int)
 	asleep := make(map[*worm]int)
 	stallAt := make(map[*worm][]int64)
-	for d := range n.dom {
-		dm := &n.dom[d]
-		for _, w := range dm.draining {
-			draining[w]++
-		}
-		var err error
-		dm.sleepers.Each(func(at int64, w *worm) {
-			asleep[w]++
-			if at != w.wakeAt || at < cycle {
-				err = fmt.Errorf("cycle %d: domain %d's timer holds %v due at %d, the worm says %d", cycle, d, w.pkt, at, w.wakeAt)
-			}
-		})
-		if err != nil {
-			return err
-		}
-		dm.stalls.Each(func(at int64, e stall) {
-			if e.w.pkt != nil && e.w.pkt.ID == e.id && !e.w.arrived {
-				stallAt[e.w] = append(stallAt[e.w], at)
-			}
-		})
-		if len(dm.ready)+len(dm.woken)+len(dm.released)+len(dm.sources)+len(dm.finished)+len(dm.foreign)+len(dm.injected) != 0 ||
-			dm.flits != 0 || dm.mis != 0 || dm.moved {
-			return fmt.Errorf("cycle %d: domain %d carries per-cycle state across steps: %+v", cycle, d, *dm)
-		}
+	for _, w := range n.draining {
+		draining[w]++
 	}
-	if len(n.finished)+len(n.vacated) != 0 {
-		return fmt.Errorf("cycle %d: %d finished worms and %d vacated buffers left over", cycle, len(n.finished), len(n.vacated))
+	var err error
+	n.sleepers.Each(func(at int64, w *worm) {
+		asleep[w]++
+		if at != w.wakeAt || at < cycle {
+			err = fmt.Errorf("cycle %d: the timer holds %v due at %d, the worm says %d", cycle, w.pkt, at, w.wakeAt)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	n.stalls.Each(func(at int64, e stall) {
+		if e.w.pkt != nil && e.w.pkt.ID == e.id && !e.w.arrived {
+			stallAt[e.w] = append(stallAt[e.w], at)
+		}
+	})
+	if len(n.ready)+len(n.woken)+len(n.finished)+len(n.vacated) != 0 || n.moved {
+		return fmt.Errorf("cycle %d: per-cycle state carried across steps: %d ready, %d woken, %d finished, %d vacated, moved %v",
+			cycle, len(n.ready), len(n.woken), len(n.finished), len(n.vacated), n.moved)
 	}
 	live := make(map[*worm]bool)
 	for _, w := range active {
@@ -270,11 +262,11 @@ func lostWake(n *Network, active []*worm) error {
 		switch {
 		case w.arrived:
 			if draining[w]+asleep[w] != 1 {
-				return fmt.Errorf("cycle %d: %v has arrived and is on the draining lists %d times and on the timers %d times",
+				return fmt.Errorf("cycle %d: %v has arrived and is on the draining list %d times and on the timer %d times",
 					cycle, w.pkt, draining[w], asleep[w])
 			}
 			if draining[w] == 1 && (w.wakeAt != 0 || w.sent != w.pkt.Length) {
-				return fmt.Errorf("cycle %d: %v is on a draining list with %d of %d flits sent (wake at %d)",
+				return fmt.Errorf("cycle %d: %v is on the draining list with %d of %d flits sent (wake at %d)",
 					cycle, w.pkt, w.sent, w.pkt.Length, w.wakeAt)
 			}
 			if asleep[w] == 1 {
@@ -336,13 +328,11 @@ func lostWake(n *Network, active []*worm) error {
 		}
 	}
 	free := make(map[*worm]bool)
-	for d := range n.dom {
-		for _, w := range n.dom[d].free {
-			if free[w] || live[w] || w.wait.Listed() || w.pkt != nil {
-				return fmt.Errorf("cycle %d: free list of domain %d holds a worm that is listed twice, active, waiting or still has its packet", cycle, d)
-			}
-			free[w] = true
+	for _, w := range n.free {
+		if free[w] || live[w] || w.wait.Listed() || w.pkt != nil {
+			return fmt.Errorf("cycle %d: the free list holds a worm that is listed twice, active, waiting or still has its packet", cycle)
 		}
+		free[w] = true
 	}
 	for key, w := range n.outOwner {
 		if free[w] {

@@ -82,14 +82,6 @@ type Config struct {
 	// cycles, so a header spends max(1, RoutingDelay) cycles per hop.
 	// 0 (and 1) give the paper's idealized single-cycle router.
 	RoutingDelay int64
-	// Shards partitions the network into that many contiguous spatial
-	// domains stepped in parallel by a persistent worker pool (see
-	// docs/performance.md). Results are bit-identical to serial stepping
-	// at every shard count. Values <= 1 step serially. Sharding requires
-	// the default LowestDimension output policy (randomized arbitration
-	// consumes a shared RNG stream whose draw order sharding would
-	// change); other policies silently fall back to serial stepping.
-	Shards int
 	// Probe receives simulation events (see metrics.Probe). nil disables
 	// instrumentation at zero cost: emission is batched through the
 	// engine core's emitter, whose no-probe paths return immediately and
@@ -97,9 +89,9 @@ type Config struct {
 	Probe metrics.Probe
 	// DisableEventSkip turns off event-driven cycle skipping (see
 	// SetInjectionHorizon): every cycle is then stepped individually even
-	// when the caller has promised an injection horizon. Like Shards it
-	// is an execution strategy, not a model change — results are
-	// bit-identical either way. Off by default (skipping available).
+	// when the caller has promised an injection horizon. It is an
+	// execution strategy, not a model change — results are bit-identical
+	// either way. Off by default (skipping available).
 	DisableEventSkip bool
 }
 
@@ -156,13 +148,35 @@ type Network struct {
 
 	routingDelay int64
 
+	// draining holds the worms whose header reached its destination and
+	// whose tail is moving: each delivers a flit, vacates a buffer and
+	// releases a channel per cycle. sleepers holds the arrived worms whose
+	// source is still sending, each until the cycle it sends its last flit
+	// (worm.wakeAt): one flit in, one flit out, and nothing for anybody else
+	// to see, so Step delivers their flits by counting them (see drain).
+	// stalls holds recovery's stall timeouts, one per worm that has not
+	// arrived (see recoveryPhase).
+	draining []*worm
+	sleepers engine.Timers[*worm]
+	stalls   engine.Timers[stall]
+	// ready holds the worms that can advance in the coming movement round:
+	// granted an output whose target buffer is free. woken holds the worms
+	// whose target buffer a move of the round under way vacated — the next
+	// round's ready worms — and moved records that the cycle's movement
+	// moved anything.
+	ready []*worm
+	woken []*worm
+	moved bool
+
 	// victims and vacated are recovery's per-cycle scratch: the timed-out
 	// worms and the buffers their aborts freed. finished collects the worms
-	// whose last flit was consumed this cycle, for retirePhase.
-	// candScratch is reused by reachable()'s candidate queries.
+	// whose last flit was consumed this cycle, for retirePhase; free is the
+	// stock of recycled worms (see newWorm). candScratch is reused by
+	// reachable()'s candidate queries.
 	victims     []*worm
 	vacated     []int32
 	finished    []*worm
+	free        []*worm
 	candScratch []topology.Direction
 	// channelFlits counts the flits each output channel has carried,
 	// for load analysis (router*2n+dir).
@@ -173,17 +187,14 @@ type Network struct {
 	// closing over a fresh base per header.
 	freeBase int
 	freeFn   func(topology.Direction) bool
+}
 
-	// dom holds one netDomain per spatial domain — per part of the wait
-	// table; a single one unless Config.Shards split the network — and the
-	// Fn fields are the prebound per-phase tasks (see shard.go). shards
-	// mirrors core.ShardCount(): above 1 the tasks run on the worker pool,
-	// otherwise Step runs them one domain after the other.
-	shards      int
-	dom         []netDomain
-	arbitrateFn func(d int)
-	drainFn     func(d int)
-	moveFn      func(d int)
+// stall is one stall-timeout entry: the worm and the ID of the packet it
+// carried when the timer was armed. Worms are reused, so an entry that
+// outlived its worm's packet is told by the ID.
+type stall struct {
+	w  *worm
+	id int64
 }
 
 // New builds a network simulator for the given configuration.
@@ -226,7 +237,6 @@ func New(cfg Config) *Network {
 		Recovery:         cfg.Recovery,
 		FaultRouting:     cfg.FaultRouting,
 		Probe:            cfg.Probe,
-		Shards:           cfg.Shards,
 		DisableEventSkip: cfg.DisableEventSkip,
 	})
 	n.core.Bind()
@@ -242,10 +252,8 @@ func New(cfg Config) *Network {
 		// the waiting headers (those not yet granted an output channel)
 		// re-decide.
 		if n.masked != nil {
-			for d := 0; d < n.wait.Parts(); d++ {
-				for it := n.wait.Walk(d); it.Next(); {
-					it.Waiter().candsValid = false
-				}
+			for it := n.wait.Walk(); it.Next(); {
+				it.Waiter().candsValid = false
 			}
 		}
 		n.wait.WakeAll()
@@ -273,24 +281,26 @@ func New(cfg Config) *Network {
 			n.feeder[b] = int32(key)
 		}
 	}
-	n.initDomains()
-	n.wait = engine.NewWaitTable[*worm](&n.core)
+	n.wait = engine.NewWaitTable[*worm](topo.Nodes())
 	return n
 }
 
+// Close releases nothing: a Network holds no goroutine or file. It is kept
+// so that callers written against an interface with Close still compile.
+func (n *Network) Close() {}
+
 // newWorm puts the packet's header into the node's free injection buffer,
-// where it starts waiting for an output. The worm comes off domain d's
-// free list when that has one: retirePhase and abort put worms there once
+// where it starts waiting for an output. The worm comes off the free list
+// when that has one: retirePhase and abort put worms there once
 // nothing in the network refers to them any more — not outOwner, the wait
 // table, a draining or ready list, the sleepers' timer or the active list —
 // and every field is set afresh here. A stall timer may still name the worm:
 // its entry carries the packet's ID and is dropped when it no longer matches.
 // Under recovery the new worm's own stall timeout is armed.
-func (n *Network) newWorm(d int, node topology.NodeID, p *Packet) *worm {
-	dm := &n.dom[d]
+func (n *Network) newWorm(node topology.NodeID, p *Packet) *worm {
 	var w *worm
-	if k := len(dm.free) - 1; k >= 0 {
-		w, dm.free[k], dm.free = dm.free[k], nil, dm.free[:k]
+	if k := len(n.free) - 1; k >= 0 {
+		w, n.free[k], n.free = n.free[k], nil, n.free[:k]
 	} else {
 		w = new(worm)
 	}
@@ -313,22 +323,20 @@ func (n *Network) newWorm(d int, node topology.NodeID, p *Packet) *worm {
 	n.occupied[inj] = true
 	n.enlist(w)
 	if rec := &n.core.Recovery; rec.Enabled {
-		dm.stalls.Push(w.headerArrival+rec.StallCycles, stall{w: w, id: p.ID})
+		n.stalls.Push(w.headerArrival+rec.StallCycles, stall{w: w, id: p.ID})
 	}
 	return w
 }
 
-// recycle puts a worm nothing refers to any more on a free list — the one
-// of its source's domain, whose injections will draw on it.
+// recycle puts a worm nothing refers to any more on the free list.
 func (n *Network) recycle(w *worm) {
-	dm := &n.dom[n.wait.PartOf(int32(w.pkt.Src))]
 	w.pkt, w.cands = nil, nil
-	dm.free = append(dm.free, w)
+	n.free = append(n.free, w)
 }
 
 // placeWorm is the core's injection hook.
 func (n *Network) placeWorm(node topology.NodeID, p *Packet) {
-	n.active.pushBack(n.newWorm(n.wait.PartOf(int32(node)), node, p))
+	n.active.pushBack(n.newWorm(node, p))
 }
 
 // enlist records that the worm's header entered a buffer at its head
@@ -425,14 +433,7 @@ func (n *Network) MaskedFaults() int64 {
 	if n.masked == nil {
 		return 0
 	}
-	total := n.masked.MaskedDecisions()
-	// Arbitration routes each request through its domain's wrapper (the
-	// wrapper's counters are not concurrent-safe); every request is
-	// processed exactly once, so the sum does not depend on the domains.
-	for d := range n.dom {
-		total += n.dom[d].masked.MaskedDecisions()
-	}
-	return total
+	return n.masked.MaskedDecisions()
 }
 
 // MisrouteHops counts header hops taken from a misroute fallback set —
@@ -473,16 +474,12 @@ func (n *Network) bufPort(buf int32) int { return int(n.portOf[buf]) }
 // router until an output there is released; a worm granted an output whose
 // target buffer is occupied sleeps until that buffer is vacated; a source
 // whose injection buffer is occupied sleeps likewise; and every release
-// delivers the one wake it implies (see wake, fold and
-// docs/performance.md). Time is a wake source too: a worm whose header has
-// arrived while its source is still sending sleeps on its domain's timer
-// until its tail starts to move, and a stall timeout sleeps on one until it
-// is due (see drainDomain and recoveryPhase). A step costs the grants, hops,
-// releases and aborts it makes, not the worms or the flits in the network.
-//
-// The phases that fan out run one task per spatial domain: on the worker
-// pool with Config.Shards > 1, one after the other otherwise — the same
-// tasks over the same lists, with bit-identical results (see shard.go).
+// delivers the one wake it implies (see wake and docs/performance.md). Time
+// is a wake source too: a worm whose header has arrived while its source is
+// still sending sleeps on a timer until its tail starts to move, and a stall
+// timeout sleeps on one until it is due (see drain and recoveryPhase). A
+// step costs the grants, hops, releases and aborts it makes, not the worms
+// or the flits in the network.
 func (n *Network) Step() error {
 	c := &n.core
 
@@ -497,7 +494,6 @@ func (n *Network) Step() error {
 	// priority over fresh messages; packets whose destination the fault set
 	// has cut off entirely are dropped without entering the network.
 	progress := c.InjectPhase()
-	n.mergeInjected()
 	if n.active.len == 0 {
 		// An empty network: nobody waits, drains or moves.
 		return n.finishStep(progress)
@@ -508,48 +504,43 @@ func (n *Network) Step() error {
 	// order, straight off the wait table. A granted worm whose target
 	// buffer is free is ready to move; a header at its destination starts
 	// draining.
-	n.eachDomain(n.arbitrateFn)
-	if n.shards > 1 {
-		c.AbsorbShardEmitters()
-	}
+	n.arbitrate()
 
 	// Phase 3: movement. Every arrived worm delivers a flit — the sleepers
 	// by being counted, the draining ones by shifting their tail — and every
 	// ready worm advances one hop; each buffer a tail vacates wakes the worm
 	// stalled on it, which moves in the next round of the same cycle, until
 	// a round wakes nobody.
-	for task := n.drainFn; ; task = n.moveFn {
-		n.eachDomain(task)
-		moved, more := n.settle()
-		progress = progress || moved
-		if !more {
-			break
-		}
+	n.drain()
+	for len(n.woken) > 0 {
+		n.ready, n.woken = n.woken, n.ready
+		n.move()
 	}
+	progress = progress || n.moved
+	n.moved = false
 
 	// Phase 4: retire completed worms, then close the cycle.
 	n.retirePhase()
 	return n.finishStep(progress)
 }
 
-// arbitrate is phase 2 for one part of the wait table: every header
-// waiting at one of the part's awake routers — visited in ascending router
-// order and, within a router, in input-policy order — is marked arrived if
-// it sits at its destination, and otherwise offered its candidate outputs. A
-// header leaves the table when it is granted an output or arrives; a blocked
-// one stays where it is, and its router sleeps until one of its outputs is
-// released or the fault set changes: nothing else can turn the refusal into
-// a grant, because the candidates are fixed while the header waits and a
-// refusal consumes nothing (an OutputPolicy draws from the RNG only to pick
-// among free candidates). With a probe attached every waiter is visited
+// arbitrate is phase 2: every header waiting at one of the wait table's
+// awake routers — visited in ascending router order and, within a router,
+// in input-policy order — is marked arrived if it sits at its destination,
+// and otherwise offered its candidate outputs. A header leaves the table
+// when it is granted an output or arrives; a blocked one stays where it is,
+// and its router sleeps until one of its outputs is released or the fault
+// set changes: nothing else can turn the refusal into a grant, because the
+// candidates are fixed while the header waits and a refusal consumes
+// nothing (an OutputPolicy draws from the RNG only to pick among free
+// candidates). With a probe attached every waiter is visited
 // instead: a blocked header is a Blocked event every cycle it waits.
-func (n *Network) arbitrate(d int) {
+func (n *Network) arbitrate() {
 	c := &n.core
-	dm := &n.dom[d]
-	em := n.emitter(d)
-	it := n.wait.WalkAwake(d)
+	em := &c.Em
+	it := n.wait.WalkAwake()
 	if em.Enabled() {
-		it = n.wait.Walk(d)
+		it = n.wait.Walk()
 	}
 	for it.Next() {
 		w := it.Waiter()
@@ -565,14 +556,14 @@ func (n *Network) arbitrate(d int) {
 			// starts draining into the local processor. While the source
 			// still has q flits to send, each cycle puts one flit in at the
 			// tail and takes one out at the head, and nothing else changes:
-			// the worm sleeps through those q cycles (see drainDomain).
+			// the worm sleeps through those q cycles (see drain).
 			w.arrived = true
 			it.Delist()
 			if q := w.pkt.Length - w.sent; q > 0 {
 				w.wakeAt = c.Cycle + int64(q)
-				dm.sleepers.Push(w.wakeAt, w)
+				n.sleepers.Push(w.wakeAt, w)
 			} else {
-				dm.draining = append(dm.draining, w)
+				n.draining = append(n.draining, w)
 			}
 			continue
 		}
@@ -581,8 +572,8 @@ func (n *Network) arbitrate(d int) {
 			// direction), all fixed while the header waits in this buffer,
 			// so the candidate list is computed once per hop rather than
 			// once per cycle.
-			if dm.masked != nil {
-				w.cands, w.candsMis = dm.masked.AppendFaultCandidates(w.candBuf[:0], r, w.pkt.Dst, w.inDir, w.inWrap, w.misroutes)
+			if n.masked != nil {
+				w.cands, w.candsMis = n.masked.AppendFaultCandidates(w.candBuf[:0], r, w.pkt.Dst, w.inDir, w.inWrap, w.misroutes)
 			} else if n.appender != nil {
 				w.cands = n.appender.AppendCandidates(w.candBuf[:0], r, w.pkt.Dst, w.inDir, w.inWrap)
 			} else {
@@ -593,11 +584,10 @@ func (n *Network) arbitrate(d int) {
 		base := int(r) * n.dims2
 		if n.fastOutput {
 			// LowestDimension is "first free candidate": inline it and
-			// skip the policy's closure indirection. (Stepping on the
-			// worker pool requires it, so this is its only arbitration.)
+			// skip the policy's closure indirection.
 			for _, dd := range w.cands {
 				if k := base + int(dd); n.outOwner[k] == nil && !n.faulted[k] {
-					n.grant(w, dd, dm)
+					n.grant(w, dd)
 					it.Delist()
 					break
 				}
@@ -609,7 +599,7 @@ func (n *Network) arbitrate(d int) {
 		}
 		n.freeBase = base
 		if dd, ok := n.output.Choose(w.cands, n.freeFn, w.inDir, n.rng); ok {
-			n.grant(w, dd, dm)
+			n.grant(w, dd)
 			it.Delist()
 		} else {
 			em.Blocked(c.Cycle, r)
@@ -620,9 +610,8 @@ func (n *Network) arbitrate(d int) {
 // grant allocates the output channel to the waiting header. The worm is
 // ready to move if the buffer at the channel's far end is free — it stays
 // free until the worm takes it, the grant being exclusive — and otherwise
-// sleeps until the flit there leaves (see wake). Phase 2 writes no buffer,
-// so domains may read their neighbours' here.
-func (n *Network) grant(w *worm, dd topology.Direction, dm *netDomain) {
+// sleeps until the flit there leaves (see wake).
+func (n *Network) grant(w *worm, dd topology.Direction) {
 	r := w.headRouter
 	next, ok := n.core.Grid.Neighbor(r, dd)
 	if !ok {
@@ -632,7 +621,7 @@ func (n *Network) grant(w *worm, dd topology.Direction, dm *netDomain) {
 	w.outDir = dd
 	w.target = n.bufID(next, int(dd))
 	if !n.occupied[w.target] {
-		dm.ready = append(dm.ready, w)
+		n.ready = append(n.ready, w)
 	}
 }
 
@@ -649,51 +638,46 @@ func (n *Network) grant(w *worm, dd topology.Direction, dm *netDomain) {
 // aborted in injection order, the order of that scan: abort order is the
 // order of the retry lists and of the Abort, Retry and Drop events.
 //
-// It is always serial: aborts mutate the active list and shared retry state.
 // The buffers the aborts vacate deliver their wakes once every victim is
 // gone, so that no wake finds a victim: a woken worm is ready for this
 // cycle's movement, a woken source for its injection.
 func (n *Network) recoveryPhase() {
 	c := &n.core
 	v := n.victims[:0]
-	for d := range n.dom {
-		stalls := &n.dom[d].stalls
-		for {
-			e, ok := stalls.PopDue(c.Cycle)
-			if !ok {
-				break
-			}
-			w := e.w
-			if w.pkt == nil || w.pkt.ID != e.id || w.arrived {
-				continue
-			}
-			if due := w.headerArrival + c.Recovery.StallCycles; due > c.Cycle {
-				stalls.Push(due, e)
-				continue
-			}
-			// File the victim in injection order (there are rarely two).
-			i := len(v)
-			v = append(v, w)
-			for ; i > 0 && injectedBefore(w.pkt, v[i-1].pkt); i-- {
-				v[i] = v[i-1]
-			}
-			v[i] = w
+	for {
+		e, ok := n.stalls.PopDue(c.Cycle)
+		if !ok {
+			break
 		}
+		w := e.w
+		if w.pkt == nil || w.pkt.ID != e.id || w.arrived {
+			continue
+		}
+		if due := w.headerArrival + c.Recovery.StallCycles; due > c.Cycle {
+			n.stalls.Push(due, e)
+			continue
+		}
+		// File the victim in injection order (there are rarely two).
+		i := len(v)
+		v = append(v, w)
+		for ; i > 0 && injectedBefore(w.pkt, v[i-1].pkt); i-- {
+			v[i] = v[i-1]
+		}
+		v[i] = w
 	}
 	n.victims = v
 	if len(n.victims) == 0 {
 		return
 	}
-	dm := &n.dom[0]
 	for _, w := range n.victims {
-		n.abort(w, dm)
+		n.abort(w)
 	}
 	clear(n.victims)
 	for _, b := range n.vacated {
-		n.wake(b, dm)
+		n.wake(b)
 	}
 	n.vacated = n.vacated[:0]
-	n.fold(dm)
+	n.ready, n.woken = n.woken, n.ready
 }
 
 // retirePhase takes the worms whose last flit was consumed this cycle off
@@ -754,7 +738,7 @@ func (n *Network) finishStep(progress bool) error {
 // already consumed.
 // The freed buffers go on the vacated list, and recoveryPhase delivers
 // their wakes.
-func (n *Network) abort(w *worm, dm *netDomain) {
+func (n *Network) abort(w *worm) {
 	last := len(w.path) - 1
 	inNet := w.inNetwork()
 	tailIdx := last - (inNet - 1)
@@ -766,11 +750,11 @@ func (n *Network) abort(w *worm, dm *netDomain) {
 		from := n.routerOf[w.path[j-1]]
 		dir := n.bufPort(w.path[j])
 		n.outOwner[int(from)*n.dims2+dir] = nil
-		n.release(from, dm)
+		n.wait.Wake(from)
 	}
 	if w.outDir != noDirection {
 		n.outOwner[int(w.headRouter)*n.dims2+int(w.outDir)] = nil
-		n.release(int32(w.headRouter), dm)
+		n.wait.Wake(int32(w.headRouter))
 	}
 	n.wait.Delist(&w.wait)
 	n.active.remove(w)
@@ -851,20 +835,85 @@ func (n *Network) reachable(src, dst topology.NodeID) bool {
 	return found
 }
 
-// wake delivers the one wake a vacated buffer implies, into the caller's
-// sink. An injection buffer wakes its source. Any other buffer is fed by
-// one channel, and if that channel is held, its holder is the worm granted
-// it and stalled on this buffer — a worm's own channels feed buffers its
-// own flits sit in — which is now ready to move: nothing else can take the
-// buffer first. Reading outOwner here is safe while domains move
-// concurrently: only phase 2 grants, and only the tail of the worm that
-// holds a channel releases it — the holder found here is standing still.
-func (n *Network) wake(b int32, dm *netDomain) {
+// wake delivers the one wake a vacated buffer implies. An injection buffer
+// wakes its source. Any other buffer is fed by one channel, and if that
+// channel is held, its holder is the worm granted it and stalled on this
+// buffer — a worm's own channels feed buffers its own flits sit in — which
+// is now ready to move: nothing else can take the buffer first.
+func (n *Network) wake(b int32) {
 	if k := n.feeder[b]; k < 0 {
-		dm.sources = append(dm.sources, n.routerOf[b])
+		n.core.WakeSource(topology.NodeID(n.routerOf[b]))
 	} else if o := n.outOwner[k]; o != nil {
-		dm.woken = append(dm.woken, o)
+		n.woken = append(n.woken, o)
 	}
+}
+
+// drain is the first movement round of a cycle: every arrived worm delivers
+// a flit, then the ready worms advance (move).
+//
+// The sleepers deliver theirs without being touched: their number is added
+// to FlitsConsumed, which keeps it exact at every cycle boundary and shows
+// the watchdog the progress. A sleeper that arbitrate put on the timer in
+// cycle a with q flits still to be sent is counted in cycles a to a+q-1 and
+// comes off the timer here in cycle a+q, credited with those q flits in one
+// addition and fully injected; from then on it is a draining worm, whose
+// every advance shifts its tail. In what order the woken worms join the
+// draining list changes nothing that outlives the cycle: each advance writes
+// only its own worm's buffers and channels, the wakes reach the same
+// fixpoint, headers are filed in the wait table by key, and the finished are
+// retired in injection order. Sleeping emits no probe event either —
+// FlitMove fires at a channel release, Deliver at retirement — so probe
+// streams are untouched. A worm that delivered its last flit leaves the
+// draining list.
+func (n *Network) drain() {
+	c := &n.core
+	for {
+		w, ok := n.sleepers.PopDue(c.Cycle)
+		if !ok {
+			break
+		}
+		w.delivered += w.pkt.Length - w.sent
+		w.sent = w.pkt.Length
+		w.wakeAt = 0
+		n.draining = append(n.draining, w)
+	}
+	if asleep := n.sleepers.Len(); asleep > 0 {
+		c.FlitsConsumed += int64(asleep)
+		n.moved = true
+	}
+	if len(n.draining) > 0 {
+		keep := n.draining[:0]
+		for _, w := range n.draining {
+			n.advance(w)
+			if w.delivered < w.pkt.Length {
+				keep = append(keep, w)
+			}
+		}
+		clear(n.draining[len(keep):])
+		n.draining = keep
+		n.moved = true
+	}
+	n.move()
+}
+
+// move is one movement round: each ready worm advances one hop. Every one of
+// them can — its target buffer was free when it was listed and only the worm
+// itself can fill it — and the worms it wakes go to the next round. A
+// header that hopped starts waiting at its new router (nothing reads the
+// wait table during movement, and entries are filed in order on insertion,
+// so when and in what order they land is immaterial).
+func (n *Network) move() {
+	if len(n.ready) == 0 {
+		return
+	}
+	for _, w := range n.ready {
+		if n.advance(w) {
+			n.enlist(w)
+		}
+	}
+	clear(n.ready)
+	n.ready = n.ready[:0]
+	n.moved = true
 }
 
 // advance moves a draining or ready worm forward one hop: the header moves
@@ -874,17 +923,13 @@ func (n *Network) wake(b int32, dm *netDomain) {
 // (until then it sleeps on the timer), so every call is an event somebody
 // else can see: a header hop or a release. Every location it writes is
 // exclusive to this worm — the target buffer (via its output-channel
-// grant), its own flits' buffers and channels — so domains advance their
-// worms concurrently, and no move can invalidate another: two movers never
-// target one buffer, and frees only enable. Movement therefore reaches the
-// same state in whatever order, and over however many rounds, the ready
-// worms are taken: the least fixpoint of "advance every worm that can".
-// Everything else a move produces goes to the domain's sink — the flit and
-// misroute tallies, the probe events, the wakes, the routers whose outputs
-// were released, the worm itself if it finished — and settle folds the
-// sinks in domain order. It reports whether the header hopped into a new
-// buffer; the caller then enlists it there.
-func (n *Network) advance(w *worm, dm *netDomain, em *engine.Emitter) (hopped bool) {
+// grant), its own flits' buffers and channels — so no move can invalidate
+// another: two movers never target one buffer, and frees only enable.
+// Movement therefore reaches the same state in whatever order, and over
+// however many rounds, the ready worms are taken: the least fixpoint of
+// "advance every worm that can". It reports whether the header hopped into
+// a new buffer; the caller then enlists it there.
+func (n *Network) advance(w *worm) (hopped bool) {
 	c := &n.core
 	last := len(w.path) - 1
 	inNet := w.inNetwork()
@@ -898,7 +943,7 @@ func (n *Network) advance(w *worm, dm *netDomain, em *engine.Emitter) (hopped bo
 			// The hop came from a misroute set: a nonminimal detour,
 			// charged against the packet's misroute budget.
 			w.misroutes++
-			dm.mis++
+			c.MisrouteHops++
 			w.candsMis = false
 		}
 		w.path = append(w.path, w.target)
@@ -912,9 +957,9 @@ func (n *Network) advance(w *worm, dm *netDomain, em *engine.Emitter) (hopped bo
 	} else {
 		// The front flit is consumed by the destination processor.
 		w.delivered++
-		dm.flits++
+		c.FlitsConsumed++
 		if w.delivered == w.pkt.Length {
-			dm.finished = append(dm.finished, w)
+			n.finished = append(n.finished, w)
 		}
 	}
 
@@ -929,18 +974,18 @@ func (n *Network) advance(w *worm, dm *netDomain, em *engine.Emitter) (hopped bo
 	} else {
 		b := w.path[tailIdx]
 		n.occupied[b] = false
-		n.wake(b, dm)
+		n.wake(b)
 		if tailIdx+1 < len(w.path) {
 			from := n.routerOf[b]
 			dir := n.bufPort(w.path[tailIdx+1])
 			key := int(from)*n.dims2 + dir
 			n.outOwner[key] = nil
-			n.release(from, dm)
+			n.wait.Wake(from)
 			// The tail has crossed: all of the packet's flits have now
 			// traversed this channel. Tallied at release so the counts
 			// reflect completed traversals only.
 			n.channelFlits[key] += int64(w.pkt.Length)
-			em.FlitMove(c.Cycle, topology.NodeID(from), topology.Direction(dir), w.pkt.Length)
+			c.Em.FlitMove(c.Cycle, topology.NodeID(from), topology.Direction(dir), w.pkt.Length)
 		}
 	}
 	return hopped

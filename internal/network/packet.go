@@ -33,7 +33,7 @@ type worm struct {
 	// cycle into the local processor.
 	arrived bool
 	// wakeAt is the cycle an arrived worm's tail starts to move, while the
-	// worm sleeps on its domain's timer until then (0 otherwise): every
+	// worm sleeps on the sleepers' timer until then (0 otherwise): every
 	// cycle before it the source sends one more flit and the destination
 	// consumes one, which changes nothing anybody else can see, so sent and
 	// delivered stand still at their values on arrival and are brought up to

@@ -235,8 +235,8 @@ func TestSubmitStreamReport(t *testing.T) {
 // TestResubmitServedFromArchive is the issue's acceptance check: an
 // identical spec resubmitted — here to a second server sharing the cache,
 // as after a restart — is answered from the archive with zero engine
-// cycles and a byte-identical schema-v4 report. Jobs/Shards differences
-// must not break the match.
+// cycles and a byte-identical schema-v4 report. Differences in Jobs and
+// the ignored Shards must not break the match.
 func TestResubmitServedFromArchive(t *testing.T) {
 	store := simcache.NewStore(simcache.Options{Dir: t.TempDir()})
 
@@ -472,6 +472,40 @@ func TestKeyIgnoresExecutionFields(t *testing.T) {
 		if k, _ := changed.Key(); k == baseKey {
 			t.Errorf("%s change did not move the key", name)
 		}
+	}
+
+	// The deprecated shards field is accepted on the wire and ignored: a
+	// spec carrying it has the key of one without, and is answered with
+	// the same report bytes, served from the archive without simulating.
+	raw, err := json.Marshal(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := ParseSpec(strings.NewReader(`{"shards":4,` + string(raw[1:])))
+	if err != nil {
+		t.Fatalf("a spec with shards was rejected: %v", err)
+	}
+	if k, _ := sharded.Key(); sharded.Shards != 4 || k != baseKey {
+		t.Fatalf("shards=%d: key %s, want %s", sharded.Shards, k, baseKey)
+	}
+	store := simcache.NewStore(simcache.Options{Dir: t.TempDir()})
+	s1, ts1 := newTestServer(t, Config{Workers: 2, Cache: store})
+	st, code := submit(t, ts1, base)
+	if code != http.StatusCreated {
+		t.Fatalf("submit status = %d", code)
+	}
+	waitDone(t, s1, st.ID)
+	want, _ := getReport(t, ts1, st.ID)
+	probe := &tickCounter{}
+	s2, ts2 := newTestServer(t, Config{Workers: 2, Cache: store, Probe: probe})
+	st2, code := submit(t, ts2, sharded)
+	if code != http.StatusCreated {
+		t.Fatalf("submit with shards status = %d", code)
+	}
+	waitDone(t, s2, st2.ID)
+	got, _ := getReport(t, ts2, st2.ID)
+	if ticks := probe.ticks.Load(); ticks != 0 || !bytes.Equal(got, want) {
+		t.Fatalf("the spec with shards ran %d engine cycles; report equal = %v", ticks, bytes.Equal(got, want))
 	}
 }
 

@@ -22,10 +22,10 @@ import (
 // selects the same default the turnsweep CLI uses, so a spec naming only
 // figure IDs reproduces the archived tables.
 //
-// Jobs and Shards steer execution (worker pool width, spatial sharding)
-// and are excluded from the job's content address: results are
-// bit-identical at every value, so two specs differing only there denote
-// the same report.
+// Jobs steers execution (worker pool width) and is excluded from the job's
+// content address: results are bit-identical at every value, so two specs
+// differing only there denote the same report. Shards is accepted and
+// ignored.
 type JobSpec struct {
 	// Figures are figure sweep IDs ("figure13", "extension-hex", ...).
 	Figures []string `json:"figures,omitempty"`
@@ -54,13 +54,18 @@ type JobSpec struct {
 	FaultRate   float64 `json:"fault_rate,omitempty"`
 	FaultRepair int64   `json:"fault_repair,omitempty"`
 	Recovery    bool    `json:"recovery,omitempty"`
-	// Jobs and Shards steer execution only; see the type comment.
-	Jobs   int `json:"jobs,omitempty"`
+	// Jobs steers execution only; see the type comment.
+	Jobs int `json:"jobs,omitempty"`
+	// Shards is accepted so that older clients are not rejected for an
+	// unknown field, and ignored: the simulator steps one spatial domain.
+	// It never enters the content address.
+	//
+	// Deprecated: it has no effect.
 	Shards int `json:"shards,omitempty"`
 	// TimeoutS is the client's per-job deadline in seconds, capped by the
 	// server's configured job timeout (a client may ask for less time than
 	// the server allows, never more). Execution-only: excluded from the
-	// content address like Jobs and Shards.
+	// content address like Jobs.
 	TimeoutS float64 `json:"timeout_s,omitempty"`
 }
 
@@ -159,7 +164,6 @@ func (s JobSpec) Options() (sim.Options, error) {
 		MeasureCycles: s.MeasureCycles,
 		Seed:          s.Seed,
 		Jobs:          s.Jobs,
-		Shards:        s.Shards,
 		Metrics:       s.Metrics,
 		FaultPlan:     fault.Plan{Rate: s.FaultRate, Repair: s.FaultRepair},
 		Recovery:      fault.Recovery{Enabled: s.Recovery},

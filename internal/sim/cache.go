@@ -91,10 +91,9 @@ func faultPlanKey(fp fault.Plan) map[string]any {
 // so explicit defaults and zero values address the same entry, and prunes
 // whole subsystems that cannot affect the Result:
 //
-//   - Shards and DisableEventSkip never enter a key: results are
-//     bit-identical at every shard count and in both clock modes (the
-//     engine's sharding and event-skipping guarantees) — they choose how
-//     the simulation executes, not what it computes.
+//   - DisableEventSkip never enters a key: results are bit-identical in
+//     both clock modes (the engine's event-skipping guarantee) — it
+//     chooses how the simulation executes, not what it computes.
 //   - Probe never enters a key: probes observe, they do not perturb. A
 //     cache hit therefore emits no probe events at all — which is how
 //     callers assert that no simulation ran.

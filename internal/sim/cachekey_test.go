@@ -56,9 +56,8 @@ func TestCacheKeyNormalization(t *testing.T) {
 		"collector options without collector": func(c *Config) {
 			c.MetricsOptions = metrics.Options{OccupancyEvery: 5}
 		},
-		"probe attached":    func(c *Config) { c.Probe = metrics.NopProbe{} },
-		"sharded execution": func(c *Config) { c.Shards = 4 },
-		"stepped clock":     func(c *Config) { c.DisableEventSkip = true },
+		"probe attached": func(c *Config) { c.Probe = metrics.NopProbe{} },
+		"stepped clock":  func(c *Config) { c.DisableEventSkip = true },
 	} {
 		cfg := keyCfg(t)
 		mutate(&cfg)
@@ -198,7 +197,7 @@ func TestCacheKeyVC(t *testing.T) {
 	}
 	normalized := params
 	normalized.Lengths = []int{10, 200}
-	normalized.Shards = 3
+	normalized.DisableEventSkip = true
 	again, _ := CacheKeyVC(VCConfig{Routing: dy, RunParams: normalized})
 	if again != vcKey {
 		t.Error("VC key not normalized")

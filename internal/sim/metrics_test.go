@@ -94,7 +94,7 @@ func TestMetricsSnapshotSane(t *testing.T) {
 	}
 }
 
-// TestRunnerMetricsPlan checks Plan.Metrics flows through to the point
+// TestRunnerMetricsPlan checks Options.Metrics flows through to the point
 // results while leaving scalars untouched.
 func TestRunnerMetricsPlan(t *testing.T) {
 	plain, _, err := runPlan(quickPlan(2, nil))

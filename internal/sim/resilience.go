@@ -104,8 +104,8 @@ type ResilienceMode struct {
 	FaultRouting fault.RoutingPolicy
 }
 
-// ResilienceModes returns the three configurations RunResilienceCompare
-// contrasts. Masking uses k-hop health dissemination at the default
+// ResilienceModes returns the three configurations a compare run
+// (Options.CompareModes) contrasts. Masking uses k-hop health dissemination at the default
 // radius with a misroute budget of 4 — enough for a detour around any
 // single broken link and its immediate neighborhood. The masking-only
 // mode runs with the watchdog disabled: a packet whose every permitted

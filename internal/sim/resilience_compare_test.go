@@ -112,7 +112,7 @@ func TestResilienceCompareEndToEnd(t *testing.T) {
 // routing enabled stays bit-identical across worker counts, and the
 // report echoes the policy (schema v4 fields).
 func TestRunPlanFaultRoutingDeterminism(t *testing.T) {
-	mk := func(jobs int) Plan {
+	mk := func(jobs int) Options {
 		p := quickPlan(jobs, nil)
 		p.FaultPlan = fault.Plan{Rate: 2e-6, Repair: 400}
 		p.Recovery = fault.Recovery{Enabled: true, StallCycles: 300}

@@ -129,7 +129,7 @@ func TestResilienceSweepAccounting(t *testing.T) {
 // a pure function of job identity, so worker count changes nothing —
 // including the metrics snapshots' window counters.
 func TestRunPlanFaultDeterminism(t *testing.T) {
-	mk := func(jobs int) Plan {
+	mk := func(jobs int) Options {
 		p := quickPlan(jobs, nil)
 		p.Metrics = true
 		p.FaultPlan = fault.Plan{Rate: 2e-6, Repair: 400}

@@ -134,11 +134,6 @@ type Options struct {
 	// Jobs is the worker count. Values <= 0 select runtime.GOMAXPROCS(0);
 	// 1 runs the points serially in the calling goroutine.
 	Jobs int
-	// Shards partitions every point's network into that many spatial
-	// domains stepped in parallel (see RunParams.Shards). Point-level
-	// (Jobs) and intra-point (Shards) parallelism compose: a run uses up
-	// to Jobs*Shards cores. Results are bit-identical at every value.
-	Shards int
 	// DisableEventSkip steps every point cycle by cycle instead of leaping
 	// the clock over provably empty ones (see RunParams.DisableEventSkip).
 	// Results are bit-identical either way.
@@ -186,11 +181,6 @@ type Options struct {
 	Probe metrics.Probe
 }
 
-// Plan is the former name of Options.
-//
-// Deprecated: use Options with NewRunner or RunSweep.
-type Plan = Options
-
 // unit indexes one point of a run. mode is -1 except for compare points.
 type unit struct {
 	kind            PointKind
@@ -205,8 +195,7 @@ type unit struct {
 // results deterministically. Every worker builds its own topology,
 // algorithm and pattern, and every point's seed is a pure function of its
 // identity, so the merged results — and the schema-v4 Report — are
-// bit-identical for any worker count, shard count, cache state or
-// completion order.
+// bit-identical for any worker count, cache state or completion order.
 type Runner struct {
 	opts   Options
 	seedFn SeedFunc
@@ -322,7 +311,6 @@ func (r *Runner) unitConfig(u unit) (Config, PointEvent) {
 				Recovery:         opts.Recovery,
 				FaultRouting:     opts.FaultRouting,
 				Probe:            opts.Probe,
-				Shards:           opts.Shards,
 				DisableEventSkip: opts.DisableEventSkip,
 			},
 		}
@@ -355,7 +343,6 @@ func (r *Runner) unitConfig(u unit) (Config, PointEvent) {
 				},
 				Recovery:         fault.Recovery{Enabled: true},
 				Probe:            opts.Probe,
-				Shards:           opts.Shards,
 				DisableEventSkip: opts.DisableEventSkip,
 			},
 		}

@@ -121,45 +121,22 @@ func TestRunPlanParallelMatchesSerial(t *testing.T) {
 	figuresEqual(t, serial, parallel)
 }
 
-// TestRunPlanShardedMatchesSerial pins the intra-simulation parallelism
-// axis: the same options run with every point's network split into 2, 4 or
-// 7 spatial domains — composed with point-level workers — produces results
-// and rendered tables identical to the fully serial run.
-func TestRunPlanShardedMatchesSerial(t *testing.T) {
-	serial, _, err := runPlan(quickPlan(1, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{2, 4, 7} {
-		plan := quickPlan(2, nil)
-		plan.Shards = shards
-		sharded, _, err := runPlan(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		figuresEqual(t, serial, sharded)
-	}
-}
-
 // TestRunPlanSteppedClockMatches pins the execution-strategy guarantee of
 // the event-driven clock: forcing every point to step cycle by cycle
 // (DisableEventSkip) produces results and rendered tables identical to the
-// default leaping run, with or without sharding underneath.
+// default leaping run.
 func TestRunPlanSteppedClockMatches(t *testing.T) {
 	leaping, _, err := runPlan(quickPlan(1, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{0, 4} {
-		plan := quickPlan(2, nil)
-		plan.Shards = shards
-		plan.DisableEventSkip = true
-		stepped, _, err := runPlan(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		figuresEqual(t, leaping, stepped)
+	plan := quickPlan(2, nil)
+	plan.DisableEventSkip = true
+	stepped, _, err := runPlan(plan)
+	if err != nil {
+		t.Fatal(err)
 	}
+	figuresEqual(t, leaping, stepped)
 }
 
 func TestRunPlanHashSeedDeterminism(t *testing.T) {

@@ -72,19 +72,12 @@ type RunParams struct {
 	// Probe, when non-nil, additionally receives every simulation event
 	// (combined with the collector via metrics.Tee when Metrics is set).
 	Probe metrics.Probe
-	// Shards partitions the simulated network into that many spatial
-	// domains stepped in parallel (see network.Config.Shards and
-	// docs/performance.md). Results are bit-identical at every shard
-	// count; values <= 1 step serially. Intra-point parallelism composes
-	// multiplicatively with Plan.Jobs — a sweep uses up to Jobs*Shards
-	// cores — so split the machine between them (see docs/sweeps.md).
-	Shards int
 	// DisableEventSkip turns off event-driven cycle skipping (see
 	// network.Config.DisableEventSkip and docs/performance.md): with it
 	// set the run steps every cycle individually instead of leaping the
-	// clock over provably empty ones. Like Shards it is an execution
-	// strategy, not a model change — the Result is bit-identical either
-	// way, so it never enters cache keys. Off by default (skipping on).
+	// clock over provably empty ones. It is an execution strategy, not a
+	// model change — the Result is bit-identical either way, so it never
+	// enters cache keys. Off by default (skipping on).
 	DisableEventSkip bool
 }
 
@@ -235,7 +228,6 @@ func Run(cfg Config) Result {
 		FaultRouting:     cfg.FaultRouting,
 		RoutingDelay:     cfg.RoutingDelay,
 		Probe:            probe,
-		Shards:           cfg.Shards,
 		DisableEventSkip: cfg.DisableEventSkip,
 	})
 	return measure(cfg.RunParams, cfg.Routing.Name(), topo, net, coll)
@@ -246,7 +238,6 @@ func Run(cfg Config) Result {
 // defaults applied; coll, when non-nil, is the collector already attached
 // to the engine whose snapshot the Result will carry.
 func measure(cfg RunParams, algName string, topo topology.Topology, net engine, coll *metrics.Collector) Result {
-	defer net.Close()
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 
 	// Fixed points of permutation patterns consume their own messages

@@ -8,13 +8,9 @@ import (
 )
 
 // engine abstracts the two simulators (physical-channel and
-// virtual-channel) behind the measurement protocol of Run. Close releases
-// the worker pool of a sharded engine (a no-op for serial ones); measure
-// closes each engine when its run finishes so sweeps never accumulate
-// parked worker goroutines.
+// virtual-channel) behind the measurement protocol of Run.
 type engine interface {
 	Step() error
-	Close()
 	Enqueue(src, dst topology.NodeID, length int) *network.Packet
 	Cycle() int64
 	SetInjectionHorizon(cycle int64)
@@ -53,7 +49,6 @@ func RunVC(cfg VCConfig) Result {
 		Recovery:         cfg.Recovery,
 		FaultRouting:     cfg.FaultRouting,
 		Probe:            probe,
-		Shards:           cfg.Shards,
 		DisableEventSkip: cfg.DisableEventSkip,
 	})
 	return measure(params, cfg.Routing.Name(), topo, net, coll)

@@ -29,16 +29,11 @@ func (p *chaosProbe) Drop(cycle int64, src, dst topology.NodeID, length int, rea
 // full flit accounting after the drain.
 func TestVCChaosSoakRecovery(t *testing.T) {
 	cases := []struct {
-		name   string
-		alg    vc.Algorithm
-		shards int
+		name string
+		alg  vc.Algorithm
 	}{
-		{"mesh-double-y", vc.DoubleY(topology.NewMesh2D(4, 4)), 0},
-		{"torus-dateline-dor", vc.DatelineDOR(topology.NewKaryNCube(4, 2)), 0},
-		// Sharded soak: injection and routing/allocation fan out over
-		// domain workers (movement stays serial); the invariants and the
-		// race detector watch the handoffs. 3 does not divide 16 nodes.
-		{"mesh-double-y-sharded", vc.DoubleY(topology.NewMesh2D(4, 4)), 3},
+		{"mesh-double-y", vc.DoubleY(topology.NewMesh2D(4, 4))},
+		{"torus-dateline-dor", vc.DatelineDOR(topology.NewKaryNCube(4, 2))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -48,9 +43,7 @@ func TestVCChaosSoakRecovery(t *testing.T) {
 				Probe:     probe,
 				FaultPlan: fault.Plan{Rate: 5e-5, Repair: 300, Seed: 99},
 				Recovery:  fault.Recovery{Enabled: true, StallCycles: 200},
-				Shards:    tc.shards,
 			})
-			defer net.Close()
 			topo := tc.alg.Topology()
 			rng := rand.New(rand.NewSource(21))
 			enqueued := int64(0)

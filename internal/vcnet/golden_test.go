@@ -164,7 +164,6 @@ func vcDigest(t *testing.T, c vcGoldenCase, seed int64, probe bool) string {
 		cfg.Probe = sp
 	}
 	net := New(cfg)
-	defer net.Close()
 	nodes := cfg.Routing.Topology().Nodes()
 	rng := rand.New(rand.NewSource(seed*104729 + 7))
 	period := c.load.period

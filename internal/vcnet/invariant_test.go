@@ -175,10 +175,8 @@ func checkWaitTable(t *testing.T, n *Network) {
 		return a.pkt.ID < b.pkt.ID
 	})
 	var got []*worm
-	for d := 0; d < n.wait.Parts(); d++ {
-		for it := n.wait.Walk(d); it.Next(); {
-			got = append(got, it.Waiter())
-		}
+	for it := n.wait.Walk(); it.Next(); {
+		got = append(got, it.Waiter())
 	}
 	if len(got) != len(want) {
 		t.Fatalf("cycle %d: wait table holds %d headers, %d are waiting", n.core.Cycle, len(got), len(want))
@@ -228,8 +226,8 @@ func canMove(n *Network, w *worm) bool {
 //	    is held or on a broken link.
 //	(d) Every node with a queued message and a free injection buffer is on
 //	    the injection worklist.
-//	(e) A worm on a free list is reachable from nowhere else: not the active
-//	    list, owner or the wait table.
+//	(e) A worm on the free list is reachable from nowhere else: not the
+//	    active list, owner or the wait table.
 //	(f) Under recovery every worm that has not arrived has exactly one live
 //	    stall entry, due by the cycle its header times out.
 //	(m) A worm that is neither due for the next movement phase's first
@@ -292,30 +290,24 @@ func lostWake(n *Network) error {
 	}
 	free := make(map[*worm]bool)
 	stalls := make(map[*worm]int)
-	for d := range n.dsc {
-		dm := &n.dsc[d]
-		if len(dm.injected) != 0 || len(dm.granted) != 0 {
-			return fmt.Errorf("cycle %d: domain %d still holds %d injected and %d granted worms", cycle, d, len(dm.injected), len(dm.granted))
+	for _, w := range n.free {
+		if free[w] || live[w] || w.wait.Listed() || w.pkt != nil {
+			return fmt.Errorf("cycle %d: the free list holds a worm that is listed twice, active, waiting or still has its packet", cycle)
 		}
-		for _, w := range dm.free {
-			if free[w] || live[w] || w.wait.Listed() || w.pkt != nil {
-				return fmt.Errorf("cycle %d: free list of domain %d holds a worm that is listed twice, active, waiting or still has its packet", cycle, d)
-			}
-			free[w] = true
+		free[w] = true
+	}
+	var late error
+	n.stalls.Each(func(at int64, e timed) {
+		if e.w.pkt == nil || e.w.pkt.ID != e.id || e.w.arrived {
+			return
 		}
-		var late error
-		dm.stalls.Each(func(at int64, e timed) {
-			if e.w.pkt == nil || e.w.pkt.ID != e.id || e.w.arrived {
-				return
-			}
-			stalls[e.w]++
-			if at > e.w.headerArrival+n.core.Recovery.StallCycles {
-				late = fmt.Errorf("cycle %d: %v's stall entry is due at %d, after its header times out", cycle, e.w.pkt, at)
-			}
-		})
-		if late != nil {
-			return late
+		stalls[e.w]++
+		if at > e.w.headerArrival+n.core.Recovery.StallCycles {
+			late = fmt.Errorf("cycle %d: %v's stall entry is due at %d, after its header times out", cycle, e.w.pkt, at)
 		}
+	})
+	if late != nil {
+		return late
 	}
 	if n.core.Recovery.Enabled {
 		for _, w := range active {

@@ -76,14 +76,6 @@ type Config struct {
 	// channel. The differential harness in internal/engine turns it on,
 	// making vcnet-with-1-VC observation-equivalent to network.
 	UncappedEjection bool
-	// Shards partitions the network into contiguous spatial domains for
-	// intra-simulation parallelism, mirroring network.Config.Shards, with
-	// bit-identical results at every shard count. In this engine only
-	// injection and routing/allocation fan out: movement arbitrates each
-	// cycle's physical-channel bandwidth (physUsed/ejectUse) among the
-	// worms in injection order, which is inherently order-dependent, so it
-	// stays serial (see docs/performance.md). Values <= 1 step serially.
-	Shards int
 	// DisableEventSkip turns off event-driven cycle skipping (see
 	// SetInjectionHorizon), mirroring network.Config.DisableEventSkip:
 	// every cycle is stepped individually even when the caller has
@@ -276,42 +268,19 @@ type Network struct {
 	// sleepers holds the timers of the worms asleep (see sleep); asleep
 	// counts those worms and dozed the ones that fell asleep in the movement
 	// phase under way. Entries of a sleep that was broken stay behind and
-	// are dropped when due.
+	// are dropped when due. stalls holds recovery's stall timeouts (see
+	// recoveryPhase).
 	sleepers      engine.Timers[timed]
 	asleep, dozed int
+	stalls        engine.Timers[timed]
 
-	victims []*worm
-	// dirScratch and candScratch are reused by reachable()'s candidate
-	// queries.
+	// victims is recovery's scratch and free the stock of recycled worms
+	// (see newWorm). dirScratch and candScratch are reused by the candidate
+	// queries of arbitrate and reachable().
+	victims     []*worm
+	free        []*worm
 	dirScratch  []topology.Direction
 	candScratch []vc.Out
-
-	// dsc holds one vcDomain per spatial domain — per part of the wait
-	// table; a single one unless Config.Shards split the network —
-	// and arbitrateFn is the prebound phase-2 task. shards mirrors
-	// core.ShardCount(): above 1 injection and phase 2 run on the worker
-	// pool (see Step).
-	shards      int
-	dsc         []vcDomain
-	arbitrateFn func(d int)
-}
-
-// vcDomain is one domain's share of what injection and phase 2 touch: the
-// worms its pool worker injected this cycle, the worms its phase 2 granted
-// an output or found arrived (movement's first visits), its stall timers
-// and its stock of recycled worms (see newWorm), and — because the
-// fault-masking wrapper's counters and scratch and the appender's direction
-// scratch are not concurrent-safe — a per-domain wrapper over the shared
-// read-only Health (nil unless masking is on) and a per-domain scratch
-// slice. Padded against false sharing.
-type vcDomain struct {
-	injected   []*worm
-	granted    []*worm
-	stalls     engine.Timers[timed]
-	free       []*worm
-	masked     *vc.FaultAware
-	dirScratch []topology.Direction
-	_          [64]byte
 }
 
 // New builds a virtual-channel network simulator.
@@ -370,7 +339,6 @@ func New(cfg Config) *Network {
 		Recovery:         cfg.Recovery,
 		FaultRouting:     cfg.FaultRouting,
 		Probe:            cfg.Probe,
-		Shards:           cfg.Shards,
 		DisableEventSkip: cfg.DisableEventSkip,
 	})
 	n.core.Bind()
@@ -386,10 +354,8 @@ func New(cfg Config) *Network {
 		// the waiting headers (those not yet granted an output channel)
 		// re-decide.
 		if n.masked != nil {
-			for d := 0; d < n.wait.Parts(); d++ {
-				for it := n.wait.Walk(d); it.Next(); {
-					it.Waiter().candsValid = false
-				}
+			for it := n.wait.Walk(); it.Next(); {
+				it.Waiter().candsValid = false
 			}
 		}
 		n.wait.WakeAll()
@@ -399,42 +365,27 @@ func New(cfg Config) *Network {
 		n.masked = vc.NewFaultAware(cfg.Routing, n.core.Health, n.core.FaultPol)
 	}
 	n.appender, _ = cfg.Routing.(vc.CandidateAppender)
-	n.wait = engine.NewWaitTable[*worm](&n.core)
-	n.shards = n.core.ShardCount()
-	n.dsc = make([]vcDomain, n.shards)
-	for d := range n.dsc {
-		if n.core.Health != nil {
-			n.dsc[d].masked = vc.NewFaultAware(cfg.Routing, n.core.Health, n.core.FaultPol)
-		}
-	}
-	n.core.InjPlaceShard = n.placeWormShard
-	n.arbitrateFn = n.arbitrate
+	n.wait = engine.NewWaitTable[*worm](topo.Nodes())
 	return n
 }
 
-// Close releases the sharded step's worker pool and leaves the network
-// stepping serially over the same domains; idempotent and a no-op for serial networks (the pool
-// also carries a finalizer, so a forgotten Close leaks nothing once the
-// network is collected).
-func (n *Network) Close() {
-	n.core.Close()
-	n.shards = 1
-}
+// Close releases nothing: a Network holds no goroutine or file. It is kept
+// so that callers written against an interface with Close still compile.
+func (n *Network) Close() {}
 
 // newWorm puts the packet's header into the node's free injection buffer,
 // where it starts waiting for an output. The worm — and with it a path or
-// run list that outgrew the worm's inline buffers — comes off domain d's
-// free list when that has one: retirePhase and abort put worms there once
+// run list that outgrew the worm's inline buffers — comes off the free list
+// when that has one: retirePhase and abort put worms there once
 // nothing in the network refers to them any more — not owner, the wait
 // table or the slots — and every field is set afresh here. A stall timer
 // may still name the worm: its entry carries the packet's ID and is dropped
 // when that no longer matches. Under recovery the new worm's own stall
 // timeout is armed.
-func (n *Network) newWorm(d int, node topology.NodeID, p *Packet) *worm {
-	dm := &n.dsc[d]
+func (n *Network) newWorm(node topology.NodeID, p *Packet) *worm {
 	var w *worm
-	if k := len(dm.free) - 1; k >= 0 {
-		w, dm.free[k], dm.free = dm.free[k], nil, dm.free[:k]
+	if k := len(n.free) - 1; k >= 0 {
+		w, n.free[k], n.free = n.free[k], nil, n.free[:k]
 	} else {
 		w = new(worm)
 	}
@@ -461,7 +412,7 @@ func (n *Network) newWorm(d int, node topology.NodeID, p *Packet) *worm {
 	n.occupied[inj] = true
 	n.enlist(w)
 	if rec := &n.core.Recovery; rec.Enabled {
-		dm.stalls.Push(w.headerArrival+rec.StallCycles, timed{w: w, id: p.ID})
+		n.stalls.Push(w.headerArrival+rec.StallCycles, timed{w: w, id: p.ID})
 	}
 	return w
 }
@@ -513,26 +464,15 @@ func (n *Network) deactivate(w *worm) {
 	n.live--
 }
 
-// recycle puts a worm nothing refers to any more on a free list — the one
-// of its source's domain, whose injections will draw on it.
+// recycle puts a worm nothing refers to any more on the free list.
 func (n *Network) recycle(w *worm) {
-	dm := &n.dsc[n.wait.PartOf(int32(w.pkt.Src))]
 	w.pkt, w.cands = nil, nil
-	dm.free = append(dm.free, w)
+	n.free = append(n.free, w)
 }
 
 // placeWorm is the core's injection hook.
 func (n *Network) placeWorm(node topology.NodeID, p *Packet) {
-	n.activate(n.newWorm(n.wait.PartOf(int32(node)), node, p))
-}
-
-// placeWormShard is the core's sharded injection hook: placeWorm with the
-// worm taken off the domain's own free list and parked on its injected
-// list; Step activates the lists in domain order, reproducing the serial
-// ascending-node injection order. The injecting node — and so the worm's
-// wait-table entry — belongs to this domain.
-func (n *Network) placeWormShard(d int, node topology.NodeID, p *Packet) {
-	n.dsc[d].injected = append(n.dsc[d].injected, n.newWorm(d, node, p))
+	n.activate(n.newWorm(node, p))
 }
 
 // buffer ids: node*ports + dir*maxVC + vc for network buffers; the last
@@ -633,14 +573,7 @@ func (n *Network) MaskedFaults() int64 {
 	if n.masked == nil {
 		return 0
 	}
-	total := n.masked.MaskedDecisions()
-	// Arbitration routes each request through its domain's wrapper (the
-	// wrapper's counters are not concurrent-safe); every request is
-	// processed exactly once, so the sum does not depend on the domains.
-	for d := range n.dsc {
-		total += n.dsc[d].masked.MaskedDecisions()
-	}
-	return total
+	return n.masked.MaskedDecisions()
 }
 
 // MisrouteHops counts nonminimal detour hops actually taken under
@@ -664,12 +597,6 @@ func (n *Network) TakeDelivered() []*Packet {
 // since their last visit (see movementPhase), worms streaming into their
 // destination and stall timeouts sleep on timers (see sleep and
 // recoveryPhase), and retirement runs only on a cycle that finished a worm.
-// With Config.Shards > 1, injection and routing/allocation fan out over the
-// spatial domains on the worker pool, with the same ordered merges as
-// internal/network's step and bit-identical results; movement — whose
-// physical-channel bandwidth arbitration is order-dependent — and
-// retirement stay serial. See docs/performance.md for why this engine
-// parallelizes fewer phases than internal/network.
 func (n *Network) Step() error {
 	c := &n.core
 
@@ -683,43 +610,17 @@ func (n *Network) Step() error {
 	// Phase 1: injection, over the core's worklist of nodes that have
 	// something to send and may have room to send it. Due retries take
 	// priority; packets whose destination the fault set has cut off
-	// entirely are dropped. The worms the pool workers injected are
-	// activated in domain order, reproducing the serial ascending-node
-	// injection order.
+	// entirely are dropped.
 	progress := c.InjectPhase()
-	for d := range n.dsc {
-		dm := &n.dsc[d]
-		for _, w := range dm.injected {
-			n.activate(w)
-		}
-		clear(dm.injected)
-		dm.injected = dm.injected[:0]
-	}
 	if n.live == 0 {
 		// An empty network: nobody waits or moves.
 		return n.finishStep(progress)
 	}
 
 	// Phase 2: routing and allocation at the routers where something
-	// changed, local FCFS per router, straight off the wait table: one
-	// task per domain, on the pool or one after the other. The worms it
-	// granted an output or found arrived are movement's to visit.
-	if n.shards > 1 {
-		c.RunShards(n.arbitrateFn)
-		c.AbsorbShardEmitters()
-	} else {
-		for d := range n.dsc {
-			n.arbitrate(d)
-		}
-	}
-	for d := range n.dsc {
-		dm := &n.dsc[d]
-		for _, w := range dm.granted {
-			n.awake.add(w.slot)
-		}
-		clear(dm.granted)
-		dm.granted = dm.granted[:0]
-	}
+	// changed, local FCFS per router, straight off the wait table. The
+	// worms it granted an output or found arrived are movement's to visit.
+	n.arbitrate()
 
 	// Phase 3: movement; phase 4: retirement and the watchdog.
 	if n.movementPhase() {
@@ -740,28 +641,24 @@ func (n *Network) Step() error {
 // cycle the new position times out; the rest are the victims, on exactly
 // the cycle a scan of every active worm would find them. They are aborted
 // in injection order, the order of that scan: abort order is the order of
-// the retry lists and of the Abort, Retry and Drop events. Always serial
-// (aborts mutate the slots and shared retry state).
+// the retry lists and of the Abort, Retry and Drop events.
 func (n *Network) recoveryPhase() {
 	c := &n.core
 	v := n.victims[:0]
-	for d := range n.dsc {
-		stalls := &n.dsc[d].stalls
-		for {
-			e, ok := stalls.PopDue(c.Cycle)
-			if !ok {
-				break
-			}
-			w := e.w
-			if w.pkt == nil || w.pkt.ID != e.id || w.arrived {
-				continue
-			}
-			if due := w.headerArrival + c.Recovery.StallCycles; due > c.Cycle {
-				stalls.Push(due, e)
-				continue
-			}
-			v = append(v, w)
+	for {
+		e, ok := n.stalls.PopDue(c.Cycle)
+		if !ok {
+			break
 		}
+		w := e.w
+		if w.pkt == nil || w.pkt.ID != e.id || w.arrived {
+			continue
+		}
+		if due := w.headerArrival + c.Recovery.StallCycles; due > c.Cycle {
+			n.stalls.Push(due, e)
+			continue
+		}
+		v = append(v, w)
 	}
 	sortBySlot(v)
 	for _, w := range v {
@@ -793,9 +690,6 @@ func (n *Network) recoveryPhase() {
 // virtual channel feeds, and the tail's leaving wakes it (wakeWorm) — into
 // the round under way if the sweep's cursor has not yet passed it, into the
 // next round otherwise, which is exactly when the sweep would reach it.
-// Movement is serial even under sharding: the bandwidth stamps arbitrate
-// competing worms in visit order, so any reordering could change which flit
-// wins a channel.
 //
 // The sleepers (see sleep) whose timers are due wake first, into the first
 // round; the ones still asleep when the rounds are over each consumed a flit
@@ -991,34 +885,22 @@ func (n *Network) finishStep(progress bool) error {
 	return nil
 }
 
-// arbitrate is phase 2 for one part of the wait table: every header
-// waiting at one of the part's awake routers — routers ascending, each
-// router's waiters first come first served — is marked arrived if it sits
-// at its destination, and otherwise offered its candidate output virtual
-// channels. A header leaves the table when it is granted one or arrives,
-// and its worm goes on the domain's granted list for movement to visit; a
-// blocked one stays, and its router sleeps until one of its output virtual
-// channels is released or the fault set changes — nothing else can turn the
-// refusal into a grant, the candidates being fixed while the header waits.
-// With a probe attached every waiter is visited instead: a blocked header
-// is a Blocked event every cycle it waits.
-//
-// The serial step runs the parts one after the other and the sharded step
-// one per pool worker. Serial equivalence: a part holds exactly the waiters
-// at the domain's routers, so the domains together make the serial pass's
-// offers, each router's in the serial order; an offer only touches
-// arbitration state at its own head router, which no other domain touches
-// in this phase; Blocked events merge in domain order.
-func (n *Network) arbitrate(d int) {
+// arbitrate is phase 2: every header waiting at one of the wait table's
+// awake routers — routers ascending, each router's waiters first come first
+// served — is marked arrived if it sits at its destination, and otherwise
+// offered its candidate output virtual channels. A header leaves the table
+// when it is granted one or arrives, and its worm is made due for
+// movement's first round; a blocked one stays, and its router sleeps until
+// one of its output virtual channels is released or the fault set changes —
+// nothing else can turn the refusal into a grant, the candidates being
+// fixed while the header waits. With a probe attached every waiter is
+// visited instead: a blocked header is a Blocked event every cycle it waits.
+func (n *Network) arbitrate() {
 	c := &n.core
-	dm := &n.dsc[d]
 	em := &c.Em
-	if n.shards > 1 {
-		em = c.ShardEmitter(d)
-	}
-	it := n.wait.WalkAwake(d)
+	it := n.wait.WalkAwake()
 	if em.Enabled() {
-		it = n.wait.Walk(d)
+		it = n.wait.Walk()
 	}
 	for it.Next() {
 		w := it.Waiter()
@@ -1026,18 +908,18 @@ func (n *Network) arbitrate(d int) {
 		if r == w.pkt.Dst {
 			w.arrived = true
 			it.Delist()
-			dm.granted = append(dm.granted, w)
+			n.awake.add(w.slot)
 			continue
 		}
 		if !w.candsValid {
 			// Fixed while the header waits in this buffer; computed
 			// once per hop rather than once per cycle.
-			if dm.masked != nil {
-				w.cands, w.candsMis = dm.masked.AppendFaultCandidates(
+			if n.masked != nil {
+				w.cands, w.candsMis = n.masked.AppendFaultCandidates(
 					w.candBuf[:0], r, w.pkt.Dst, w.inDir, w.inVC, w.misroutes)
 			} else if n.appender != nil {
-				w.cands, dm.dirScratch = n.appender.AppendCandidates(
-					w.candBuf[:0], dm.dirScratch, r, w.pkt.Dst, w.inDir, w.inVC)
+				w.cands, n.dirScratch = n.appender.AppendCandidates(
+					w.candBuf[:0], n.dirScratch, r, w.pkt.Dst, w.inDir, w.inVC)
 			} else {
 				w.cands = n.alg.Candidates(r, w.pkt.Dst, w.inDir, w.inVC)
 			}
@@ -1054,7 +936,7 @@ func (n *Network) arbitrate(d int) {
 				w.out = out
 				w.routed = true
 				it.Delist()
-				dm.granted = append(dm.granted, w)
+				n.awake.add(w.slot)
 				break
 			}
 		}
@@ -1363,8 +1245,6 @@ func (n *Network) hop(w *worm) (moved, refused bool) {
 		w.candsMis = false
 	}
 	c.Em.FlitMove(cycle, router, w.out.Dir, 1)
-	// Movement is serial at every shard count, so the header joins its
-	// new router's waiters directly.
 	n.enlist(w)
 	return true, false
 }

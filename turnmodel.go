@@ -181,11 +181,7 @@ func AveragePathLength(p TrafficPattern, topo Topology) float64 {
 
 // Simulation. SimConfig/SimResult describe one run of the Section 6
 // simulator; Network exposes the underlying cycle-level machine for
-// callers that want to drive it manually. SimRunParams.Shards splits the
-// one network into spatial domains stepped in parallel — results are
-// bit-identical at any shard count (see docs/performance.md). Callers
-// driving a Network or VCNetwork manually must call its Close method when
-// done so a sharded engine's worker pool is released.
+// callers that want to drive it manually.
 type (
 	SimConfig     = sim.Config
 	SimRunParams  = sim.RunParams
@@ -244,25 +240,6 @@ func Figures() []FigureSpec { return sim.Figures() }
 // "uniform-cube").
 func FigureByID(id string) (FigureSpec, bool) { return sim.FigureByID(id) }
 
-// RunFigure executes a figure's full sweep serially; an unknown algorithm
-// name is reported as an error.
-//
-// Deprecated: use RunSweep, which runs many figures, in parallel, with
-// streaming, caching and cancellation.
-func RunFigure(spec FigureSpec, warmup, measure, seed int64) (FigureResult, error) {
-	out, err := sim.RunSweep(context.Background(), sim.Options{
-		Specs:         []sim.FigureSpec{spec},
-		WarmupCycles:  warmup,
-		MeasureCycles: measure,
-		Seed:          seed,
-		Jobs:          1,
-	})
-	if err != nil {
-		return FigureResult{}, err
-	}
-	return out.Figures[0], nil
-}
-
 // Sweep execution. SweepOptions batches figure and resilience specs;
 // RunSweep flattens them into independent (figure, algorithm, rate) points,
 // runs them on a bounded worker pool under a context.Context, streams each
@@ -281,11 +258,6 @@ type (
 	SimCache           = sim.Cache
 )
 
-// SweepPlan is the former name of SweepOptions.
-//
-// Deprecated: use SweepOptions with RunSweep.
-type SweepPlan = sim.Plan
-
 // NewSweepRunner validates the options and plans a run without starting
 // it; Runner.Run executes under a context.
 func NewSweepRunner(opts SweepOptions) (*SweepRunner, error) { return sim.NewRunner(opts) }
@@ -293,20 +265,6 @@ func NewSweepRunner(opts SweepOptions) (*SweepRunner, error) { return sim.NewRun
 // RunSweep executes the options' full point set; see sim.RunSweep.
 func RunSweep(ctx context.Context, opts SweepOptions) (*SweepOutcome, error) {
 	return sim.RunSweep(ctx, opts)
-}
-
-// RunSweepPlan executes a figure-only plan and returns the batch shape of
-// the pre-streaming API.
-//
-// Deprecated: use RunSweep, which adds context cancellation, resilience
-// specs, per-point streaming and caching. RunSweepPlan remains as a thin
-// adapter for existing callers.
-func RunSweepPlan(p SweepPlan) ([]FigureResult, *SweepReport, error) {
-	out, err := sim.RunSweep(context.Background(), p)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out.Figures, out.Report, nil
 }
 
 // PairedSweepSeed is the default per-job seed derivation: shared across
@@ -395,7 +353,7 @@ func CompareVC(warmup, measure, seed int64) VCComparisonResult {
 // repair; FaultRecovery replaces the fail-stop watchdog with per-worm
 // abort, source retry under capped exponential backoff, and unreachable-
 // destination drops. Set them on SimRunParams (or NetworkConfig /
-// VCNetworkConfig / SweepPlan); the delivery accounting lands in
+// VCNetworkConfig / SweepOptions); the delivery accounting lands in
 // SimResult.Delivered/Dropped/Aborted/Retried/DeliveredFraction. See
 // docs/faults.md.
 type (
@@ -417,7 +375,7 @@ const (
 func ValidateFaultPlan(topo Topology, p FaultPlan) error { return fault.Validate(topo, p) }
 
 // Fault-aware routing (in-network fault masking). A FaultRoutingPolicy on
-// SimRunParams / NetworkConfig / VCNetworkConfig / SweepPlan makes routers
+// SimRunParams / NetworkConfig / VCNetworkConfig / SweepOptions makes routers
 // filter candidates on channels they know to be broken and optionally take
 // bounded nonminimal detours along turns the algorithm already permits, so
 // surviving adaptivity masks faults before recovery has to abort anything.
@@ -479,25 +437,6 @@ func ResilienceFigureByID(id string) (ResilienceSpec, bool) {
 	return sim.ResilienceByID(id)
 }
 
-// RunResilience executes a resilience spec over a bounded worker pool;
-// results are bit-identical for any worker count.
-//
-// Deprecated: use RunSweep with SweepOptions.Resilience, which adds
-// context cancellation, streaming and caching.
-func RunResilience(spec ResilienceSpec, warmup, measure, seed int64, jobs int) (ResilienceResult, error) {
-	out, err := sim.RunSweep(context.Background(), sim.Options{
-		Resilience:    []sim.ResilienceSpec{spec},
-		WarmupCycles:  warmup,
-		MeasureCycles: measure,
-		Seed:          seed,
-		Jobs:          jobs,
-	})
-	if err != nil {
-		return ResilienceResult{}, err
-	}
-	return out.Resilience[0], nil
-}
-
 // Masking-versus-recovery comparison: the same resilience sweep run once
 // per fault-handling mode (recovery only, in-network masking only, both),
 // with common random numbers across modes and algorithms.
@@ -506,29 +445,9 @@ type (
 	ResilienceCompareResult = sim.ResilienceCompareResult
 )
 
-// ResilienceModes returns the three fault-handling configurations
-// RunResilienceCompare contrasts.
+// ResilienceModes returns the three fault-handling configurations a
+// RunSweep with SweepOptions.CompareModes contrasts.
 func ResilienceModes() []ResilienceMode { return sim.ResilienceModes() }
-
-// RunResilienceCompare executes the spec once per mode; the recovery-only
-// series reproduces RunResilience bit-identically, and results are
-// bit-identical for any worker count. Render with its Table method.
-//
-// Deprecated: use RunSweep with SweepOptions.Resilience and CompareModes.
-func RunResilienceCompare(spec ResilienceSpec, warmup, measure, seed int64, jobs int) (ResilienceCompareResult, error) {
-	out, err := sim.RunSweep(context.Background(), sim.Options{
-		Resilience:    []sim.ResilienceSpec{spec},
-		CompareModes:  true,
-		WarmupCycles:  warmup,
-		MeasureCycles: measure,
-		Seed:          seed,
-		Jobs:          jobs,
-	})
-	if err != nil {
-		return ResilienceCompareResult{}, err
-	}
-	return out.Compares[0], nil
-}
 
 // Adaptiveness analysis (Sections 3.4, 4.1 and 5).
 

@@ -1,6 +1,7 @@
 package turnmodel_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -198,29 +199,31 @@ func TestFacadeFigures(t *testing.T) {
 		t.Fatal("figure16 missing")
 	}
 	spec.Rates = []float64{0.05}
-	fr, err := turnmodel.RunFigure(spec, 300, 600, 1)
-	if err != nil {
-		t.Fatal(err)
+	sweep := func(jobs int) *turnmodel.SweepOutcome {
+		t.Helper()
+		out, err := turnmodel.RunSweep(context.Background(), turnmodel.SweepOptions{
+			Specs: []turnmodel.FigureSpec{spec}, WarmupCycles: 300, MeasureCycles: 600, Seed: 1, Jobs: jobs,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	if !strings.Contains(fr.Table(), "figure16") {
+	serial := sweep(1)
+	if !strings.Contains(serial.Figures[0].Table(), "figure16") {
 		t.Error("figure table malformed")
 	}
 
 	// The parallel runner agrees with the serial path and reports timings.
-	frs, report, err := turnmodel.RunSweepPlan(turnmodel.SweepPlan{
-		Specs: []turnmodel.FigureSpec{spec}, WarmupCycles: 300, MeasureCycles: 600, Seed: 1, Jobs: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
+	par := sweep(4)
+	if len(par.Figures) != 1 || par.Figures[0].Table() != serial.Figures[0].Table() {
+		t.Error("Jobs=4 diverges from Jobs=1")
 	}
-	if len(frs) != 1 || frs[0].Table() != fr.Table() {
-		t.Error("RunSweepPlan diverges from RunFigure")
-	}
-	if report.Totals.JobsRun != len(spec.Algorithms) {
-		t.Errorf("report counted %d jobs", report.Totals.JobsRun)
+	if par.Report.Totals.JobsRun != len(spec.Algorithms) {
+		t.Errorf("report counted %d jobs", par.Report.Totals.JobsRun)
 	}
 	spec.Algorithms = []string{"bogus"}
-	if _, err := turnmodel.RunFigure(spec, 300, 600, 1); err == nil {
+	if _, err := turnmodel.RunSweep(context.Background(), turnmodel.SweepOptions{Specs: []turnmodel.FigureSpec{spec}}); err == nil {
 		t.Error("bad algorithm not reported")
 	}
 }
@@ -442,7 +445,7 @@ func TestFacadeFaultRouting(t *testing.T) {
 	if res.MaskedFaults == 0 {
 		t.Error("no masked decisions with two static faults and an adaptive algorithm")
 	}
-	// The mode comparison is exported and consistent with RunResilience.
+	// The mode comparison's configurations are exported.
 	if len(turnmodel.ResilienceModes()) != 3 {
 		t.Errorf("ResilienceModes = %d, want 3", len(turnmodel.ResilienceModes()))
 	}

@@ -32,6 +32,28 @@ func run(t *testing.T, n *Network, limit int64) {
 	t.Fatalf("network not quiet after %d cycles (%d in flight)", limit, n.InFlight())
 }
 
+// TestCloseReturnsToSerial checks that Close, a no-op kept for callers
+// written against an interface with Close, may be called twice and leaves a
+// network that steps on serially and delivers on the cycle an unclosed one
+// does.
+func TestCloseReturnsToSerial(t *testing.T) {
+	mesh := topology.NewMesh2D(4, 4)
+	deliver := func(close bool) int64 {
+		n := New(Config{Routing: mustAlg(t, "west-first", mesh)})
+		if close {
+			n.Close()
+			n.Close()
+		}
+		p := n.Enqueue(0, 15, 4)
+		run(t, n, 200)
+		return p.Arrived
+	}
+	closed, open := deliver(true), deliver(false)
+	if closed < 0 || closed != open {
+		t.Errorf("closed network delivered in cycle %d, an unclosed one in cycle %d", closed, open)
+	}
+}
+
 func TestSinglePacketZeroLoadLatency(t *testing.T) {
 	// Classic wormhole zero-load latency: distance + length - 1 cycles.
 	cases := []struct {

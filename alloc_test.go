@@ -199,6 +199,29 @@ func TestStepZeroAllocs(t *testing.T) {
 			t.Errorf("step path allocates %.1f allocs/op, want 0", allocs)
 		}
 	})
+	t.Run("no-probe-cube", func(t *testing.T) {
+		// The 8-cube held saturated (saturatedCube in bench_test.go): every
+		// step grants, hops, releases and retires, on recycled worms; the
+		// delivered list growing back after TakeDelivered is the only
+		// allocation left, a handful in all.
+		net, _ := saturatedCube(t)
+		done := net.PacketsDelivered()
+		var stepErr error
+		allocs := testing.AllocsPerRun(300, func() {
+			if err := net.Step(); err != nil {
+				stepErr = err
+			}
+		})
+		if stepErr != nil {
+			t.Fatal(stepErr)
+		}
+		if n := net.PacketsDelivered() - done; n < 300 {
+			t.Fatalf("only %d packets delivered in the measured window; the cube is not saturated", n)
+		}
+		if allocs != 0 {
+			t.Errorf("step path allocates %.1f allocs/op, want 0", allocs)
+		}
+	})
 	t.Run("no-probe-draining", func(t *testing.T) {
 		mesh := turnmodel.NewMesh2D(8, 8)
 		alg, err := turnmodel.NewRouting("west-first", mesh)

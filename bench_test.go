@@ -485,6 +485,66 @@ func BenchmarkNetworkStepDraining(b *testing.B) {
 	}
 }
 
+// cubeBacklog tops every source of the 8-cube up to depth 20-flit messages
+// (the paper's short length) for its reverse-flip destination; the 16 nodes
+// the pattern maps to themselves send nothing.
+func cubeBacklog(net *turnmodel.Network, cube *turnmodel.Hypercube, depth int) {
+	pattern := turnmodel.ReverseFlipTraffic(cube)
+	for src := turnmodel.NodeID(0); int(src) < cube.Nodes(); src++ {
+		for dst := pattern.Dest(src, nil); dst != src && net.QueueLen(src) < depth; {
+			net.Enqueue(src, dst, 20)
+		}
+	}
+}
+
+// saturatedCube is the paper's 8-cube under reverse-flip traffic with p-cube
+// routing (figure 16), every source backlogged. The warm-up fills the network
+// and grows its lists and its stock of recycled worms to working size.
+func saturatedCube(tb testing.TB) (*turnmodel.Network, *turnmodel.Hypercube) {
+	tb.Helper()
+	cube := turnmodel.NewHypercube(8)
+	alg, err := turnmodel.NewRouting("p-cube", cube)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	net := turnmodel.NewNetwork(turnmodel.NetworkConfig{Routing: alg, Seed: 1})
+	cubeBacklog(net, cube, 60)
+	for c := 0; c < 2000; c++ {
+		if err := net.Step(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	net.TakeDelivered()
+	cubeBacklog(net, cube, 60)
+	return net, cube
+}
+
+// BenchmarkNetworkStepCube measures a saturated cycle of the paper's 8-cube
+// (see saturatedCube): eight links and an injection port per router, up to
+// eight candidates per header, and routers crowded with refused headers —
+// where arbitration costs most, and where a release or a hop must offer only
+// the headers it can serve. Every 1000 steps the timer stops while the source
+// queues are topped up (a source injects at most 50 of its messages in 1000
+// cycles), so the network never drains, and the measured steps allocate
+// nothing beyond the delivered list's growth, well under one allocation per
+// step.
+func BenchmarkNetworkStepCube(b *testing.B) {
+	net, cube := saturatedCube(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%1000 == 999 {
+			b.StopTimer()
+			net.TakeDelivered()
+			cubeBacklog(net, cube, 60)
+			b.StartTimer()
+		}
+		if err := net.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkNetworkStepFaultedRecovery measures the same moving-traffic
 // engine with the full fault subsystem live: a random transient-fault
 // process advancing every cycle and deadlock recovery armed. The delta

@@ -132,8 +132,9 @@ type Core struct {
 	// pending is the injection worklist: the nodes holding retry entries
 	// and the nodes with queued packets whose injection buffer may be free,
 	// each at most once (inPending is the membership bitmap). A node whose
-	// queue waits behind an occupied injection buffer is not on it: the
-	// engine calls WakeSource when that buffer is vacated. The list is put
+	// queue waits behind an occupied injection buffer is not on it — neither
+	// Enqueue nor InjectPhase leaves it there — and the engine calls
+	// WakeSource when that buffer is vacated. The list is put
 	// in ascending node order at injection time so the visit order — and
 	// with it every probe event and arbitration outcome — matches the full
 	// scan it replaces.
@@ -205,7 +206,9 @@ func (c *Core) Bind() {
 
 // Enqueue creates a packet at the current cycle and queues it at src. The
 // engines validate arguments (their panic messages carry the package name)
-// before delegating here.
+// before delegating here. A source whose injection buffer is occupied is
+// not put on the injection worklist: the engine's WakeSource puts it there
+// when the buffer is vacated.
 func (c *Core) Enqueue(src, dst topology.NodeID, length int) *Packet {
 	p := &Packet{
 		ID: c.NextID, Src: src, Dst: dst, Length: length,
@@ -214,7 +217,9 @@ func (c *Core) Enqueue(src, dst topology.NodeID, length int) *Packet {
 	c.NextID++
 	c.queues[src] = append(c.queues[src], p)
 	c.queued++
-	c.addPending(int32(src))
+	if c.InjFree(src) {
+		c.addPending(int32(src))
+	}
 	return p
 }
 

@@ -147,8 +147,8 @@ func newTestCore(t *testing.T, cfg engine.Config) *testCore {
 func TestCoreInjectsInAscendingNodeOrder(t *testing.T) {
 	tc := newTestCore(t, engine.Config{})
 	for _, src := range []topology.NodeID{9, 2, 13, 2, 5} {
-		tc.Enqueue(src, 0, 4)
 		tc.free[src] = true
+		tc.Enqueue(src, 0, 4)
 	}
 	if got := tc.Backlog(); got != 5 {
 		t.Fatalf("backlog %d, want 5", got)
@@ -195,6 +195,41 @@ func TestCoreInjectsInAscendingNodeOrder(t *testing.T) {
 	}
 }
 
+// TestCoreEnqueueSkipsBusySource: a message generated at a source whose
+// injection buffer is occupied does not put the source on the injection
+// worklist — InjectPhase would only find the buffer occupied and drop it
+// again — and the WakeSource that reports the buffer vacated does, so the
+// message injects in the phase after the wake (lost-wake clause (d) of the
+// engines' oracles: a queued message and a free buffer mean a listed node).
+func TestCoreEnqueueSkipsBusySource(t *testing.T) {
+	tc := newTestCore(t, engine.Config{})
+	tc.free[7] = false
+	tc.Enqueue(7, 0, 4)
+	tc.Enqueue(7, 1, 4)
+	if tc.OnWorklist(7) {
+		t.Fatal("a source behind its occupied injection buffer went on the worklist")
+	}
+	if tc.InjectPhase() || len(tc.placed) != 0 {
+		t.Fatalf("injection progressed behind an occupied buffer: %v", tc.placed)
+	}
+	tc.free[7] = true
+	tc.WakeSource(7)
+	if !tc.OnWorklist(7) {
+		t.Fatal("vacating the buffer did not put the source back on the worklist")
+	}
+	if !tc.InjectPhase() || !reflect.DeepEqual(tc.placed, []topology.NodeID{7}) {
+		t.Fatalf("the queued message did not inject once the buffer freed: %v", tc.placed)
+	}
+	// The buffer is occupied again by the worm just placed: the source left
+	// the worklist with one message queued, and a further arrival leaves it
+	// off.
+	tc.free[7] = false
+	tc.Enqueue(7, 2, 4)
+	if tc.OnWorklist(7) || tc.QueueLen(7) != 2 {
+		t.Fatalf("after re-occupying the buffer: on worklist %v, queue %d (want false, 2)", tc.OnWorklist(7), tc.QueueLen(7))
+	}
+}
+
 func TestCorePacketNumbering(t *testing.T) {
 	tc := newTestCore(t, engine.Config{})
 	a := tc.Enqueue(1, 2, 3)
@@ -211,8 +246,8 @@ func TestCoreRetryBackoffThenDrop(t *testing.T) {
 	tc := newTestCore(t, engine.Config{
 		Recovery: fault.Recovery{Enabled: true, StallCycles: 100, MaxRetries: 1},
 	})
-	p := tc.Enqueue(0, 15, 4)
 	tc.free[0] = true
+	p := tc.Enqueue(0, 15, 4)
 	tc.InjectPhase()
 	if len(tc.placed) != 1 || p.Injected != 0 {
 		t.Fatalf("packet did not inject: placed=%v injected=%d", tc.placed, p.Injected)
@@ -254,8 +289,8 @@ func TestCoreAbortUnreachableDrops(t *testing.T) {
 	tc := newTestCore(t, engine.Config{
 		Recovery: fault.Recovery{Enabled: true, StallCycles: 100, MaxRetries: 5},
 	})
-	p := tc.Enqueue(0, 15, 4)
 	tc.free[0] = true
+	p := tc.Enqueue(0, 15, 4)
 	tc.InjectPhase()
 	tc.reachable = false
 	tc.FinishAbort(p)

@@ -30,17 +30,27 @@ import "math/bits"
 // finds the nearest lower router that has, whose run the newcomer follows.
 //
 // Waiting is also sleeping. A header that was offered its candidates and
-// refused stays refused until something at its router changes: an output
-// channel there is released, the fault set changes, or — for a header still
-// in the routing pipeline — time passes. So the table keeps, in a second
-// bitmap of the same shape, the routers that are awake: Enlist wakes the
-// newcomer's router, the engines call Wake when they release one of a
-// router's outputs and WakeAll when the fault set changes, and the cursor's
-// Keep holds the current router awake for a waiter it could not offer yet.
-// WalkAwake visits only the awake routers' runs — still routers ascending,
-// each run in service order, so whatever the offers draw or emit keeps its
-// order — and puts each router to sleep as it reaches it. A cycle's phase 2
-// then costs the wakes since the last one, not the waiters.
+// refused stays refused until something it could use changes: one of the
+// outputs its candidates name is released, the fault set changes, or — for a
+// header still in the routing pipeline — time passes. So the table keeps,
+// for every waiter, the set of its router's outputs its candidates name (its
+// wants, which the engines set when they compute the candidates), and, for
+// every router, the outputs released there since the walk last reached it;
+// and in a second bitmap of the same shape the routers that are awake.
+// Enlist wakes the newcomer's router, the engines call Release when they
+// free one of a router's outputs and WakeAll when the fault set changes, and
+// the cursor's Keep holds the current router awake for a waiter it could not
+// offer yet. WalkAwake visits only the awake routers' runs — still routers
+// ascending, each run in service order, so whatever the offers draw or emit
+// keeps its order — puts each router to sleep as it reaches it, and offers a
+// waiter there only if it is new (never offered at this router, or kept),
+// if one of the outputs it wants was released, or if the fault set changed
+// since its last offer. Any other waiter was refused while every output it
+// wants was held or broken, and nothing it wants has changed since, so
+// offering it again would refuse it again — and a refusal draws nothing
+// from the engines' RNG and emits nothing without a probe. A cycle's phase 2
+// then costs the headers it can serve, not every waiter of every router a
+// release touched.
 
 // WaitLink is one header's place in the table. The engines embed one in
 // each worm; Owner is the worm, set once at construction.
@@ -50,9 +60,29 @@ type WaitLink[W any] struct {
 	next, prev *WaitLink[W]
 	key        int64
 	id         int64
-	router     int32
-	listed     bool
+	// wants is the set of the router's outputs the waiter's candidates name
+	// (see SetWants); offered is the table's epoch at the waiter's last
+	// offer at this router, 0 while it has had none since it was enlisted
+	// or kept.
+	wants   uint64
+	offered uint64
+	router  int32
+	listed  bool
 }
+
+// SetWants records the outputs of its router that the waiter's candidates
+// name, as the union of their OutputBits. The engines call it whenever they
+// compute the candidates — once per hop, and again after a fault-set change
+// invalidated them — before the waiter can be refused.
+func (l *WaitLink[W]) SetWants(wants uint64) { l.wants = wants }
+
+// OutputBit is an output's bit in a want set (SetWants) and in a router's
+// released set (Release). The engines number a router's outputs from 0:
+// internal/network by direction, internal/vcnet by direction·maxVC + VC.
+// Outputs from 64 on share the bit of their number modulo 64, so a waiter
+// that wants one of them is offered whenever any output sharing its bit is
+// released: more often than necessary, never less.
+func OutputBit(output int) uint64 { return 1 << (uint(output) & 63) }
 
 // Listed reports whether the link is currently in the table.
 func (l *WaitLink[W]) Listed() bool { return l.listed }
@@ -88,22 +118,29 @@ func (s *routerSet) remove(b uint) {
 func (s *routerSet) has(b uint) bool { return s.words[b>>6]&(1<<(b&63)) != 0 }
 
 // WaitTable holds every header waiting for an output: the waiters' list,
-// the set of routers that have waiters, and the set of routers that are
-// awake (see WalkAwake). It is O(nodes) words and allocates nothing after
-// construction.
+// the set of routers that have waiters, the set of routers that are awake
+// and each router's released outputs (see WalkAwake). It is O(nodes) words
+// and allocates nothing after construction.
 type WaitTable[W any] struct {
-	head    []*WaitLink[W] // router -> its first waiter
-	first   *WaitLink[W]
-	waiting routerSet
-	awake   routerSet
+	head     []*WaitLink[W] // router -> its first waiter
+	released []uint64       // router -> outputs released since the walk last reached it
+	first    *WaitLink[W]
+	waiting  routerSet
+	awake    routerSet
+	// epoch advances with every WakeAll: a waiter last offered in an older
+	// epoch is offered again whatever it wants. It starts at 1, offered's
+	// "never".
+	epoch uint64
 }
 
 // NewWaitTable builds the table for a network of the given node count.
 func NewWaitTable[W any](nodes int) *WaitTable[W] {
 	return &WaitTable[W]{
-		head:    make([]*WaitLink[W], nodes),
-		waiting: newRouterSet(nodes),
-		awake:   newRouterSet(nodes),
+		head:     make([]*WaitLink[W], nodes),
+		released: make([]uint64, nodes),
+		waiting:  newRouterSet(nodes),
+		awake:    newRouterSet(nodes),
+		epoch:    1,
 	}
 }
 
@@ -128,19 +165,21 @@ func (t *WaitTable[W]) below(router int32) int32 {
 	return int32(wi<<6 + 63 - bits.LeadingZeros64(w))
 }
 
-// Wake records that something a refused waiter of the router may have been
-// waiting for has changed — the engines call it when one of the router's
-// output channels is released — so the next WalkAwake offers the router's
-// waiters again.
-func (t *WaitTable[W]) Wake(router int32) {
+// Release records that the router's output (numbered as for OutputBit) was
+// freed, so that the next WalkAwake offers it to the router's waiters that
+// want it. A router without waiters has nobody to offer it to; a waiter
+// enlisted there later is new, and offered anyway.
+func (t *WaitTable[W]) Release(router int32, output int) {
 	if t.head[router] != nil {
+		t.released[router] |= OutputBit(output)
 		t.awake.add(uint(router))
 	}
 }
 
-// WakeAll wakes every router that has waiters: a change of the fault set
-// can unblock (or re-route) any of them.
+// WakeAll offers every waiter again at the next WalkAwake: a change of the
+// fault set can unblock (or re-route) any of them.
 func (t *WaitTable[W]) WakeAll() {
+	t.epoch++
 	for i, w := range t.waiting.words {
 		t.awake.words[i] |= w
 	}
@@ -152,6 +191,14 @@ func (t *WaitTable[W]) WakeAll() {
 // Awake reports whether the next WalkAwake will visit the router's waiters.
 func (t *WaitTable[W]) Awake(router int32) bool { return t.awake.has(uint(router)) }
 
+// Due reports whether the next WalkAwake will offer the waiter: it is
+// listed at an awake router, and it is new there, or an output it wants was
+// released there, or the fault set changed since its last offer.
+func (t *WaitTable[W]) Due(l *WaitLink[W]) bool {
+	return l.listed && t.awake.has(uint(l.router)) &&
+		(l.offered != t.epoch || l.wants&t.released[l.router] != 0)
+}
+
 // Enlist files a header that just entered a buffer of the router: within
 // the router's run, before every waiter with a larger (key, id). key is the
 // input policy's priority and id the packet ID; both must stay fixed until
@@ -162,6 +209,7 @@ func (t *WaitTable[W]) Enlist(l *WaitLink[W], router int32, key, id int64) {
 		panic("engine: header enlisted twice")
 	}
 	l.router, l.key, l.id, l.listed = router, key, id, true
+	l.wants, l.offered = 0, 0
 	t.awake.add(uint(router))
 	// pred is the link l goes after; nil puts l first in the table.
 	var pred *WaitLink[W]
@@ -233,49 +281,67 @@ func (t *WaitTable[W]) unlink(l *WaitLink[W]) {
 //
 // During a walk the table may be changed only through the cursor's Delist
 // and Keep, and a WalkAwake must run to the end: it takes each awake router
-// out of the set as it goes.
+// out of the set, and its released outputs with it, as it goes. Every waiter
+// an awake walk returns counts as offered; a full walk marks nobody.
 type WaitCursor[W any] struct {
 	t         *WaitTable[W]
 	cur, next *WaitLink[W]
 
 	// An awake walk's place in the awake set: the unvisited bits of summary
 	// word si and of bitmap word wi, both already cleared in the set itself.
-	// cur's run ends where next is nil or at another router.
+	// run is the router whose waiters the walk is among, and rel the outputs
+	// released there, taken out of the table when the walk reached it.
 	awake  bool
 	si, wi int
 	sw, ww uint64
+	run    int32
+	rel    uint64
 }
 
 // Walk starts a walk over every waiter. It is the walk of a step
 // with a probe attached — a blocked header is a Blocked event every cycle it
 // waits, so every waiter is visited every cycle — and of the tests' oracles;
-// it leaves the awake set alone.
+// it leaves the awake set and the released outputs alone.
 func (t *WaitTable[W]) Walk() WaitCursor[W] {
 	return WaitCursor[W]{t: t, next: t.first}
 }
 
-// WalkAwake starts a walk over the waiters at the awake routers, and
-// puts each router to sleep as the walk reaches it: unless Keep says
-// otherwise, every waiter it still has after the walk was offered and
-// refused, and stays refused until the router is woken.
+// WalkAwake starts a walk over the waiters due at the awake routers (see
+// Due), and puts each router to sleep as the walk reaches it: unless Keep
+// says otherwise, every waiter it still has after the walk was offered and
+// refused, and stays refused until an output it wants is released or the
+// fault set changes.
 func (t *WaitTable[W]) WalkAwake() WaitCursor[W] {
 	return WaitCursor[W]{t: t, awake: true, si: -1}
 }
 
 // Next advances to the next waiter and reports whether there is one.
 func (c *WaitCursor[W]) Next() bool {
-	if c.awake && (c.next == nil || c.next.router != c.cur.router) {
-		c.next = c.nextRun()
+	epoch := c.t.epoch
+	for {
+		if c.awake && (c.next == nil || c.next.router != c.run) {
+			c.next = c.nextRun()
+		}
+		l := c.next
+		if l == nil {
+			c.cur = nil
+			return false
+		}
+		c.next = l.next
+		if c.awake {
+			if l.offered == epoch && l.wants&c.rel == 0 {
+				continue
+			}
+			l.offered = epoch
+		}
+		c.cur = l
+		return true
 	}
-	if c.cur = c.next; c.cur == nil {
-		return false
-	}
-	c.next = c.cur.next
-	return true
 }
 
 // nextRun takes the lowest unvisited awake router that has waiters out of
-// the awake set and returns its first waiter, or nil when none is left.
+// the awake set, takes its released outputs, and returns its first waiter,
+// or nil when none is left.
 func (c *WaitCursor[W]) nextRun() *WaitLink[W] {
 	a := &c.t.awake
 	for {
@@ -292,7 +358,9 @@ func (c *WaitCursor[W]) nextRun() *WaitLink[W] {
 		}
 		r := c.wi<<6 + bits.TrailingZeros64(c.ww)
 		c.ww &= c.ww - 1
+		c.rel, c.t.released[r] = c.t.released[r], 0
 		if h := c.t.head[r]; h != nil {
+			c.run = int32(r)
 			return h
 		}
 	}
@@ -305,7 +373,10 @@ func (c *WaitCursor[W]) Waiter() W { return c.cur.Owner }
 // with its successor.
 func (c *WaitCursor[W]) Delist() { c.t.unlink(c.cur) }
 
-// Keep holds the current waiter's router awake for the next walk: the
-// waiter could not be offered its candidates this cycle for a reason that
-// passes by itself.
-func (c *WaitCursor[W]) Keep() { c.t.awake.add(uint(c.cur.router)) }
+// Keep holds the current waiter's router awake for the next walk, and the
+// waiter new there: it could not be offered its candidates this cycle for a
+// reason that passes by itself.
+func (c *WaitCursor[W]) Keep() {
+	c.cur.offered = 0
+	c.t.awake.add(uint(c.cur.router))
+}

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -146,14 +147,18 @@ func TestWaitTableVisitOrderProperty(t *testing.T) {
 	}
 }
 
-// TestWaitTableAwakeWalkProperty drives the awake set through random
-// sequences of everything that touches it — Enlist (wakes the router), Wake,
-// WakeAll, Delist, and awake walks that delist some waiters and Keep others
-// — against a plain map as the model: an awake walk must visit exactly the
-// listed waiters at awake routers, in the full walk's order, and leave awake
-// exactly the routers it was told to Keep. The larger meshes span several
-// bitmap summary words; parts only seeds the operation sequence, as in
-// TestWaitTableVisitOrderProperty.
+// TestWaitTableAwakeWalkProperty drives the awake set and the due waiters
+// through random sequences of everything that touches them — Enlist (wakes
+// the router, the newcomer is new there), Release of outputs (numbered past
+// 64, so that outputs share bits), SetWants, WakeAll, Delist, and awake walks
+// that delist some waiters and Keep others — against plain maps as the
+// model: an awake walk must visit exactly the listed waiters at awake routers
+// that are new there, want an output released there since the walk last
+// reached the router, or have not been offered since the last WakeAll, in
+// the full walk's order; it must leave awake exactly the routers it was told
+// to Keep; and Due must agree with the model between operations. The larger
+// meshes span several bitmap summary words; parts only seeds the operation
+// sequence, as in TestWaitTableVisitOrderProperty.
 func TestWaitTableAwakeWalkProperty(t *testing.T) {
 	for _, tc := range []struct {
 		w, h, parts, waiters int
@@ -174,6 +179,9 @@ func TestWaitTableAwakeWalkProperty(t *testing.T) {
 				all[i].link.Owner = all[i]
 			}
 			awake := map[int32]bool{}
+			released := map[int32]uint64{}
+			isNew := map[*waiter]bool{}
+			wants := map[*waiter]uint64{}
 			randomRouter := func() int32 {
 				if rng.Intn(3) == 0 {
 					return int32(rng.Intn(nodes))
@@ -188,34 +196,38 @@ func TestWaitTableAwakeWalkProperty(t *testing.T) {
 				}
 				return false
 			}
+			due := func(x *waiter) bool {
+				return x.link.Listed() && awake[x.router] && (isNew[x] || wants[x]&released[x.router] != 0)
+			}
 			for step := 0; step < 3000; step++ {
 				switch w := all[rng.Intn(len(all))]; {
 				case !w.link.Listed():
 					w.router, w.key = randomRouter(), int64(rng.Intn(4))
 					table.Enlist(&w.link, w.router, w.key, w.id)
-					awake[w.router] = true
+					awake[w.router], isNew[w], wants[w] = true, true, 0
 				case rng.Intn(4) == 0:
 					table.Delist(&w.link)
-				case rng.Intn(4) == 0:
-					// A release at some router: it wakes only if somebody
-					// waits there (a router without waiters has nobody to
-					// offer to, and Enlist wakes it anyway).
-					r := randomRouter()
-					table.Wake(r)
+				case rng.Intn(3) == 0:
+					// A release at some router: it is recorded only if
+					// somebody waits there (a waiter enlisted later is new
+					// anyway).
+					r, out := randomRouter(), rng.Intn(80)
+					table.Release(r, out)
 					if hasWaiters(r) {
 						awake[r] = true
+						released[r] |= 1 << (out % 64)
 					}
 				case rng.Intn(40) == 0:
 					table.WakeAll()
 					for _, x := range all {
 						if x.link.Listed() {
-							awake[x.router] = true
+							awake[x.router], isNew[x] = true, true
 						}
 					}
 				default:
 					var want []*waiter
 					for _, x := range reference(all) {
-						if awake[x.router] {
+						if due(x) {
 							want = append(want, x)
 						}
 					}
@@ -224,24 +236,312 @@ func TestWaitTableAwakeWalkProperty(t *testing.T) {
 					for it := table.WalkAwake(); it.Next(); {
 						x := it.Waiter()
 						seen = append(seen, x)
+						isNew[x] = false
+						if rng.Intn(2) == 0 {
+							// The engine computes the candidates.
+							m := rng.Uint64() & rng.Uint64()
+							x.link.SetWants(m)
+							wants[x] = m
+						}
 						switch rng.Intn(5) {
 						case 0:
 							it.Delist()
 						case 1:
 							it.Keep()
-							kept[x.router] = true
+							kept[x.router], isNew[x] = true, true
 						}
 					}
 					sameOrder(t, step, seen, want)
+					for r := range awake {
+						delete(released, r)
+					}
 					awake = kept
 				}
 				for _, x := range all {
-					if x.link.Listed() && table.Awake(x.router) != awake[x.router] {
+					if !x.link.Listed() {
+						continue
+					}
+					if table.Awake(x.router) != awake[x.router] {
 						t.Fatalf("step %d: router %d awake = %v, model says %v", step, x.router, table.Awake(x.router), awake[x.router])
+					}
+					if table.Due(&x.link) != due(x) {
+						t.Fatalf("step %d: waiter %d at router %d due = %v, model says %v", step, x.id, x.router, table.Due(&x.link), due(x))
 					}
 				}
 				sameOrder(t, step, visit(table), reference(all))
 			}
+		})
+	}
+}
+
+// arbiter is a toy router model over the wait table, for
+// TestWaitTableGrantsMatchRouterWideWakes: routers with numbered outputs,
+// headers that want some of them, and first-free-candidate arbitration — the
+// engines' default output policy. Its reference mode offers every waiter at
+// every woken router, as the table did before a wake named the output it
+// frees; the table's mode offers only the waiters the table has due.
+type arbiter struct {
+	table     *WaitTable[*toyHeader]
+	reference bool
+	headers   []*toyHeader
+	awake     map[int32]bool // reference mode: the woken routers
+	held      map[[2]int]int64
+	broken    map[[2]int]bool
+	offers    int
+}
+
+type toyHeader struct {
+	link    WaitLink[*toyHeader]
+	id      int64
+	router  int32
+	key     int64
+	cands   []int
+	valid   bool // cands' wants are known to the table
+	readyAt int  // the step its routing decision completes
+	listed  bool // reference mode's table
+}
+
+func newArbiter(routers, headers int, reference bool) *arbiter {
+	a := &arbiter{
+		table: NewWaitTable[*toyHeader](routers), reference: reference,
+		awake: map[int32]bool{}, held: map[[2]int]int64{}, broken: map[[2]int]bool{},
+	}
+	for i := 0; i < headers; i++ {
+		h := &toyHeader{id: int64(i)}
+		h.link.Owner = h
+		a.headers = append(a.headers, h)
+	}
+	return a
+}
+
+func (a *arbiter) listed(h *toyHeader) bool {
+	if a.reference {
+		return h.listed
+	}
+	return h.link.Listed()
+}
+
+func (a *arbiter) hasWaiters(r int32) bool {
+	for _, h := range a.headers {
+		if a.listed(h) && h.router == r {
+			return true
+		}
+	}
+	return false
+}
+
+func (a *arbiter) enlist(id int64, router int32, key int64, cands []int, readyAt int) {
+	h := a.headers[id]
+	h.router, h.key, h.cands, h.valid, h.readyAt = router, key, cands, false, readyAt
+	if a.reference {
+		h.listed = true
+		a.awake[router] = true
+		return
+	}
+	a.table.Enlist(&h.link, router, key, id)
+}
+
+func (a *arbiter) delist(id int64) {
+	if a.reference {
+		a.headers[id].listed = false
+		return
+	}
+	a.table.Delist(&a.headers[id].link)
+}
+
+func (a *arbiter) release(router int32, out int) {
+	delete(a.held, [2]int{int(router), out})
+	if !a.reference {
+		a.table.Release(router, out)
+	} else if a.hasWaiters(router) {
+		a.awake[router] = true
+	}
+}
+
+// faultChange toggles an output's broken mark. A repair wakes everybody, as
+// the engines' OnEpochChange does; with redecide, every waiter's candidates
+// are replaced, as fault masking re-decides them.
+func (a *arbiter) faultChange(ch [2]int, redecide [][]int) {
+	a.broken[ch] = !a.broken[ch]
+	for i, c := range redecide {
+		a.headers[i].cands, a.headers[i].valid = c, false
+	}
+	if a.reference {
+		for _, h := range a.headers {
+			if h.listed {
+				a.awake[h.router] = true
+			}
+		}
+		return
+	}
+	a.table.WakeAll()
+}
+
+// offer is one header's turn: Keep while its routing decision is pending,
+// otherwise the first free candidate, or a refusal. It reports the grant.
+func (a *arbiter) offer(h *toyHeader, step int) (out int, granted, kept bool) {
+	if step < h.readyAt {
+		return 0, false, true
+	}
+	a.offers++
+	if !h.valid {
+		var wants uint64
+		for _, o := range h.cands {
+			wants |= OutputBit(o)
+		}
+		h.link.SetWants(wants)
+		h.valid = true
+	}
+	for _, o := range h.cands {
+		ch := [2]int{int(h.router), o}
+		if _, busy := a.held[ch]; !busy && !a.broken[ch] {
+			a.held[ch] = h.id
+			return o, true, false
+		}
+	}
+	return 0, false, false
+}
+
+// arbitrate is one phase 2; it returns the grants in order, "id@router:out".
+func (a *arbiter) arbitrate(step int) []string {
+	var grants []string
+	if !a.reference {
+		for it := a.table.WalkAwake(); it.Next(); {
+			h := it.Waiter()
+			out, granted, kept := a.offer(h, step)
+			switch {
+			case kept:
+				it.Keep()
+			case granted:
+				it.Delist()
+				grants = append(grants, fmt.Sprintf("%d@%d:%d", h.id, h.router, out))
+			}
+		}
+		return grants
+	}
+	var order []*toyHeader
+	for _, h := range a.headers {
+		if h.listed && a.awake[h.router] {
+			order = append(order, h)
+		}
+	}
+	sort.Slice(order, func(i, j int) bool {
+		x, y := order[i], order[j]
+		if x.router != y.router {
+			return x.router < y.router
+		}
+		if x.key != y.key {
+			return x.key < y.key
+		}
+		return x.id < y.id
+	})
+	a.awake = map[int32]bool{}
+	for _, h := range order {
+		out, granted, kept := a.offer(h, step)
+		switch {
+		case kept:
+			a.awake[h.router] = true
+		case granted:
+			h.listed = false
+			grants = append(grants, fmt.Sprintf("%d@%d:%d", h.id, h.router, out))
+		}
+	}
+	return grants
+}
+
+// TestWaitTableGrantsMatchRouterWideWakes runs random arbitration histories —
+// headers enlisted with random candidate outputs and routing delays, held
+// outputs released, outputs broken and repaired (with and without every
+// waiter re-deciding its candidates), headers aborted — through the table,
+// which offers a waiter only when it is new, wants a released output or
+// waits through a fault change, and through a reference that offers every
+// waiter of every woken router, and demands identical grants, step by step.
+// One case numbers outputs past 64, so that outputs share want bits; one
+// spreads the routers over several bitmap summary words. The table must
+// make fewer offers than the reference, or the case proves nothing.
+func TestWaitTableGrantsMatchRouterWideWakes(t *testing.T) {
+	for _, tc := range []struct {
+		name                      string
+		routers, outputs, headers int
+	}{
+		{"8-routers-6-outputs", 8, 6, 40},
+		{"8-routers-100-outputs", 8, 100, 40},
+		{"5000-routers-9-outputs", 5000, 9, 200},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(tc.routers*7 + tc.outputs)))
+			got := newArbiter(tc.routers, tc.headers, false)
+			ref := newArbiter(tc.routers, tc.headers, true)
+			randomRouter := func() int32 {
+				if tc.routers > 64 && rng.Intn(3) == 0 {
+					return int32(rng.Intn(tc.routers))
+				}
+				return int32(rng.Intn(8) * tc.routers / 8)
+			}
+			randomCands := func() []int {
+				c := make([]int, rng.Intn(4))
+				for i := range c {
+					c[i] = rng.Intn(tc.outputs)
+				}
+				return c
+			}
+			grants := 0
+			for step := 0; step < 6000; step++ {
+				switch op := rng.Intn(10); {
+				case op < 4:
+					h := got.headers[rng.Intn(tc.headers)]
+					if got.listed(h) {
+						break
+					}
+					r, key, cands := randomRouter(), int64(rng.Intn(3)), randomCands()
+					readyAt := step
+					if rng.Intn(4) == 0 {
+						readyAt += 1 + rng.Intn(3)
+					}
+					got.enlist(h.id, r, key, cands, readyAt)
+					ref.enlist(h.id, r, key, cands, readyAt)
+				case op < 6:
+					// Release a held output, the lowest-keyed one of a random
+					// router that holds any.
+					r := int(randomRouter())
+					for o := 0; o < tc.outputs; o++ {
+						if _, busy := got.held[[2]int{r, o}]; busy {
+							got.release(int32(r), o)
+							ref.release(int32(r), o)
+							break
+						}
+					}
+				case op == 6 && rng.Intn(8) == 0:
+					ch := [2]int{int(randomRouter()), rng.Intn(tc.outputs)}
+					var redecide [][]int
+					if rng.Intn(2) == 0 {
+						for range got.headers {
+							redecide = append(redecide, randomCands())
+						}
+					}
+					got.faultChange(ch, redecide)
+					ref.faultChange(ch, redecide)
+				case op == 7:
+					id := int64(rng.Intn(tc.headers))
+					if got.listed(got.headers[id]) {
+						got.delist(id)
+						ref.delist(id)
+					}
+				default:
+					g, w := got.arbitrate(step), ref.arbitrate(step)
+					if !reflect.DeepEqual(g, w) {
+						t.Fatalf("step %d: the table grants %v, router-wide wakes grant %v", step, g, w)
+					}
+					grants += len(g)
+				}
+				if !reflect.DeepEqual(got.held, ref.held) {
+					t.Fatalf("step %d: held outputs differ", step)
+				}
+			}
+			if grants < 100 || got.offers >= ref.offers {
+				t.Fatalf("vacuous: %d grants; the table made %d offers, the reference %d", grants, got.offers, ref.offers)
+			}
+			t.Logf("%d grants: %d offers through the table, %d with router-wide wakes", grants, got.offers, ref.offers)
 		})
 	}
 }

@@ -213,9 +213,12 @@ func checkWaitTable(t *testing.T, n *Network, active []*worm) {
 // deadlock thousands of cycles later.
 //
 //	(a) No granted worm's target buffer is free: it would have been woken.
-//	(b) No waiter at a sleeping router would be granted if offered: its
-//	    candidates are computed, its routing delay has run out, and every
-//	    candidate output is held or broken.
+//	(b) No waiter the wait table does not have due (engine.WaitTable.Due)
+//	    would be granted if offered: a waiter that would be is new at its
+//	    router, or its router has released one of its outputs since its last
+//	    offer. So every waiter not due has been offered at its router — its
+//	    candidates are computed and its routing delay has run out — and
+//	    every candidate output is held or broken.
 //	(c) Every arrived worm is on the draining list, fully injected, or asleep
 //	    on the sleepers' timer — never both, never twice — due the cycle its
 //	    source sends its last flit: the cycle arbitrate marked it arrived plus
@@ -288,15 +291,15 @@ func lostWake(n *Network, active []*worm) error {
 				return fmt.Errorf("cycle %d: lost wake: %v holds output %v of router %d, its target buffer is free, and it did not move",
 					cycle, w.pkt, w.outDir, w.headRouter)
 			}
-		case !n.wait.Awake(int32(w.headRouter)):
+		case !n.wait.Due(&w.wait):
 			r := w.headRouter
 			if r == w.pkt.Dst || !w.candsValid || cycle-w.headerArrival < n.routingDelay {
-				return fmt.Errorf("cycle %d: lost wake: %v waits at sleeping router %d without having been offered (dst %d, cands valid %v, arrived there at %d)",
+				return fmt.Errorf("cycle %d: lost wake: %v waits at router %d, not due, without having been offered (dst %d, cands valid %v, arrived there at %d)",
 					cycle, w.pkt, r, w.pkt.Dst, w.candsValid, w.headerArrival)
 			}
 			for _, dd := range w.cands {
 				if k := int(r)*n.dims2 + int(dd); n.outOwner[k] == nil && !n.faulted[k] {
-					return fmt.Errorf("cycle %d: lost wake: %v waits at sleeping router %d though its candidate output %v is free",
+					return fmt.Errorf("cycle %d: lost wake: %v waits at router %d, not due, though its candidate output %v is free",
 						cycle, w.pkt, r, dd)
 				}
 			}

@@ -524,17 +524,19 @@ func (n *Network) Step() error {
 	return n.finishStep(progress)
 }
 
-// arbitrate is phase 2: every header waiting at one of the wait table's
-// awake routers — visited in ascending router order and, within a router,
-// in input-policy order — is marked arrived if it sits at its destination,
-// and otherwise offered its candidate outputs. A header leaves the table
-// when it is granted an output or arrives; a blocked one stays where it is,
-// and its router sleeps until one of its outputs is released or the fault
-// set changes: nothing else can turn the refusal into a grant, because the
-// candidates are fixed while the header waits and a refusal consumes
-// nothing (an OutputPolicy draws from the RNG only to pick among free
-// candidates). With a probe attached every waiter is visited
-// instead: a blocked header is a Blocked event every cycle it waits.
+// arbitrate is phase 2: every header the wait table has due — new at its
+// router, or wanting an output released there since its last offer, or
+// waiting through a change of the fault set — is visited in ascending
+// router order and, within a router, in input-policy order, marked arrived
+// if it sits at its destination, and otherwise offered its candidate
+// outputs. A header leaves the table when it is granted an output or
+// arrives; a blocked one stays where it is, and sleeps until one of the
+// outputs its candidates name is released or the fault set changes: nothing
+// else can turn the refusal into a grant, because the candidates are fixed
+// while the header waits and a refusal consumes nothing (an OutputPolicy
+// draws from the RNG only to pick among free candidates). With a probe
+// attached every waiter is visited instead: a blocked header is a Blocked
+// event every cycle it waits.
 func (n *Network) arbitrate() {
 	c := &n.core
 	em := &c.Em
@@ -580,6 +582,11 @@ func (n *Network) arbitrate() {
 				w.cands = n.alg.Candidates(r, w.pkt.Dst, w.inDir, w.inWrap)
 			}
 			w.candsValid = true
+			var wants uint64
+			for _, dd := range w.cands {
+				wants |= engine.OutputBit(int(dd))
+			}
+			w.wait.SetWants(wants)
 		}
 		base := int(r) * n.dims2
 		if n.fastOutput {
@@ -750,11 +757,11 @@ func (n *Network) abort(w *worm) {
 		from := n.routerOf[w.path[j-1]]
 		dir := n.bufPort(w.path[j])
 		n.outOwner[int(from)*n.dims2+dir] = nil
-		n.wait.Wake(from)
+		n.wait.Release(from, dir)
 	}
 	if w.outDir != noDirection {
 		n.outOwner[int(w.headRouter)*n.dims2+int(w.outDir)] = nil
-		n.wait.Wake(int32(w.headRouter))
+		n.wait.Release(int32(w.headRouter), int(w.outDir))
 	}
 	n.wait.Delist(&w.wait)
 	n.active.remove(w)
@@ -980,7 +987,7 @@ func (n *Network) advance(w *worm) (hopped bool) {
 			dir := n.bufPort(w.path[tailIdx+1])
 			key := int(from)*n.dims2 + dir
 			n.outOwner[key] = nil
-			n.wait.Wake(from)
+			n.wait.Release(from, dir)
 			// The tail has crossed: all of the packet's flits have now
 			// traversed this channel. Tallied at release so the counts
 			// reflect completed traversals only.

@@ -181,6 +181,111 @@ func TestWakeTailCrossingWakesItsRouterOnly(t *testing.T) {
 	}
 }
 
+// crossingNet is the scene of the two cases below, on an 8x8 xy mesh: a
+// 30-flit worm east along row 1 holds (3,1)->(4,1) for some 30 cycles; H,
+// injected at (3,1) bound east, is refused that channel and sleeps; V, a
+// 5-flit worm north up column 3, then hops into (3,1), is granted
+// (3,1)->(3,2), and its tail crosses that channel while H still waits. V's
+// hop and V's release both happen at H's router, and neither can serve H.
+func crossingNet(t *testing.T) (net *Network, at func(x, y int) topology.NodeID, h, v *Packet) {
+	t.Helper()
+	mesh := topology.NewMesh2D(8, 8)
+	at = func(x, y int) topology.NodeID { return mesh.ID(topology.Coord{x, y}) }
+	net = New(Config{Routing: routing.XY(mesh), WatchdogCycles: -1})
+	net.Enqueue(at(0, 1), at(7, 1), 30)
+	for c := 0; c < 6; c++ {
+		stepChecked(t, net)
+	}
+	h = net.Enqueue(at(3, 1), at(6, 1), 2)
+	stepChecked(t, net) // injected, offered, refused
+	v = net.Enqueue(at(3, 0), at(3, 5), 5)
+	return net, at, h, v
+}
+
+// wormOf finds the active worm carrying the packet.
+func wormOf(t *testing.T, n *Network, p *Packet) *worm {
+	t.Helper()
+	for _, w := range activeWorms(t, n) {
+		if w.pkt == p {
+			return w
+		}
+	}
+	t.Fatalf("%v is not in the network", p)
+	return nil
+}
+
+// TestWakeHopOffersOnlyTheNewcomer: a header that hops into a router where a
+// refused header waits is offered its candidates in the next cycle, and the
+// refused header is not — the hop released nothing it wants.
+func TestWakeHopOffersOnlyTheNewcomer(t *testing.T) {
+	net, at, hp, vp := crossingNet(t)
+	h := wormOf(t, net, hp)
+	for c := 0; c < 10; c++ {
+		if vp.Hops == 1 {
+			break
+		}
+		stepChecked(t, net)
+	}
+	v := wormOf(t, net, vp)
+	if vp.Hops != 1 || v.headRouter != at(3, 1) || v.outDir != noDirection {
+		t.Fatalf("V's header did not come to wait at (3,1): %d hops, at router %d", vp.Hops, v.headRouter)
+	}
+	if !net.wait.Due(&v.wait) {
+		t.Fatal("the newcomer at (3,1) is not due for an offer")
+	}
+	if net.wait.Due(&h.wait) {
+		t.Fatal("the hop into (3,1) made the refused header due again")
+	}
+	stepChecked(t, net)
+	if vp.Hops != 2 || hp.Hops != 0 {
+		t.Fatalf("after the offer: V made %d hops (want 2), H %d (want 0)", vp.Hops, hp.Hops)
+	}
+}
+
+// TestWakeReleaseOfUnwantedOutputOffersNobody: V's tail crossing (3,1)->(3,2)
+// releases an output of H's router that H does not want. The release is
+// recorded — the router is awake — but nobody there is due, and H stays
+// refused until the channel it wants comes free.
+func TestWakeReleaseOfUnwantedOutputOffersNobody(t *testing.T) {
+	net, at, hp, vp := crossingNet(t)
+	h := wormOf(t, net, hp)
+	north := int(at(3, 1))*net.dims2 + int(topology.North)
+	east := int(at(3, 1))*net.dims2 + int(topology.East)
+	released := false
+	for c := 0; c < 40 && !released; c++ {
+		held := net.outOwner[north] != nil
+		stepChecked(t, net)
+		if held && net.outOwner[north] == nil {
+			released = true
+			if net.outOwner[east] == nil {
+				t.Fatal("the long worm let go of (3,1)->(4,1) before V's tail crossed (3,1)->(3,2)")
+			}
+			if !net.wait.Awake(int32(at(3, 1))) {
+				t.Fatal("the release at (3,1) was not recorded")
+			}
+			if net.wait.Due(&h.wait) {
+				t.Fatal("releasing (3,1)->(3,2) made H, which wants only (3,1)->(4,1), due")
+			}
+		}
+	}
+	if !released || vp.Hops < 2 {
+		t.Fatalf("V never crossed (3,1)->(3,2) (hops %d)", vp.Hops)
+	}
+	for c := 0; c < 60 && hp.Hops == 0; c++ {
+		wanted := net.outOwner[east] == nil
+		if !wanted && net.wait.Due(&h.wait) {
+			t.Fatalf("cycle %d: H is due while the channel it wants is still held", net.Cycle())
+		}
+		stepChecked(t, net)
+		if wanted && hp.Hops == 0 {
+			t.Fatalf("cycle %d: H was not granted the channel it wants once it came free", net.Cycle())
+		}
+	}
+	if hp.Hops == 0 {
+		t.Fatal("H never moved")
+	}
+}
+
 // TestWakeRoutingDelayOffersOnTheEligibleCycle: with a three-cycle routing
 // decision a header is offered — and on an empty mesh granted and moved — on
 // exactly the cycle its decision completes, cycle 3k for hop k, and its
@@ -702,6 +807,11 @@ func TestLostWakeOracleCatches(t *testing.T) {
 		// cycle 3 and sleeps on the timer until cycle 99.
 		net.Enqueue(mesh.ID(topology.Coord{0, 1}), mesh.ID(topology.Coord{3, 1}), 100)
 		for c := 0; c < 30; c++ {
+			if c == 10 {
+				// A latecomer at (8,0) wants (8,0)->(9,0), which the wedged
+				// blocker holds, and is refused.
+				net.Enqueue(at(8), at(12), 1)
+			}
 			stepChecked(t, net)
 		}
 		return net, mesh
@@ -715,7 +825,7 @@ func TestLostWakeOracleCatches(t *testing.T) {
 	}
 
 	net, mesh := build()
-	var granted, waiting, sleeping *worm
+	var granted, waiting, late, sleeping *worm
 	for _, w := range activeWorms(t, net) {
 		switch {
 		case w.arrived:
@@ -724,10 +834,12 @@ func TestLostWakeOracleCatches(t *testing.T) {
 			granted = w
 		case w.headRouter == mesh.ID(topology.Coord{9, 0}):
 			waiting = w
+		case w.headRouter == mesh.ID(topology.Coord{8, 0}):
+			late = w
 		}
 	}
-	if granted == nil || waiting == nil || sleeping == nil || sleeping.wakeAt != 99 {
-		t.Fatal("the wedge did not produce a granted, a refused and a timed sleeper")
+	if granted == nil || waiting == nil || late == nil || sleeping == nil || sleeping.wakeAt != 99 {
+		t.Fatal("the wedge did not produce a granted, two refused and a timed sleeper")
 	}
 	if net.wait.Awake(int32(waiting.headRouter)) {
 		t.Fatal("the refused header's router is awake")
@@ -743,6 +855,22 @@ func TestLostWakeOracleCatches(t *testing.T) {
 	net.faulted[k] = false
 	objects("repaired channel", net, "candidate output")
 	net.faulted[k] = true
+
+	// (b) The channel the latecomer wants is released without telling the
+	// wait table; told, the table has the latecomer due and the oracle is
+	// content.
+	k = int(late.headRouter)*net.dims2 + int(topology.East)
+	holder := net.outOwner[k]
+	if holder == nil || net.wait.Due(&late.wait) {
+		t.Fatal("the latecomer is not asleep behind a held channel")
+	}
+	net.outOwner[k] = nil
+	objects("dropped release", net, "candidate output")
+	net.wait.Release(int32(late.headRouter), int(topology.East))
+	if err := lostWake(net, activeWorms(t, net)); err != nil {
+		t.Errorf("with the release recorded the oracle still objects: %v", err)
+	}
+	net.outOwner[k] = holder
 
 	// (c) An arrived worm is on no draining list and no timer; the sleeper's
 	// timer entry is dropped; it is due on another cycle than the one its

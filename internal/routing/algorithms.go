@@ -60,15 +60,17 @@ func NorthLast(m *topology.Mesh) Algorithm {
 // directions, then adaptively in the positive directions. The prohibited
 // turns are those from a positive direction to a negative direction —
 // exactly n(n-1) of them, the Theorem 1 minimum.
-func NegativeFirst(m *topology.Mesh) Algorithm {
+//
+// m is a mesh or a hypercube, the binary n-cube.
+func NegativeFirst(m topology.Topology) Algorithm {
 	return newPhased(m, "negative-first", negatives(m.Dims()), positives(m.Dims()))
 }
 
 // ABONF is the all-but-one-negative-first algorithm of Section 4.1, the
 // n-dimensional analog of west-first: route first adaptively in the
 // negative directions of all dimensions but the last, then adaptively in
-// the other directions.
-func ABONF(m *topology.Mesh) Algorithm {
+// the other directions. m is a mesh or a hypercube.
+func ABONF(m topology.Topology) Algorithm {
 	n := m.Dims()
 	var phase1, phase2 []topology.Direction
 	for i := 0; i < n-1; i++ {
@@ -82,8 +84,9 @@ func ABONF(m *topology.Mesh) Algorithm {
 // ABOPL is the all-but-one-positive-last algorithm of Section 4.1, the
 // n-dimensional analog of north-last: route first adaptively in the
 // negative directions and the positive direction of dimension 0, then
-// adaptively in the remaining positive directions.
-func ABOPL(m *topology.Mesh) Algorithm {
+// adaptively in the remaining positive directions. m is a mesh or a
+// hypercube.
+func ABOPL(m topology.Topology) Algorithm {
 	n := m.Dims()
 	phase1 := append(negatives(n), topology.Dir(0, true))
 	var phase2 []topology.Direction

@@ -16,8 +16,15 @@ func New(name string, topo topology.Topology) (Algorithm, error) {
 	torus, isTorus := topo.(*topology.Torus)
 	hex, isHex := topo.(*topology.Hex)
 	oct, isOct := topo.(*topology.Octagonal)
+	// A hypercube is a mesh. The 2D mesh algorithms get its Mesh; the
+	// n-dimensional ones get nmesh, the hypercube itself, whose minimal
+	// directions come from its address bits.
+	var nmesh topology.Topology
+	if isMesh {
+		nmesh = mesh
+	}
 	if isHyper {
-		mesh, isMesh = &hyper.Mesh, true
+		mesh, isMesh, nmesh = &hyper.Mesh, true, hyper
 	}
 	need := func(cond bool, what string) error {
 		if cond {
@@ -51,17 +58,17 @@ func New(name string, topo topology.Topology) (Algorithm, error) {
 		if err := need(isMesh, "a mesh"); err != nil {
 			return nil, err
 		}
-		return NegativeFirst(mesh), nil
+		return NegativeFirst(nmesh), nil
 	case "abonf":
 		if err := need(isMesh, "a mesh"); err != nil {
 			return nil, err
 		}
-		return ABONF(mesh), nil
+		return ABONF(nmesh), nil
 	case "abopl":
 		if err := need(isMesh, "a mesh"); err != nil {
 			return nil, err
 		}
-		return ABOPL(mesh), nil
+		return ABOPL(nmesh), nil
 	case "p-cube", "pcube":
 		if err := need(isHyper, "a hypercube"); err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -54,9 +55,11 @@ func arithDistance(sizes []int, wrap bool, from, to NodeID) int {
 
 // TestCoordinateTableMatchesArithmetic holds everything that reads the
 // coordinate table — CoordAt, Coord, MinimalDirections and its appending
-// form, Distance — to the arithmetic it replaced, on meshes, tori and a
-// hypercube, and on a grid that has no table (a dimension longer than the
-// table's int16 holds).
+// form, Distance — to the arithmetic it replaced, on meshes, tori and the
+// 6- and 8-cube, and on a grid that has no table (a dimension longer than the
+// table's int16 holds). The hypercubes' own methods, which read address bits
+// instead, are held to it on every node pair, and to the Mesh loop they
+// override.
 func TestCoordinateTableMatchesArithmetic(t *testing.T) {
 	type gridTopo interface {
 		Topology
@@ -76,6 +79,7 @@ func TestCoordinateTableMatchesArithmetic(t *testing.T) {
 		{NewKaryNCube(5, 3), []int{5, 5, 5}, true, true},
 		{NewTorus(40000, 2), []int{40000, 2}, true, false},
 		{NewHypercube(6), []int{2, 2, 2, 2, 2, 2}, false, true},
+		{NewHypercube(8), []int{2, 2, 2, 2, 2, 2, 2, 2}, false, true},
 	}
 	for _, tc := range cases {
 		var g *grid
@@ -124,6 +128,12 @@ func TestCoordinateTableMatchesArithmetic(t *testing.T) {
 				buf = tc.topo.AppendMinimalDirections(buf[:0], from, to)
 				if len(buf) != len(want) || len(want) > 0 && !reflect.DeepEqual(buf, want) {
 					t.Fatalf("%s: AppendMinimalDirections(%d, %d) = %v, want %v", tc.topo.Name(), from, to, buf, want)
+				}
+				if h, ok := tc.topo.(*Hypercube); ok {
+					mesh := h.Mesh.AppendMinimalDirections(nil, from, to)
+					if !slices.Equal(buf, mesh) {
+						t.Fatalf("%s: AppendMinimalDirections(%d, %d) = %v, the Mesh loop gives %v", tc.topo.Name(), from, to, buf, mesh)
+					}
 				}
 				if got, want := tc.topo.Distance(from, to), arithDistance(tc.sizes, tc.wrap, from, to); got != want {
 					t.Fatalf("%s: Distance(%d, %d) = %d, want %d", tc.topo.Name(), from, to, got, want)

@@ -1,6 +1,9 @@
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Mesh is an n-dimensional mesh: k_0 x k_1 x ... x k_{n-1} nodes where two
 // nodes are neighbors iff their coordinates differ by one in exactly one
@@ -57,9 +60,9 @@ func (m *Mesh) MinimalDirections(from, to NodeID) []Direction {
 }
 
 // AppendMinimalDirections implements MinimalAppender: the allocation-free
-// form of MinimalDirections. Hypercube inherits it; the bitwise override
-// of MinimalDirections produces the same directions in the same order for
-// k_i = 2, so the contract holds for both.
+// form of MinimalDirections. Hypercube overrides both with loops over the
+// bits in which the addresses differ, which produce the same directions in
+// the same order for k_i = 2.
 func (m *Mesh) AppendMinimalDirections(dst []Direction, from, to NodeID) []Direction {
 	for dim := 0; dim < m.Dims(); dim++ {
 		f, t := m.coordAt(from, dim), m.coordAt(to, dim)
@@ -108,7 +111,6 @@ var _ Topology = (*Mesh)(nil)
 // address is coordinate x_i.
 type Hypercube struct {
 	Mesh
-	n int
 }
 
 // NewHypercube builds a binary n-cube with 2^n nodes.
@@ -123,7 +125,7 @@ func NewHypercube(n int) *Hypercube {
 	for i := range sizes {
 		sizes[i] = 2
 	}
-	h := &Hypercube{Mesh: *NewMesh(sizes...), n: n}
+	h := &Hypercube{Mesh: *NewMesh(sizes...)}
 	h.Mesh.name = fmt.Sprintf("hypercube(%d)", n)
 	return h
 }
@@ -149,14 +151,19 @@ func (h *Hypercube) Distance(from, to NodeID) int {
 // MinimalDirections lists one productive direction per differing address
 // bit, ordered by increasing dimension.
 func (h *Hypercube) MinimalDirections(from, to NodeID) []Direction {
-	var ds []Direction
-	diff := uint(from) ^ uint(to)
-	for dim := 0; dim < h.n; dim++ {
-		if diff&(1<<uint(dim)) != 0 {
-			ds = append(ds, Dir(dim, uint(to)&(1<<uint(dim)) != 0))
-		}
+	return h.AppendMinimalDirections(nil, from, to)
+}
+
+// AppendMinimalDirections implements MinimalAppender: MinimalDirections
+// without the allocation, one direction per set bit of from^to, lowest
+// first — the order of the inherited Mesh loop, without its coordinate
+// reads.
+func (h *Hypercube) AppendMinimalDirections(dst []Direction, from, to NodeID) []Direction {
+	for diff := uint(from) ^ uint(to); diff != 0; diff &= diff - 1 {
+		dim := bits.TrailingZeros(diff)
+		dst = append(dst, Dir(dim, uint(to)&(1<<uint(dim)) != 0))
 	}
-	return ds
+	return dst
 }
 
 var _ Topology = (*Hypercube)(nil)

@@ -221,9 +221,12 @@ func canMove(n *Network, w *worm) bool {
 // headers, worms with nothing to move and sources behind an occupied
 // injection buffer. Between two steps:
 //
-//	(b) No waiter at a sleeping router would be granted if offered: its
-//	    candidates are computed and every candidate output virtual channel
-//	    is held or on a broken link.
+//	(b) No waiter the wait table does not have due (engine.WaitTable.Due)
+//	    would be granted if offered: a waiter that would be is new at its
+//	    router, or its router has released one of its output virtual
+//	    channels since its last offer. So every waiter not due has been
+//	    offered at its router — its candidates are computed — and every
+//	    candidate output virtual channel is held or on a broken link.
 //	(d) Every node with a queued message and a free injection buffer is on
 //	    the injection worklist.
 //	(e) A worm on the free list is reachable from nowhere else: not the
@@ -266,17 +269,17 @@ func lostWake(n *Network) error {
 		if !n.awake.has(w.slot) && w.wakeAt == 0 && canMove(n, w) {
 			return fmt.Errorf("cycle %d: lost wake: %v can move but is not due for a visit", cycle, w.pkt)
 		}
-		if w.arrived || w.routed || n.wait.Awake(int32(w.headRouter)) {
+		if w.arrived || w.routed || n.wait.Due(&w.wait) {
 			continue
 		}
 		r := w.headRouter
 		if r == w.pkt.Dst || !w.candsValid {
-			return fmt.Errorf("cycle %d: lost wake: %v waits at sleeping router %d without having been offered (dst %d, cands valid %v)",
+			return fmt.Errorf("cycle %d: lost wake: %v waits at router %d, not due, without having been offered (dst %d, cands valid %v)",
 				cycle, w.pkt, r, w.pkt.Dst, w.candsValid)
 		}
 		for _, out := range w.cands {
 			if !n.faulted[int(r)*n.dims2+int(out.Dir)] && n.owner[n.ownerKey(r, out.Dir, out.VC)] == nil {
-				return fmt.Errorf("cycle %d: lost wake: %v waits at sleeping router %d though its candidate output %v is free",
+				return fmt.Errorf("cycle %d: lost wake: %v waits at router %d, not due, though its candidate output %v is free",
 					cycle, w.pkt, r, out)
 			}
 		}

@@ -885,15 +885,17 @@ func (n *Network) finishStep(progress bool) error {
 	return nil
 }
 
-// arbitrate is phase 2: every header waiting at one of the wait table's
-// awake routers — routers ascending, each router's waiters first come first
-// served — is marked arrived if it sits at its destination, and otherwise
-// offered its candidate output virtual channels. A header leaves the table
-// when it is granted one or arrives, and its worm is made due for
-// movement's first round; a blocked one stays, and its router sleeps until
-// one of its output virtual channels is released or the fault set changes —
-// nothing else can turn the refusal into a grant, the candidates being
-// fixed while the header waits. With a probe attached every waiter is
+// arbitrate is phase 2: every header the wait table has due — new at its
+// router, or wanting an output virtual channel released there since its last
+// offer, or waiting through a change of the fault set — is visited routers
+// ascending, each router's waiters first come first served, marked arrived
+// if it sits at its destination, and otherwise offered its candidate output
+// virtual channels. A header leaves the table when it is granted one or
+// arrives, and its worm is made due for movement's first round; a blocked
+// one stays, and sleeps until one of the output virtual channels its
+// candidates name is released or the fault set changes — nothing else can
+// turn the refusal into a grant, the candidates being fixed while the header
+// waits. With a probe attached every waiter is
 // visited instead: a blocked header is a Blocked event every cycle it waits.
 func (n *Network) arbitrate() {
 	c := &n.core
@@ -924,6 +926,11 @@ func (n *Network) arbitrate() {
 				w.cands = n.alg.Candidates(r, w.pkt.Dst, w.inDir, w.inVC)
 			}
 			w.candsValid = true
+			var wants uint64
+			for _, out := range w.cands {
+				wants |= engine.OutputBit(int(out.Dir)*n.maxVC + out.VC)
+			}
+			w.wait.SetWants(wants)
 		}
 		base := int(r) * n.dims2
 		for _, out := range w.cands {
@@ -990,11 +997,12 @@ func (n *Network) abort(w *worm) {
 }
 
 // release frees the output virtual channel with the given owner key, one
-// of router from's, and wakes the router: a header refused there may have
-// been waiting for it.
+// of router from's, and tells the wait table: a header refused there may
+// have been waiting for it. The router's outputs are numbered dir·maxVC+vc,
+// the key's offset from the router's first.
 func (n *Network) release(key int, from topology.NodeID) {
 	n.owner[key] = nil
-	n.wait.Wake(int32(from))
+	n.wait.Release(int32(from), key-int(from)*n.dims2*n.maxVC)
 }
 
 // reachable reports whether a packet injected at src can reach dst under

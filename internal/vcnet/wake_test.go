@@ -86,6 +86,93 @@ func TestWakeVCTailCrossingWakesItsRouterOnly(t *testing.T) {
 	}
 }
 
+// crossingVCNet is internal/network's crossingNet on the algorithm lifted
+// to one virtual channel: H refused at (3,1) behind a 30-flit worm streaming
+// east along row 1, and V, 5 flits north up column 3, about to hop into (3,1)
+// and cross it while H still waits.
+func crossingVCNet(t *testing.T) (net *Network, at func(x, y int) topology.NodeID, h, v *Packet) {
+	t.Helper()
+	mesh := topology.NewMesh2D(8, 8)
+	at = func(x, y int) topology.NodeID { return mesh.ID(topology.Coord{x, y}) }
+	net = New(Config{Routing: vc.Lift(routing.XY(mesh)), WatchdogCycles: -1})
+	net.Enqueue(at(0, 1), at(7, 1), 30)
+	for c := 0; c < 6; c++ {
+		stepChecked(t, net)
+	}
+	h = net.Enqueue(at(3, 1), at(6, 1), 2)
+	stepChecked(t, net)
+	v = net.Enqueue(at(3, 0), at(3, 5), 5)
+	return net, at, h, v
+}
+
+// TestWakeVCHopOffersOnlyTheNewcomer: a header hopping into a router where a
+// refused header waits is offered next cycle; the refused header is not.
+func TestWakeVCHopOffersOnlyTheNewcomer(t *testing.T) {
+	net, at, hp, vp := crossingVCNet(t)
+	h := wormOf(net, hp)
+	for c := 0; c < 10 && vp.Hops < 1; c++ {
+		stepChecked(t, net)
+	}
+	v := wormOf(net, vp)
+	if vp.Hops != 1 || v.headRouter != at(3, 1) || v.routed {
+		t.Fatalf("V's header did not come to wait at (3,1): %d hops, at router %d", vp.Hops, v.headRouter)
+	}
+	if !net.wait.Due(&v.wait) {
+		t.Fatal("the newcomer at (3,1) is not due for an offer")
+	}
+	if net.wait.Due(&h.wait) {
+		t.Fatal("the hop into (3,1) made the refused header due again")
+	}
+	stepChecked(t, net)
+	if vp.Hops != 2 || hp.Hops != 0 {
+		t.Fatalf("after the offer: V made %d hops (want 2), H %d (want 0)", vp.Hops, hp.Hops)
+	}
+}
+
+// TestWakeVCReleaseOfUnwantedOutputOffersNobody: V's tail crossing
+// (3,1)->(3,2) releases a virtual channel of H's router that H does not
+// want: recorded, but nobody is due, and H moves only once the channel it
+// wants comes free.
+func TestWakeVCReleaseOfUnwantedOutputOffersNobody(t *testing.T) {
+	net, at, hp, vp := crossingVCNet(t)
+	h := wormOf(net, hp)
+	north := net.ownerKey(at(3, 1), topology.North, 0)
+	east := net.ownerKey(at(3, 1), topology.East, 0)
+	released := false
+	for c := 0; c < 40 && !released; c++ {
+		held := net.owner[north] != nil
+		stepChecked(t, net)
+		if held && net.owner[north] == nil {
+			released = true
+			if net.owner[east] == nil {
+				t.Fatal("the long worm let go of (3,1)->(4,1) before V's tail crossed (3,1)->(3,2)")
+			}
+			if !net.wait.Awake(int32(at(3, 1))) {
+				t.Fatal("the release at (3,1) was not recorded")
+			}
+			if net.wait.Due(&h.wait) {
+				t.Fatal("releasing (3,1)->(3,2) made H, which wants only (3,1)->(4,1), due")
+			}
+		}
+	}
+	if !released || vp.Hops < 2 {
+		t.Fatalf("V never crossed (3,1)->(3,2) (hops %d)", vp.Hops)
+	}
+	for c := 0; c < 60 && hp.Hops == 0; c++ {
+		wanted := net.owner[east] == nil
+		if !wanted && net.wait.Due(&h.wait) {
+			t.Fatalf("cycle %d: H is due while the channel it wants is still held", net.Cycle())
+		}
+		stepChecked(t, net)
+		if wanted && hp.Hops == 0 {
+			t.Fatalf("cycle %d: H was not granted the channel it wants once it came free", net.Cycle())
+		}
+	}
+	if hp.Hops == 0 {
+		t.Fatal("H never moved")
+	}
+}
+
 // TestWakeVCAbortWakesRefusedHeader: a worm wedged at a broken link holds
 // the virtual channels behind it; a header refused one of them sleeps, and
 // moves in the very step recovery aborts the holder.
@@ -791,6 +878,24 @@ func TestLostWakeVCOracleCatches(t *testing.T) {
 	if err := lostWake(net); err != nil {
 		t.Fatalf("after undoing the sabotage the oracle still objects: %v", err)
 	}
+
+	// A dropped release: H waits refused for the virtual channel a long worm
+	// holds; the channel is freed without telling the wait table. Told, the
+	// table has H due and the oracle is content.
+	rnet, rat, hp, _ := crossingVCNet(t)
+	h := wormOf(rnet, hp)
+	key := rnet.ownerKey(rat(3, 1), topology.East, 0)
+	holder := rnet.owner[key]
+	if holder == nil || h.routed || rnet.wait.Due(&h.wait) {
+		t.Fatal("H is not asleep behind a held virtual channel")
+	}
+	rnet.owner[key] = nil
+	objects("dropped release", rnet, "candidate output")
+	rnet.wait.Release(int32(rat(3, 1)), int(topology.East)*rnet.maxVC)
+	if err := lostWake(rnet); err != nil {
+		t.Errorf("with the release recorded the oracle still objects: %v", err)
+	}
+	rnet.owner[key] = holder
 
 	// A dropped reservation and a dropped timer: S streams over one y link
 	// of a double-y mesh, (1,0)->(1,1), and sleeps, reserving the link and

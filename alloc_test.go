@@ -5,6 +5,7 @@
 package turnmodel_test
 
 import (
+	"runtime"
 	"testing"
 
 	"turnmodel"
@@ -405,6 +406,71 @@ func TestStepZeroAllocs(t *testing.T) {
 			}
 			if allocs != 0 {
 				t.Errorf("%s step path allocates %.1f allocs/op, want 0", tc.name, allocs)
+			}
+		})
+	}
+}
+
+// TestMessagePathAllocs gates what a message costs in allocations over its
+// whole life — generation on the arrival wheel, Enqueue, the source queue,
+// injection, retirement and TakeDelivered — at one object per 64 generated
+// messages at most, on both engines. Each case runs a saturated simulation
+// twice, with measurement windows of two lengths: the longer run's extra
+// allocations, over the extra messages it generated (delivered, dropped or
+// still in flight when it ends), price the steady state, setup excluded.
+// Packets come from chunks of 256 and every list the path uses is reused
+// once grown, so the count is well under the gate; one allocation per
+// message (a Packet each, say) is 64 times over it.
+func TestMessagePathAllocs(t *testing.T) {
+	cube := turnmodel.NewHypercube(8)
+	pcube, err := turnmodel.NewRouting("p-cube", cube)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mesh := turnmodel.NewMesh2D(16, 16)
+	doubleY, err := turnmodel.NewVCRouting("double-y", mesh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := func(pattern turnmodel.TrafficPattern, rate float64, measure int64) turnmodel.SimRunParams {
+		return turnmodel.SimRunParams{Pattern: pattern, InjectionRate: rate,
+			WarmupCycles: 2000, MeasureCycles: measure, Seed: 1}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(measure int64) turnmodel.SimResult
+	}{
+		{"cube-reverse-flip", func(measure int64) turnmodel.SimResult {
+			return turnmodel.Simulate(turnmodel.SimConfig{Routing: pcube,
+				RunParams: params(turnmodel.ReverseFlipTraffic(cube), 0.5, measure)})
+		}},
+		{"vcnet-mesh-uniform", func(measure int64) turnmodel.SimResult {
+			return turnmodel.SimulateVC(turnmodel.VCSimConfig{Routing: doubleY,
+				RunParams: params(turnmodel.UniformTraffic(mesh), 0.5, measure)})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			measured := func(measure int64) (allocs uint64, generated int64) {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				res := tc.run(measure)
+				runtime.ReadMemStats(&after)
+				if res.Sustainable || res.Deadlocked {
+					t.Fatalf("%d-cycle window: sustainable=%v deadlocked=%v, want a saturated run", measure, res.Sustainable, res.Deadlocked)
+				}
+				// By conservation, what the window generated was delivered,
+				// dropped or is still in flight.
+				return after.Mallocs - before.Mallocs, res.Delivered + res.Dropped + int64(res.QueueGrowth)
+			}
+			shortAllocs, shortGen := measured(4000)
+			longAllocs, longGen := measured(24000)
+			allocs, messages := int64(longAllocs)-int64(shortAllocs), longGen-shortGen
+			if messages < 10000 {
+				t.Fatalf("only %d more messages in the longer window; the case no longer saturates", messages)
+			}
+			t.Logf("%d allocations for %d more generated messages", allocs, messages)
+			if allocs*64 > messages {
+				t.Errorf("%d allocations for %d more generated messages: %.3f per message, want at most 1/64", allocs, messages, float64(allocs)/float64(messages))
 			}
 		})
 	}

@@ -120,9 +120,12 @@ type Core struct {
 	Reachable     func(src, dst topology.NodeID) bool
 	OnEpochChange func()
 
-	queues [][]*Packet // per-node source queues (FIFO)
-	qhead  []int
-	queued int // packets across all queues (O(1) InFlight)
+	// queues are the per-node source queues (FIFO); queued counts the
+	// packets across all of them (O(1) InFlight).
+	queues []sourceQueue
+	queued int
+	// slab is what is left of the chunk Enqueue takes packets from.
+	slab []Packet
 
 	// retries holds aborted packets waiting out their backoff at the
 	// source (per node); nil unless recovery is enabled.
@@ -182,8 +185,7 @@ func NewCore(cfg Config) Core {
 		c.Recovery = c.Recovery.WithDefaults()
 		c.retries = make([][]retryEntry, topo.Nodes())
 	}
-	c.queues = make([][]*Packet, topo.Nodes())
-	c.qhead = make([]int, topo.Nodes())
+	c.queues = make([]sourceQueue, topo.Nodes())
 	c.inPending = make([]bool, topo.Nodes())
 	c.Watchdog = cfg.WatchdogCycles
 	if c.Watchdog == 0 {
@@ -204,18 +206,30 @@ func (c *Core) Bind() {
 	}
 }
 
+// packetChunk is how many packets Enqueue allocates at a time.
+const packetChunk = 256
+
 // Enqueue creates a packet at the current cycle and queues it at src. The
 // engines validate arguments (their panic messages carry the package name)
 // before delegating here. A source whose injection buffer is occupied is
 // not put on the injection worklist: the engine's WakeSource puts it there
 // when the buffer is vacated.
+//
+// Packets are carved from chunks of packetChunk, so a message costs an
+// allocation only once per chunk. They are never recycled: the caller keeps
+// the *Packet returned here, and the one TakeDelivered hands back, for as
+// long as it likes.
 func (c *Core) Enqueue(src, dst topology.NodeID, length int) *Packet {
-	p := &Packet{
-		ID: c.NextID, Src: src, Dst: dst, Length: length,
-		Created: c.Cycle, Injected: -1, Arrived: -1,
+	if len(c.slab) == 0 {
+		c.slab = make([]Packet, packetChunk)
 	}
+	p := &c.slab[0]
+	c.slab = c.slab[1:]
+	// The chunk is fresh, zeroed memory: only the nonzero fields are set.
+	p.ID, p.Src, p.Dst, p.Length = c.NextID, src, dst, length
+	p.Created, p.Injected, p.Arrived = c.Cycle, -1, -1
 	c.NextID++
-	c.queues[src] = append(c.queues[src], p)
+	c.queues[src].push(p)
 	c.queued++
 	if c.InjFree(src) {
 		c.addPending(int32(src))
@@ -226,14 +240,14 @@ func (c *Core) Enqueue(src, dst topology.NodeID, length int) *Packet {
 // QueueLen reports how many generated messages wait at the node's source
 // queue (not yet injecting).
 func (c *Core) QueueLen(node topology.NodeID) int {
-	return len(c.queues[node]) - c.qhead[node]
+	return c.queues[node].n
 }
 
 // MaxQueueLen reports the longest current source queue.
 func (c *Core) MaxQueueLen() int {
 	max := 0
 	for i := range c.queues {
-		if l := len(c.queues[i]) - c.qhead[i]; l > max {
+		if l := c.queues[i].n; l > max {
 			max = l
 		}
 	}
@@ -278,7 +292,7 @@ func (c *Core) OnWorklist(node topology.NodeID) bool { return c.inPending[node] 
 // if messages wait in its source queue, the node goes back on the
 // injection worklist it left when InjectPhase found the buffer occupied.
 func (c *Core) WakeSource(node topology.NodeID) {
-	if c.qhead[node] < len(c.queues[node]) {
+	if c.queues[node].n > 0 {
 		c.addPending(int32(node))
 	}
 }
@@ -316,17 +330,41 @@ func (c *Core) popRetry(node int32) *Packet {
 
 // popQueue dequeues the node's oldest generated packet, or nil.
 func (c *Core) popQueue(node int32) *Packet {
-	if c.qhead[node] >= len(c.queues[node]) {
+	p := c.queues[node].pop()
+	if p != nil {
+		c.queued--
+	}
+	return p
+}
+
+// sourceQueue is a source's FIFO of generated packets, a list threaded
+// through the packets' own links: a queue costs no allocation and no dead
+// storage however long a saturated source lets it grow.
+type sourceQueue struct {
+	head, tail *Packet
+	n          int
+}
+
+func (q *sourceQueue) push(p *Packet) {
+	if q.tail == nil {
+		q.head = p
+	} else {
+		q.tail.next = p
+	}
+	q.tail = p
+	q.n++
+}
+
+func (q *sourceQueue) pop() *Packet {
+	p := q.head
+	if p == nil {
 		return nil
 	}
-	p := c.queues[node][c.qhead[node]]
-	c.queues[node][c.qhead[node]] = nil
-	c.qhead[node]++
-	if c.qhead[node] == len(c.queues[node]) {
-		c.queues[node] = c.queues[node][:0]
-		c.qhead[node] = 0
+	if q.head = p.next; q.head == nil {
+		q.tail = nil
 	}
-	c.queued--
+	p.next = nil
+	q.n--
 	return p
 }
 

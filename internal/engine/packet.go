@@ -32,6 +32,9 @@ type Packet struct {
 	// packet back out of the network. Injected and Hops reset on abort;
 	// Created does not, so Latency spans every attempt.
 	Aborts int
+
+	// next links the packet into its source queue while it waits there.
+	next *Packet
 }
 
 // Latency is the end-to-end message latency in cycles, including source

@@ -139,8 +139,11 @@ type Network struct {
 	// active lists the worms in the network in injection order, threaded
 	// through the worms themselves so that a retirement or an abort unlinks
 	// in O(1); nothing walks it per cycle.
-	active    wormList
-	delivered []*Packet
+	active wormList
+	// delivered collects the packets retired since the last TakeDelivered;
+	// taken is the slice that call handed back, whose storage the call
+	// after it reuses.
+	delivered, taken []*Packet
 	// wait holds the headers waiting for an output, filed by router in
 	// input-policy order (see engine.WaitTable); phase 2 walks its awake
 	// routers instead of collecting and sorting requests.
@@ -294,9 +297,10 @@ func (n *Network) Close() {}
 // when that has one: retirePhase and abort put worms there once
 // nothing in the network refers to them any more — not outOwner, the wait
 // table, a draining or ready list, the sleepers' timer or the active list —
-// and every field is set afresh here. A stall timer may still name the worm:
-// its entry carries the packet's ID and is dropped when it no longer matches.
-// Under recovery the new worm's own stall timeout is armed.
+// and every field but the inline buffers is set afresh here. A stall timer
+// may still name the worm: its entry carries the packet's ID and is dropped
+// when it no longer matches. Under recovery the new worm's own stall timeout
+// is armed.
 func (n *Network) newWorm(node topology.NodeID, p *Packet) *worm {
 	var w *worm
 	if k := len(n.free) - 1; k >= 0 {
@@ -304,17 +308,21 @@ func (n *Network) newWorm(node topology.NodeID, p *Packet) *worm {
 	} else {
 		w = new(worm)
 	}
+	// Field by field rather than *w = worm{...}, which would zero the
+	// inline candBuf and pathBuf arrays too.
+	w.pkt = p
+	w.sent, w.delivered = 1, 0
+	w.outDir = noDirection
+	w.arrived = false
+	w.wakeAt = 0
+	w.headerArrival = n.core.Cycle
+	w.target = 0
+	w.headRouter, w.inDir, w.inWrap = node, topology.Invalid, false
+	w.cands, w.candsValid, w.candsMis, w.misroutes = nil, false, false, 0
+	w.wait = engine.WaitLink[*worm]{Owner: w}
+	w.next, w.prev = nil, nil
 	path := w.path
 	inj := n.bufID(node, n.dims2)
-	*w = worm{
-		pkt:           p,
-		sent:          1,
-		outDir:        noDirection,
-		headerArrival: n.core.Cycle,
-		headRouter:    node,
-		inDir:         topology.Invalid,
-	}
-	w.wait.Owner = w
 	if cap(path) <= len(w.pathBuf) {
 		// Only a heap buffer that a long route grew is worth inheriting.
 		path = w.pathBuf[:]
@@ -447,11 +455,17 @@ func (n *Network) FaultEvents() int64 { return n.core.FaultEvents() }
 // ActiveFaults reports how many channels are currently broken.
 func (n *Network) ActiveFaults() int { return n.core.ActiveFaults() }
 
-// TakeDelivered returns the packets completed since the previous call and
-// resets the internal list.
+// TakeDelivered returns the packets completed since the previous call, in
+// the order they were retired, or nil when there are none. The slice is
+// valid until the next call, which reuses its storage; the packets
+// themselves stay valid for good.
 func (n *Network) TakeDelivered() []*Packet {
 	out := n.delivered
-	n.delivered = nil
+	if len(out) == 0 {
+		return nil
+	}
+	clear(n.taken)
+	n.delivered, n.taken = n.taken[:0], out
 	return out
 }
 

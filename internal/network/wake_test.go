@@ -504,7 +504,7 @@ func TestWakeTimerSameSourceTimeoutsRetryInInjectionOrder(t *testing.T) {
 // timer's own order — (due cycle, push sequence) — is not injection order:
 // worm a is injected before worm b, but b stops first, so b's timeout is
 // re-armed first; then one cycle moves both for the last time, and their
-// final timeouts fall due together with b's ahead of a's in the heap. The
+// final timeouts fall due together with b's ahead of a's on the timer. The
 // per-cycle scan aborted them in active-list order, a first, and so must
 // recoveryPhase: abort order is the order of the Abort and Drop events.
 //

@@ -9,8 +9,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -168,9 +166,18 @@ func TestFenceLostSuppressesTerminal(t *testing.T) {
 		t.Fatal("job never started")
 	}
 
-	// Simulate losing the lease while stalled: the lease file disappears
-	// (a peer's takeover ends with Release) and renewal comes back ErrLost.
-	if err := os.Remove(filepath.Join(e.jobsDir, e.key+".lease")); err != nil {
+	// Lose the lease while stalled, the way a peer's takeover ends: Release
+	// of the job's current lease through a second Store on the same
+	// directory. Release holds the .claim lock, so a renewal in flight either
+	// lands before it (and is released) or after it (and comes back ErrLost);
+	// removing the file behind the lock's back let such a renewal write the
+	// lease back, and the fence was never lost.
+	peer := e.openStore(t)
+	held, ok, err := peer.Holder(e.key)
+	if err != nil || !ok {
+		t.Fatalf("no lease to take away: ok=%v err=%v", ok, err)
+	}
+	if err := peer.Release(held); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(30 * time.Second)

@@ -10,11 +10,11 @@ import (
 	"turnmodel/internal/traffic"
 )
 
-// scanArrivals is message generation as measure ran it before the arrival
-// heap: on every cycle at which anything is due, a scan over all nodes in
-// ascending order, each firing every arrival it has at or before the cycle,
-// with the minimum of the next arrival times taken along the way. It is the
-// heap's oracle for the order of the RNG draws.
+// scanArrivals is message generation as measure ran it before arrivals were
+// kept on a timer wheel: on every cycle at which anything is due, a scan over
+// all nodes in ascending order, each firing every arrival it has at or before
+// the cycle, with the minimum of the next arrival times taken along the way.
+// It is the wheel's oracle for the order of the RNG draws.
 type scanArrivals struct {
 	rng     *rand.Rand
 	meanGap float64
@@ -51,7 +51,7 @@ func (s *scanArrivals) generate(cycle int64, fire func(node topology.NodeID)) in
 	return s.nextDue
 }
 
-// TestArrivalsMatchScan drives the arrival heap and the all-nodes scan it
+// TestArrivalsMatchScan drives the arrival wheel and the all-nodes scan it
 // replaced from identically seeded RNGs through the clock schedule measure
 // produces — generate before every step, a step ending on the next cycle or,
 // leaping, anywhere up to the cycle generate returned — and demands the same
@@ -60,7 +60,9 @@ func (s *scanArrivals) generate(cycle int64, fire func(node topology.NodeID)) in
 // draws its destinations from the shared RNG, so one draw out of order would
 // change every message after it; transpose has fixed points, whose arrivals
 // draw a gap and nothing else. The dense cases put several arrivals of one
-// node into one cycle; the sparse one leaps over hundreds of cycles.
+// node into one cycle; the sparse ones leap over hundreds of cycles, and at
+// rate 0.01 the mean gap is ten times the wheel's span, so most arrivals wait
+// in its overflow heap.
 func TestArrivalsMatchScan(t *testing.T) {
 	mesh := topology.NewMesh2D(4, 4)
 	lengths := []int{10, 200}
@@ -73,6 +75,7 @@ func TestArrivalsMatchScan(t *testing.T) {
 		{"uniform-dense", traffic.Uniform{Topo: mesh}, 0.8, 3000},
 		{"transpose-dense", traffic.NewMeshTranspose(mesh), 1.5, 3000},
 		{"uniform-paper-rate", traffic.Uniform{Topo: mesh}, 105 / 0.05, 200000},
+		{"uniform-rate-0.01", traffic.Uniform{Topo: mesh}, 105 / 0.01, 1000000},
 		{"zero-rate", traffic.Uniform{Topo: mesh}, math.Inf(1), 1000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -82,9 +85,9 @@ func TestArrivalsMatchScan(t *testing.T) {
 				log      []string
 				perCycle map[string]int
 			}
-			mk := func(heap bool) *run {
+			mk := func(wheel bool) *run {
 				r := &run{rng: rand.New(rand.NewSource(99)), perCycle: make(map[string]int)}
-				if heap {
+				if wheel {
 					r.generate = newArrivals(r.rng, mesh.Nodes(), tc.meanGap).generate
 				} else {
 					r.generate = newScanArrivals(r.rng, mesh.Nodes(), tc.meanGap).generate
@@ -113,10 +116,10 @@ func TestArrivalsMatchScan(t *testing.T) {
 					})
 				}
 				if due[0] != due[1] || due[0] <= cycle {
-					t.Fatalf("cycle %d: the heap says the next arrival is due in cycle %d, the scan says %d", cycle, due[0], due[1])
+					t.Fatalf("cycle %d: the wheel says the next arrival is due in cycle %d, the scan says %d", cycle, due[0], due[1])
 				}
 				if len(got.log) != len(want.log) || len(got.log) > 0 && got.log[len(got.log)-1] != want.log[len(want.log)-1] {
-					t.Fatalf("cycle %d: the heap has fired %d arrivals, the last %q; the scan %d, the last %q",
+					t.Fatalf("cycle %d: the wheel has fired %d arrivals, the last %q; the scan %d, the last %q",
 						cycle, len(got.log), last(got.log), len(want.log), last(want.log))
 				}
 				// A busy network steps one cycle; an idle one leaps, no
@@ -129,7 +132,7 @@ func TestArrivalsMatchScan(t *testing.T) {
 			}
 			for i := range want.log {
 				if got.log[i] != want.log[i] {
-					t.Fatalf("arrival %d: the heap fired %q, the scan %q", i, got.log[i], want.log[i])
+					t.Fatalf("arrival %d: the wheel fired %q, the scan %q", i, got.log[i], want.log[i])
 				}
 			}
 			if a, b := got.rng.Int63(), want.rng.Int63(); a != b {

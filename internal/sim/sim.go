@@ -237,7 +237,7 @@ func Run(cfg Config) Result {
 // per-processor generation and collects the Result. cfg must already have
 // defaults applied; coll, when non-nil, is the collector already attached
 // to the engine whose snapshot the Result will carry.
-func measure(cfg RunParams, algName string, topo topology.Topology, net engine, coll *metrics.Collector) Result {
+func measure(cfg RunParams, algName string, topo topology.Topology, net simulator, coll *metrics.Collector) Result {
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 
 	// Fixed points of permutation patterns consume their own messages

@@ -7,9 +7,9 @@ import (
 	"turnmodel/internal/vcnet"
 )
 
-// engine abstracts the two simulators (physical-channel and
+// simulator abstracts the two engines (physical-channel and
 // virtual-channel) behind the measurement protocol of Run.
-type engine interface {
+type simulator interface {
 	Step() error
 	Enqueue(src, dst topology.NodeID, length int) *network.Packet
 	Cycle() int64

@@ -69,10 +69,11 @@ func (t MeshTranspose) Name() string { return "matrix-transpose" }
 // Deterministic implements Pattern.
 func (t MeshTranspose) Deterministic() bool { return true }
 
-// Dest implements Pattern.
+// Dest implements Pattern. It reads the two coordinates with CoordAt and
+// numbers the swapped pair directly, so it allocates nothing.
 func (t MeshTranspose) Dest(src topology.NodeID, _ *rand.Rand) topology.NodeID {
-	c := t.Mesh.Coord(src)
-	return t.Mesh.ID(topology.Coord{c[1], c[0]})
+	x, y := t.Mesh.CoordAt(src, 0), t.Mesh.CoordAt(src, 1)
+	return topology.NodeID(y + x*t.Mesh.Size(0))
 }
 
 // HypercubeTranspose is the paper's hypercube matrix-transpose: the
@@ -154,8 +155,14 @@ func (b BitComplement) Name() string { return "bit-complement" }
 // Deterministic implements Pattern.
 func (b BitComplement) Deterministic() bool { return true }
 
-// Dest implements Pattern.
+// Dest implements Pattern. A mesh, torus or hypercube numbers its nodes as
+// mixed-radix numerals of their coordinates, so mirroring every coordinate
+// takes node id to Nodes()-1-id, with no coordinate vector to allocate.
 func (b BitComplement) Dest(src topology.NodeID, _ *rand.Rand) topology.NodeID {
+	switch b.Topo.(type) {
+	case *topology.Mesh, *topology.Torus, *topology.Hypercube:
+		return topology.NodeID(b.Topo.Nodes()-1) - src
+	}
 	c := b.Topo.Coord(src)
 	for i := range c {
 		c[i] = b.Topo.Size(i) - 1 - c[i]

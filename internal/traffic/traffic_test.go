@@ -269,3 +269,58 @@ func TestHypercubeTransposeGeneralizesToOtherEvenDims(t *testing.T) {
 		}
 	}
 }
+
+// TestBitComplementMirrorsEveryCoordinate holds BitComplement's numbering
+// shortcut on meshes, tori and hypercubes to its definition — every
+// coordinate x_i becomes k_i-1-x_i — on every node.
+func TestBitComplementMirrorsEveryCoordinate(t *testing.T) {
+	for _, topo := range []topology.Topology{
+		topology.NewMesh2D(16, 16), topology.NewMesh(3, 5, 2), topology.NewTorus(4, 3),
+		topology.NewHypercube(8),
+	} {
+		bc := BitComplement{Topo: topo}
+		for s := topology.NodeID(0); int(s) < topo.Nodes(); s++ {
+			c := topo.Coord(s)
+			for i := range c {
+				c[i] = topo.Size(i) - 1 - c[i]
+			}
+			if got, want := bc.Dest(s, nil), topo.ID(c); got != want {
+				t.Fatalf("%s: complement of node %d = %d, want %d", topo.Name(), s, got, want)
+			}
+		}
+	}
+}
+
+// TestDestZeroAllocs: drawing a destination allocates nothing, for every
+// pattern — generation calls Dest once per message.
+func TestDestZeroAllocs(t *testing.T) {
+	mesh := topology.NewMesh2D(16, 16)
+	cube := topology.NewHypercube(8)
+	torus := topology.NewTorus(8, 8)
+	for _, tc := range []struct {
+		pattern Pattern
+		topo    topology.Topology
+	}{
+		{Uniform{Topo: mesh}, mesh},
+		{NewMeshTranspose(mesh), mesh},
+		{NewHypercubeTranspose(cube), cube},
+		{ReverseFlip{Cube: cube}, cube},
+		{BitComplement{Topo: mesh}, mesh},
+		{BitComplement{Topo: torus}, torus},
+		{BitComplement{Topo: cube}, cube},
+		{BitReversal{Cube: cube}, cube},
+		{Hotspot{Topo: mesh, Hot: 17, Fraction: 0.2}, mesh},
+	} {
+		rng := rand.New(rand.NewSource(1))
+		nodes := tc.topo.Nodes()
+		sum := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			for s := 0; s < nodes; s++ {
+				sum += int(tc.pattern.Dest(topology.NodeID(s), rng))
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s on %s: %v allocations per %d destinations, want 0", tc.pattern.Name(), tc.topo.Name(), allocs, nodes)
+		}
+	}
+}

@@ -244,11 +244,12 @@ type Network struct {
 	// slots holds the worms in the network in injection order, nil where
 	// one has left since the last compaction (see activate); live counts
 	// them. finished collects the worms whose last flit was consumed this
-	// cycle, for retirePhase.
-	slots     []*worm
-	live      int
-	finished  []*worm
-	delivered []*Packet
+	// cycle, for retirePhase; delivered their packets, until TakeDelivered
+	// hands them back in the slice it last returned, taken.
+	slots            []*worm
+	live             int
+	finished         []*worm
+	delivered, taken []*Packet
 	// wait holds the headers waiting for an output virtual channel, filed
 	// by router in local-FCFS order (header arrival cycle, then packet ID;
 	// see engine.WaitTable); phase 2 walks its awake routers instead of
@@ -378,10 +379,10 @@ func (n *Network) Close() {}
 // run list that outgrew the worm's inline buffers — comes off the free list
 // when that has one: retirePhase and abort put worms there once
 // nothing in the network refers to them any more — not owner, the wait
-// table or the slots — and every field is set afresh here. A stall timer
-// may still name the worm: its entry carries the packet's ID and is dropped
-// when that no longer matches. Under recovery the new worm's own stall
-// timeout is armed.
+// table or the slots — and every field but the inline buffers is set afresh
+// here. A stall timer may still name the worm: its entry carries the
+// packet's ID and is dropped when that no longer matches. Under recovery the
+// new worm's own stall timeout is armed.
 func (n *Network) newWorm(node topology.NodeID, p *Packet) *worm {
 	var w *worm
 	if k := len(n.free) - 1; k >= 0 {
@@ -389,16 +390,19 @@ func (n *Network) newWorm(node topology.NodeID, p *Packet) *worm {
 	} else {
 		w = new(worm)
 	}
+	// Field by field rather than *w = worm{...}, which would zero the
+	// inline candBuf, pathBuf and runBuf arrays too.
+	w.pkt = p
+	w.slot = 0
+	w.out, w.routed, w.arrived = vc.Out{}, false, false
+	w.headerArrival = n.core.Cycle
+	w.sent, w.done = 1, 0
+	w.headRouter, w.inDir, w.inVC = node, topology.Invalid, 0
+	w.cands, w.candsValid, w.candsMis, w.misroutes = nil, false, false, 0
+	w.wakeAt = 0
+	w.wait = engine.WaitLink[*worm]{Owner: w}
 	path, runs := w.path, w.runs
 	inj := n.injID(node)
-	*w = worm{
-		pkt:           p,
-		sent:          1,
-		headerArrival: n.core.Cycle,
-		headRouter:    node,
-		inDir:         topology.Invalid,
-	}
-	w.wait.Owner = w
 	if cap(path) <= len(w.pathBuf) {
 		path = w.pathBuf[:]
 	}
@@ -583,10 +587,17 @@ func (n *Network) MisrouteHops() int64 { return n.core.MisrouteHops }
 // MaxQueueLen reports the longest current source queue.
 func (n *Network) MaxQueueLen() int { return n.core.MaxQueueLen() }
 
-// TakeDelivered returns packets completed since the previous call.
+// TakeDelivered returns the packets completed since the previous call, in
+// the order they were retired, or nil when there are none. The slice is
+// valid until the next call, which reuses its storage; the packets
+// themselves stay valid for good.
 func (n *Network) TakeDelivered() []*Packet {
 	out := n.delivered
-	n.delivered = nil
+	if len(out) == 0 {
+		return nil
+	}
+	clear(n.taken)
+	n.delivered, n.taken = n.taken[:0], out
 	return out
 }
 

@@ -3,7 +3,10 @@ package vcnet
 import (
 	"errors"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"turnmodel/internal/network"
 	"turnmodel/internal/routing"
@@ -296,5 +299,62 @@ func TestNaiveCCCDeadlocksUnderLoad(t *testing.T) {
 	}
 	if !deadlocked {
 		t.Error("naive CCC routing survived saturating traffic")
+	}
+}
+
+// scribble sets every field reachable in v, exported or not, to a non-zero
+// value: true, 7, a fresh pointee, a one-element slice.
+func scribble(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(7)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(7)
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			scribble(v.Index(i))
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			scribble(reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem())
+		}
+	}
+}
+
+// TestNewWormResetsRecycledWorm: newWorm sets a recycled worm's fields one
+// by one instead of zeroing the whole struct, so a field it forgets would
+// carry the previous packet's state into the next. A worm with every field
+// scribbled on must come out of newWorm equal to a fresh one, inline buffers
+// aside.
+func TestNewWormResetsRecycledWorm(t *testing.T) {
+	mesh := topology.NewMesh2D(4, 4)
+	fresh, recycled := New(Config{Routing: vc.DoubleY(mesh)}), New(Config{Routing: vc.DoubleY(mesh)})
+	dirty := new(worm)
+	scribble(reflect.ValueOf(dirty).Elem())
+	recycled.free = append(recycled.free, dirty)
+	p := &Packet{ID: 3, Src: 5, Dst: 10, Length: 20, Injected: -1, Arrived: -1}
+	a, b := fresh.newWorm(5, p), recycled.newWorm(5, p)
+	if b != dirty {
+		t.Fatal("newWorm did not take the worm off the free list")
+	}
+	normal := func(w *worm) worm {
+		c := *w
+		if c.wait.Owner != w {
+			t.Fatalf("wait link owned by %p, want the worm %p", c.wait.Owner, w)
+		}
+		c.wait.Owner = nil
+		c.path, c.runs = slices.Clone(w.path), slices.Clone(w.runs)
+		c.candBuf, c.pathBuf, c.runBuf = [8]vc.Out{}, [16]int32{}, [4]run{}
+		return c
+	}
+	if ga, gb := normal(a), normal(b); !reflect.DeepEqual(ga, gb) {
+		t.Fatalf("recycled worm after newWorm:\n  %+v\nfresh worm:\n  %+v", gb, ga)
 	}
 }

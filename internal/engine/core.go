@@ -23,6 +23,7 @@ package engine
 
 import (
 	"math"
+	"reflect"
 	"slices"
 
 	"turnmodel/internal/fault"
@@ -120,6 +121,14 @@ type Core struct {
 	Reachable     func(src, dst topology.NodeID) bool
 	OnEpochChange func()
 
+	// spare holds the fault state and health view the core built, in use
+	// or not (Faults and Health are nil while the configuration has no
+	// use for them), so that Reset reuses them instead of building anew.
+	spare struct {
+		faults *fault.State
+		health *fault.Health
+	}
+
 	// queues are the per-node source queues (FIFO); queued counts the
 	// packets across all of them (O(1) InFlight).
 	queues []sourceQueue
@@ -160,46 +169,100 @@ type Core struct {
 // NewCore builds the shared state for a topology and the engine-
 // independent configuration.
 func NewCore(cfg Config) Core {
+	var c Core
+	c.Reset(cfg)
+	return c
+}
+
+// Reset makes the core the one NewCore(cfg) builds, in place, keeping the
+// hooks the engine set and every table it can reuse: the Grid when the
+// topology is the one it already has, the fault state and health view it
+// built before (reset in place rather than rebuilt), the queues, worklist,
+// retry lists and scratch. Only the rest of the last packet chunk carries
+// over as such: packets nobody was ever handed, which the next Enqueue
+// hands out as from a fresh chunk. Packets already handed out stay the
+// caller's; nothing of theirs is reused. A core reset for a configuration
+// on a topology it has held before allocates nothing.
+func (c *Core) Reset(cfg Config) {
 	topo := cfg.Topo
-	c := Core{
-		Topo: topo,
-		Grid: NewGrid(topo),
-		Em:   NewEmitter(cfg.Probe),
+	if c.Grid == nil || !sameTopology(c.Topo, topo) {
+		c.Grid = NewGrid(topo)
 	}
+	nodes, channels := topo.Nodes(), topo.Nodes()*c.Grid.Dims2
+	c.Topo, c.Cycle = topo, 0
+	c.Em.Reset(cfg.Probe)
+
 	plan := cfg.FaultPlan
 	if len(cfg.Faults) > 0 {
 		plan.Static = append(append([]topology.Channel(nil), plan.Static...), cfg.Faults...)
 	}
+	c.Faults, c.Health, c.FaultPol = nil, nil, fault.RoutingPolicy{}
 	if plan.Empty() {
-		c.Faulted = make([]bool, topo.Nodes()*c.Grid.Dims2)
+		// A zero bitmap. It may be the spare fault state's: nothing writes
+		// that while the state is out of use, and its Reset clears it.
+		c.Faulted = slices.Grow(c.Faulted[:0], channels)[:channels]
+		clear(c.Faulted)
 	} else {
-		c.Faults = fault.MustNew(plan, topo)
-		c.Faulted = c.Faults.Faulted
+		if c.spare.faults == nil {
+			c.spare.faults = fault.MustNew(plan, topo)
+		} else if err := c.spare.faults.Reset(plan, topo); err != nil {
+			panic(err.Error())
+		}
+		c.Faults, c.Faulted = c.spare.faults, c.spare.faults.Faulted
+		if cfg.FaultRouting.Enabled() {
+			c.FaultPol = cfg.FaultRouting.WithDefaults()
+			if c.spare.health == nil {
+				c.spare.health = fault.NewHealth(topo, c.Faults, c.FaultPol)
+			} else {
+				c.spare.health.Reset(topo, c.Faults, c.FaultPol)
+			}
+			c.Health = c.spare.health
+		}
 	}
-	if cfg.FaultRouting.Enabled() && c.Faults != nil {
-		c.FaultPol = cfg.FaultRouting.WithDefaults()
-		c.Health = fault.NewHealth(topo, c.Faults, c.FaultPol)
+
+	c.Recovery, c.retryCount = cfg.Recovery, 0
+	if !c.Recovery.Enabled {
+		c.retries = nil
+	} else if c.Recovery = c.Recovery.WithDefaults(); len(c.retries) != nodes {
+		c.retries = make([][]retryEntry, nodes)
+	} else {
+		for i, q := range c.retries {
+			clear(q[:cap(q)])
+			c.retries[i] = q[:0]
+		}
 	}
-	c.Recovery = cfg.Recovery
-	if c.Recovery.Enabled {
-		c.Recovery = c.Recovery.WithDefaults()
-		c.retries = make([][]retryEntry, topo.Nodes())
-	}
-	c.queues = make([]sourceQueue, topo.Nodes())
-	c.inPending = make([]bool, topo.Nodes())
+	c.queues = slices.Grow(c.queues[:0], nodes)[:nodes]
+	clear(c.queues)
+	c.queued = 0
+	c.pending = c.pending[:0]
+	c.inPending = slices.Grow(c.inPending[:0], nodes)[:nodes]
+	clear(c.inPending)
+
+	c.NextID, c.FlitsConsumed, c.PacketsDone = 0, 0, 0
+	c.PacketsAborted, c.PacketsRetried, c.PacketsDropped, c.MisrouteHops = 0, 0, 0, 0
+	clear(c.ReachSeen[:cap(c.ReachSeen)])
+	c.ReachSeen, c.ReachQueue, c.ReachStamp = c.ReachSeen[:0], c.ReachQueue[:0], 0
+
 	c.Watchdog = cfg.WatchdogCycles
 	if c.Watchdog == 0 {
 		c.Watchdog = 10000
 	}
-	c.skipDisabled = cfg.DisableEventSkip
-	return c
+	c.faultEpoch, c.lastProgress = 0, 0
+	c.horizon, c.skipDisabled, c.skipped, c.leaps = 0, cfg.DisableEventSkip, 0, 0
+}
+
+// sameTopology reports whether b is the very topology value a is. Values
+// of a type == cannot compare, on which == would panic, are never the same.
+func sameTopology(a, b topology.Topology) bool {
+	return a != nil && reflect.TypeOf(a).Comparable() && a == b
 }
 
 // Bind finishes construction once the Core has its final address (the
 // engines embed it by value): it routes fault transition events through
-// the emitter. The engine sets the hooks alongside.
+// the emitter. The engine sets the hooks alongside. A fault state that
+// already reports to this core — one Reset kept — is left as it is.
 func (c *Core) Bind() {
-	if c.Faults != nil {
+	if c.Faults != nil && c.Faults.OnChange == nil {
 		c.Faults.OnChange = func(from topology.NodeID, dir topology.Direction, failed bool) {
 			c.Em.Fault(c.Cycle, from, dir, failed)
 		}

@@ -48,6 +48,12 @@ type probeEvent struct {
 // NewEmitter wraps a probe; a nil probe yields a disabled emitter.
 func NewEmitter(p metrics.Probe) Emitter { return Emitter{probe: p} }
 
+// Reset attaches another probe (nil disables the emitter), dropping any
+// buffered event and keeping the buffer's storage.
+func (e *Emitter) Reset(p metrics.Probe) {
+	e.probe, e.events = p, e.events[:0]
+}
+
 // Enabled reports whether a probe is attached.
 func (e *Emitter) Enabled() bool { return e.probe != nil }
 

@@ -373,3 +373,30 @@ func TestCoreCutOff(t *testing.T) {
 		t.Errorf("FaultEvents %d, want %d", tc.FaultEvents(), len(faults))
 	}
 }
+
+// uncomparableTopo is a topology value of a type == cannot compare.
+type uncomparableTopo struct {
+	*topology.Mesh
+	tags []int
+}
+
+// TestCoreResetUncomparableTopology: Reset decides whether the topology
+// changed by comparing it with the one it has, and must not panic on a
+// type that cannot be compared — it rebuilds the Grid instead — while the
+// very same pointer topology keeps its Grid.
+func TestCoreResetUncomparableTopology(t *testing.T) {
+	odd := uncomparableTopo{Mesh: topology.NewMesh2D(4, 4)}
+	c := engine.NewCore(engine.Config{Topo: odd})
+	g := c.Grid
+	c.Reset(engine.Config{Topo: odd})
+	if c.Grid == g {
+		t.Error("Reset kept the Grid of a topology it cannot compare")
+	}
+	mesh := topology.NewMesh2D(4, 4)
+	c.Reset(engine.Config{Topo: mesh})
+	g = c.Grid
+	c.Reset(engine.Config{Topo: mesh})
+	if c.Grid != g {
+		t.Error("Reset rebuilt the Grid of the topology it already had")
+	}
+}

@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // The wheel covers wheelSize consecutive cycles, one bucket each.
@@ -31,7 +32,8 @@ const (
 // The zero value is an empty set of timers. The buckets are allocated by
 // the first push that lands on the wheel; the entry pool and the heap grow
 // on demand and never shrink, so once the timers have held their peak
-// population they allocate nothing.
+// population they allocate nothing — across Reset too, which empties them
+// and keeps the storage.
 type Timers[T any] struct {
 	// buckets[c&wheelMask] holds the timers due at cycle c, for every c in
 	// [cur, cur+wheelSize), as a circular list through nodes: the bucket
@@ -81,9 +83,14 @@ func (t *Timers[T]) Push(at int64, v T) {
 		t.pushOver(e)
 		return
 	}
-	if t.buckets == nil {
-		t.buckets = make([]int32, wheelSize)
-		t.nodes = make([]wheelTimer[T], 1, 64)
+	if len(t.buckets) == 0 {
+		// The first push onto the wheel since construction or Reset, which
+		// left the storage it kept zeroed.
+		if cap(t.nodes) == 0 {
+			t.nodes = make([]wheelTimer[T], 0, 64)
+		}
+		t.buckets = slices.Grow(t.buckets, wheelSize)[:wheelSize]
+		t.nodes = append(t.nodes, wheelTimer[T]{})
 	}
 	i := t.free
 	if i != 0 {
@@ -101,6 +108,15 @@ func (t *Timers[T]) Push(at int64, v T) {
 	}
 	t.buckets[k] = i
 	t.inWheel++
+}
+
+// Reset empties the timers: afterwards they behave as the zero value does,
+// with the buckets, entry pool and heap storage kept for reuse.
+func (t *Timers[T]) Reset() {
+	clear(t.buckets)
+	clear(t.nodes)
+	clear(t.over)
+	*t = Timers[T]{buckets: t.buckets[:0], nodes: t.nodes[:0], over: t.over[:0]}
 }
 
 // PopDue removes and returns the earliest timer if it is due at or before

@@ -144,6 +144,19 @@ func NewWaitTable[W any](nodes int) *WaitTable[W] {
 	}
 }
 
+// Reset empties the table, keeping its storage: afterwards it is what
+// NewWaitTable returns for the same node count. The links of the waiters it
+// held are left as they were; the engines reset a link when they enlist it.
+func (t *WaitTable[W]) Reset() {
+	clear(t.head)
+	clear(t.released)
+	for _, s := range [...]*routerSet{&t.waiting, &t.awake} {
+		clear(s.words)
+		clear(s.sum)
+	}
+	t.first, t.epoch = nil, 1
+}
+
 // below returns the highest router with waiters strictly below the given
 // one, or -1.
 func (t *WaitTable[W]) below(router int32) int32 {

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"turnmodel/internal/topology"
 )
@@ -112,6 +113,8 @@ type State struct {
 	events []event
 	rng    *rand.Rand
 	rate   float64
+	// logq is log(1-rate), the denominator of every gap draw.
+	logq   float64
 	repair int64
 
 	active     int
@@ -122,17 +125,34 @@ type State struct {
 // NewState instantiates the plan on the topology. It returns an error for
 // plans referencing channels or nodes the topology does not have.
 func NewState(p Plan, topo topology.Topology) (*State, error) {
-	if err := Validate(topo, p); err != nil {
+	s := new(State)
+	if err := s.Reset(p, topo); err != nil {
 		return nil, err
 	}
-	dims2 := 2 * topo.Dims()
-	s := &State{
-		dims2:   dims2,
-		Faulted: make([]bool, topo.Nodes()*dims2),
-		perm:    make([]bool, topo.Nodes()*dims2),
-		rate:    p.Rate,
-		repair:  p.Repair,
+	return s, nil
+}
+
+// Reset instantiates the plan on the topology in place: afterwards the
+// state is the one NewState(p, topo) returns, except that OnChange is kept.
+// The bitmaps and the event heap keep their storage, and the RNG is
+// re-seeded rather than rebuilt — (*rand.Rand).Seed restarts the stream a
+// fresh source of that seed produces — so resetting a state for a plan on
+// a topology it has held before allocates nothing. On an error the state
+// is left as it was.
+func (s *State) Reset(p Plan, topo topology.Topology) error {
+	if err := Validate(topo, p); err != nil {
+		return err
 	}
+	dims2 := 2 * topo.Dims()
+	channels := topo.Nodes() * dims2
+	s.dims2 = dims2
+	s.Faulted = slices.Grow(s.Faulted[:0], channels)[:channels]
+	clear(s.Faulted)
+	s.perm = slices.Grow(s.perm[:0], channels)[:channels]
+	clear(s.perm)
+	s.events = s.events[:0]
+	s.rate, s.logq, s.repair = p.Rate, 0, p.Repair
+	s.active, s.failEvents, s.epoch = 0, 0, 0
 	mark := func(node topology.NodeID, d topology.Direction) {
 		key := int(node)*dims2 + int(d)
 		if !s.Faulted[key] {
@@ -164,25 +184,38 @@ func NewState(p Plan, topo topology.Topology) (*State, error) {
 	if s.active > 0 {
 		s.epoch++
 	}
-	if p.Rate > 0 {
-		s.rng = rand.New(rand.NewSource(p.Seed))
-		// Seed the process: every live channel draws its first failure
-		// time, in channel order, so the stream consumption is a pure
-		// function of the plan and topology.
-		for node := 0; node < topo.Nodes(); node++ {
-			for d := 0; d < dims2; d++ {
-				key := node*dims2 + d
-				if s.perm[key] {
-					continue
-				}
-				if _, ok := topo.Neighbor(topology.NodeID(node), topology.Direction(d)); !ok {
-					continue
-				}
-				s.push(event{cycle: s.gap(), ch: int32(key), fail: true})
-			}
-		}
+	if p.Rate <= 0 {
+		s.rng = nil
+		return nil
 	}
-	return s, nil
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(p.Seed))
+	} else {
+		s.rng.Seed(p.Seed)
+	}
+	s.logq = math.Log1p(-p.Rate)
+	// Seed the process: every live channel draws its first failure time,
+	// in channel order, so the stream consumption is a pure function of
+	// the plan and topology. A channel never has more than one pending
+	// event, so the heap never outgrows the channel count, and its
+	// (cycle, channel) keys are unique: the pop order is the sorted order
+	// however the heap was built, so it is built once, not push by push.
+	if cap(s.events) < channels {
+		s.events = make([]event, 0, channels)
+	}
+	for key := 0; key < channels; key++ {
+		if s.perm[key] {
+			continue
+		}
+		if _, ok := topo.Neighbor(topology.NodeID(key/dims2), topology.Direction(key%dims2)); !ok {
+			continue
+		}
+		s.events = append(s.events, event{cycle: s.gap(), ch: int32(key), fail: true})
+	}
+	for i := len(s.events)/2 - 1; i >= 0; i-- {
+		s.down(i)
+	}
+	return nil
 }
 
 // MustNew is NewState for callers that treat a bad plan as a programming
@@ -202,7 +235,7 @@ func (s *State) gap() int64 {
 	for u == 0 {
 		u = s.rng.Float64()
 	}
-	g := int64(math.Log(u)/math.Log1p(-s.rate)) + 1
+	g := int64(math.Log(u)/s.logq) + 1
 	if g < 1 {
 		g = 1
 	}
@@ -228,7 +261,12 @@ func (s *State) pop() event {
 	last := len(s.events) - 1
 	s.events[0] = s.events[last]
 	s.events = s.events[:last]
-	i := 0
+	s.down(0)
+	return top
+}
+
+// down sifts the event at i down to its place in the heap.
+func (s *State) down(i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		min := i
@@ -239,12 +277,11 @@ func (s *State) pop() event {
 			min = r
 		}
 		if min == i {
-			break
+			return
 		}
 		s.events[i], s.events[min] = s.events[min], s.events[i]
 		i = min
 	}
-	return top
 }
 
 func less(a, b event) bool {

@@ -1,8 +1,10 @@
 package fault
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"turnmodel/internal/topology"
@@ -180,7 +182,7 @@ func TestNextEventCycleRepairBeforeFailure(t *testing.T) {
 	// Applying the repair re-arms the channel's failure process, which
 	// draws a fresh gap; give the hand-built heap a stream to draw from.
 	s.rng = rand.New(rand.NewSource(1))
-	s.rate = 1e-6
+	s.rate, s.logq = 1e-6, math.Log1p(-1e-6)
 	// A pending repair earlier than every pending failure must win the
 	// heap: the leap bound is the repair's cycle, not the next failure's.
 	s.push(event{cycle: 100, ch: 3, fail: true})
@@ -229,5 +231,125 @@ func TestNextEventCycleIsALowerBound(t *testing.T) {
 	}
 	if s.FailEvents() == 0 {
 		t.Fatal("soak produced no failures")
+	}
+}
+
+// newStatePushed is how NewState used to instantiate a plan's random
+// process: every live channel's first failure pushed one by one onto a heap
+// grown from nothing, each gap taking two logarithms. It is kept here only
+// as the reference TestHeapifiedPlanMatchesPushLoop holds NewState to.
+func newStatePushed(p Plan, topo topology.Topology) *State {
+	s := MustNew(Plan{Static: p.Static, Nodes: p.Nodes}, topo)
+	s.events = nil
+	s.rate, s.logq, s.repair = p.Rate, math.Log1p(-p.Rate), p.Repair
+	s.rng = rand.New(rand.NewSource(p.Seed))
+	for node := 0; node < topo.Nodes(); node++ {
+		for d := 0; d < s.dims2; d++ {
+			key := node*s.dims2 + d
+			if s.perm[key] {
+				continue
+			}
+			if _, ok := topo.Neighbor(topology.NodeID(node), topology.Direction(d)); !ok {
+				continue
+			}
+			u := s.rng.Float64()
+			for u == 0 {
+				u = s.rng.Float64()
+			}
+			g := int64(math.Log(u)/math.Log1p(-s.rate)) + 1
+			if g < 1 {
+				g = 1
+			}
+			s.push(event{cycle: g, ch: int32(key), fail: true})
+		}
+	}
+	return s
+}
+
+// transitions drives the state from event to event up to the horizon and
+// lists every transition it applies, with the cycle it was applied at.
+func transitions(s *State, horizon int64) []string {
+	var out []string
+	at := int64(0)
+	s.OnChange = func(from topology.NodeID, dir topology.Direction, failed bool) {
+		out = append(out, fmt.Sprintf("%d:%d:%v:%v", at, from, dir, failed))
+	}
+	for at = s.NextEventCycle(); at <= horizon; at = s.NextEventCycle() {
+		s.Advance(at)
+	}
+	out = append(out, fmt.Sprintf("active=%d fails=%d epoch=%d", s.ActiveFaults(), s.FailEvents(), s.Epoch()))
+	return out
+}
+
+// faultPlanCases are plans whose random process runs long enough to fail,
+// repair and re-fail most channels, beside static and node faults.
+func faultPlanCases() []struct {
+	name string
+	topo topology.Topology
+	plan Plan
+} {
+	mesh := topology.NewMesh2D(16, 16)
+	return []struct {
+		name string
+		topo topology.Topology
+		plan Plan
+	}{
+		{"mesh-transient", mesh, Plan{Rate: 2e-5, Repair: 300, Seed: 3}},
+		{"mesh-permanent", mesh, Plan{Rate: 5e-6, Seed: 11}},
+		{"mesh-static-and-nodes", mesh, Plan{
+			Static: []topology.Channel{{From: 17, Dir: topology.East}},
+			Nodes:  []topology.NodeID{40, 200},
+			Rate:   1e-5, Repair: 50, Seed: 5,
+		}},
+		{"cube-transient", topology.NewHypercube(7), Plan{Rate: 3e-5, Repair: 120, Seed: 9}},
+	}
+}
+
+// TestHeapifiedPlanMatchesPushLoop: NewState builds its event heap in one
+// pass and draws each gap with one logarithm. A plan's transitions over a
+// long horizon — which channel fails or is repaired at which cycle — must
+// be exactly those of the push-by-push construction it replaced.
+func TestHeapifiedPlanMatchesPushLoop(t *testing.T) {
+	const horizon = 400000
+	for _, tc := range faultPlanCases() {
+		got := transitions(MustNew(tc.plan, tc.topo), horizon)
+		want := transitions(newStatePushed(tc.plan, tc.topo), horizon)
+		if len(want) < 100 {
+			t.Fatalf("%s: only %d transitions; the comparison would be vacuous", tc.name, len(want))
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: heapified plan diverges from the push loop (%d vs %d transitions)", tc.name, len(got), len(want))
+		}
+	}
+}
+
+// TestStateResetMatchesNewState: a state reset to a plan replays the
+// transitions a fresh one does, whatever plan and topology it held before,
+// and keeps its observer.
+func TestStateResetMatchesNewState(t *testing.T) {
+	const horizon = 100000
+	cases := faultPlanCases()
+	s := MustNew(cases[0].plan, cases[0].topo)
+	transitions(s, horizon)
+	for _, tc := range append(cases, cases[0]) {
+		if err := s.Reset(tc.plan, tc.topo); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want := transitions(MustNew(tc.plan, tc.topo), horizon)
+		if got := transitions(s, horizon); !slices.Equal(got, want) {
+			t.Errorf("%s: reset state diverges from a new one (%d vs %d transitions)", tc.name, len(got), len(want))
+		}
+	}
+	observed := 0
+	s.OnChange = func(topology.NodeID, topology.Direction, bool) { observed++ }
+	if err := s.Reset(Plan{Nodes: []topology.NodeID{1000}}, cases[0].topo); err == nil {
+		t.Fatal("Reset accepted a node outside the topology")
+	}
+	if err := s.Reset(Plan{Rate: 1e-3, Seed: 1}, cases[0].topo); err != nil {
+		t.Fatal(err)
+	}
+	s.Advance(10000)
+	if observed == 0 {
+		t.Error("Reset dropped the OnChange observer")
 	}
 }

@@ -118,8 +118,8 @@ type Health struct {
 
 	epoch int64
 	// known is the epoch-stamped snapshot of State.Faulted used for k-hop
-	// knowledge; nil until the first fault ever appears, and treated as
-	// all-healthy while nil.
+	// knowledge; empty until the first fault ever appears, and treated as
+	// all-healthy while empty.
 	known []bool
 }
 
@@ -127,6 +127,15 @@ type Health struct {
 // enabled and the state non-nil; the simulators only construct a Health
 // when both hold.
 func NewHealth(topo topology.Topology, state *State, pol RoutingPolicy) *Health {
+	h := new(Health)
+	h.Reset(topo, state, pol)
+	return h
+}
+
+// Reset rebuilds the view in place, for a state that has just been built
+// or reset: afterwards h is what NewHealth(topo, state, pol) returns. The
+// snapshot keeps its storage.
+func (h *Health) Reset(topo topology.Topology, state *State, pol RoutingPolicy) {
 	if state == nil {
 		panic("fault: NewHealth requires a fault state")
 	}
@@ -134,15 +143,10 @@ func NewHealth(topo topology.Topology, state *State, pol RoutingPolicy) *Health 
 	if !pol.Enabled() {
 		panic("fault: NewHealth requires an enabled routing policy")
 	}
-	h := &Health{
-		topo:   topo,
-		state:  state,
-		vis:    pol.Visibility,
-		radius: pol.Radius,
-		dims2:  2 * topo.Dims(),
-	}
+	h.topo, h.state = topo, state
+	h.vis, h.radius, h.dims2 = pol.Visibility, pol.Radius, 2*topo.Dims()
+	h.epoch, h.known = 0, h.known[:0]
 	h.Refresh()
-	return h
 }
 
 // Refresh updates the k-hop snapshot if the fault set changed since the
@@ -157,10 +161,7 @@ func (h *Health) Refresh() {
 	if e == h.epoch {
 		return
 	}
-	if h.known == nil {
-		h.known = make([]bool, len(h.state.Faulted))
-	}
-	copy(h.known, h.state.Faulted)
+	h.known = append(h.known[:0], h.state.Faulted...)
 	h.epoch = e
 }
 
@@ -195,7 +196,7 @@ func (h *Health) Known(r, from topology.NodeID, dir topology.Direction) bool {
 	if r == from {
 		return h.Faulted(from, dir)
 	}
-	if h.vis != VisibilityKHop || h.known == nil {
+	if h.vis != VisibilityKHop || len(h.known) == 0 {
 		return false
 	}
 	if !h.known[int(from)*h.dims2+int(dir)] {

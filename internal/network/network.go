@@ -15,11 +15,19 @@
 // topology tables — lives in the shared internal/engine core; this package
 // owns the physical-channel model, where a worm holds whole channels and
 // advances as a unit.
+//
+// A Network can be reused: Reset(cfg) returns it to exactly the state
+// New(cfg) builds — New is new(Network) followed by Reset — keeping every
+// table the topology sizes, so that a sweep runs each of its points on one
+// network per topology and pays for the cycles it simulates, not for
+// building the simulator (see docs/performance.md, "A point pays for its
+// cycles").
 package network
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"turnmodel/internal/engine"
 	"turnmodel/internal/fault"
@@ -190,6 +198,14 @@ type Network struct {
 	// closing over a fresh base per header.
 	freeBase int
 	freeFn   func(topology.Direction) bool
+
+	// spare holds the arbitration RNG and the masking wrapper the network
+	// built, in use or not (rng and masked are nil while the configuration
+	// has no use for them), so that Reset reuses them.
+	spare struct {
+		rng    *rand.Rand
+		masked *routing.FaultAware
+	}
 }
 
 // stall is one stall-timeout entry: the worm and the ID of the packet it
@@ -202,37 +218,40 @@ type stall struct {
 
 // New builds a network simulator for the given configuration.
 func New(cfg Config) *Network {
+	n := new(Network)
+	n.Reset(cfg)
+	return n
+}
+
+// Reset makes the network the one New(cfg) builds, in place: New is
+// new(Network) followed by Reset, so there is one initialisation path. Any
+// configuration is accepted. Every table whose size the topology fixes —
+// buffers, channel owners and loads, the wait table, the timers, the worm
+// free list and the scratch lists — is cleared and kept; the Grid and the
+// buffer decoding tables (feeder, routerOf, portOf) are rebuilt only when
+// cfg.Routing.Topology() is a different value from the network's current
+// one, which re-sizes the rest. The fault state, health view and masking
+// wrapper are reset in place, and the arbitration RNG re-seeded (see
+// engine.Core.Reset). The worms still in the network go to the free list.
+//
+// Packets are not recycled: those the previous run handed out (Enqueue,
+// TakeDelivered) stay valid and untouched, and a slice TakeDelivered
+// returned stays valid until the next TakeDelivered. Reset on a topology
+// the network already has allocates nothing (TestResetZeroAllocs).
+func (n *Network) Reset(cfg Config) {
 	if cfg.Routing == nil {
 		panic("network: Config.Routing is required")
 	}
 	topo := cfg.Routing.Topology()
-	n := &Network{
-		topo:   topo,
-		alg:    cfg.Routing,
-		output: cfg.Output,
-		input:  cfg.Input,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		dims:   topo.Dims(),
+	for w := n.active.head; w != nil; {
+		next := w.next
+		n.recycle(w)
+		w = next
 	}
-	if n.output == nil {
-		n.output = LowestDimension{}
-	}
-	if n.input == nil {
-		n.input = LocalFCFS{}
-	}
-	n.dims2 = 2 * n.dims
-	n.ports = n.dims2 + 1
-	n.occupied = make([]bool, topo.Nodes()*n.ports)
-	n.outOwner = make([]*worm, topo.Nodes()*n.dims2)
-	n.routerOf = make([]int32, topo.Nodes()*n.ports)
-	n.portOf = make([]int16, topo.Nodes()*n.ports)
-	n.feeder = make([]int32, topo.Nodes()*n.ports)
-	for b := range n.routerOf {
-		n.routerOf[b] = int32(b / n.ports)
-		n.portOf[b] = int16(b % n.ports)
-		n.feeder[b] = -1
-	}
-	n.core = engine.NewCore(engine.Config{
+	n.active = wormList{}
+
+	grid := n.core.Grid
+	n.core.Reset(engine.Config{
 		Topo:             topo,
 		WatchdogCycles:   cfg.WatchdogCycles,
 		Faults:           cfg.Faults,
@@ -243,6 +262,99 @@ func New(cfg Config) *Network {
 		DisableEventSkip: cfg.DisableEventSkip,
 	})
 	n.core.Bind()
+	if n.core.Grid != grid {
+		n.resize(topo)
+	} else {
+		n.wait.Reset()
+	}
+	if n.freeFn == nil {
+		n.bindHooks()
+	}
+	n.topo, n.alg = topo, cfg.Routing
+	n.output, n.input = cfg.Output, cfg.Input
+	if n.output == nil {
+		n.output = LowestDimension{}
+	}
+	if n.input == nil {
+		n.input = LocalFCFS{}
+	}
+	n.appender, _ = cfg.Routing.(routing.CandidateAppender)
+	_, n.fastOutput = n.output.(LowestDimension)
+	// Only a policy arbitrate consults can draw from the RNG: LowestDimension
+	// is inlined there (fastOutput) and never reads it.
+	n.rng = nil
+	if !n.fastOutput {
+		if n.spare.rng == nil {
+			n.spare.rng = rand.New(rand.NewSource(cfg.Seed))
+		} else {
+			n.spare.rng.Seed(cfg.Seed)
+		}
+		n.rng = n.spare.rng
+	}
+	// Alias the core's fault bitmap: output allocation reads it with one
+	// load, and fault transitions are visible immediately.
+	n.faulted = n.core.Faulted
+	n.masked = nil
+	if n.core.Health != nil {
+		if n.spare.masked == nil {
+			n.spare.masked = routing.NewFaultAware(cfg.Routing, n.core.Health, n.core.FaultPol)
+		} else {
+			n.spare.masked.Reset(cfg.Routing, n.core.Health, n.core.FaultPol)
+		}
+		n.masked = n.spare.masked
+	}
+	n.routingDelay = cfg.RoutingDelay
+
+	buffers, channels := topo.Nodes()*n.ports, topo.Nodes()*n.dims2
+	n.occupied = slices.Grow(n.occupied[:0], buffers)[:buffers]
+	clear(n.occupied)
+	n.outOwner = slices.Grow(n.outOwner[:0], channels)[:channels]
+	clear(n.outOwner)
+	n.channelFlits = slices.Grow(n.channelFlits[:0], channels)[:channels]
+	clear(n.channelFlits)
+	clear(n.delivered)
+	n.delivered, n.taken = n.delivered[:0], n.taken[:0]
+	n.sleepers.Reset()
+	n.stalls.Reset()
+	for _, l := range [...]*[]*worm{&n.draining, &n.ready, &n.woken, &n.victims, &n.finished} {
+		clear(*l)
+		*l = (*l)[:0]
+	}
+	n.moved = false
+	n.vacated, n.candScratch, n.freeBase = n.vacated[:0], n.candScratch[:0], 0
+}
+
+// resize sizes the network for a topology it has not held: the buffer
+// decoding tables, the feeder map and the wait table.
+func (n *Network) resize(topo topology.Topology) {
+	n.dims = topo.Dims()
+	n.dims2 = 2 * n.dims
+	n.ports = n.dims2 + 1
+	buffers := topo.Nodes() * n.ports
+	n.routerOf = make([]int32, buffers)
+	n.portOf = make([]int16, buffers)
+	n.feeder = make([]int32, buffers)
+	for b := range n.routerOf {
+		n.routerOf[b] = int32(b / n.ports)
+		n.portOf[b] = int16(b % n.ports)
+		n.feeder[b] = -1
+	}
+	for key := 0; key < topo.Nodes()*n.dims2; key++ {
+		from, d := topology.NodeID(key/n.dims2), key%n.dims2
+		if next, ok := n.core.Grid.Neighbor(from, topology.Direction(d)); ok {
+			b := n.bufID(next, d)
+			if n.feeder[b] >= 0 {
+				panic(fmt.Sprintf("network: two channels feed buffer %d of node %d", d, next))
+			}
+			n.feeder[b] = int32(key)
+		}
+	}
+	n.wait = engine.NewWaitTable[*worm](topo.Nodes())
+}
+
+// bindHooks wires the core's hooks and the output-freedom test to the
+// network, once: they close over n, not over anything Reset replaces.
+func (n *Network) bindHooks() {
 	n.core.InjFree = func(node topology.NodeID) bool {
 		return !n.occupied[int(node)*n.ports+n.dims2]
 	}
@@ -261,31 +373,9 @@ func New(cfg Config) *Network {
 		}
 		n.wait.WakeAll()
 	}
-	// Alias the core's fault bitmap: output allocation reads it with one
-	// load, and fault transitions are visible immediately.
-	n.faulted = n.core.Faulted
-	if n.core.Health != nil {
-		n.masked = routing.NewFaultAware(cfg.Routing, n.core.Health, n.core.FaultPol)
-	}
-	n.appender, _ = cfg.Routing.(routing.CandidateAppender)
-	_, n.fastOutput = n.output.(LowestDimension)
-	n.routingDelay = cfg.RoutingDelay
-	n.channelFlits = make([]int64, topo.Nodes()*n.dims2)
 	n.freeFn = func(d topology.Direction) bool {
 		return n.outOwner[n.freeBase+int(d)] == nil && !n.faulted[n.freeBase+int(d)]
 	}
-	for key := range n.outOwner {
-		from, d := topology.NodeID(key/n.dims2), key%n.dims2
-		if next, ok := n.core.Grid.Neighbor(from, topology.Direction(d)); ok {
-			b := n.bufID(next, d)
-			if n.feeder[b] >= 0 {
-				panic(fmt.Sprintf("network: two channels feed buffer %d of node %d", d, next))
-			}
-			n.feeder[b] = int32(key)
-		}
-	}
-	n.wait = engine.NewWaitTable[*worm](topo.Nodes())
-	return n
 }
 
 // Close releases nothing: a Network holds no goroutine or file. It is kept

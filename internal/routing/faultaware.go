@@ -67,16 +67,24 @@ type FaultAware struct {
 // NewFaultAware builds the fault-aware wrapper for a base algorithm over
 // the given health view. The policy must be enabled.
 func NewFaultAware(base Algorithm, health *fault.Health, pol fault.RoutingPolicy) *FaultAware {
+	f := new(FaultAware)
+	f.Reset(base, health, pol)
+	return f
+}
+
+// Reset rebinds the wrapper in place: afterwards f is what
+// NewFaultAware(base, health, pol) returns, its counters zero, with the
+// look-ahead stack's storage kept.
+func (f *FaultAware) Reset(base Algorithm, health *fault.Health, pol fault.RoutingPolicy) {
 	pol = pol.WithDefaults()
 	if !pol.Enabled() {
 		panic("routing: NewFaultAware requires an enabled policy")
 	}
-	f := &FaultAware{base: base, topo: base.Topology(), health: health, pol: pol}
+	*f = FaultAware{base: base, topo: base.Topology(), health: health, pol: pol, ahead: f.ahead[:0]}
 	f.appender, _ = base.(CandidateAppender)
 	if m, ok := base.(Misrouter); ok && pol.MisrouteLimit > 0 {
 		f.mis = m
 	}
-	return f
 }
 
 // Name implements Algorithm; the wrapper keeps the base algorithm's name

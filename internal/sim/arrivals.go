@@ -36,16 +36,21 @@ type arrivals struct {
 
 // newArrivals draws every node's first arrival time, in node order.
 func newArrivals(rng *rand.Rand, nodes int, meanGap float64) *arrivals {
-	a := &arrivals{
-		rng:     rng,
-		meanGap: meanGap,
-		next:    make([]float64, nodes),
-	}
+	a := new(arrivals)
+	a.reset(rng, nodes, meanGap)
+	return a
+}
+
+// reset is newArrivals in place, keeping the tables and the wheel's storage.
+func (a *arrivals) reset(rng *rand.Rand, nodes int, meanGap float64) {
+	a.rng, a.meanGap = rng, meanGap
+	a.next = slices.Grow(a.next[:0], nodes)[:nodes]
+	a.due.Reset()
+	a.horizon, a.fired = 0, a.fired[:0]
 	for i := range a.next {
 		a.next[i] = rng.ExpFloat64() * meanGap
 		a.arm(int32(i))
 	}
-	return a
 }
 
 // arm puts the node's next arrival on the wheel; a process that does not

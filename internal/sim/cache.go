@@ -223,17 +223,23 @@ func storeCached(cache Cache, key string, res Result) {
 // served the result. A nil cache or an uncacheable configuration degrades
 // to a plain Run.
 func RunCached(cfg Config, cache Cache) (Result, bool) {
+	return runCached(cfg, cache, Run)
+}
+
+// runCached is RunCached with the simulation a miss runs supplied: Run, or
+// a sweep worker's Run on the network it reuses.
+func runCached(cfg Config, cache Cache, run func(Config) Result) (Result, bool) {
 	if cache == nil {
-		return Run(cfg), false
+		return run(cfg), false
 	}
 	key, ok := CacheKey(cfg)
 	if !ok {
-		return Run(cfg), false
+		return run(cfg), false
 	}
 	if res, hit := lookupCached(cache, key); hit {
 		return res, true
 	}
-	res := Run(cfg)
+	res := run(cfg)
 	storeCached(cache, key, res)
 	return res, false
 }

@@ -11,7 +11,10 @@ import (
 
 	"turnmodel/internal/fault"
 	"turnmodel/internal/metrics"
+	"turnmodel/internal/network"
 	"turnmodel/internal/routing"
+	"turnmodel/internal/topology"
+	"turnmodel/internal/traffic"
 )
 
 // SeedFunc derives the RNG seed of one (figure, algorithm, rate) job from
@@ -193,7 +196,8 @@ type unit struct {
 // points, fans them out over a bounded worker pool under a
 // context.Context, streams each point as it completes, and merges the
 // results deterministically. Every worker builds its own topology,
-// algorithm and pattern, and every point's seed is a pure function of its
+// algorithms, pattern and network per spec and resets the network for each
+// point (see worker), and every point's seed is a pure function of its
 // identity, so the merged results — and the schema-v4 Report — are
 // bit-identical for any worker count, cache state or completion order.
 type Runner struct {
@@ -273,21 +277,97 @@ type Outcome struct {
 	CachedPoints int
 }
 
-// unitConfig builds the simulation Config of one point and the identity
-// part of its PointEvent. The derivations here are load-bearing: figure
-// seeds come from SeedFn(base, figureID, algorithm, rateIdx) with the
-// fault plan's seed salted by the point seed, and resilience cell seeds
-// are base + rateIdx*7919 with the fault seed one above — exactly the
+// worker is one sweep worker's reusable state. Every point it runs from a
+// spec shares the spec's topology, pattern and routing algorithms, built
+// the first time the worker meets the spec, and one network, which Reset
+// returns to exactly the state New would build for the point; the message
+// generation's RNG, arrival wheel and latency sample are reused the same
+// way (see generation). A point therefore pays for its cycles, not for
+// building the world again. The state lives and dies with Runner.Run:
+// nothing outlives the run, and nothing is shared between workers.
+type worker struct {
+	figures, resilience []*world
+	gen                 generation
+}
+
+// world is one spec's topology, pattern, algorithms and network, as one
+// worker built them.
+type world struct {
+	topo    topology.Topology
+	pattern traffic.Pattern
+	algs    []routing.Algorithm // by algorithm index, built on first use
+	net     *network.Network
+}
+
+// world returns the worker's world for the unit's spec, building it the
+// first time.
+func (w *worker) world(r *Runner, u unit) *world {
+	worlds, n := &w.figures, len(r.opts.Specs)
+	if u.kind != PointFigure {
+		worlds, n = &w.resilience, len(r.opts.Resilience)
+	}
+	if *worlds == nil {
+		*worlds = make([]*world, n)
+	}
+	if (*worlds)[u.spec] == nil {
+		wd := new(world)
+		if u.kind == PointFigure {
+			spec := r.opts.Specs[u.spec]
+			wd.topo = spec.NewTopology()
+			wd.pattern = spec.NewPattern(wd.topo)
+			wd.algs = make([]routing.Algorithm, len(spec.Algorithms))
+		} else {
+			spec := r.opts.Resilience[u.spec]
+			wd.topo = spec.NewTopology()
+			wd.pattern = spec.NewPattern(wd.topo)
+			wd.algs = make([]routing.Algorithm, len(spec.Algorithms))
+		}
+		(*worlds)[u.spec] = wd
+	}
+	return (*worlds)[u.spec]
+}
+
+// alg returns the world's algorithm at index i, building it the first
+// time.
+func (wd *world) alg(i int, name string) (routing.Algorithm, error) {
+	if wd.algs[i] == nil {
+		alg, err := routing.New(name, wd.topo)
+		if err != nil {
+			return nil, err
+		}
+		wd.algs[i] = alg
+	}
+	return wd.algs[i], nil
+}
+
+// run is Run on the world's network, reset for the point, with the
+// worker's generation state.
+func (w *worker) run(wd *world, cfg Config) Result {
+	cfg = cfg.withDefaults()
+	probe, coll := cfg.RunParams.instrument(wd.topo)
+	if nc := cfg.networkConfig(probe); wd.net == nil {
+		wd.net = network.New(nc)
+	} else {
+		wd.net.Reset(nc)
+	}
+	return measure(cfg.RunParams, cfg.Routing.Name(), wd.topo, wd.net, coll, &w.gen)
+}
+
+// unitConfig builds the simulation Config of one point, on the worker's
+// world for its spec, and the identity part of its PointEvent. The
+// derivations here are load-bearing: figure seeds come from
+// SeedFn(base, figureID, algorithm, rateIdx) with the fault plan's seed
+// salted by the point seed, and resilience cell seeds are
+// base + rateIdx*7919 with the fault seed one above — exactly the
 // historical derivations, which the archived tables and the cache's
 // soundness both depend on.
-func (r *Runner) unitConfig(u unit) (Config, PointEvent) {
+func (r *Runner) unitConfig(u unit, wd *world) (Config, PointEvent) {
 	opts := r.opts
 	switch u.kind {
 	case PointFigure:
 		spec := opts.Specs[u.spec]
 		name := spec.Algorithms[u.alg]
-		topo := spec.NewTopology()
-		alg, err := routing.New(name, topo)
+		alg, err := wd.alg(u.alg, name)
 		if err != nil {
 			// Validated in NewRunner; a construction that fails only here
 			// would be nondeterministic, so treat it as a programming error.
@@ -301,7 +381,7 @@ func (r *Runner) unitConfig(u unit) (Config, PointEvent) {
 		cfg := Config{
 			Routing: alg,
 			RunParams: RunParams{
-				Pattern:          spec.NewPattern(topo),
+				Pattern:          wd.pattern,
 				InjectionRate:    spec.Rates[u.rate],
 				WarmupCycles:     opts.WarmupCycles,
 				MeasureCycles:    opts.MeasureCycles,
@@ -321,8 +401,7 @@ func (r *Runner) unitConfig(u unit) (Config, PointEvent) {
 	case PointResilience, PointCompare:
 		spec := opts.Resilience[u.spec]
 		name := spec.Algorithms[u.alg]
-		topo := spec.NewTopology()
-		alg, err := routing.New(name, topo)
+		alg, err := wd.alg(u.alg, name)
 		if err != nil {
 			panic(fmt.Sprintf("sim: resilience %s: %v", spec.ID, err))
 		}
@@ -330,7 +409,7 @@ func (r *Runner) unitConfig(u unit) (Config, PointEvent) {
 		cfg := Config{
 			Routing: alg,
 			RunParams: RunParams{
-				Pattern:       spec.NewPattern(topo),
+				Pattern:       wd.pattern,
 				InjectionRate: spec.InjectionRate,
 				WarmupCycles:  opts.WarmupCycles,
 				MeasureCycles: opts.MeasureCycles,
@@ -424,10 +503,11 @@ func (r *Runner) Run(ctx context.Context) (*Outcome, error) {
 		done   int
 		cached int
 	)
-	runOne := func(u unit) {
-		cfg, ev := r.unitConfig(u)
+	runOne := func(w *worker, u unit) {
+		wd := w.world(r, u)
+		cfg, ev := r.unitConfig(u, wd)
 		jobStart := time.Now()
-		res, hit := RunCached(cfg, opts.Cache)
+		res, hit := runCached(cfg, opts.Cache, func(cfg Config) Result { return w.run(wd, cfg) })
 		wall := time.Since(jobStart)
 		ev.Result = res
 		ev.Cached = hit
@@ -466,11 +546,12 @@ func (r *Runner) Run(ctx context.Context) (*Outcome, error) {
 		// The serial degenerate case: same storage, same seeds, same
 		// event protocol, no goroutines. Cancellation is checked between
 		// points, matching the pool's point granularity.
+		w := new(worker)
 		for _, u := range units {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			runOne(u)
+			runOne(w, u)
 		}
 	} else {
 		ch := make(chan unit)
@@ -479,8 +560,9 @@ func (r *Runner) Run(ctx context.Context) (*Outcome, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				w := new(worker)
 				for u := range ch {
-					runOne(u)
+					runOne(w, u)
 				}
 			}()
 		}

@@ -481,3 +481,53 @@ func TestHashSeedIndependence(t *testing.T) {
 		t.Error("HashSeed is not deterministic")
 	}
 }
+
+// TestRunnerReuseMatchesRun: a Runner worker reuses one network per spec,
+// resetting it between points, and its generation state with it. Every
+// point of a faulted CompareModes sweep mixed with figure sweeps on two
+// topologies — so that workers switch topology, fault mode and algorithm
+// from point to point — must equal sim.Run of that point's configuration
+// on freshly built everything, at one worker and at two.
+func TestRunnerReuseMatchesRun(t *testing.T) {
+	f13, _ := FigureByID("figure13")
+	f13.Rates = []float64{0.02, 0.06}
+	f13.Algorithms = []string{"xy", "negative-first"}
+	f16, _ := FigureByID("figure16")
+	f16.Rates = []float64{0.03, 0.09}
+	f16.Algorithms = f16.Algorithms[:2]
+	res := quickResilience()
+	res.FaultRates = []float64{0, 2e-5, 1e-4}
+	for _, jobs := range []int{1, 2} {
+		r, err := NewRunner(Options{
+			Specs:        []FigureSpec{f13, f16},
+			Resilience:   []ResilienceSpec{res},
+			CompareModes: true,
+			WarmupCycles: 300, MeasureCycles: 900,
+			Seed: 4, Jobs: jobs,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := r.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		faulted := false
+		for _, u := range r.units {
+			cfg, ev := r.unitConfig(u, new(worker).world(r, u))
+			var got Result
+			if u.kind == PointFigure {
+				got = out.Figures[u.spec].Series[ev.Algorithm][u.rate]
+			} else {
+				got = out.Compares[u.spec].Series[ev.Mode][ev.Algorithm][u.rate]
+				faulted = faulted || got.FaultEvents > 0 && (got.Aborted > 0 || got.MaskedFaults > 0)
+			}
+			if want := Run(cfg); !reflect.DeepEqual(got, want) {
+				t.Errorf("jobs=%d %s %s/%s rate %d: runner\n  %+v\nRun\n  %+v", jobs, ev.Figure, ev.Mode, ev.Algorithm, u.rate, got, want)
+			}
+		}
+		if !faulted {
+			t.Fatalf("jobs=%d: no point aborted or masked a fault; the comparison would be vacuous", jobs)
+		}
+	}
+}

@@ -217,28 +217,53 @@ func Run(cfg Config) Result {
 	cfg = cfg.withDefaults()
 	topo := cfg.Routing.Topology()
 	probe, coll := cfg.RunParams.instrument(topo)
-	net := network.New(network.Config{
-		Routing:          cfg.Routing,
-		Output:           cfg.Output,
-		Input:            cfg.Input,
-		Seed:             cfg.Seed,
-		WatchdogCycles:   cfg.WatchdogCycles,
-		FaultPlan:        cfg.FaultPlan,
-		Recovery:         cfg.Recovery,
-		FaultRouting:     cfg.FaultRouting,
-		RoutingDelay:     cfg.RoutingDelay,
+	net := network.New(cfg.networkConfig(probe))
+	return measure(cfg.RunParams, cfg.Routing.Name(), topo, net, coll, nil)
+}
+
+// networkConfig is the network's configuration for the run, with the
+// given probe attached.
+func (c *Config) networkConfig(probe metrics.Probe) network.Config {
+	return network.Config{
+		Routing:          c.Routing,
+		Output:           c.Output,
+		Input:            c.Input,
+		Seed:             c.Seed,
+		WatchdogCycles:   c.WatchdogCycles,
+		FaultPlan:        c.FaultPlan,
+		Recovery:         c.Recovery,
+		FaultRouting:     c.FaultRouting,
+		RoutingDelay:     c.RoutingDelay,
 		Probe:            probe,
-		DisableEventSkip: cfg.DisableEventSkip,
-	})
-	return measure(cfg.RunParams, cfg.Routing.Name(), topo, net, coll)
+		DisableEventSkip: c.DisableEventSkip,
+	}
+}
+
+// generation is what measure builds for a run's message generation and
+// latency statistics — the RNG, the arrival processes and the latency
+// sample — kept so that a sweep worker's next point can reuse it.
+type generation struct {
+	rng *rand.Rand
+	arr arrivals
+	lat stats.Sample
 }
 
 // measure drives an engine through warmup and measurement with Poisson
 // per-processor generation and collects the Result. cfg must already have
 // defaults applied; coll, when non-nil, is the collector already attached
-// to the engine whose snapshot the Result will carry.
-func measure(cfg RunParams, algName string, topo topology.Topology, net simulator, coll *metrics.Collector) Result {
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
+// to the engine whose snapshot the Result will carry. gen, when non-nil, is
+// reused for the run's generation state instead of building it afresh —
+// reseeded and reset, so the Result is the same either way.
+func measure(cfg RunParams, algName string, topo topology.Topology, net simulator, coll *metrics.Collector, gen *generation) Result {
+	if gen == nil {
+		gen = new(generation)
+	}
+	if gen.rng == nil {
+		gen.rng = rand.New(rand.NewSource(cfg.Seed + 1))
+	} else {
+		gen.rng.Seed(cfg.Seed + 1)
+	}
+	rng := gen.rng
 
 	// Fixed points of permutation patterns consume their own messages
 	// locally and never load the network, so the effective offered load
@@ -257,7 +282,8 @@ func measure(cfg RunParams, algName string, topo topology.Topology, net simulato
 	// first future cycle at which any node generates again — the injection
 	// horizon the event-driven clock may leap to. It costs the arrivals, not
 	// the nodes (see arrivals).
-	arr := newArrivals(rng, topo.Nodes(), meanLength(cfg.Lengths)/cfg.InjectionRate)
+	arr := &gen.arr
+	arr.reset(rng, topo.Nodes(), meanLength(cfg.Lengths)/cfg.InjectionRate)
 	fire := func(node topology.NodeID) {
 		dst := cfg.Pattern.Dest(node, rng)
 		if dst == node {
@@ -266,7 +292,8 @@ func measure(cfg RunParams, algName string, topo topology.Topology, net simulato
 		net.Enqueue(node, dst, cfg.Lengths[rng.Intn(len(cfg.Lengths))])
 	}
 
-	var lat stats.Sample
+	lat := &gen.lat
+	lat.Reset()
 	var hops stats.Accumulator
 	deadlocked := false
 

@@ -51,5 +51,5 @@ func RunVC(cfg VCConfig) Result {
 		Probe:            probe,
 		DisableEventSkip: cfg.DisableEventSkip,
 	})
-	return measure(params, cfg.Routing.Name(), topo, net, coll)
+	return measure(params, cfg.Routing.Name(), topo, net, coll, nil)
 }

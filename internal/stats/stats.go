@@ -75,6 +75,11 @@ type Sample struct {
 	sorted bool
 }
 
+// Reset empties the sample, keeping the storage of its values.
+func (s *Sample) Reset() {
+	*s = Sample{values: s.values[:0]}
+}
+
 // Add records one sample.
 func (s *Sample) Add(v float64) {
 	s.Accumulator.Add(v)

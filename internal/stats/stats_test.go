@@ -94,3 +94,23 @@ func TestSamplePercentiles(t *testing.T) {
 		t.Errorf("Percentile(100) after Add = %v", got)
 	}
 }
+
+// TestSampleReset: a reset sample is an empty one — count, mean, extremes
+// and percentiles start over — whatever it held, sorted or not.
+func TestSampleReset(t *testing.T) {
+	var s Sample
+	for _, v := range []float64{9, 3, 7} {
+		s.Add(v)
+	}
+	s.Percentile(50) // leaves the values sorted
+	s.Reset()
+	if s.Count() != 0 || s.Mean() != 0 || s.Percentile(50) != 0 {
+		t.Fatalf("reset sample: count %d mean %v p50 %v, want all 0", s.Count(), s.Mean(), s.Percentile(50))
+	}
+	for _, v := range []float64{5, 1} {
+		s.Add(v)
+	}
+	if s.Count() != 2 || s.Mean() != 3 || s.Min() != 1 || s.Max() != 5 || s.Percentile(100) != 5 {
+		t.Errorf("after Reset: %v p100 %v, want n=2 mean 3 min 1 max 5", s.String(), s.Percentile(100))
+	}
+}

@@ -20,14 +20,16 @@ import "math/bits"
 // every cycle, so Blocked probe events and the draws of randomized output
 // policies are unchanged.
 //
-// The waiters form one doubly linked list in visit order, threaded through
-// links the engines embed in their worms: a walk follows next pointers and
-// touches no memory the offers would not touch anyway, which keeps a
-// million-node mesh with a few thousand sparse waiters as cheap per waiter
-// as a 256-node one. The per-router index (head) and the two-level bitmap
-// of routers with waiters are consulted only to place a newcomer: head
-// finds its router's run, and when the router had no waiter, the bitmap
-// finds the nearest lower router that has, whose run the newcomer follows.
+// Each router's waiters form its own run, a doubly linked list in service
+// order threaded through links the engines embed in their worms: head
+// starts it, and its last link's next is nil. Filing a newcomer touches
+// only its own router's run — nearly every newcomer is its router's first
+// waiter and just becomes the head. A two-level bitmap of the routers that
+// have waiters finds the runs (a second one, of the routers that are awake,
+// is described below): a walk takes the routers from a bitmap in ascending
+// order and follows each run's next pointers, so a million-node mesh with a
+// few thousand sparse waiters costs per waiter about what a 256-node one
+// does.
 //
 // Waiting is also sleeping. A header that was offered its candidates and
 // refused stays refused until something it could use changes: one of the
@@ -117,14 +119,13 @@ func (s *routerSet) remove(b uint) {
 
 func (s *routerSet) has(b uint) bool { return s.words[b>>6]&(1<<(b&63)) != 0 }
 
-// WaitTable holds every header waiting for an output: the waiters' list,
+// WaitTable holds every header waiting for an output: each router's run,
 // the set of routers that have waiters, the set of routers that are awake
 // and each router's released outputs (see WalkAwake). It is O(nodes) words
 // and allocates nothing after construction.
 type WaitTable[W any] struct {
 	head     []*WaitLink[W] // router -> its first waiter
 	released []uint64       // router -> outputs released since the walk last reached it
-	first    *WaitLink[W]
 	waiting  routerSet
 	awake    routerSet
 	// epoch advances with every WakeAll: a waiter last offered in an older
@@ -154,28 +155,7 @@ func (t *WaitTable[W]) Reset() {
 		clear(s.words)
 		clear(s.sum)
 	}
-	t.first, t.epoch = nil, 1
-}
-
-// below returns the highest router with waiters strictly below the given
-// one, or -1.
-func (t *WaitTable[W]) below(router int32) int32 {
-	b := uint(router)
-	wi := int(b >> 6)
-	w := t.waiting.words[wi] & (1<<(b&63) - 1)
-	if w == 0 {
-		si := wi >> 6
-		s := t.waiting.sum[si] & (1<<(uint(wi)&63) - 1)
-		for s == 0 {
-			if si--; si < 0 {
-				return -1
-			}
-			s = t.waiting.sum[si]
-		}
-		wi = si<<6 + 63 - bits.LeadingZeros64(s)
-		w = t.waiting.words[wi]
-	}
-	return int32(wi<<6 + 63 - bits.LeadingZeros64(w))
+	t.epoch = 1
 }
 
 // Release records that the router's output (numbered as for OutputBit) was
@@ -224,34 +204,25 @@ func (t *WaitTable[W]) Enlist(l *WaitLink[W], router int32, key, id int64) {
 	l.router, l.key, l.id, l.listed = router, key, id, true
 	l.wants, l.offered = 0, 0
 	t.awake.add(uint(router))
-	// pred is the link l goes after; nil puts l first in the table.
-	var pred *WaitLink[W]
-	if h := t.head[router]; h == nil {
-		// First waiter at this router: it follows the run of the nearest
-		// lower router that has waiters.
-		t.waiting.add(uint(router))
-		if r := t.below(router); r >= 0 {
-			for pred = t.head[r]; pred.next != nil && pred.next.router == r; {
-				pred = pred.next
-			}
+	h := t.head[router]
+	if h == nil || l.before(h) {
+		if h == nil {
+			t.waiting.add(uint(router))
+		} else {
+			h.prev = l
 		}
-		t.head[router] = l
-	} else if l.before(h) {
-		pred = h.prev
-		t.head[router] = l
-	} else {
-		for pred = h; pred.next != nil && pred.next.router == router && pred.next.before(l); {
-			pred = pred.next
-		}
+		l.prev, l.next, t.head[router] = nil, h, l
+		return
 	}
-	if l.prev = pred; pred == nil {
-		l.next, t.first = t.first, l
-	} else {
-		l.next, pred.next = pred.next, l
+	pred := h
+	for pred.next != nil && pred.next.before(l) {
+		pred = pred.next
 	}
+	l.prev, l.next = pred, pred.next
 	if l.next != nil {
 		l.next.prev = l
 	}
+	pred.next = l
 }
 
 // Delist takes a header out of the table outside a walk (an abort); it is
@@ -264,21 +235,13 @@ func (t *WaitTable[W]) Delist(l *WaitLink[W]) {
 }
 
 func (t *WaitTable[W]) unlink(l *WaitLink[W]) {
-	if l.prev == nil {
-		t.first = l.next
-	} else {
+	if l.prev != nil {
 		l.prev.next = l.next
+	} else if t.head[l.router] = l.next; l.next == nil {
+		t.waiting.remove(uint(l.router))
 	}
 	if l.next != nil {
 		l.next.prev = l.prev
-	}
-	if t.head[l.router] == l {
-		if l.next != nil && l.next.router == l.router {
-			t.head[l.router] = l.next
-		} else {
-			t.head[l.router] = nil
-			t.waiting.remove(uint(l.router))
-		}
 	}
 	l.next, l.prev, l.listed = nil, nil, false
 }
@@ -300,15 +263,50 @@ type WaitCursor[W any] struct {
 	t         *WaitTable[W]
 	cur, next *WaitLink[W]
 
-	// An awake walk's place in the awake set: the unvisited bits of summary
-	// word si and of bitmap word wi, both already cleared in the set itself.
-	// run is the router whose waiters the walk is among, and rel the outputs
-	// released there, taken out of the table when the walk reached it.
-	awake  bool
+	// routers yields the routers whose runs the walk visits: those with
+	// waiters, or for an awake walk the awake ones, taken out of the awake
+	// set as they are reached. rel is the outputs released at the router
+	// whose run an awake walk is in, taken out of the table when the walk
+	// reached it.
+	routers routerIter
+	rel     uint64
+}
+
+// routerIter yields the members of a routerSet in ascending order. With
+// take it empties the set as it goes, a word at a time; members added to a
+// word it has passed are left for the next walk.
+type routerIter struct {
+	set    *routerSet
+	take   bool
 	si, wi int
-	sw, ww uint64
-	run    int32
-	rel    uint64
+	sw, ww uint64 // the unvisited bits of summary word si and of word wi
+}
+
+// next returns the next member, or -1 when none is left.
+func (it *routerIter) next() int {
+	for it.ww == 0 {
+		if it.sw == 0 {
+			// Empty summary words need no taking: skip them in locals.
+			sum, si := it.set.sum, it.si+1
+			for si < len(sum) && sum[si] == 0 {
+				si++
+			}
+			if it.si = si; si >= len(sum) {
+				return -1
+			}
+			if it.sw = sum[si]; it.take {
+				sum[si] = 0
+			}
+		}
+		it.wi = it.si<<6 + bits.TrailingZeros64(it.sw)
+		it.sw &= it.sw - 1
+		if it.ww = it.set.words[it.wi]; it.take {
+			it.set.words[it.wi] = 0
+		}
+	}
+	r := it.wi<<6 + bits.TrailingZeros64(it.ww)
+	it.ww &= it.ww - 1
+	return r
 }
 
 // Walk starts a walk over every waiter. It is the walk of a step
@@ -316,7 +314,7 @@ type WaitCursor[W any] struct {
 // waits, so every waiter is visited every cycle — and of the tests' oracles;
 // it leaves the awake set and the released outputs alone.
 func (t *WaitTable[W]) Walk() WaitCursor[W] {
-	return WaitCursor[W]{t: t, next: t.first}
+	return WaitCursor[W]{t: t, routers: routerIter{set: &t.waiting, si: -1}}
 }
 
 // WalkAwake starts a walk over the waiters due at the awake routers (see
@@ -325,23 +323,28 @@ func (t *WaitTable[W]) Walk() WaitCursor[W] {
 // refused, and stays refused until an output it wants is released or the
 // fault set changes.
 func (t *WaitTable[W]) WalkAwake() WaitCursor[W] {
-	return WaitCursor[W]{t: t, awake: true, si: -1}
+	return WaitCursor[W]{t: t, routers: routerIter{set: &t.awake, take: true, si: -1}}
 }
 
 // Next advances to the next waiter and reports whether there is one.
 func (c *WaitCursor[W]) Next() bool {
-	epoch := c.t.epoch
+	awake, epoch := c.routers.take, c.t.epoch
 	for {
-		if c.awake && (c.next == nil || c.next.router != c.run) {
-			c.next = c.nextRun()
-		}
 		l := c.next
 		if l == nil {
-			c.cur = nil
-			return false
+			r := c.routers.next()
+			if r < 0 {
+				c.cur = nil
+				return false
+			}
+			if awake {
+				c.rel, c.t.released[r] = c.t.released[r], 0
+			}
+			c.next = c.t.head[r]
+			continue
 		}
 		c.next = l.next
-		if c.awake {
+		if awake {
 			if l.offered == epoch && l.wants&c.rel == 0 {
 				continue
 			}
@@ -349,33 +352,6 @@ func (c *WaitCursor[W]) Next() bool {
 		}
 		c.cur = l
 		return true
-	}
-}
-
-// nextRun takes the lowest unvisited awake router that has waiters out of
-// the awake set, takes its released outputs, and returns its first waiter,
-// or nil when none is left.
-func (c *WaitCursor[W]) nextRun() *WaitLink[W] {
-	a := &c.t.awake
-	for {
-		for c.ww == 0 {
-			for c.sw == 0 {
-				if c.si++; c.si >= len(a.sum) {
-					return nil
-				}
-				c.sw, a.sum[c.si] = a.sum[c.si], 0
-			}
-			c.wi = c.si<<6 + bits.TrailingZeros64(c.sw)
-			c.sw &= c.sw - 1
-			c.ww, a.words[c.wi] = a.words[c.wi], 0
-		}
-		r := c.wi<<6 + bits.TrailingZeros64(c.ww)
-		c.ww &= c.ww - 1
-		c.rel, c.t.released[r] = c.t.released[r], 0
-		if h := c.t.head[r]; h != nil {
-			c.run = int32(r)
-			return h
-		}
 	}
 }
 

@@ -68,8 +68,8 @@ func sameOrder(t *testing.T, step int, got, want []*waiter) {
 // purpose (few distinct values) so the ID tie-break is exercised, routers
 // are few enough that runs grow several waiters long, and the larger meshes
 // span several bitmap summary words (more than 4096 routers; 130x130 nodes
-// are 265 bitmap words, five summary words), so the lower-router search
-// crosses empty ones. parts is the number of parts the table used to be
+// are 265 bitmap words, five summary words), so the walk crosses empty
+// ones. parts is the number of parts the table used to be
 // split into; it has one part now, and parts only seeds the operation
 // sequence, which is why 6x5 runs twice.
 func TestWaitTableVisitOrderProperty(t *testing.T) {
@@ -602,5 +602,203 @@ func TestWaitTableZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("wait table operations allocate %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// sortedModel is the wait table as the plainest data that can hold it: per
+// router, a slice of its waiters kept sorted by (key, ID); the awake routers
+// and each one's released outputs; and per waiter the epoch of its last
+// offer, 0 for never — the table's own offer rule, restated.
+type sortedModel struct {
+	runs     map[int32][]*waiter
+	awake    map[int32]bool
+	released map[int32]uint64
+	offered  map[*waiter]uint64
+	wants    map[*waiter]uint64
+	epoch    uint64
+}
+
+func (m *sortedModel) enlist(w *waiter) {
+	run := m.runs[w.router]
+	i := sort.Search(len(run), func(i int) bool {
+		return run[i].key > w.key || run[i].key == w.key && run[i].id > w.id
+	})
+	m.runs[w.router] = append(run[:i:i], append([]*waiter{w}, run[i:]...)...)
+	m.awake[w.router], m.offered[w], m.wants[w] = true, 0, 0
+}
+
+func (m *sortedModel) delist(w *waiter) {
+	run := m.runs[w.router]
+	for i, x := range run {
+		if x == w {
+			m.runs[w.router] = append(run[:i:i], run[i+1:]...)
+			return
+		}
+	}
+}
+
+// order lists the routers with waiters ascending: the walk order of runs.
+func (m *sortedModel) order() []int32 {
+	var rs []int32
+	for r, run := range m.runs {
+		if len(run) > 0 {
+			rs = append(rs, r)
+		}
+	}
+	sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
+	return rs
+}
+
+// all is every waiter in full-walk order.
+func (m *sortedModel) all() []*waiter {
+	var out []*waiter
+	for _, r := range m.order() {
+		out = append(out, m.runs[r]...)
+	}
+	return out
+}
+
+// due is what an awake walk must offer now, in order.
+func (m *sortedModel) due() []*waiter {
+	var out []*waiter
+	for _, r := range m.order() {
+		if !m.awake[r] {
+			continue
+		}
+		for _, w := range m.runs[r] {
+			if m.offered[w] != m.epoch || m.wants[w]&m.released[r] != 0 {
+				out = append(out, w)
+			}
+		}
+	}
+	return out
+}
+
+// TestWaitTableMatchesSortedModel drives random Enlist, Delist, Release,
+// WakeAll and walk sequences — awake walks that delist, Keep and set wants,
+// full walks that delist — against sortedModel, on tables from one bitmap
+// word to several summary words. After every operation each router's run,
+// followed from head, is its model slice with consistent back links and a
+// nil end; Walk visits the model's waiters in (router, key, ID) order; and
+// every awake walk visits exactly the model's due waiters in that order.
+func TestWaitTableMatchesSortedModel(t *testing.T) {
+	for _, nodes := range []int{9, 64, 700, 4900, 9000} {
+		t.Run(fmt.Sprintf("nodes-%d", nodes), func(t *testing.T) {
+			table := NewWaitTable[*waiter](nodes)
+			rng := rand.New(rand.NewSource(int64(nodes)))
+			ws := make([]*waiter, 120)
+			for i := range ws {
+				ws[i] = &waiter{id: int64(rng.Intn(1000))<<8 | int64(i)}
+				ws[i].link.Owner = ws[i]
+			}
+			m := &sortedModel{
+				runs: map[int32][]*waiter{}, awake: map[int32]bool{}, released: map[int32]uint64{},
+				offered: map[*waiter]uint64{}, wants: map[*waiter]uint64{}, epoch: 1,
+			}
+			// A few hot routers, sparse others, and the last router, so the
+			// runs grow long and the walks cross empty bitmap words.
+			router := func() int32 {
+				switch rng.Intn(4) {
+				case 0:
+					return int32(rng.Intn(nodes))
+				case 1:
+					return int32(nodes - 1)
+				}
+				return int32(rng.Intn(3) * nodes / 3)
+			}
+			for step := 0; step < 2500; step++ {
+				w := ws[rng.Intn(len(ws))]
+				switch op := rng.Intn(10); {
+				case !w.link.Listed():
+					w.router, w.key = router(), int64(rng.Intn(3))
+					table.Enlist(&w.link, w.router, w.key, w.id)
+					m.enlist(w)
+				case op < 2:
+					table.Delist(&w.link)
+					m.delist(w)
+				case op < 4:
+					r, out := router(), rng.Intn(70)
+					table.Release(r, out)
+					if len(m.runs[r]) > 0 {
+						m.awake[r] = true
+						m.released[r] |= OutputBit(out)
+					}
+				case op == 4 && rng.Intn(8) == 0:
+					table.WakeAll()
+					m.epoch++
+					for r, run := range m.runs {
+						if len(run) > 0 {
+							m.awake[r] = true
+						}
+					}
+				case op < 6:
+					want := m.all()
+					var seen []*waiter
+					for it := table.Walk(); it.Next(); {
+						x := it.Waiter()
+						seen = append(seen, x)
+						if rng.Intn(6) == 0 {
+							it.Delist()
+							m.delist(x)
+						}
+					}
+					sameOrder(t, step, seen, want)
+				default:
+					want := m.due()
+					kept := map[int32]bool{}
+					var seen []*waiter
+					for it := table.WalkAwake(); it.Next(); {
+						x := it.Waiter()
+						seen = append(seen, x)
+						m.offered[x] = m.epoch
+						if rng.Intn(2) == 0 {
+							wants := rng.Uint64() & rng.Uint64()
+							x.link.SetWants(wants)
+							m.wants[x] = wants
+						}
+						switch rng.Intn(5) {
+						case 0:
+							it.Delist()
+							m.delist(x)
+						case 1:
+							it.Keep()
+							kept[x.router], m.offered[x] = true, 0
+						}
+					}
+					sameOrder(t, step, seen, want)
+					m.awake, m.released = kept, map[int32]uint64{}
+				}
+				checkRuns(t, step, table, m, nodes)
+				sameOrder(t, step, visit(table), m.all())
+			}
+		})
+	}
+}
+
+// checkRuns holds every router's run in the table to its model slice: the
+// links from head in order, each one's prev its predecessor, the last one's
+// next nil, the waiting bitmap set exactly where a run is non-empty, and
+// the awake bitmap exactly where the model's router is awake.
+func checkRuns(t *testing.T, step int, table *WaitTable[*waiter], m *sortedModel, nodes int) {
+	t.Helper()
+	for r := int32(0); int(r) < nodes; r++ {
+		run := m.runs[r]
+		var prev *WaitLink[*waiter]
+		l := table.head[r]
+		for i, w := range run {
+			if l != &w.link || l.prev != prev || l.router != r {
+				t.Fatalf("step %d: router %d's run differs from its sorted slice at position %d", step, r, i)
+			}
+			prev, l = l, l.next
+		}
+		if l != nil {
+			t.Fatalf("step %d: router %d's run is longer than its %d waiters", step, r, len(run))
+		}
+		if table.waiting.has(uint(r)) != (len(run) > 0) {
+			t.Fatalf("step %d: router %d in the waiting set = %v with %d waiters", step, r, table.waiting.has(uint(r)), len(run))
+		}
+		if table.Awake(r) != m.awake[r] {
+			t.Fatalf("step %d: router %d awake = %v, the model says %v", step, r, table.Awake(r), m.awake[r])
+		}
 	}
 }

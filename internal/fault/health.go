@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 
 	"turnmodel/internal/topology"
 )
@@ -106,9 +107,10 @@ func (p RoutingPolicy) String() string {
 // observable); under VisibilityKHop it additionally sees an epoch-stamped
 // snapshot of channels whose source lies within the dissemination radius.
 //
-// The snapshot is re-derived only when State.Epoch moves, so with faults
-// off (or simply quiescent) a per-cycle Refresh costs one comparison and
-// zero allocations — the property the simulators' hot loops require.
+// The snapshot and the per-router view (Sees) are re-derived only when
+// State.Epoch moves, so with faults off (or simply quiescent) a per-cycle
+// Refresh costs one comparison and zero allocations — the property the
+// simulators' hot loops require.
 type Health struct {
 	topo   topology.Topology
 	state  *State
@@ -121,6 +123,11 @@ type Health struct {
 	// knowledge; empty until the first fault ever appears, and treated as
 	// all-healthy while empty.
 	known []bool
+	// reach is the per-router view, indexed by node: 0 where the router
+	// knows of no broken channel, otherwise 1 + the most hops left to walk
+	// when the ball of some broken channel's source reached it (the radius
+	// under k-hop visibility, 0 under local).
+	reach []int32
 }
 
 // NewHealth builds the health view of a fault state. The policy must be
@@ -134,7 +141,7 @@ func NewHealth(topo topology.Topology, state *State, pol RoutingPolicy) *Health 
 
 // Reset rebuilds the view in place, for a state that has just been built
 // or reset: afterwards h is what NewHealth(topo, state, pol) returns. The
-// snapshot keeps its storage.
+// snapshot and the per-router view keep their storage.
 func (h *Health) Reset(topo topology.Topology, state *State, pol RoutingPolicy) {
 	if state == nil {
 		panic("fault: NewHealth requires a fault state")
@@ -146,28 +153,56 @@ func (h *Health) Reset(topo topology.Topology, state *State, pol RoutingPolicy) 
 	h.topo, h.state = topo, state
 	h.vis, h.radius, h.dims2 = pol.Visibility, pol.Radius, 2*topo.Dims()
 	h.epoch, h.known = 0, h.known[:0]
+	n := topo.Nodes()
+	h.reach = slices.Grow(h.reach[:0], n)[:n]
+	clear(h.reach)
 	h.Refresh()
 }
 
-// Refresh updates the k-hop snapshot if the fault set changed since the
-// last call. The simulators call it once per cycle, right after
-// State.Advance; local visibility needs no snapshot and returns
-// immediately.
+// Refresh re-derives what the routers know if the fault set changed since
+// the last call: the k-hop snapshot, and the per-router view Sees reads.
+// The simulators call it once per cycle, right after State.Advance.
 func (h *Health) Refresh() {
-	if h.vis != VisibilityKHop {
-		return
-	}
 	e := h.state.Epoch()
 	if e == h.epoch {
 		return
 	}
-	h.known = append(h.known[:0], h.state.Faulted...)
 	h.epoch = e
+	if h.vis == VisibilityKHop {
+		h.known = append(h.known[:0], h.state.Faulted...)
+	}
+	clear(h.reach)
+	for key, broken := range h.state.Faulted {
+		if broken {
+			h.mark(topology.NodeID(key/h.dims2), h.Radius())
+		}
+	}
 }
 
-// Active reports how many channels are currently broken; the wrapper's
-// fast path bypasses all filtering when it returns 0.
-func (h *Health) Active() int { return h.state.ActiveFaults() }
+// mark adds to the view every router within left hops of node: those are
+// the routers that know of a broken channel leaving the node where the walk
+// started. A router the walk already reached with at least as many hops
+// left has had its ball walked, so each router is expanded at most once
+// per remaining distance.
+func (h *Health) mark(node topology.NodeID, left int) {
+	if h.reach[node] > int32(left) {
+		return
+	}
+	h.reach[node] = int32(left) + 1
+	if left == 0 {
+		return
+	}
+	for d := 0; d < h.dims2; d++ {
+		if nb, ok := h.topo.Neighbor(node, topology.Direction(d)); ok {
+			h.mark(nb, left-1)
+		}
+	}
+}
+
+// Sees reports whether router r knows of any broken channel as of the last
+// Refresh: whether Known(r, from, dir) holds for some channel. A router
+// that sees nothing routes as if the network were healthy.
+func (h *Health) Sees(r topology.NodeID) bool { return h.reach[r] != 0 }
 
 // Visibility returns the health model in effect.
 func (h *Health) Visibility() Visibility { return h.vis }

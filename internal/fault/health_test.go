@@ -11,8 +11,11 @@ func TestHealthLocalVisibilityOwnChannelsOnly(t *testing.T) {
 	pol := RoutingPolicy{Visibility: VisibilityLocal}
 	s := MustNew(Plan{Static: []topology.Channel{{From: 5, Dir: topology.East}}}, mesh)
 	h := NewHealth(mesh, s, pol)
-	if h.Active() != 1 {
-		t.Fatalf("Active = %d, want 1", h.Active())
+	if s.ActiveFaults() != 1 {
+		t.Fatalf("ActiveFaults = %d, want 1", s.ActiveFaults())
+	}
+	if !h.Sees(5) || h.Sees(4) {
+		t.Errorf("Sees(5) = %v, Sees(4) = %v: want only the channel's source to see it", h.Sees(5), h.Sees(4))
 	}
 	if !h.Faulted(5, topology.East) {
 		t.Error("own broken channel not visible")
@@ -86,6 +89,74 @@ func TestHealthKHopSnapshotLagsUntilRefresh(t *testing.T) {
 	h.Refresh()
 	if !h.Known(remote, from, dir) {
 		t.Fatal("remote router within radius still blind after Refresh")
+	}
+}
+
+// TestHealthViewMatchesKnown holds the per-router view to its definition:
+// over random fault histories — breaks and repairs of a Bernoulli process on
+// top of static and node faults — on mesh, torus, hypercube, hexagonal mesh
+// and cube-connected cycles, under local visibility and k-hop at radius 1 to
+// 3, after every change of the fault epoch, Sees(r) holds exactly when some
+// Known(r, from, dir) does. One Health is reset from each configuration into
+// the next, so a view a reset forgot to clear shows too.
+func TestHealthViewMatchesKnown(t *testing.T) {
+	topos := []topology.Topology{
+		topology.NewMesh2D(6, 5),
+		topology.NewTorus(5, 4),
+		topology.NewHypercube(5),
+		topology.NewHex(4, 4),
+		topology.NewCCC(3),
+	}
+	policies := []RoutingPolicy{
+		{Visibility: VisibilityLocal},
+		{Visibility: VisibilityKHop, Radius: 1},
+		{Visibility: VisibilityKHop, Radius: 2},
+		{Visibility: VisibilityKHop, Radius: 3},
+	}
+	h := new(Health)
+	checks, seen, blind := 0, 0, 0
+	for ti, topo := range topos {
+		dims2 := 2 * topo.Dims()
+		for pi, pol := range policies {
+			plan := Plan{Rate: 2e-3, Repair: 60, Seed: int64(10*ti + pi + 1)}
+			if pi%2 == 0 {
+				plan.Nodes = []topology.NodeID{topology.NodeID(pi * 3 % topo.Nodes())}
+			}
+			s := MustNew(plan, topo)
+			h.Reset(topo, s, pol)
+			check := func(cycle int64) {
+				t.Helper()
+				for r := topology.NodeID(0); int(r) < topo.Nodes(); r++ {
+					want := false
+					for key := 0; key < topo.Nodes()*dims2 && !want; key++ {
+						want = h.Known(r, topology.NodeID(key/dims2), topology.Direction(key%dims2))
+					}
+					if got := h.Sees(r); got != want {
+						t.Fatalf("%s, %s, cycle %d, epoch %d: Sees(%d) = %v, but some Known(%d, ·, ·) is %v",
+							topo.Name(), pol, cycle, s.Epoch(), r, got, r, want)
+					}
+					if want {
+						seen++
+					} else {
+						blind++
+					}
+				}
+				checks++
+			}
+			check(0)
+			epoch := s.Epoch()
+			for c := int64(0); c < 1500; c++ {
+				s.Advance(c)
+				h.Refresh()
+				if s.Epoch() != epoch {
+					epoch = s.Epoch()
+					check(c)
+				}
+			}
+		}
+	}
+	if checks < 200 || seen == 0 || blind == 0 {
+		t.Fatalf("%d checks, %d seeing and %d blind routers: the histories do not exercise the view", checks, seen, blind)
 	}
 }
 

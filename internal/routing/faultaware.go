@@ -43,10 +43,12 @@ type Misrouter interface {
 // deadlock freedom — a claim turnmodel.FromRoutingFaulted verifies per
 // fault set rather than assumes.
 //
-// When no fault is active the wrapper delegates to the base algorithm
-// untouched (one counter load), so fault-aware routing costs nothing while
-// the network is healthy. A FaultAware is bound to one simulator instance
-// through its Health and is not safe for concurrent use across engines.
+// At a router that knows of no broken channel (fault.Health.Sees) the
+// wrapper delegates to the base algorithm untouched (one load), so
+// fault-aware routing costs nothing while the network is healthy, and
+// nothing at the routers a fault is too far away to see. A FaultAware is
+// bound to one simulator instance through its Health and is not safe for
+// concurrent use across engines.
 type FaultAware struct {
 	base     Algorithm
 	appender CandidateAppender // base's allocation-free form, or nil
@@ -120,7 +122,8 @@ func (f *FaultAware) Candidates(current, dest topology.NodeID, in topology.Direc
 // FaultCandidates lists the permitted outputs for a packet that has
 // already taken `misrouted` nonminimal hops:
 //
-//  1. With no active fault, the base algorithm's candidates, untouched.
+//  1. At a router that sees no broken channel, the base algorithm's
+//     candidates, untouched: every step below would keep them all.
 //  2. Otherwise, the base candidates minus those the current router knows
 //     are dead — directly broken incident channels, and under k-hop
 //     visibility channels leading into a region whose every continuation
@@ -159,7 +162,7 @@ func (f *FaultAware) AppendFaultCandidates(dst []topology.Direction, current, de
 	start := len(dst)
 	dst = f.appendBase(dst, current, dest, in, inWrap)
 	base := dst[start:]
-	if len(base) == 0 || f.health.Active() == 0 {
+	if len(base) == 0 || !f.health.Sees(current) {
 		return dst, false
 	}
 	// Filter in place: nothing is overwritten unless it survives the

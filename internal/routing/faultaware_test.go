@@ -334,9 +334,11 @@ func TestNamesSortedAndStable(t *testing.T) {
 
 // referenceFaultCandidates is FaultCandidates as it was before the append
 // form existed — every candidate set a fresh slice from Algorithm.Candidates,
-// the look-ahead recursing over fresh slices — kept as the oracle for
-// AppendFaultCandidates. It reads the wrapper's configuration and counts in
-// its own counters.
+// the look-ahead recursing over fresh slices — and with no shortcut: the
+// full filter runs at every router, whether or not it sees a fault. It is
+// kept as the oracle for AppendFaultCandidates and for the blind-router
+// shortcut. It reads the wrapper's configuration and counts in its own
+// counters.
 type referenceFaultAware struct {
 	f                 *FaultAware
 	masked, misroutes int64
@@ -345,7 +347,7 @@ type referenceFaultAware struct {
 func (r *referenceFaultAware) candidates(current, dest topology.NodeID, in topology.Direction, inWrap bool, misrouted int) ([]topology.Direction, bool) {
 	f := r.f
 	base := f.base.Candidates(current, dest, in, inWrap)
-	if len(base) == 0 || f.health.Active() == 0 {
+	if len(base) == 0 {
 		return base, false
 	}
 	var keep []topology.Direction
@@ -505,6 +507,93 @@ func TestAppendFaultCandidatesMatchesReference(t *testing.T) {
 		t.Fatalf("%d decisions, %d masked, %d misrouted, %d algorithms without AppendCandidates: the case no longer covers the ladder",
 			decisions, maskedSeen, misSeen, fallbacks)
 	}
+}
+
+// TestFaultCandidatesBlindShortcut holds the wrapper's shortcut — a router
+// that sees no broken channel gets the base candidates untouched — to the
+// full filter it skips: for every registered algorithm on mesh, torus and
+// hypercube, under local and k-hop visibility at radius 1 to 3, at every
+// (router, destination, arrival direction) and with the misroute budget
+// whole and spent, the same directions, the same misroute flag and the same
+// change to both counters. States a turn-rule algorithm's rule cannot reach
+// (its base relation panics there) are skipped.
+func TestFaultCandidatesBlindShortcut(t *testing.T) {
+	topos := []topology.Topology{
+		topology.NewMesh2D(7, 6),
+		topology.NewTorus(5, 5),
+		topology.NewHypercube(5),
+	}
+	rng := rand.New(rand.NewSource(4141))
+	blind, seeing, maskedSeen := 0, 0, int64(0)
+	for _, topo := range topos {
+		for _, name := range Names() {
+			alg, err := New(name, topo)
+			if err != nil {
+				continue
+			}
+			for _, pol := range []fault.RoutingPolicy{
+				{Visibility: fault.VisibilityLocal, MisrouteLimit: 2},
+				{Visibility: fault.VisibilityKHop, Radius: 1 + rng.Intn(3), MisrouteLimit: 2},
+			} {
+				plan := randomFaultPlan(rng, topo, 2)
+				_, health := newHealthState(t, topo, plan, pol)
+				fa := NewFaultAware(alg, health, pol)
+				ref := &referenceFaultAware{f: fa}
+				for cur := topology.NodeID(0); int(cur) < topo.Nodes(); cur++ {
+					for dst := topology.NodeID(0); int(dst) < topo.Nodes(); dst++ {
+						if cur == dst {
+							continue
+						}
+						for in := topology.Invalid; int(in) < 2*topo.Dims(); in++ {
+							inWrap := false
+							if in != topology.Invalid {
+								prev, ok := topo.Neighbor(cur, in.Opposite())
+								if !ok {
+									continue
+								}
+								inWrap = topo.Wraparound(prev, in)
+							}
+							for _, misrouted := range []int{0, pol.MisrouteLimit} {
+								m0, r0 := ref.masked, ref.misroutes
+								want, wantMis, ok := referenceOrSkip(ref, cur, dst, in, inWrap, misrouted)
+								if !ok {
+									continue
+								}
+								g0, h0 := fa.MaskedDecisions(), fa.MisrouteDecisions()
+								got, gotMis := fa.FaultCandidates(cur, dst, in, inWrap, misrouted)
+								if gotMis != wantMis || !equalDirs(got, want) ||
+									fa.MaskedDecisions()-g0 != ref.masked-m0 || fa.MisrouteDecisions()-h0 != ref.misroutes-r0 {
+									t.Fatalf("%s on %s, %s, faults %+v: at %d (sees %v) for %d arriving %v (misrouted %d): got %v misroute=%v, the full filter %v misroute=%v",
+										name, topo.Name(), pol, plan, cur, health.Sees(cur), dst, in, misrouted, got, gotMis, want, wantMis)
+								}
+								if health.Sees(cur) {
+									seeing++
+								} else {
+									blind++
+								}
+							}
+						}
+					}
+				}
+				maskedSeen += ref.masked
+			}
+		}
+	}
+	if blind < 10000 || seeing < 10000 || maskedSeen == 0 {
+		t.Fatalf("%d blind and %d seeing decisions, %d masked: the case no longer covers both sides of the shortcut", blind, seeing, maskedSeen)
+	}
+}
+
+// referenceOrSkip runs the full filter, reporting false if the base
+// relation panicked because the state is one its rule never reaches.
+func referenceOrSkip(ref *referenceFaultAware, cur, dst topology.NodeID, in topology.Direction, inWrap bool, misrouted int) (dirs []topology.Direction, mis, ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	dirs, mis = ref.candidates(cur, dst, in, inWrap, misrouted)
+	return dirs, mis, true
 }
 
 func equalDirs(a, b []topology.Direction) bool {

@@ -143,8 +143,10 @@ func (r ReverseFlip) Dest(src topology.NodeID, _ *rand.Rand) topology.NodeID {
 }
 
 // BitComplement sends each message to the node with every coordinate
-// mirrored: coordinate x_i becomes k_i-1-x_i. On a hypercube this is the
-// address complement, the classic worst case for dimension-order routing.
+// mirrored: coordinate x_i becomes k_i-1-x_i, or in general lo_i+hi_i-x_i
+// over the values it takes — a point reflection through the network's
+// centre. On a hypercube this is the address complement, the classic worst
+// case for dimension-order routing.
 type BitComplement struct {
 	Topo topology.Topology
 }
@@ -158,14 +160,19 @@ func (b BitComplement) Deterministic() bool { return true }
 // Dest implements Pattern. A mesh, torus or hypercube numbers its nodes as
 // mixed-radix numerals of their coordinates, so mirroring every coordinate
 // takes node id to Nodes()-1-id, with no coordinate vector to allocate.
+// Other topologies mirror each coordinate between its values at the first
+// and the last node, the two ends of its range: a hexagonal or octagonal
+// mesh's derived coordinates (its third axis, its diagonals) span negative
+// values, so k_i-1-x_i would not be a coordinate at all.
 func (b BitComplement) Dest(src topology.NodeID, _ *rand.Rand) topology.NodeID {
 	switch b.Topo.(type) {
 	case *topology.Mesh, *topology.Torus, *topology.Hypercube:
 		return topology.NodeID(b.Topo.Nodes()-1) - src
 	}
 	c := b.Topo.Coord(src)
+	lo, hi := b.Topo.Coord(0), b.Topo.Coord(topology.NodeID(b.Topo.Nodes()-1))
 	for i := range c {
-		c[i] = b.Topo.Size(i) - 1 - c[i]
+		c[i] = lo[i] + hi[i] - c[i]
 	}
 	return b.Topo.ID(c)
 }

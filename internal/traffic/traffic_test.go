@@ -247,6 +247,76 @@ func TestPatternNames(t *testing.T) {
 			t.Errorf("Name() = %q, want %q", p.Name(), want)
 		}
 	}
+	// Both transposes share a name, so sweep tables line up across them.
+	if got := NewHypercubeTranspose(h).Name(); got != "matrix-transpose" {
+		t.Errorf("hypercube transpose Name() = %q, want %q", got, "matrix-transpose")
+	}
+}
+
+// TestDeterministicAndInjectingFraction: the permutation patterns report
+// Deterministic and the random ones do not, and InjectingFraction counts
+// every node as a sender under a random pattern without drawing from it.
+func TestDeterministicAndInjectingFraction(t *testing.T) {
+	m := topology.NewMesh2D(4, 4)
+	h := topology.NewHypercube(4)
+	for _, tc := range []struct {
+		p    Pattern
+		want bool
+	}{
+		{Uniform{Topo: m}, false},
+		{Hotspot{Topo: m, Hot: 0, Fraction: 0.1}, false},
+		{NewMeshTranspose(m), true},
+		{NewHypercubeTranspose(h), true},
+		{ReverseFlip{Cube: h}, true},
+		{BitComplement{Topo: m}, true},
+		{BitReversal{Cube: h}, true},
+	} {
+		if got := tc.p.Deterministic(); got != tc.want {
+			t.Errorf("%s: Deterministic() = %v, want %v", tc.p.Name(), got, tc.want)
+		}
+		if tc.want {
+			continue
+		}
+		// A nil RNG would panic if the random pattern were drawn from.
+		if got := InjectingFraction(tc.p, m); got != 1 {
+			t.Errorf("%s: InjectingFraction = %v, want 1", tc.p.Name(), got)
+		}
+	}
+	// Bit-reversal fixes the 2^(n/2) palindromic addresses.
+	if got := InjectingFraction(BitReversal{Cube: h}, h); got != 12.0/16.0 {
+		t.Errorf("bit-reversal InjectingFraction = %v, want 12/16", got)
+	}
+}
+
+// TestBitComplementCoordinateFallback holds the coordinate path of
+// BitComplement.Dest — the topologies without the numbering shortcut — to
+// its definition on cube-connected cycles, hexagonal and octagonal meshes:
+// every coordinate of the destination is the source's mirrored between its
+// values at the first and last node, the pattern is an involution, and it
+// is the point reflection of the node numbering, Nodes()-1-id.
+func TestBitComplementCoordinateFallback(t *testing.T) {
+	for _, topo := range []topology.Topology{
+		topology.NewCCC(3), topology.NewHex(4, 3), topology.NewHex(3, 3),
+		topology.NewOctagonal(3, 5), topology.NewOctagonal(4, 4),
+	} {
+		bc := BitComplement{Topo: topo}
+		lo, hi := topo.Coord(0), topo.Coord(topology.NodeID(topo.Nodes()-1))
+		for s := topology.NodeID(0); int(s) < topo.Nodes(); s++ {
+			d := bc.Dest(s, nil)
+			c, dc := topo.Coord(s), topo.Coord(d)
+			for i := range c {
+				if dc[i] != lo[i]+hi[i]-c[i] {
+					t.Fatalf("%s: coordinate %d of the complement of %v is %d, want %d", topo.Name(), i, c, dc[i], lo[i]+hi[i]-c[i])
+				}
+			}
+			if bc.Dest(d, nil) != s {
+				t.Fatalf("%s: complement is not an involution at node %d", topo.Name(), s)
+			}
+			if want := topology.NodeID(topo.Nodes()-1) - s; d != want {
+				t.Fatalf("%s: complement of node %d = %d, want %d", topo.Name(), s, d, want)
+			}
+		}
+	}
 }
 
 func TestHypercubeTransposeGeneralizesToOtherEvenDims(t *testing.T) {

@@ -142,7 +142,7 @@ func (f *FaultAware) AppendFaultCandidates(dst []Out, current, dest topology.Nod
 	start := len(dst)
 	dst = f.appendBase(dst, current, dest, inDir, inVC)
 	base := dst[start:]
-	if len(base) == 0 || f.health.Active() == 0 {
+	if len(base) == 0 || !f.health.Sees(current) {
 		return dst, false
 	}
 	// Filter in place: nothing is overwritten unless it survives the

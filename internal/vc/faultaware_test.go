@@ -144,9 +144,11 @@ func TestVCFaultAwarePassthroughWhenHealthy(t *testing.T) {
 
 // referenceFaultAware is FaultCandidates as it was before the append form
 // existed — every candidate set a fresh slice from Algorithm.Candidates,
-// the look-ahead recursing over fresh slices — kept as the oracle for
-// AppendFaultCandidates. It reads the wrapper's configuration and counts in
-// its own counters.
+// the look-ahead recursing over fresh slices — and with no shortcut: the
+// full filter runs at every router, whether or not it sees a fault. It is
+// kept as the oracle for AppendFaultCandidates and for the blind-router
+// shortcut. It reads the wrapper's configuration and counts in its own
+// counters.
 type referenceFaultAware struct {
 	f                 *FaultAware
 	masked, misroutes int64
@@ -155,7 +157,7 @@ type referenceFaultAware struct {
 func (r *referenceFaultAware) candidates(current, dest topology.NodeID, inDir topology.Direction, inVC, misrouted int) ([]Out, bool) {
 	f := r.f
 	base := f.base.Candidates(current, dest, inDir, inVC)
-	if len(base) == 0 || f.health.Active() == 0 {
+	if len(base) == 0 {
 		return base, false
 	}
 	var keep []Out
@@ -213,6 +215,80 @@ func (r *referenceFaultAware) deadWithin(origin, dest, node topology.NodeID, o O
 		}
 	}
 	return true
+}
+
+// TestFaultCandidatesBlindShortcut holds the wrapper's shortcut — a router
+// that sees no broken channel gets the base outputs untouched — to the full
+// filter it skips: for the native schemes, a lifted algorithm that misroutes
+// and the cube-connected-cycles scheme, under local and k-hop visibility at
+// radius 1 to 3, at every (router, destination, arrival direction, arrival
+// virtual channel) and with the misroute budget whole and spent, the same
+// outputs, the same misroute flag and the same change to both counters.
+func TestFaultCandidatesBlindShortcut(t *testing.T) {
+	mesh := topology.NewMesh2D(7, 6)
+	lifted, err := New("negative-first", mesh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	algs := []Algorithm{
+		DoubleY(mesh),
+		DatelineDOR(topology.NewKaryNCube(5, 2)),
+		lifted,
+		NewCCCAscending(topology.NewCCC(4)),
+	}
+	rng := rand.New(rand.NewSource(4142))
+	blind, seeing, maskedSeen := 0, 0, int64(0)
+	for _, alg := range algs {
+		topo := alg.Topology()
+		for radius := 0; radius <= 3; radius++ {
+			pol := fault.RoutingPolicy{Visibility: fault.VisibilityLocal, MisrouteLimit: 2}
+			if radius > 0 {
+				pol = fault.RoutingPolicy{Visibility: fault.VisibilityKHop, Radius: radius, MisrouteLimit: 2}
+			}
+			chans := topo.Channels()
+			plan := fault.Plan{Static: []topology.Channel{chans[rng.Intn(len(chans))], chans[rng.Intn(len(chans))]}}
+			fa := vcWrapper(t, alg, plan, pol)
+			ref := &referenceFaultAware{f: fa}
+			for cur := topology.NodeID(0); int(cur) < topo.Nodes(); cur++ {
+				for dst := topology.NodeID(0); int(dst) < topo.Nodes(); dst++ {
+					if cur == dst {
+						continue
+					}
+					for in := topology.Invalid; int(in) < 2*topo.Dims(); in++ {
+						vcs := 1
+						if in != topology.Invalid {
+							if _, ok := topo.Neighbor(cur, in.Opposite()); !ok {
+								continue
+							}
+							vcs = alg.VCs(in)
+						}
+						for inVC := 0; inVC < vcs; inVC++ {
+							for _, misrouted := range []int{0, pol.MisrouteLimit} {
+								m0, r0 := ref.masked, ref.misroutes
+								g0, h0 := fa.MaskedDecisions(), fa.MisrouteDecisions()
+								want, wantMis := ref.candidates(cur, dst, in, inVC, misrouted)
+								got, gotMis := fa.FaultCandidates(cur, dst, in, inVC, misrouted)
+								if gotMis != wantMis || !equalOuts(got, want) ||
+									fa.MaskedDecisions()-g0 != ref.masked-m0 || fa.MisrouteDecisions()-h0 != ref.misroutes-r0 {
+									t.Fatalf("%s, %s, faults %+v: at %d (sees %v) for %d arriving %v/vc%d (misrouted %d): got %v misroute=%v, the full filter %v misroute=%v",
+										alg.Name(), pol, plan, cur, fa.health.Sees(cur), dst, in, inVC, misrouted, got, gotMis, want, wantMis)
+								}
+								if fa.health.Sees(cur) {
+									seeing++
+								} else {
+									blind++
+								}
+							}
+						}
+					}
+				}
+			}
+			maskedSeen += ref.masked
+		}
+	}
+	if blind < 10000 || seeing < 10000 || maskedSeen == 0 {
+		t.Fatalf("%d blind and %d seeing decisions, %d masked: the case no longer covers both sides of the shortcut", blind, seeing, maskedSeen)
+	}
 }
 
 func equalOuts(a, b []Out) bool {

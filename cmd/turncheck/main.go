@@ -13,6 +13,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -27,51 +28,62 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, writes the report to stdout
+// and errors to stderr, and returns the process exit code — 0 when every
+// verified graph is deadlock free, 1 on a dependency cycle or bad input.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("turncheck", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var (
-		topoSpec = flag.String("topology", "mesh8x8", "topology to verify on")
-		algName  = flag.String("routing", "", "routing algorithm to verify")
-		all      = flag.Bool("all", false, "verify every algorithm constructible on the topology")
-		census   = flag.Bool("census", false, "evaluate the 16 two-turn prohibitions of a 2D mesh")
-		useVC    = flag.Bool("vc", false, "verify a virtual-channel algorithm (double-y, dateline-dor, naive-torus-dor, or any lifted physical algorithm)")
-		faults   = flag.String("faults", "", "verify the faulted configuration instead: static faults as comma-separated channels N:dir and failed nodes nodeN")
-		ftroute  = flag.String("ftroute", "off", "fault-aware routing policy to verify under -faults: off, local, khop or khopN")
-		misroute = flag.Int("misroute", 0, "misroute budget of the verified -ftroute policy")
+		topoSpec = flags.String("topology", "mesh8x8", "topology to verify on")
+		algName  = flags.String("routing", "", "routing algorithm to verify")
+		all      = flags.Bool("all", false, "verify every algorithm constructible on the topology")
+		census   = flags.Bool("census", false, "evaluate the 16 two-turn prohibitions of a 2D mesh")
+		useVC    = flags.Bool("vc", false, "verify a virtual-channel algorithm (double-y, dateline-dor, naive-torus-dor, or any lifted physical algorithm)")
+		faults   = flags.String("faults", "", "verify the faulted configuration instead: static faults as comma-separated channels N:dir and failed nodes nodeN")
+		ftroute  = flags.String("ftroute", "off", "fault-aware routing policy to verify under -faults: off, local, khop or khopN")
+		misroute = flags.Int("misroute", 0, "misroute budget of the verified -ftroute policy")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "turncheck:", err)
+		return 1
+	}
 
 	if *census {
-		runCensus()
-		return
+		runCensus(stdout)
+		return 0
 	}
 
 	topo, err := cli.ParseTopology(*topoSpec)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if *useVC {
 		if *algName == "" {
-			fmt.Fprintln(os.Stderr, "turncheck: -vc requires -routing NAME")
-			os.Exit(1)
+			fmt.Fprintln(stderr, "turncheck: -vc requires -routing NAME")
+			return 1
 		}
 		alg, err := vc.New(*algName, topo)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		g := vc.FromRouting(alg)
-		fmt.Printf("%-22s on %-14s: %4d virtual channels, %5d dependencies: ", alg.Name(), topo.Name(), g.Vertices(), g.Edges())
-		if cyc := g.FindCycle(); cyc != nil {
-			fmt.Printf("DEADLOCK POSSIBLE\n  cycle: ")
-			for i, ch := range cyc {
-				if i > 0 {
-					fmt.Print(" -> ")
-				}
-				fmt.Print(ch)
-			}
-			fmt.Println()
-			os.Exit(1)
+		fmt.Fprintf(stdout, "%-22s on %-14s: %4d virtual channels, %5d dependencies: ", alg.Name(), topo.Name(), g.Vertices(), g.Edges())
+		if cyc := g.FindVCCycle(); cyc != nil {
+			printCycle(stdout, cyc)
+			return 1
 		}
-		fmt.Println("deadlock free")
-		return
+		fmt.Fprintln(stdout, "deadlock free")
+		return 0
 	}
 	var names []string
 	switch {
@@ -88,47 +100,52 @@ func main() {
 	case *algName != "":
 		names = []string{*algName}
 	default:
-		fmt.Fprintln(os.Stderr, "turncheck: pass -routing NAME, -all or -census")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "turncheck: pass -routing NAME, -all or -census")
+		return 1
 	}
 
 	if *faults != "" {
 		plan, err := cli.ParseFaults(*faults, topo)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		pol, err := cli.ParseFaultRouting(*ftroute)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		pol.MisrouteLimit = *misroute
-		os.Exit(checkFaulted(os.Stdout, topo, names, plan, pol))
+		return checkFaulted(stdout, topo, names, plan, pol)
 	}
 
 	exit := 0
 	for _, name := range names {
 		alg, err := routing.New(name, topo)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		g := turnmodel.FromRouting(topo, routing.Relation(alg))
-		fmt.Printf("%-22s on %-14s: %4d channels, %5d dependencies: ", alg.Name(), topo.Name(), g.Vertices(), g.Edges())
+		fmt.Fprintf(stdout, "%-22s on %-14s: %4d channels, %5d dependencies: ", alg.Name(), topo.Name(), g.Vertices(), g.Edges())
 		if cyc := g.FindCycle(); cyc != nil {
-			fmt.Printf("DEADLOCK POSSIBLE\n  cycle: ")
-			for i, ch := range cyc {
-				if i > 0 {
-					fmt.Print(" -> ")
-				}
-				fmt.Print(ch)
-			}
-			fmt.Println()
+			printCycle(stdout, cyc)
 			exit = 1
 		} else {
-			fmt.Println("deadlock free")
+			fmt.Fprintln(stdout, "deadlock free")
 		}
-		validateNumbering(alg, topo)
+		validateNumbering(stdout, alg, topo)
 	}
-	os.Exit(exit)
+	return exit
+}
+
+// printCycle reports a dependency cycle, one channel after another.
+func printCycle[C fmt.Stringer](w io.Writer, cyc []C) {
+	fmt.Fprintf(w, "DEADLOCK POSSIBLE\n  cycle: ")
+	for i, ch := range cyc {
+		if i > 0 {
+			fmt.Fprint(w, " -> ")
+		}
+		fmt.Fprint(w, ch)
+	}
+	fmt.Fprintln(w)
 }
 
 // checkFaulted builds the channel dependency graph of each algorithm on
@@ -156,20 +173,13 @@ func checkFaulted(w io.Writer, topo topology.Topology, names []string, plan faul
 		rel := routing.Relation(alg)
 		if pol.Enabled() {
 			health := fault.NewHealth(topo, state, pol)
-			rel = routing.FaultRelation(routing.NewFaultAware(alg, health, pol))
+			rel = routing.Relation(routing.NewFaultAware(alg, health, pol))
 		}
 		g := turnmodel.FromRoutingFaulted(topo, rel, faulted)
 		fmt.Fprintf(w, "%-22s on %-14s with %d faulted channels (%s): %4d channels, %5d dependencies: ",
 			alg.Name(), topo.Name(), state.ActiveFaults(), routeDesc, g.Vertices(), g.Edges())
 		if cyc := g.FindCycle(); cyc != nil {
-			fmt.Fprintf(w, "DEADLOCK POSSIBLE\n  cycle: ")
-			for i, ch := range cyc {
-				if i > 0 {
-					fmt.Fprint(w, " -> ")
-				}
-				fmt.Fprint(w, ch)
-			}
-			fmt.Fprintln(w)
+			printCycle(w, cyc)
 			exit = 1
 		} else {
 			fmt.Fprintln(w, "deadlock free")
@@ -180,7 +190,7 @@ func checkFaulted(w io.Writer, topo topology.Topology, names []string, plan faul
 
 // validateNumbering runs the matching Theorem 2/3/5 numbering when the
 // algorithm has one.
-func validateNumbering(alg routing.Algorithm, topo topology.Topology) {
+func validateNumbering(w io.Writer, alg routing.Algorithm, topo topology.Topology) {
 	mesh, ok := topo.(*topology.Mesh)
 	if !ok {
 		if h, isH := topo.(*topology.Hypercube); isH {
@@ -202,37 +212,32 @@ func validateNumbering(alg routing.Algorithm, topo topology.Topology) {
 		return
 	}
 	if err := nb.Validate(topo, routing.Relation(alg)); err != nil {
-		fmt.Printf("  numbering %q: VIOLATION: %v\n", nb.Name, err)
+		fmt.Fprintf(w, "  numbering %q: VIOLATION: %v\n", nb.Name, err)
 	} else {
 		dir := "increasing"
 		if nb.Decreasing {
 			dir = "decreasing"
 		}
-		fmt.Printf("  numbering %q: every route strictly %s (proof obligation holds)\n", nb.Name, dir)
+		fmt.Fprintf(w, "  numbering %q: every route strictly %s (proof obligation holds)\n", nb.Name, dir)
 	}
 }
 
-func runCensus() {
+func runCensus(w io.Writer) {
 	combos := turnmodel.Census2D(4, 4)
 	free := 0
-	fmt.Println("Section 3 census: prohibit one turn from each abstract cycle of a 2D mesh")
+	fmt.Fprintln(w, "Section 3 census: prohibit one turn from each abstract cycle of a 2D mesh")
 	for _, c := range combos {
 		verdict := "deadlock possible"
 		if c.DeadlockFree {
 			verdict = "deadlock free"
 			free++
 		}
-		fmt.Printf("  prohibit {%-22s, %-22s}: %s\n", c.FromClockwise, c.FromCounter, verdict)
+		fmt.Fprintf(w, "  prohibit {%-22s, %-22s}: %s\n", c.FromClockwise, c.FromCounter, verdict)
 	}
 	classes := turnmodel.SymmetryClasses(combos)
-	fmt.Printf("\n%d of 16 combinations prevent deadlock (paper: 12)\n", free)
-	fmt.Printf("%d unique classes under the square's symmetries (paper: 3)\n", len(classes))
+	fmt.Fprintf(w, "\n%d of 16 combinations prevent deadlock (paper: 12)\n", free)
+	fmt.Fprintf(w, "%d unique classes under the square's symmetries (paper: 3)\n", len(classes))
 	for i, cl := range classes {
-		fmt.Printf("  class %d (%d members), e.g. prohibit {%v, %v}\n", i+1, len(cl), cl[0].FromClockwise, cl[0].FromCounter)
+		fmt.Fprintf(w, "  class %d (%d members), e.g. prohibit {%v, %v}\n", i+1, len(cl), cl[0].FromClockwise, cl[0].FromCounter)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "turncheck:", err)
-	os.Exit(1)
 }

@@ -7,7 +7,6 @@ package routing
 import (
 	"turnmodel/internal/fault"
 	"turnmodel/internal/topology"
-	"turnmodel/internal/turnmodel"
 )
 
 // Misrouter is implemented by algorithms that can offer nonminimal detour
@@ -43,27 +42,17 @@ type Misrouter interface {
 // deadlock freedom — a claim turnmodel.FromRoutingFaulted verifies per
 // fault set rather than assumes.
 //
-// At a router that knows of no broken channel (fault.Health.Sees) the
-// wrapper delegates to the base algorithm untouched (one load), so
-// fault-aware routing costs nothing while the network is healthy, and
-// nothing at the routers a fault is too far away to see. A FaultAware is
-// bound to one simulator instance through its Health and is not safe for
-// concurrent use across engines.
+// It is the physical-channel front-end of the Mask ladder, which
+// vc.FaultAware shares. At a router that knows of no broken channel
+// (fault.Health.Sees) the wrapper delegates to the base algorithm untouched
+// (one load), so fault-aware routing costs nothing while the network is
+// healthy, and nothing at the routers a fault is too far away to see. A
+// FaultAware is bound to one simulator instance through its Health and is
+// not safe for concurrent use across engines.
 type FaultAware struct {
 	base     Algorithm
 	appender CandidateAppender // base's allocation-free form, or nil
-	topo     topology.Topology
-	health   *fault.Health
-	pol      fault.RoutingPolicy
-	mis      Misrouter // nil: base cannot misroute safely, or limit is 0
-
-	// ahead is the k-hop look-ahead's stack of candidate sets, one frame
-	// per level of deadWithin's recursion; nothing that outlives a decision
-	// points into it.
-	ahead []topology.Direction
-
-	masked    int64
-	misroutes int64
+	mask     Mask[topology.Direction]
 }
 
 // NewFaultAware builds the fault-aware wrapper for a base algorithm over
@@ -78,15 +67,9 @@ func NewFaultAware(base Algorithm, health *fault.Health, pol fault.RoutingPolicy
 // NewFaultAware(base, health, pol) returns, its counters zero, with the
 // look-ahead stack's storage kept.
 func (f *FaultAware) Reset(base Algorithm, health *fault.Health, pol fault.RoutingPolicy) {
-	pol = pol.WithDefaults()
-	if !pol.Enabled() {
-		panic("routing: NewFaultAware requires an enabled policy")
-	}
-	*f = FaultAware{base: base, topo: base.Topology(), health: health, pol: pol, ahead: f.ahead[:0]}
+	f.base = base
 	f.appender, _ = base.(CandidateAppender)
-	if m, ok := base.(Misrouter); ok && pol.MisrouteLimit > 0 {
-		f.mis = m
-	}
+	f.mask.Reset(base.Topology(), health, pol, (*physicalBase)(f))
 }
 
 // Name implements Algorithm; the wrapper keeps the base algorithm's name
@@ -94,20 +77,14 @@ func (f *FaultAware) Reset(base Algorithm, health *fault.Health, pol fault.Routi
 func (f *FaultAware) Name() string { return f.base.Name() }
 
 // Topology implements Algorithm.
-func (f *FaultAware) Topology() topology.Topology { return f.topo }
-
-// Base returns the wrapped algorithm.
-func (f *FaultAware) Base() Algorithm { return f.base }
-
-// Policy returns the policy in effect (with defaults applied).
-func (f *FaultAware) Policy() fault.RoutingPolicy { return f.pol }
+func (f *FaultAware) Topology() topology.Topology { return f.mask.topo }
 
 // MaskedDecisions counts routing decisions whose candidate set was
 // narrowed (or replaced by a misroute set) because of known faults.
-func (f *FaultAware) MaskedDecisions() int64 { return f.masked }
+func (f *FaultAware) MaskedDecisions() int64 { return f.mask.MaskedDecisions() }
 
 // MisrouteDecisions counts decisions that fell back to a misroute set.
-func (f *FaultAware) MisrouteDecisions() int64 { return f.misroutes }
+func (f *FaultAware) MisrouteDecisions() int64 { return f.mask.MisrouteDecisions() }
 
 // Candidates implements Algorithm: the relation with the misroute budget
 // treated as always available. The simulators instead call FaultCandidates
@@ -120,24 +97,10 @@ func (f *FaultAware) Candidates(current, dest topology.NodeID, in topology.Direc
 }
 
 // FaultCandidates lists the permitted outputs for a packet that has
-// already taken `misrouted` nonminimal hops:
-//
-//  1. At a router that sees no broken channel, the base algorithm's
-//     candidates, untouched: every step below would keep them all.
-//  2. Otherwise, the base candidates minus those the current router knows
-//     are dead — directly broken incident channels, and under k-hop
-//     visibility channels leading into a region whose every continuation
-//     is known dead within the dissemination horizon.
-//  3. If that filter would empty the set and misroute budget remains, the
-//     base algorithm's safe detour directions (minus broken ones).
-//  4. If no alternative survives, the unfiltered base set: the packet
-//     waits on the dead channel and recovery eventually aborts it, the
-//     exact pre-wrapper behavior. The candidate set is therefore never
-//     emptied by masking.
-//
-// The second result reports case 3: every returned direction is then a
-// nonminimal detour, and a hop taken from the set counts against the
-// packet's misroute budget.
+// already taken `misrouted` nonminimal hops, by the Mask ladder over the
+// base algorithm's candidates. The second result reports a misroute
+// fallback: every returned direction is then a nonminimal detour, and a hop
+// taken from the set counts against the packet's misroute budget.
 func (f *FaultAware) FaultCandidates(current, dest topology.NodeID, in topology.Direction, inWrap bool, misrouted int) ([]topology.Direction, bool) {
 	return f.AppendFaultCandidates(nil, current, dest, in, inWrap, misrouted)
 }
@@ -156,97 +119,179 @@ func (f *FaultAware) appendBase(dst []topology.Direction, current, dest topology
 // pass the worm's own buffer and keep the result while the header waits, so
 // it never points into the wrapper — and with no allocation per decision
 // when the base algorithm implements CandidateAppender (the misroute
-// fallback of case 3, taken when every candidate is known dead, still
-// builds its set afresh).
+// fallback, taken when every candidate is known dead, still builds its set
+// afresh).
 func (f *FaultAware) AppendFaultCandidates(dst []topology.Direction, current, dest topology.NodeID, in topology.Direction, inWrap bool, misrouted int) ([]topology.Direction, bool) {
 	start := len(dst)
-	dst = f.appendBase(dst, current, dest, in, inWrap)
+	return f.mask.Apply(f.appendBase(dst, current, dest, in, inWrap), start, current, dest, in, misrouted)
+}
+
+// physicalBase is the MaskBase view of a FaultAware: outputs are
+// directions, and the arrival wrap flag follows from the hop taken.
+type physicalBase FaultAware
+
+func (*physicalBase) Dir(d topology.Direction) topology.Direction { return d }
+
+func (b *physicalBase) AppendNext(dst []topology.Direction, node, next, dest topology.NodeID, d topology.Direction) []topology.Direction {
+	return (*FaultAware)(b).appendBase(dst, next, dest, d, b.mask.topo.Wraparound(node, d))
+}
+
+func (b *physicalBase) Misroute(current, dest topology.NodeID, in topology.Direction) []topology.Direction {
+	m, ok := b.base.(Misrouter)
+	if !ok {
+		return nil
+	}
+	return m.MisrouteCandidates(current, dest, in, ArrivalWrap(b.mask.topo, current, in))
+}
+
+// MaskBase is what the Mask ladder needs of the base relation it masks,
+// over the relation's output type O: a direction for the physical
+// (topology.Direction) relation, a (direction, virtual channel) pair for
+// the virtual-channel one.
+type MaskBase[O any] interface {
+	// Dir is the physical direction output o leaves on; a fault breaks
+	// every output on it.
+	Dir(o O) topology.Direction
+	// AppendNext appends to dst the base candidates at next, for a packet
+	// that reached it from node over output o.
+	AppendNext(dst []O, node, next, dest topology.NodeID, o O) []O
+	// Misroute lists the base algorithm's safe detours (see Misrouter) at
+	// current for a packet that arrived over output in, or nil when the
+	// base cannot misroute safely. The result may be filtered in place.
+	Misroute(current, dest topology.NodeID, in O) []O
+}
+
+// Mask is the fault-masking ladder, written once for both output types:
+// routing.FaultAware and vc.FaultAware are its front-ends, each supplying
+// only its base candidates and a MaskBase.
+type Mask[O any] struct {
+	topo   topology.Topology
+	health *fault.Health
+	limit  int // misroute budget
+	base   MaskBase[O]
+
+	// ahead is the k-hop look-ahead's stack of candidate sets, one frame
+	// per level of deadWithin's recursion; nothing that outlives a decision
+	// points into it.
+	ahead []O
+
+	masked    int64
+	misroutes int64
+}
+
+// Reset binds the ladder to a topology, a health view, an enabled policy
+// and a base, with zero counters and the look-ahead stack's storage kept.
+func (m *Mask[O]) Reset(topo topology.Topology, health *fault.Health, pol fault.RoutingPolicy, base MaskBase[O]) {
+	pol = pol.WithDefaults()
+	if !pol.Enabled() {
+		panic("routing: fault masking requires an enabled policy")
+	}
+	*m = Mask[O]{topo: topo, health: health, limit: pol.MisrouteLimit, base: base, ahead: m.ahead[:0]}
+}
+
+// MaskedDecisions counts decisions whose candidate set was narrowed (or
+// replaced by a misroute set) because of known faults.
+func (m *Mask[O]) MaskedDecisions() int64 { return m.masked }
+
+// MisrouteDecisions counts decisions that fell back to a misroute set.
+func (m *Mask[O]) MisrouteDecisions() int64 { return m.misroutes }
+
+// Apply runs the ladder on the base candidates dst[start:] of a packet at
+// current, destined for dest, that arrived over output in and has already
+// taken `misrouted` nonminimal hops:
+//
+//  1. At a router that sees no broken channel, the base candidates,
+//     untouched: every step below would keep them all.
+//  2. Otherwise, the base candidates minus those the current router knows
+//     are dead — directly broken incident channels, and under k-hop
+//     visibility channels leading into a region whose every continuation
+//     is known dead within the dissemination horizon.
+//  3. If that filter would empty the set and misroute budget remains, the
+//     base algorithm's safe detours (minus broken ones).
+//  4. If no alternative survives, the unfiltered base set: the packet
+//     waits on the dead channel and recovery eventually aborts it, the
+//     exact pre-wrapper behavior. The candidate set is therefore never
+//     emptied by masking.
+//
+// The second result reports case 3. dst[:start] is left untouched.
+func (m *Mask[O]) Apply(dst []O, start int, current, dest topology.NodeID, in O, misrouted int) ([]O, bool) {
 	base := dst[start:]
-	if len(base) == 0 || !f.health.Sees(current) {
+	if len(base) == 0 || !m.health.Sees(current) {
 		return dst, false
 	}
 	// Filter in place: nothing is overwritten unless it survives the
 	// filter, so the unfiltered set stays intact whenever we fall through.
 	keep := dst[:start]
-	khop := f.health.Visibility() == fault.VisibilityKHop
-	for _, d := range base {
-		if f.health.Faulted(current, d) {
+	khop := m.health.Visibility() == fault.VisibilityKHop
+	for _, o := range base {
+		d := m.base.Dir(o)
+		if m.health.Faulted(current, d) {
 			continue
 		}
-		if khop && f.deadWithin(current, dest, current, d, f.health.Radius()) {
+		if khop && m.deadWithin(current, dest, current, o, d, m.health.Radius()) {
 			continue
 		}
-		keep = append(keep, d)
+		keep = append(keep, o)
 	}
 	if len(keep) > start {
 		if len(keep) < len(dst) {
-			f.masked++
+			m.masked++
 		}
 		return keep, false
 	}
-	if f.mis != nil && misrouted < f.pol.MisrouteLimit {
-		if alt := f.misrouteSet(current, dest, in, inWrap); len(alt) > 0 {
-			f.masked++
-			f.misroutes++
+	if misrouted < m.limit {
+		if alt := m.misrouteSet(current, dest, in); len(alt) > 0 {
+			m.masked++
+			m.misroutes++
 			return append(keep, alt...), true
 		}
 	}
 	return dst, false
 }
 
-// deadWithin reports whether hopping from node along d leads into a region
-// router `origin` knows to be dead: within the remaining lookahead depth,
-// every continuation the base relation offers hits a channel origin knows
-// is broken. depth bounds both the recursion and — because knowledge of a
-// channel requires its source within the dissemination radius — the
-// knowledge the check relies on.
-func (f *FaultAware) deadWithin(origin, dest, node topology.NodeID, d topology.Direction, depth int) bool {
+// deadWithin reports whether taking output o, on direction d, from node
+// leads into a region router `origin` knows to be dead: within the
+// remaining lookahead depth, every continuation the base relation offers
+// hits a channel origin knows is broken. depth bounds both the recursion
+// and — because knowledge of a channel requires its source within the
+// dissemination radius — the knowledge the check relies on.
+func (m *Mask[O]) deadWithin(origin, dest, node topology.NodeID, o O, d topology.Direction, depth int) bool {
 	if depth <= 0 {
 		return false
 	}
-	nb, ok := f.topo.Neighbor(node, d)
+	nb, ok := m.topo.Neighbor(node, d)
 	if !ok || nb == dest {
 		return false
 	}
 	// This level's candidates are a frame on the look-ahead stack: indexed,
 	// not ranged over, because a deeper level may grow — and move — it.
-	start := len(f.ahead)
-	f.ahead = f.appendBase(f.ahead, nb, dest, d, f.topo.Wraparound(node, d))
-	end := len(f.ahead)
+	start := len(m.ahead)
+	m.ahead = m.base.AppendNext(m.ahead, node, nb, dest, o)
+	end := len(m.ahead)
 	dead := end > start
 	for i := start; i < end && dead; i++ {
-		nd := f.ahead[i]
-		if f.health.Known(origin, nb, nd) {
+		no := m.ahead[i]
+		nd := m.base.Dir(no)
+		if m.health.Known(origin, nb, nd) {
 			continue // known broken; try the next continuation
 		}
-		dead = f.deadWithin(origin, dest, nb, nd, depth-1)
+		dead = m.deadWithin(origin, dest, nb, no, nd, depth-1)
 	}
-	f.ahead = f.ahead[:start]
+	m.ahead = m.ahead[:start]
 	return dead
 }
 
 // misrouteSet is the base algorithm's safe detour set minus directly
 // broken channels.
-func (f *FaultAware) misrouteSet(current, dest topology.NodeID, in topology.Direction, inWrap bool) []topology.Direction {
-	alt := f.mis.MisrouteCandidates(current, dest, in, inWrap)
+func (m *Mask[O]) misrouteSet(current, dest topology.NodeID, in O) []O {
+	alt := m.base.Misroute(current, dest, in)
 	keep := alt[:0]
-	for _, d := range alt {
-		if f.health.Faulted(current, d) {
-			continue
+	for _, o := range alt {
+		if !m.health.Faulted(current, m.base.Dir(o)) {
+			keep = append(keep, o)
 		}
-		keep = append(keep, d)
 	}
 	return keep
-}
-
-// FaultRelation adapts a FaultAware wrapper to the turnmodel.CandidateFunc
-// used to build the dependency graph of the faulted configuration: the
-// channels a packet at (current, in) may wait for, with the misroute
-// budget treated as always available — a conservative over-approximation
-// of every per-packet bound, so acyclicity of this relation's graph
-// implies deadlock freedom of the budgeted behavior.
-func FaultRelation(f *FaultAware) turnmodel.CandidateFunc {
-	return Relation(f)
 }
 
 // misrouteInPhase is the shared detour rule of the phase-ordered

@@ -70,7 +70,7 @@ func TestFaultedCDGDeadlockFreeRandomFaults(t *testing.T) {
 					for _, alg := range algs {
 						health := fault.NewHealth(topo, state, pol)
 						fa := NewFaultAware(alg, health, pol)
-						g := turnmodel.FromRoutingFaulted(topo, FaultRelation(fa), faulted)
+						g := turnmodel.FromRoutingFaulted(topo, Relation(fa), faulted)
 						if cyc := g.FindCycle(); cyc != nil {
 							t.Errorf("%s on %s, faults %+v, policy %s: dependency cycle %v",
 								alg.Name(), topo.Name(), plan, pol.WithDefaults(), cyc)
@@ -337,26 +337,27 @@ func TestNamesSortedAndStable(t *testing.T) {
 // the look-ahead recursing over fresh slices — and with no shortcut: the
 // full filter runs at every router, whether or not it sees a fault. It is
 // kept as the oracle for AppendFaultCandidates and for the blind-router
-// shortcut. It reads the wrapper's configuration and counts in its own
-// counters.
+// shortcut. It is given the wrapper's configuration — base algorithm,
+// health view and policy — and counts in its own counters.
 type referenceFaultAware struct {
-	f                 *FaultAware
+	base              Algorithm
+	health            *fault.Health
+	pol               fault.RoutingPolicy
 	masked, misroutes int64
 }
 
 func (r *referenceFaultAware) candidates(current, dest topology.NodeID, in topology.Direction, inWrap bool, misrouted int) ([]topology.Direction, bool) {
-	f := r.f
-	base := f.base.Candidates(current, dest, in, inWrap)
+	base := r.base.Candidates(current, dest, in, inWrap)
 	if len(base) == 0 {
 		return base, false
 	}
 	var keep []topology.Direction
-	khop := f.health.Visibility() == fault.VisibilityKHop
+	khop := r.health.Visibility() == fault.VisibilityKHop
 	for _, d := range base {
-		if f.health.Faulted(current, d) {
+		if r.health.Faulted(current, d) {
 			continue
 		}
-		if khop && r.deadWithin(current, dest, current, d, f.health.Radius()) {
+		if khop && r.deadWithin(current, dest, current, d, r.health.Radius()) {
 			continue
 		}
 		keep = append(keep, d)
@@ -367,10 +368,10 @@ func (r *referenceFaultAware) candidates(current, dest topology.NodeID, in topol
 		}
 		return keep, false
 	}
-	if f.mis != nil && misrouted < f.pol.MisrouteLimit {
+	if mis, ok := r.base.(Misrouter); ok && misrouted < r.pol.MisrouteLimit {
 		var alt []topology.Direction
-		for _, d := range f.mis.MisrouteCandidates(current, dest, in, inWrap) {
-			if !f.health.Faulted(current, d) {
+		for _, d := range mis.MisrouteCandidates(current, dest, in, inWrap) {
+			if !r.health.Faulted(current, d) {
 				alt = append(alt, d)
 			}
 		}
@@ -384,20 +385,20 @@ func (r *referenceFaultAware) candidates(current, dest topology.NodeID, in topol
 }
 
 func (r *referenceFaultAware) deadWithin(origin, dest, node topology.NodeID, d topology.Direction, depth int) bool {
-	f := r.f
+	topo := r.base.Topology()
 	if depth <= 0 {
 		return false
 	}
-	nb, ok := f.topo.Neighbor(node, d)
+	nb, ok := topo.Neighbor(node, d)
 	if !ok || nb == dest {
 		return false
 	}
-	cands := f.base.Candidates(nb, dest, d, f.topo.Wraparound(node, d))
+	cands := r.base.Candidates(nb, dest, d, topo.Wraparound(node, d))
 	if len(cands) == 0 {
 		return false
 	}
 	for _, nd := range cands {
-		if f.health.Known(origin, nb, nd) {
+		if r.health.Known(origin, nb, nd) {
 			continue
 		}
 		if !r.deadWithin(origin, dest, nb, nd, depth-1) {
@@ -441,7 +442,7 @@ func TestAppendFaultCandidatesMatchesReference(t *testing.T) {
 				plan := randomFaultPlan(rng, topo, 6)
 				_, health := newHealthState(t, topo, plan, pol)
 				fa := NewFaultAware(alg, health, pol)
-				ref := &referenceFaultAware{f: fa}
+				ref := &referenceFaultAware{base: alg, health: health, pol: pol}
 				var held []topology.Direction // the previous decision's result
 				var heldWant []topology.Direction
 				// Every state a packet can be in: injected anywhere, then
@@ -538,7 +539,7 @@ func TestFaultCandidatesBlindShortcut(t *testing.T) {
 				plan := randomFaultPlan(rng, topo, 2)
 				_, health := newHealthState(t, topo, plan, pol)
 				fa := NewFaultAware(alg, health, pol)
-				ref := &referenceFaultAware{f: fa}
+				ref := &referenceFaultAware{base: alg, health: health, pol: pol}
 				for cur := topology.NodeID(0); int(cur) < topo.Nodes(); cur++ {
 					for dst := topology.NodeID(0); int(dst) < topo.Nodes(); dst++ {
 						if cur == dst {

@@ -51,19 +51,20 @@ type CandidateAppender interface {
 func Relation(a Algorithm) turnmodel.CandidateFunc {
 	topo := a.Topology()
 	return func(current, dest topology.NodeID, in topology.Direction) []topology.Direction {
-		inWrap := false
-		if in != topology.Invalid {
-			// Recover the wrap flag of the arrival channel: the packet
-			// entered current travelling in, so it came from the
-			// neighbor in the opposite direction, over that neighbor's
-			// channel in direction in.
-			from, ok := topo.Neighbor(current, in.Opposite())
-			if ok {
-				inWrap = topo.Wraparound(from, in)
-			}
-		}
-		return a.Candidates(current, dest, in, inWrap)
+		return a.Candidates(current, dest, in, ArrivalWrap(topo, current, in))
 	}
+}
+
+// ArrivalWrap recovers the wrap flag of the channel a packet arrived at
+// current on, travelling in direction in: it came from the neighbor in the
+// opposite direction, over that neighbor's channel in direction in. At the
+// injection port (topology.Invalid) it is false.
+func ArrivalWrap(topo topology.Topology, current topology.NodeID, in topology.Direction) bool {
+	if in == topology.Invalid {
+		return false
+	}
+	from, ok := topo.Neighbor(current, in.Opposite())
+	return ok && topo.Wraparound(from, in)
 }
 
 // Phased builds a custom phase-ordered routing discipline: directions are

@@ -12,40 +12,72 @@ import (
 // (topology.Invalid denotes the injection port).
 type CandidateFunc func(current, dest topology.NodeID, in topology.Direction) []topology.Direction
 
-// CDG is a channel dependency graph. Vertices are the unidirectional
-// network channels; there is an edge from channel c1 to channel c2 when a
-// packet holding c1 may wait for c2. Dally and Seitz showed a wormhole
-// routing algorithm is deadlock free iff its channel dependency graph is
-// acyclic; the turn model's proofs exhibit a channel numbering witnessing
-// exactly that.
+// VCCandidateFunc is the routing relation over virtual channels: it calls
+// emit, in order, with every (direction, virtual channel) output a header
+// at node current, destined for dest, may take after arriving on virtual
+// channel inVC of direction in (topology.Invalid and 0 at the injection
+// port).
+type VCCandidateFunc func(current, dest topology.NodeID, in topology.Direction, inVC int, emit func(d topology.Direction, vc int))
+
+// VCChannel is one virtual channel of a unidirectional network channel: a
+// vertex of the dependency graph. VC is 0 on a network without virtual
+// channels, where every channel is its own single virtual channel.
+type VCChannel struct {
+	topology.Channel
+	VC int
+}
+
+func (c VCChannel) String() string {
+	return fmt.Sprintf("%d-%v/vc%d->%d", c.From, c.Dir, c.VC, c.To)
+}
+
+// CDG is a channel dependency graph. Vertices are the virtual channels of
+// the unidirectional network channels — exactly the channels themselves
+// when there is one virtual channel per channel, as in the turn model
+// proper; Section 4.2's virtual channels only multiply the vertices. There
+// is an edge from v1 to v2 when a packet holding v1 may wait for v2. Dally
+// and Seitz showed a wormhole routing algorithm is deadlock free iff its
+// channel dependency graph is acyclic; the turn model's proofs exhibit a
+// channel numbering witnessing exactly that.
 type CDG struct {
 	topo  topology.Topology
-	chans []topology.Channel
-	// index maps the dense key from*2n+dir to a vertex, -1 if the
-	// channel does not exist.
+	maxVC int
+	chans []VCChannel
+	// index maps the dense key (from*2n+dir)*maxVC+vc to a vertex, -1 if
+	// the virtual channel does not exist.
 	index []int32
 	adj   [][]int32
 }
 
-func newCDG(topo topology.Topology) *CDG {
-	g := &CDG{topo: topo}
-	n2 := 2 * topo.Dims()
-	g.index = make([]int32, topo.Nodes()*n2)
+// newCDG lays out the vertices: every channel of topo in its order, each
+// followed by its virtual channels in increasing order. vcs reports the
+// virtual channel count per direction; nil means one.
+func newCDG(topo topology.Topology, vcs func(topology.Direction) int) *CDG {
+	if vcs == nil {
+		vcs = func(topology.Direction) int { return 1 }
+	}
+	g := &CDG{topo: topo, maxVC: 1}
+	for _, d := range topology.Directions(topo.Dims()) {
+		g.maxVC = max(g.maxVC, vcs(d))
+	}
+	g.index = make([]int32, topo.Nodes()*2*topo.Dims()*g.maxVC)
 	for i := range g.index {
 		g.index[i] = -1
 	}
 	for _, ch := range topo.Channels() {
-		g.index[int(ch.From)*n2+int(ch.Dir)] = int32(len(g.chans))
-		g.chans = append(g.chans, ch)
+		for vc := 0; vc < vcs(ch.Dir); vc++ {
+			g.index[g.key(ch.From, ch.Dir, vc)] = int32(len(g.chans))
+			g.chans = append(g.chans, VCChannel{ch, vc})
+		}
 	}
 	g.adj = make([][]int32, len(g.chans))
 	return g
 }
 
-// Channel returns the channel of a vertex.
-func (g *CDG) Channel(v int) topology.Channel { return g.chans[v] }
+// Channel returns the physical channel of a vertex.
+func (g *CDG) Channel(v int) topology.Channel { return g.chans[v].Channel }
 
-// Vertices reports the number of channels.
+// Vertices reports the number of (virtual) channels.
 func (g *CDG) Vertices() int { return len(g.chans) }
 
 // Edges reports the number of dependencies.
@@ -57,8 +89,17 @@ func (g *CDG) Edges() int {
 	return n
 }
 
-func (g *CDG) vertex(node topology.NodeID, d topology.Direction) int32 {
-	return g.index[int(node)*2*g.topo.Dims()+int(d)]
+func (g *CDG) key(node topology.NodeID, d topology.Direction, vc int) int {
+	return (int(node)*2*g.topo.Dims()+int(d))*g.maxVC + vc
+}
+
+// vertex returns the vertex of virtual channel vc on the channel leaving
+// node in direction d, or -1 if there is none.
+func (g *CDG) vertex(node topology.NodeID, d topology.Direction, vc int) int32 {
+	if vc < 0 || vc >= g.maxVC {
+		return -1
+	}
+	return g.index[g.key(node, d, vc)]
 }
 
 // FromTurns builds the dependency graph induced by a turn predicate:
@@ -76,11 +117,11 @@ func FromTurns(topo topology.Topology, allowed func(Turn) bool) *CDG {
 // of the turn model — notably the odd-even model, whose prohibitions
 // depend on column parity — need this generality.
 func FromTurnsAt(topo topology.Topology, allowed func(at topology.NodeID, t Turn) bool) *CDG {
-	g := newCDG(topo)
+	g := newCDG(topo, nil)
 	seen := make(map[int64]bool)
 	for v, ch := range g.chans {
 		for _, d2 := range topology.Directions(topo.Dims()) {
-			w := g.vertex(ch.To, d2)
+			w := g.vertex(ch.To, d2, 0)
 			if w < 0 {
 				continue
 			}
@@ -102,46 +143,65 @@ func FromRouting(topo topology.Topology, candidates CandidateFunc) *CDG {
 	return FromRoutingFaulted(topo, candidates, nil)
 }
 
-// FromRoutingFaulted builds the dependency graph of a routing relation on
-// a faulted configuration: channels for which faulted returns true are
-// excluded from the traversal. A broken channel is never allocated, so no
-// packet ever holds one — a packet may still *wait* on one (when masking
-// leaves it no alternative, until recovery aborts it), but a channel that
-// is never held cannot take part in a hold-and-wait cycle, so such
-// dependencies are irrelevant to deadlock and the faulted channels simply
-// leave the graph. A nil faulted predicate gives the healthy graph
-// (FromRouting).
-//
-// Pass routing.FaultRelation(wrapper) as the candidate function to check
-// that a fault-aware masking/misroute configuration keeps an algorithm
-// deadlock free on a specific fault set.
+// FromRoutingFaulted is FromRoutingVC for a relation without virtual
+// channels.
 func FromRoutingFaulted(topo topology.Topology, candidates CandidateFunc, faulted func(from topology.NodeID, dir topology.Direction) bool) *CDG {
-	g := newCDG(topo)
+	return FromRoutingVC(topo, nil, func(current, dest topology.NodeID, in topology.Direction, _ int, emit func(topology.Direction, int)) {
+		for _, d := range candidates(current, dest, in) {
+			emit(d, 0)
+		}
+	}, faulted)
+}
+
+// FromRoutingVC builds the exact dependency graph of a routing relation
+// over virtual channels, on a faulted configuration: vcs reports the
+// virtual channel count per direction (nil: one), and channels for which
+// faulted returns true are excluded from the traversal. A broken channel is
+// never allocated, so no packet ever holds one — a packet may still *wait*
+// on one (when masking leaves it no alternative, until recovery aborts it),
+// but a channel that is never held cannot take part in a hold-and-wait
+// cycle, so such dependencies are irrelevant to deadlock and the faulted
+// channels — every virtual channel on them — simply leave the graph. A nil
+// faulted predicate gives the healthy graph.
+//
+// Pass the relation of a routing.FaultAware (or vc.FaultAware) wrapper to
+// check that a fault-aware masking/misroute configuration keeps an
+// algorithm deadlock free on a specific fault set.
+func FromRoutingVC(topo topology.Topology, vcs func(topology.Direction) int, candidates VCCandidateFunc, faulted func(from topology.NodeID, dir topology.Direction) bool) *CDG {
+	g := newCDG(topo, vcs)
 	seen := make(map[int64]bool)
 	visited := make([]bool, len(g.chans))
 	queue := make([]int32, 0, len(g.chans))
-	for dst := topology.NodeID(0); int(dst) < topo.Nodes(); dst++ {
-		for i := range visited {
-			visited[i] = false
+	// emit records one output of the relation at node: a dependency from
+	// the held vertex from (none while seeding injections, from < 0) and a
+	// vertex to visit.
+	var node topology.NodeID
+	from := int32(-1)
+	emit := func(d topology.Direction, vc int) {
+		w := g.vertex(node, d, vc)
+		if w < 0 {
+			panic(fmt.Sprintf("turnmodel: routing proposed missing channel %v/vc%d from node %d", d, vc, node))
 		}
+		if faulted != nil && faulted(node, d) {
+			return
+		}
+		if from >= 0 {
+			g.addEdge(seen, from, w)
+		}
+		if !visited[w] {
+			visited[w] = true
+			queue = append(queue, w)
+		}
+	}
+	for dst := topology.NodeID(0); int(dst) < topo.Nodes(); dst++ {
+		clear(visited)
 		queue = queue[:0]
 		// Seed with every channel a freshly injected packet may take.
+		from = -1
 		for src := topology.NodeID(0); int(src) < topo.Nodes(); src++ {
-			if src == dst {
-				continue
-			}
-			for _, d := range candidates(src, dst, topology.Invalid) {
-				v := g.vertex(src, d)
-				if v < 0 {
-					panic(fmt.Sprintf("turnmodel: routing proposed missing channel %v from node %d", d, src))
-				}
-				if faulted != nil && faulted(src, d) {
-					continue
-				}
-				if !visited[v] {
-					visited[v] = true
-					queue = append(queue, v)
-				}
+			if src != dst {
+				node = src
+				candidates(src, dst, topology.Invalid, 0, emit)
 			}
 		}
 		for len(queue) > 0 {
@@ -151,20 +211,8 @@ func FromRoutingFaulted(topo topology.Topology, candidates CandidateFunc, faulte
 			if ch.To == dst {
 				continue
 			}
-			for _, d2 := range candidates(ch.To, dst, ch.Dir) {
-				w := g.vertex(ch.To, d2)
-				if w < 0 {
-					panic(fmt.Sprintf("turnmodel: routing proposed missing channel %v from node %d", d2, ch.To))
-				}
-				if faulted != nil && faulted(ch.To, d2) {
-					continue
-				}
-				g.addEdge(seen, v, w)
-				if !visited[w] {
-					visited[w] = true
-					queue = append(queue, w)
-				}
-			}
+			node, from = ch.To, v
+			candidates(ch.To, dst, ch.Dir, ch.VC, emit)
 		}
 	}
 	return g
@@ -182,6 +230,15 @@ func (g *CDG) addEdge(seen map[int64]bool, v, w int32) {
 // FindCycle returns the channels of one dependency cycle, or nil if the
 // graph is acyclic (i.e. the routing is deadlock free).
 func (g *CDG) FindCycle() []topology.Channel {
+	var cyc []topology.Channel
+	for _, c := range g.FindVCCycle() {
+		cyc = append(cyc, c.Channel)
+	}
+	return cyc
+}
+
+// FindVCCycle is FindCycle naming virtual channels.
+func (g *CDG) FindVCCycle() []VCChannel {
 	const (
 		white = 0
 		gray  = 1
@@ -189,9 +246,6 @@ func (g *CDG) FindCycle() []topology.Channel {
 	)
 	color := make([]byte, len(g.chans))
 	parent := make([]int32, len(g.chans))
-	for i := range parent {
-		parent[i] = -1
-	}
 	// Iterative DFS with an explicit stack of (vertex, next-edge) frames.
 	type frame struct {
 		v    int32
@@ -215,7 +269,7 @@ func (g *CDG) FindCycle() []topology.Channel {
 					stack = append(stack, frame{w, 0})
 				case gray:
 					// Found a cycle: w .. f.v -> w.
-					var cyc []topology.Channel
+					var cyc []VCChannel
 					for v := f.v; ; v = parent[v] {
 						cyc = append(cyc, g.chans[v])
 						if v == w {
@@ -238,4 +292,4 @@ func (g *CDG) FindCycle() []topology.Channel {
 }
 
 // DeadlockFree reports whether the dependency graph is acyclic.
-func (g *CDG) DeadlockFree() bool { return g.FindCycle() == nil }
+func (g *CDG) DeadlockFree() bool { return g.FindVCCycle() == nil }

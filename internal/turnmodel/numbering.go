@@ -172,7 +172,7 @@ func (nb Numbering) Validate(topo topology.Topology, candidates CandidateFunc) e
 func (g *CDG) ForEachEdge(f func(c1, c2 topology.Channel)) {
 	for v, ws := range g.adj {
 		for _, w := range ws {
-			f(g.chans[v], g.chans[w])
+			f(g.chans[v].Channel, g.chans[w].Channel)
 		}
 	}
 }

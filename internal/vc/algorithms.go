@@ -180,14 +180,7 @@ func (l lifted) Topology() topology.Topology { return l.a.Topology() }
 func (l lifted) VCs(topology.Direction) int  { return 1 }
 
 func (l lifted) Candidates(current, dest topology.NodeID, inDir topology.Direction, _ int) []Out {
-	topo := l.a.Topology()
-	inWrap := false
-	if inDir != topology.Invalid {
-		if from, ok := topo.Neighbor(current, inDir.Opposite()); ok {
-			inWrap = topo.Wraparound(from, inDir)
-		}
-	}
-	dirs := l.a.Candidates(current, dest, inDir, inWrap)
+	dirs := l.a.Candidates(current, dest, inDir, routing.ArrivalWrap(l.a.Topology(), current, inDir))
 	out := make([]Out, len(dirs))
 	for i, d := range dirs {
 		out[i] = Out{d, 0}
@@ -198,13 +191,7 @@ func (l lifted) Candidates(current, dest topology.NodeID, inDir topology.Directi
 // AppendCandidates implements CandidateAppender, delegating to the
 // underlying algorithm's appender when it has one.
 func (l lifted) AppendCandidates(dst []Out, scratch []topology.Direction, current, dest topology.NodeID, inDir topology.Direction, _ int) ([]Out, []topology.Direction) {
-	topo := l.a.Topology()
-	inWrap := false
-	if inDir != topology.Invalid {
-		if from, ok := topo.Neighbor(current, inDir.Opposite()); ok {
-			inWrap = topo.Wraparound(from, inDir)
-		}
-	}
+	inWrap := routing.ArrivalWrap(l.a.Topology(), current, inDir)
 	var dirs []topology.Direction
 	if l.ra != nil {
 		scratch = l.ra.AppendCandidates(scratch[:0], current, dest, inDir, inWrap)

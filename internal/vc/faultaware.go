@@ -1,8 +1,8 @@
-// Fault-aware routing at the virtual-channel level: the same masking and
-// bounded-misroute wrapper internal/routing provides for physical-channel
-// algorithms, applied to vc.Algorithm. A fault breaks a physical channel,
-// so it takes down every virtual channel multiplexed onto it; the wrapper
-// therefore filters Outs by their physical (node, direction) channel.
+// Fault-aware routing at the virtual-channel level: internal/routing's
+// masking and bounded-misroute ladder (routing.Mask), applied to
+// vc.Algorithm. A fault breaks a physical channel, so it takes down every
+// virtual channel multiplexed onto it; the ladder therefore filters Outs by
+// their physical (node, direction) channel.
 package vc
 
 import (
@@ -30,14 +30,7 @@ func (l lifted) MisrouteCandidates(current, dest topology.NodeID, inDir topology
 	if !ok {
 		return nil
 	}
-	topo := l.a.Topology()
-	inWrap := false
-	if inDir != topology.Invalid {
-		if from, ok := topo.Neighbor(current, inDir.Opposite()); ok {
-			inWrap = topo.Wraparound(from, inDir)
-		}
-	}
-	dirs := m.MisrouteCandidates(current, dest, inDir, inWrap)
+	dirs := m.MisrouteCandidates(current, dest, inDir, routing.ArrivalWrap(l.a.Topology(), current, inDir))
 	out := make([]Out, len(dirs))
 	for i, d := range dirs {
 		out[i] = Out{d, 0}
@@ -45,46 +38,31 @@ func (l lifted) MisrouteCandidates(current, dest topology.NodeID, inDir topology
 	return out
 }
 
-// FaultAware wraps a virtual-channel Algorithm with the fault-masking
-// ladder of routing.FaultAware: filter outputs on known-broken physical
-// channels when a legal alternative survives, optionally fall back to a
-// bounded misroute, and otherwise return the base set untouched so the
-// packet stalls into recovery exactly as before. Filtering removes
-// dependencies from the virtual-channel dependency graph and misrouting
-// uses only relations the base algorithm already permits, so deadlock
-// freedom is preserved; FaultRelationVC feeds the wrapped relation back
-// into FromRouting for a per-fault-set mechanical check. A FaultAware owns
-// scratch storage and is not safe for concurrent use.
+// FaultAware wraps a virtual-channel Algorithm with routing.Mask, the
+// fault-masking ladder routing.FaultAware also fronts: filter outputs on
+// known-broken physical channels when a legal alternative survives,
+// optionally fall back to a bounded misroute, and otherwise return the base
+// set untouched so the packet stalls into recovery exactly as before.
+// Filtering removes dependencies from the virtual-channel dependency graph
+// and misrouting uses only relations the base algorithm already permits, so
+// deadlock freedom is preserved; turnmodel.FromRoutingVC over
+// Relation(wrapper), restricted to the surviving channels, checks it per
+// fault set. A FaultAware owns scratch storage and is not safe for
+// concurrent use.
 type FaultAware struct {
 	base     Algorithm
 	appender CandidateAppender // base's allocation-free form, or nil
-	topo     topology.Topology
-	health   *fault.Health
-	pol      fault.RoutingPolicy
-	mis      Misrouter // nil: base cannot misroute safely, or limit is 0
-
-	// ahead is the k-hop look-ahead's stack of candidate sets, one frame
-	// per level of deadWithin's recursion, and dirs the direction scratch
-	// the base appender asks for; nothing that outlives a decision points
-	// into either.
-	ahead []Out
-	dirs  []topology.Direction
-
-	masked    int64
-	misroutes int64
+	// dirs is the direction scratch the base appender asks for; nothing
+	// that outlives a decision points into it.
+	dirs []topology.Direction
+	mask routing.Mask[Out]
 }
 
 // NewFaultAware builds the wrapper; the policy must be enabled.
 func NewFaultAware(base Algorithm, health *fault.Health, pol fault.RoutingPolicy) *FaultAware {
-	pol = pol.WithDefaults()
-	if !pol.Enabled() {
-		panic("vc: NewFaultAware requires an enabled policy")
-	}
-	f := &FaultAware{base: base, topo: base.Topology(), health: health, pol: pol}
+	f := &FaultAware{base: base}
 	f.appender, _ = base.(CandidateAppender)
-	if m, ok := base.(Misrouter); ok && pol.MisrouteLimit > 0 {
-		f.mis = m
-	}
+	f.mask.Reset(base.Topology(), health, pol, (*vcBase)(f))
 	return f
 }
 
@@ -92,19 +70,16 @@ func NewFaultAware(base Algorithm, health *fault.Health, pol fault.RoutingPolicy
 func (f *FaultAware) Name() string { return f.base.Name() }
 
 // Topology implements Algorithm.
-func (f *FaultAware) Topology() topology.Topology { return f.topo }
+func (f *FaultAware) Topology() topology.Topology { return f.base.Topology() }
 
 // VCs implements Algorithm.
 func (f *FaultAware) VCs(dir topology.Direction) int { return f.base.VCs(dir) }
 
-// Base returns the wrapped algorithm.
-func (f *FaultAware) Base() Algorithm { return f.base }
-
 // MaskedDecisions counts routing decisions narrowed because of faults.
-func (f *FaultAware) MaskedDecisions() int64 { return f.masked }
+func (f *FaultAware) MaskedDecisions() int64 { return f.mask.MaskedDecisions() }
 
 // MisrouteDecisions counts decisions that fell back to a misroute set.
-func (f *FaultAware) MisrouteDecisions() int64 { return f.misroutes }
+func (f *FaultAware) MisrouteDecisions() int64 { return f.mask.MisrouteDecisions() }
 
 // Candidates implements Algorithm with the misroute budget treated as
 // always available — the over-approximation CDG construction wants. The
@@ -114,10 +89,10 @@ func (f *FaultAware) Candidates(current, dest topology.NodeID, inDir topology.Di
 	return outs
 }
 
-// FaultCandidates mirrors routing.(*FaultAware).FaultCandidates on
-// virtual-channel outputs; the second result marks a misroute fallback
-// set. See that method for the four-case ladder. It is the allocating form
-// of AppendFaultCandidates.
+// FaultCandidates is routing.(*FaultAware).FaultCandidates on
+// virtual-channel outputs: the routing.Mask ladder over the base outputs,
+// the second result marking a misroute fallback set. It is the allocating
+// form of AppendFaultCandidates.
 func (f *FaultAware) FaultCandidates(current, dest topology.NodeID, inDir topology.Direction, inVC, misrouted int) ([]Out, bool) {
 	return f.AppendFaultCandidates(nil, current, dest, inDir, inVC, misrouted)
 }
@@ -140,78 +115,23 @@ func (f *FaultAware) appendBase(dst []Out, current, dest topology.NodeID, inDir 
 // taken when every candidate is known dead, still builds its set afresh).
 func (f *FaultAware) AppendFaultCandidates(dst []Out, current, dest topology.NodeID, inDir topology.Direction, inVC, misrouted int) ([]Out, bool) {
 	start := len(dst)
-	dst = f.appendBase(dst, current, dest, inDir, inVC)
-	base := dst[start:]
-	if len(base) == 0 || !f.health.Sees(current) {
-		return dst, false
-	}
-	// Filter in place: nothing is overwritten unless it survives the
-	// filter, so the unfiltered set stays intact whenever we fall through.
-	keep := dst[:start]
-	khop := f.health.Visibility() == fault.VisibilityKHop
-	for _, o := range base {
-		if f.health.Faulted(current, o.Dir) {
-			continue
-		}
-		if khop && f.deadWithin(current, dest, current, o, f.health.Radius()) {
-			continue
-		}
-		keep = append(keep, o)
-	}
-	if len(keep) > start {
-		if len(keep) < len(dst) {
-			f.masked++
-		}
-		return keep, false
-	}
-	if f.mis != nil && misrouted < f.pol.MisrouteLimit {
-		if alt := f.misrouteSet(current, dest, inDir, inVC); len(alt) > 0 {
-			f.masked++
-			f.misroutes++
-			return append(keep, alt...), true
-		}
-	}
-	return dst, false
+	return f.mask.Apply(f.appendBase(dst, current, dest, inDir, inVC), start, current, dest, Out{inDir, inVC}, misrouted)
 }
 
-// deadWithin reports whether taking output o from node leads into a
-// region router origin knows to be dead within the lookahead depth (see
-// routing.(*FaultAware).deadWithin).
-func (f *FaultAware) deadWithin(origin, dest, node topology.NodeID, o Out, depth int) bool {
-	if depth <= 0 {
-		return false
-	}
-	nb, ok := f.topo.Neighbor(node, o.Dir)
-	if !ok || nb == dest {
-		return false
-	}
-	// This level's candidates are a frame on the look-ahead stack: indexed,
-	// not ranged over, because a deeper level may grow — and move — it.
-	start := len(f.ahead)
-	f.ahead = f.appendBase(f.ahead, nb, dest, o.Dir, o.VC)
-	end := len(f.ahead)
-	dead := end > start
-	for i := start; i < end && dead; i++ {
-		no := f.ahead[i]
-		if f.health.Known(origin, nb, no.Dir) {
-			continue // known broken; try the next continuation
-		}
-		dead = f.deadWithin(origin, dest, nb, no, depth-1)
-	}
-	f.ahead = f.ahead[:start]
-	return dead
+// vcBase is the routing.MaskBase view of a FaultAware: an output leaves on
+// its physical direction and is the next hop's arrival virtual channel.
+type vcBase FaultAware
+
+func (*vcBase) Dir(o Out) topology.Direction { return o.Dir }
+
+func (b *vcBase) AppendNext(dst []Out, _, next, dest topology.NodeID, o Out) []Out {
+	return (*FaultAware)(b).appendBase(dst, next, dest, o.Dir, o.VC)
 }
 
-// misrouteSet is the base algorithm's safe detour set minus directly
-// broken channels.
-func (f *FaultAware) misrouteSet(current, dest topology.NodeID, inDir topology.Direction, inVC int) []Out {
-	alt := f.mis.MisrouteCandidates(current, dest, inDir, inVC)
-	keep := alt[:0]
-	for _, o := range alt {
-		if f.health.Faulted(current, o.Dir) {
-			continue
-		}
-		keep = append(keep, o)
+func (b *vcBase) Misroute(current, dest topology.NodeID, in Out) []Out {
+	m, ok := b.base.(Misrouter)
+	if !ok {
+		return nil
 	}
-	return keep
+	return m.MisrouteCandidates(current, dest, in.Dir, in.VC)
 }

@@ -7,16 +7,19 @@ import (
 	"turnmodel/internal/fault"
 	"turnmodel/internal/routing"
 	"turnmodel/internal/topology"
+	"turnmodel/internal/turnmodel"
 )
 
-func vcWrapper(t *testing.T, alg Algorithm, plan fault.Plan, pol fault.RoutingPolicy) *FaultAware {
+// vcWrapper builds the wrapper for alg on the fault plan, and the reference
+// ladder over the same algorithm, health view and policy.
+func vcWrapper(t *testing.T, alg Algorithm, plan fault.Plan, pol fault.RoutingPolicy) (*FaultAware, *referenceFaultAware) {
 	t.Helper()
 	topo := alg.Topology()
 	if err := fault.Validate(topo, plan); err != nil {
 		t.Fatalf("bad plan: %v", err)
 	}
-	state := fault.MustNew(plan, topo)
-	return NewFaultAware(alg, fault.NewHealth(topo, state, pol), pol)
+	health := fault.NewHealth(topo, fault.MustNew(plan, topo), pol)
+	return NewFaultAware(alg, health, pol), &referenceFaultAware{base: alg, health: health, pol: pol}
 }
 
 // TestVCFaultAwareFiltersBrokenPhysicalChannel: a fault takes down every
@@ -27,7 +30,7 @@ func TestVCFaultAwareFiltersBrokenPhysicalChannel(t *testing.T) {
 	alg := DoubleY(mesh)
 	pol := fault.RoutingPolicy{Visibility: fault.VisibilityLocal}
 	// 5 -> 0: double-y offers west and south; break 5:west.
-	fa := vcWrapper(t, alg, fault.Plan{Static: []topology.Channel{{From: 5, Dir: topology.West}}}, pol)
+	fa, _ := vcWrapper(t, alg, fault.Plan{Static: []topology.Channel{{From: 5, Dir: topology.West}}}, pol)
 	got, mis := fa.FaultCandidates(5, 0, topology.Invalid, 0, 0)
 	if mis {
 		t.Fatal("filtered decision flagged as misroute")
@@ -55,7 +58,7 @@ func TestVCFaultAwareNeverEmptiesNativeScheme(t *testing.T) {
 		t.Fatal("double-y unexpectedly implements Misrouter")
 	}
 	pol := fault.RoutingPolicy{Visibility: fault.VisibilityLocal, MisrouteLimit: 4}
-	fa := vcWrapper(t, alg, fault.Plan{Static: []topology.Channel{
+	fa, _ := vcWrapper(t, alg, fault.Plan{Static: []topology.Channel{
 		{From: 5, Dir: topology.West},
 		{From: 5, Dir: topology.South},
 	}}, pol)
@@ -98,7 +101,7 @@ func TestVCLiftedMisrouteInheritsPhysicalDetours(t *testing.T) {
 	}
 
 	pol := fault.RoutingPolicy{Visibility: fault.VisibilityLocal, MisrouteLimit: 2}
-	fa := vcWrapper(t, alg, fault.Plan{Static: []topology.Channel{{From: 5, Dir: topology.West}}}, pol)
+	fa, _ := vcWrapper(t, alg, fault.Plan{Static: []topology.Channel{{From: 5, Dir: topology.West}}}, pol)
 	outs, mis := fa.FaultCandidates(5, 4, topology.Invalid, 0, 0)
 	if !mis {
 		t.Fatalf("expected a misroute set, got %v", outs)
@@ -119,7 +122,7 @@ func TestVCFaultAwarePassthroughWhenHealthy(t *testing.T) {
 	mesh := topology.NewMesh2D(4, 4)
 	alg := DoubleY(mesh)
 	pol := fault.RoutingPolicy{Visibility: fault.VisibilityKHop, MisrouteLimit: 4}
-	fa := vcWrapper(t, alg, fault.Plan{Rate: 1e-9, Seed: 1}, pol)
+	fa, _ := vcWrapper(t, alg, fault.Plan{Rate: 1e-9, Seed: 1}, pol)
 	for src := 0; src < mesh.Nodes(); src++ {
 		for dst := 0; dst < mesh.Nodes(); dst++ {
 			if src == dst {
@@ -142,31 +145,103 @@ func TestVCFaultAwarePassthroughWhenHealthy(t *testing.T) {
 	}
 }
 
+// TestVCFaultedCDGDeadlockFreeRandomFaults is the virtual-channel wrapper's
+// safety property, checked the way the physical one is: for the native
+// schemes (double-y, dateline dimension-order, the cube-connected-cycles
+// scheme) and lifted turn-model algorithms, the virtual-channel dependency
+// graph of the faulted configuration under the masking/misroute relation,
+// restricted to the surviving channels, stays acyclic — at 1, 3 and 7
+// broken channels, under local and k-hop visibility, with and without the
+// misroute budget. The fault sets are random but seeded.
+func TestVCFaultedCDGDeadlockFreeRandomFaults(t *testing.T) {
+	mesh := topology.NewMesh2D(5, 5)
+	var algs []Algorithm
+	for _, c := range []struct {
+		name string
+		topo topology.Topology
+	}{
+		{"double-y", mesh},
+		{"dateline-dor", topology.NewTorus(4, 4)},
+		{"dateline-dor", topology.NewTorus(5, 5)},
+		{"ccc-ascending", topology.NewCCC(3)},
+		{"negative-first", mesh},
+		{"west-first", mesh},
+		{"negative-first", topology.NewHypercube(4)},
+	} {
+		alg, err := New(c.name, c.topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cyc := FromRouting(alg).FindVCCycle(); cyc != nil {
+			t.Fatalf("%s on %s is cyclic fault free: %v", alg.Name(), c.topo.Name(), cyc)
+		}
+		algs = append(algs, alg)
+	}
+	policies := []fault.RoutingPolicy{
+		{Visibility: fault.VisibilityLocal},
+		{Visibility: fault.VisibilityKHop, MisrouteLimit: 4},
+		{Visibility: fault.VisibilityKHop, Radius: 3, MisrouteLimit: 1},
+	}
+	rng := rand.New(rand.NewSource(20261019))
+	checked, masked, misrouted := 0, int64(0), int64(0)
+	for _, alg := range algs {
+		topo := alg.Topology()
+		chans := topo.Channels()
+		for _, density := range []int{1, 3, 7} {
+			for trial := 0; trial < 3; trial++ {
+				var plan fault.Plan
+				for _, i := range rng.Perm(len(chans))[:density] {
+					plan.Static = append(plan.Static, chans[i])
+				}
+				state := fault.MustNew(plan, topo)
+				faulted := func(from topology.NodeID, dir topology.Direction) bool {
+					return state.Faulted[int(from)*2*topo.Dims()+int(dir)]
+				}
+				for _, pol := range policies {
+					fa := NewFaultAware(alg, fault.NewHealth(topo, state, pol), pol)
+					g := turnmodel.FromRoutingVC(topo, fa.VCs, Relation(fa), faulted)
+					if cyc := g.FindVCCycle(); cyc != nil {
+						t.Errorf("%s on %s, faults %+v, policy %s: dependency cycle %v",
+							alg.Name(), topo.Name(), plan, pol.WithDefaults(), cyc)
+					}
+					checked++
+					masked += fa.MaskedDecisions()
+					misrouted += fa.MisrouteDecisions()
+				}
+			}
+		}
+	}
+	if checked != 189 || masked == 0 || misrouted == 0 {
+		t.Fatalf("%d configurations, %d masked and %d misrouted decisions: the case no longer covers the ladder", checked, masked, misrouted)
+	}
+}
+
 // referenceFaultAware is FaultCandidates as it was before the append form
 // existed — every candidate set a fresh slice from Algorithm.Candidates,
 // the look-ahead recursing over fresh slices — and with no shortcut: the
 // full filter runs at every router, whether or not it sees a fault. It is
 // kept as the oracle for AppendFaultCandidates and for the blind-router
-// shortcut. It reads the wrapper's configuration and counts in its own
-// counters.
+// shortcut. It is given the wrapper's configuration — base algorithm,
+// health view and policy — and counts in its own counters.
 type referenceFaultAware struct {
-	f                 *FaultAware
+	base              Algorithm
+	health            *fault.Health
+	pol               fault.RoutingPolicy
 	masked, misroutes int64
 }
 
 func (r *referenceFaultAware) candidates(current, dest topology.NodeID, inDir topology.Direction, inVC, misrouted int) ([]Out, bool) {
-	f := r.f
-	base := f.base.Candidates(current, dest, inDir, inVC)
+	base := r.base.Candidates(current, dest, inDir, inVC)
 	if len(base) == 0 {
 		return base, false
 	}
 	var keep []Out
-	khop := f.health.Visibility() == fault.VisibilityKHop
+	khop := r.health.Visibility() == fault.VisibilityKHop
 	for _, o := range base {
-		if f.health.Faulted(current, o.Dir) {
+		if r.health.Faulted(current, o.Dir) {
 			continue
 		}
-		if khop && r.deadWithin(current, dest, current, o, f.health.Radius()) {
+		if khop && r.deadWithin(current, dest, current, o, r.health.Radius()) {
 			continue
 		}
 		keep = append(keep, o)
@@ -177,10 +252,10 @@ func (r *referenceFaultAware) candidates(current, dest topology.NodeID, inDir to
 		}
 		return keep, false
 	}
-	if f.mis != nil && misrouted < f.pol.MisrouteLimit {
+	if mis, ok := r.base.(Misrouter); ok && misrouted < r.pol.MisrouteLimit {
 		var alt []Out
-		for _, o := range f.mis.MisrouteCandidates(current, dest, inDir, inVC) {
-			if !f.health.Faulted(current, o.Dir) {
+		for _, o := range mis.MisrouteCandidates(current, dest, inDir, inVC) {
+			if !r.health.Faulted(current, o.Dir) {
 				alt = append(alt, o)
 			}
 		}
@@ -194,20 +269,19 @@ func (r *referenceFaultAware) candidates(current, dest topology.NodeID, inDir to
 }
 
 func (r *referenceFaultAware) deadWithin(origin, dest, node topology.NodeID, o Out, depth int) bool {
-	f := r.f
 	if depth <= 0 {
 		return false
 	}
-	nb, ok := f.topo.Neighbor(node, o.Dir)
+	nb, ok := r.base.Topology().Neighbor(node, o.Dir)
 	if !ok || nb == dest {
 		return false
 	}
-	cands := f.base.Candidates(nb, dest, o.Dir, o.VC)
+	cands := r.base.Candidates(nb, dest, o.Dir, o.VC)
 	if len(cands) == 0 {
 		return false
 	}
 	for _, no := range cands {
-		if f.health.Known(origin, nb, no.Dir) {
+		if r.health.Known(origin, nb, no.Dir) {
 			continue
 		}
 		if !r.deadWithin(origin, dest, nb, no, depth-1) {
@@ -247,8 +321,7 @@ func TestFaultCandidatesBlindShortcut(t *testing.T) {
 			}
 			chans := topo.Channels()
 			plan := fault.Plan{Static: []topology.Channel{chans[rng.Intn(len(chans))], chans[rng.Intn(len(chans))]}}
-			fa := vcWrapper(t, alg, plan, pol)
-			ref := &referenceFaultAware{f: fa}
+			fa, ref := vcWrapper(t, alg, plan, pol)
 			for cur := topology.NodeID(0); int(cur) < topo.Nodes(); cur++ {
 				for dst := topology.NodeID(0); int(dst) < topo.Nodes(); dst++ {
 					if cur == dst {
@@ -271,9 +344,9 @@ func TestFaultCandidatesBlindShortcut(t *testing.T) {
 								if gotMis != wantMis || !equalOuts(got, want) ||
 									fa.MaskedDecisions()-g0 != ref.masked-m0 || fa.MisrouteDecisions()-h0 != ref.misroutes-r0 {
 									t.Fatalf("%s, %s, faults %+v: at %d (sees %v) for %d arriving %v/vc%d (misrouted %d): got %v misroute=%v, the full filter %v misroute=%v",
-										alg.Name(), pol, plan, cur, fa.health.Sees(cur), dst, in, inVC, misrouted, got, gotMis, want, wantMis)
+										alg.Name(), pol, plan, cur, ref.health.Sees(cur), dst, in, inVC, misrouted, got, gotMis, want, wantMis)
 								}
-								if fa.health.Sees(cur) {
+								if ref.health.Sees(cur) {
 									seeing++
 								} else {
 									blind++
@@ -342,8 +415,7 @@ func TestVCAppendFaultCandidatesMatchesReference(t *testing.T) {
 			for len(plan.Static) < 6 {
 				plan.Static = append(plan.Static, chans[rng.Intn(len(chans))])
 			}
-			fa := vcWrapper(t, alg, plan, pol)
-			ref := &referenceFaultAware{f: fa}
+			fa, ref := vcWrapper(t, alg, plan, pol)
 			var held, heldWant []Out // the previous decision's result
 			type state struct {
 				node topology.NodeID
@@ -379,7 +451,7 @@ func TestVCAppendFaultCandidatesMatchesReference(t *testing.T) {
 					}
 					held, heldWant = got, append(prefix[:len(prefix):len(prefix)], want...)
 					for _, o := range want {
-						if fa.health.Faulted(st.node, o.Dir) {
+						if ref.health.Faulted(st.node, o.Dir) {
 							continue
 						}
 						if nb, ok := topo.Neighbor(st.node, o.Dir); ok && nb != dst {
@@ -413,7 +485,7 @@ func TestVCAppendFaultCandidatesZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		pol := fault.RoutingPolicy{Visibility: fault.VisibilityKHop, Radius: 3}
-		fa := vcWrapper(t, alg, fault.Plan{Static: []topology.Channel{{From: 27, Dir: topology.West}, {From: 20, Dir: topology.South}}}, pol)
+		fa, _ := vcWrapper(t, alg, fault.Plan{Static: []topology.Channel{{From: 27, Dir: topology.West}, {From: 20, Dir: topology.South}}}, pol)
 		var buf [8]Out
 		decide := func() {
 			for cur := topology.NodeID(1); cur < 64; cur++ {

@@ -11,14 +11,16 @@
 //
 // The package mirrors internal/routing at the virtual-channel level: an
 // Algorithm proposes (direction, virtual channel) outputs, and FromRouting
-// builds the virtual-channel dependency graph whose acyclicity certifies
-// deadlock freedom.
+// builds — with internal/turnmodel's one dependency-graph construction —
+// the virtual-channel dependency graph whose acyclicity certifies deadlock
+// freedom.
 package vc
 
 import (
 	"fmt"
 
 	"turnmodel/internal/topology"
+	"turnmodel/internal/turnmodel"
 )
 
 // Out names one output virtual channel at a router: the physical direction
@@ -69,167 +71,24 @@ func MaxVCs(a Algorithm) int {
 	return max
 }
 
-// Channel is one virtual channel instance of the network.
-type Channel struct {
-	topology.Channel
-	VC int
-}
+// Channel is one virtual channel instance of the network, a vertex of the
+// dependency graph.
+type Channel = turnmodel.VCChannel
 
-func (c Channel) String() string {
-	return fmt.Sprintf("%d-%v/vc%d->%d", c.From, c.Dir, c.VC, c.To)
-}
-
-// CDG is the virtual-channel dependency graph of an Algorithm on its
-// topology. As with the physical-channel graph, acyclicity is the
-// Dally–Seitz criterion for deadlock freedom.
-type CDG struct {
-	topo  topology.Topology
-	alg   Algorithm
-	maxVC int
-	chans []Channel
-	index []int32
-	adj   [][]int32
-}
-
-// FromRouting builds the exact dependency graph: for every destination it
-// traverses the virtual channels a packet can occupy and records which
-// virtual channels it may wait for next.
-func FromRouting(a Algorithm) *CDG {
-	topo := a.Topology()
-	g := &CDG{topo: topo, alg: a, maxVC: MaxVCs(a)}
-	dims2 := 2 * topo.Dims()
-	g.index = make([]int32, topo.Nodes()*dims2*g.maxVC)
-	for i := range g.index {
-		g.index[i] = -1
-	}
-	for _, ch := range topo.Channels() {
-		for v := 0; v < a.VCs(ch.Dir); v++ {
-			g.index[g.key(ch.From, ch.Dir, v)] = int32(len(g.chans))
-			g.chans = append(g.chans, Channel{Channel: ch, VC: v})
+// Relation adapts an Algorithm to the turnmodel.VCCandidateFunc used for
+// dependency graph construction.
+func Relation(a Algorithm) turnmodel.VCCandidateFunc {
+	return func(current, dest topology.NodeID, inDir topology.Direction, inVC int, emit func(topology.Direction, int)) {
+		for _, o := range a.Candidates(current, dest, inDir, inVC) {
+			emit(o.Dir, o.VC)
 		}
 	}
-	g.adj = make([][]int32, len(g.chans))
-
-	seen := make(map[int64]bool)
-	visited := make([]bool, len(g.chans))
-	var queue []int32
-	for dst := topology.NodeID(0); int(dst) < topo.Nodes(); dst++ {
-		for i := range visited {
-			visited[i] = false
-		}
-		queue = queue[:0]
-		for src := topology.NodeID(0); int(src) < topo.Nodes(); src++ {
-			if src == dst {
-				continue
-			}
-			for _, out := range a.Candidates(src, dst, topology.Invalid, 0) {
-				v := g.vertex(src, out)
-				if !visited[v] {
-					visited[v] = true
-					queue = append(queue, v)
-				}
-			}
-		}
-		for len(queue) > 0 {
-			v := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			ch := g.chans[v]
-			if ch.To == dst {
-				continue
-			}
-			for _, out := range a.Candidates(ch.To, dst, ch.Dir, ch.VC) {
-				w := g.vertex(ch.To, out)
-				key := int64(v)*int64(len(g.chans)) + int64(w)
-				if !seen[key] {
-					seen[key] = true
-					g.adj[v] = append(g.adj[v], w)
-				}
-				if !visited[w] {
-					visited[w] = true
-					queue = append(queue, w)
-				}
-			}
-		}
-	}
-	return g
 }
 
-func (g *CDG) key(node topology.NodeID, d topology.Direction, v int) int {
-	dims2 := 2 * g.topo.Dims()
-	return (int(node)*dims2+int(d))*g.maxVC + v
+// FromRouting builds the exact virtual-channel dependency graph of an
+// Algorithm on its topology; as with the physical-channel graph,
+// acyclicity is the Dally–Seitz criterion for deadlock freedom, and
+// FindVCCycle names an offending cycle.
+func FromRouting(a Algorithm) *turnmodel.CDG {
+	return turnmodel.FromRoutingVC(a.Topology(), a.VCs, Relation(a), nil)
 }
-
-func (g *CDG) vertex(node topology.NodeID, out Out) int32 {
-	v := g.index[g.key(node, out.Dir, out.VC)]
-	if v < 0 {
-		panic(fmt.Sprintf("vc: routing proposed missing channel %v at node %d", out, node))
-	}
-	return v
-}
-
-// Vertices reports the number of virtual channels.
-func (g *CDG) Vertices() int { return len(g.chans) }
-
-// Edges reports the number of dependencies.
-func (g *CDG) Edges() int {
-	n := 0
-	for _, a := range g.adj {
-		n += len(a)
-	}
-	return n
-}
-
-// FindCycle returns one dependency cycle, or nil when the routing is
-// deadlock free.
-func (g *CDG) FindCycle() []Channel {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]byte, len(g.chans))
-	parent := make([]int32, len(g.chans))
-	type frame struct {
-		v    int32
-		next int
-	}
-	for start := range g.chans {
-		if color[start] != white {
-			continue
-		}
-		stack := []frame{{int32(start), 0}}
-		color[start] = gray
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.next < len(g.adj[f.v]) {
-				w := g.adj[f.v][f.next]
-				f.next++
-				switch color[w] {
-				case white:
-					color[w] = gray
-					parent[w] = f.v
-					stack = append(stack, frame{w, 0})
-				case gray:
-					var cyc []Channel
-					for v := f.v; ; v = parent[v] {
-						cyc = append(cyc, g.chans[v])
-						if v == w {
-							break
-						}
-					}
-					for i, j := 0, len(cyc)-1; i < j; i, j = i+1, j-1 {
-						cyc[i], cyc[j] = cyc[j], cyc[i]
-					}
-					return cyc
-				}
-			} else {
-				color[f.v] = black
-				stack = stack[:len(stack)-1]
-			}
-		}
-	}
-	return nil
-}
-
-// DeadlockFree reports whether the graph is acyclic.
-func (g *CDG) DeadlockFree() bool { return g.FindCycle() == nil }

@@ -14,7 +14,7 @@ func TestDoubleYDeadlockFree(t *testing.T) {
 	for _, size := range [][2]int{{4, 4}, {8, 8}, {5, 3}} {
 		m := topology.NewMesh2D(size[0], size[1])
 		g := FromRouting(DoubleY(m))
-		if cyc := g.FindCycle(); cyc != nil {
+		if cyc := g.FindVCCycle(); cyc != nil {
 			t.Errorf("double-y on %s: dependency cycle %v", m.Name(), cyc)
 		}
 	}
@@ -86,7 +86,7 @@ func TestDatelineDORDeadlockFree(t *testing.T) {
 	for _, spec := range [][2]int{{4, 2}, {5, 2}, {8, 2}, {3, 3}, {6, 1}} {
 		tr := topology.NewKaryNCube(spec[0], spec[1])
 		g := FromRouting(DatelineDOR(tr))
-		if cyc := g.FindCycle(); cyc != nil {
+		if cyc := g.FindVCCycle(); cyc != nil {
 			t.Errorf("dateline-dor on %s: dependency cycle %v", tr.Name(), cyc)
 		}
 	}
@@ -227,7 +227,7 @@ func TestCCCAscendingDeadlockFree(t *testing.T) {
 	for _, n := range []int{3, 4, 5} {
 		c := topology.NewCCC(n)
 		g := FromRouting(NewCCCAscending(c))
-		if cyc := g.FindCycle(); cyc != nil {
+		if cyc := g.FindVCCycle(); cyc != nil {
 			t.Errorf("ccc-ascending on %s: dependency cycle %v", c.Name(), cyc)
 		}
 	}

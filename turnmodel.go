@@ -321,7 +321,7 @@ func NewVCRouting(name string, topo Topology) (VCRouting, error) { return vc.New
 // VerifyVCDeadlockFree checks the virtual-channel dependency graph and
 // returns one offending cycle, or nil when the algorithm is deadlock free.
 func VerifyVCDeadlockFree(alg VCRouting) []VCChannel {
-	return vc.FromRouting(alg).FindCycle()
+	return vc.FromRouting(alg).FindVCCycle()
 }
 
 // NewVCNetwork builds the flit-level virtual-channel simulator.
@@ -416,7 +416,7 @@ func VerifyDeadlockFreeFaulted(alg Routing, plan FaultPlan, pol FaultRoutingPoli
 	rel := routing.Relation(alg)
 	if pol.Enabled() {
 		health := fault.NewHealth(topo, state, pol)
-		rel = routing.FaultRelation(routing.NewFaultAware(alg, health, pol))
+		rel = routing.Relation(routing.NewFaultAware(alg, health, pol))
 	}
 	return turnmodel.FromRoutingFaulted(topo, rel, faulted).FindCycle(), nil
 }

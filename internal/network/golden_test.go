@@ -78,33 +78,7 @@ func policyDigest(t *testing.T, w goldenWorkload, in InputPolicy, out OutputPoli
 	t.Helper()
 	cfg := w.config(t)
 	cfg.Input, cfg.Output, cfg.Seed = in, out, seed
-	net := New(cfg)
-	nodes := cfg.Routing.Topology().Nodes()
-	rng := rand.New(rand.NewSource(seed*7919 + 1))
-	var pkts []*Packet
-	for net.Cycle() < w.cycles {
-		for node := 0; node < nodes; node++ {
-			if rng.Float64() >= w.rate {
-				continue
-			}
-			dst := topology.NodeID(rng.Intn(nodes))
-			if dst == topology.NodeID(node) {
-				continue
-			}
-			pkts = append(pkts, net.Enqueue(topology.NodeID(node), dst, 1+rng.Intn(24)))
-		}
-		if err := net.Step(); err != nil {
-			t.Fatalf("%s: %v", w.name, err)
-		}
-	}
-	for limit := net.Cycle() + 60000; net.InFlight() > 0; {
-		if net.Cycle() > limit {
-			t.Fatalf("%s: %d packets still in flight after drain limit", w.name, net.InFlight())
-		}
-		if err := net.Step(); err != nil {
-			t.Fatalf("%s: %v", w.name, err)
-		}
-	}
+	net, pkts := runGolden(t, w, cfg, nil)
 	h := sha256.New()
 	put := func(vs ...int64) {
 		var b [8]byte
@@ -173,4 +147,46 @@ func TestPolicyGoldens(t *testing.T) {
 			t.Errorf("%s: digest %s, golden %s (rerun with UPDATE_GOLDEN=1 if the change is intentional)", key, g, want[key])
 		}
 	}
+}
+
+// runGolden drives a network built from cfg with the workload's traffic:
+// Bernoulli per-node generation for the workload's cycles, drawn from the
+// seed in cfg, then a drain. at, when non-nil, is called before every
+// generation step and once more when generation ends, before the drain.
+func runGolden(t *testing.T, w goldenWorkload, cfg Config, at func(*Network)) (*Network, []*Packet) {
+	t.Helper()
+	net := New(cfg)
+	nodes := cfg.Routing.Topology().Nodes()
+	rng := rand.New(rand.NewSource(cfg.Seed*7919 + 1))
+	var pkts []*Packet
+	for net.Cycle() < w.cycles {
+		if at != nil {
+			at(net)
+		}
+		for node := 0; node < nodes; node++ {
+			if rng.Float64() >= w.rate {
+				continue
+			}
+			dst := topology.NodeID(rng.Intn(nodes))
+			if dst == topology.NodeID(node) {
+				continue
+			}
+			pkts = append(pkts, net.Enqueue(topology.NodeID(node), dst, 1+rng.Intn(24)))
+		}
+		if err := net.Step(); err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+	}
+	if at != nil {
+		at(net)
+	}
+	for limit := net.Cycle() + 60000; net.InFlight() > 0; {
+		if net.Cycle() > limit {
+			t.Fatalf("%s: %d packets still in flight after drain limit", w.name, net.InFlight())
+		}
+		if err := net.Step(); err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+	}
+	return net, pkts
 }

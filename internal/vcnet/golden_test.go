@@ -163,38 +163,7 @@ func vcDigest(t *testing.T, c vcGoldenCase, seed int64, probe bool) string {
 		sp = &streamProbe{h: sha256.New()}
 		cfg.Probe = sp
 	}
-	net := New(cfg)
-	nodes := cfg.Routing.Topology().Nodes()
-	rng := rand.New(rand.NewSource(seed*104729 + 7))
-	period := c.load.period
-	if period == 0 {
-		period = 200
-	}
-	var pkts []*Packet
-	for net.Cycle() < 6000 {
-		for node := 0; node < nodes; node++ {
-			if rng.Intn(period) != 0 {
-				continue
-			}
-			dst := topology.NodeID(rng.Intn(nodes))
-			if c.load.hot && rng.Intn(4) == 0 {
-				dst = c.load.hotspot
-			}
-			if dst == topology.NodeID(node) {
-				continue
-			}
-			var length int
-			if ls := c.load.lengths; ls != nil {
-				length = ls[rng.Intn(len(ls))]
-			} else {
-				length = 1 + rng.Intn(200)
-			}
-			pkts = append(pkts, net.Enqueue(topology.NodeID(node), dst, length))
-		}
-		if err := net.Step(); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-	}
+	net, pkts := runVCGolden(t, c, cfg, seed, nil)
 	h := sha256.New()
 	put := func(vs ...int64) {
 		var b [8]byte
@@ -261,4 +230,50 @@ func TestVCGoldens(t *testing.T) {
 			t.Errorf("%s: digest %s, golden %s (rerun with UPDATE_GOLDEN=1 if the change is intentional)", key, g, want[key])
 		}
 	}
+}
+
+// runVCGolden drives a network built from cfg with the case's load (see
+// vcLoad) from the seed for 6000 cycles. at, when non-nil, is called before
+// every step and once more at the end.
+func runVCGolden(t *testing.T, c vcGoldenCase, cfg Config, seed int64, at func(*Network)) (*Network, []*Packet) {
+	t.Helper()
+	net := New(cfg)
+	nodes := cfg.Routing.Topology().Nodes()
+	rng := rand.New(rand.NewSource(seed*104729 + 7))
+	period := c.load.period
+	if period == 0 {
+		period = 200
+	}
+	var pkts []*Packet
+	for net.Cycle() < 6000 {
+		if at != nil {
+			at(net)
+		}
+		for node := 0; node < nodes; node++ {
+			if rng.Intn(period) != 0 {
+				continue
+			}
+			dst := topology.NodeID(rng.Intn(nodes))
+			if c.load.hot && rng.Intn(4) == 0 {
+				dst = c.load.hotspot
+			}
+			if dst == topology.NodeID(node) {
+				continue
+			}
+			var length int
+			if ls := c.load.lengths; ls != nil {
+				length = ls[rng.Intn(len(ls))]
+			} else {
+				length = 1 + rng.Intn(200)
+			}
+			pkts = append(pkts, net.Enqueue(topology.NodeID(node), dst, length))
+		}
+		if err := net.Step(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+	}
+	if at != nil {
+		at(net)
+	}
+	return net, pkts
 }

@@ -58,14 +58,14 @@ func wedgedNetwork(tb testing.TB, probe turnmodel.Probe, ftroute turnmodel.Fault
 // blocked headers piling up behind the long bodies. Routes are 7 hops,
 // inside a worm's inline path buffer. It returns the packets so the
 // caller can check that headers really moved.
-func movingNetwork(tb testing.TB) (*turnmodel.Network, []*turnmodel.Packet) {
+func movingNetwork(tb testing.TB, probe turnmodel.Probe) (*turnmodel.Network, []*turnmodel.Packet) {
 	tb.Helper()
 	mesh := turnmodel.NewMesh2D(8, 8)
 	alg, err := turnmodel.NewRouting("west-first", mesh)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	net := turnmodel.NewNetwork(turnmodel.NetworkConfig{Routing: alg, Seed: 1})
+	net := turnmodel.NewNetwork(turnmodel.NetworkConfig{Routing: alg, Seed: 1, Probe: probe})
 	var pkts []*turnmodel.Packet
 	for y := 0; y < 8; y++ {
 		for x := 0; x < 8; x++ {
@@ -80,14 +80,14 @@ func movingNetwork(tb testing.TB) (*turnmodel.Network, []*turnmodel.Packet) {
 // 600-flit messages from every node (x, y) of an 8x8 mesh to
 // ((x+4) mod 8, (y+3) mod 8), routed double-y, whose y links carry two
 // virtual channels, so every flit crossing one claims its bandwidth.
-func movingVCNetwork(tb testing.TB) (*turnmodel.VCNetwork, []*turnmodel.Packet) {
+func movingVCNetwork(tb testing.TB, probe turnmodel.Probe) (*turnmodel.VCNetwork, []*turnmodel.Packet) {
 	tb.Helper()
 	mesh := turnmodel.NewMesh2D(8, 8)
 	alg, err := turnmodel.NewVCRouting("double-y", mesh)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	net := turnmodel.NewVCNetwork(turnmodel.VCNetworkConfig{Routing: alg})
+	net := turnmodel.NewVCNetwork(turnmodel.VCNetworkConfig{Routing: alg, Probe: probe})
 	var pkts []*turnmodel.Packet
 	for y := 0; y < 8; y++ {
 		for x := 0; x < 8; x++ {
@@ -148,9 +148,10 @@ func drainingVCWave(net *turnmodel.VCNetwork, mesh *turnmodel.Mesh) {
 	}
 }
 
-// TestStepZeroAllocs gates the no-probe step paths at zero heap
-// allocations per cycle: the observability layer must cost nothing when
-// unused, fault-aware routing must stay allocation-free once its candidate
+// TestStepZeroAllocs gates the step paths at zero heap allocations per
+// cycle: the observability layer must cost nothing when unused, and nothing
+// either with a collector attached to a wedged or a moving network (the
+// probe cases), fault-aware routing must stay allocation-free once its candidate
 // caches are warm, a header entering and leaving the wait
 // table must cost no allocation (the moving cases), and neither must a wake,
 // a retirement or the injection that recycles the retired worm (the waking
@@ -313,88 +314,47 @@ func TestStepZeroAllocs(t *testing.T) {
 			t.Errorf("step path allocates %.1f allocs/op, want 0", allocs)
 		}
 	})
-	t.Run("no-probe-moving", func(t *testing.T) {
-		net, pkts := movingNetwork(t)
-		hops := func() (n int) {
-			for _, p := range pkts {
-				n += p.Hops
+	// The moving cases run once without a probe and once with a collector
+	// attached, which is told of every grant's wait; the wedged cases
+	// below likewise.
+	collector := func() turnmodel.Probe {
+		return turnmodel.NewMetricsCollector(turnmodel.NewMesh2D(8, 8), turnmodel.MetricsOptions{})
+	}
+	for _, probe := range []string{"no-probe", "probe"} {
+		attach := func() turnmodel.Probe {
+			if probe == "probe" {
+				return collector()
 			}
-			return n
+			return nil
 		}
-		var stepErr error
-		step := func() {
-			if err := net.Step(); err != nil {
-				stepErr = err
-			}
-		}
-		// The first step injects (and so allocates) the worms; the
-		// measured ones only move them. AllocsPerRun truncates the
-		// average, so the scratch lists growing to their working size — a
-		// handful of allocations in all — passes, while anything per hop or
-		// per waiter would not.
-		step()
-		before := hops()
-		allocs := testing.AllocsPerRun(18, step)
-		if stepErr != nil {
-			t.Fatal(stepErr)
-		}
-		if moved := hops() - before; moved < 100 {
-			t.Fatalf("only %d header hops in the measured window; the case no longer exercises enlist/delist", moved)
-		}
-		if net.PacketsDelivered() != 0 {
-			t.Fatalf("%d packets delivered inside the measured window; deliveries allocate by design", net.PacketsDelivered())
-		}
-		if allocs != 0 {
-			t.Errorf("step path allocates %.1f allocs/op, want 0", allocs)
-		}
-	})
-	t.Run("vcnet-no-probe-moving", func(t *testing.T) {
-		net, pkts := movingVCNetwork(t)
-		hops := func() (n int) {
-			for _, p := range pkts {
-				n += p.Hops
-			}
-			return n
-		}
-		var stepErr error
-		step := func() {
-			if err := net.Step(); err != nil {
-				stepErr = err
-			}
-		}
-		// As in the network engine's moving cases: the first step injects
-		// the worms, the measured ones move them — headers hopping into
-		// and out of the wait table, worms woken by their grants and
-		// visited while they stream, their runs advancing.
-		step()
-		before := hops()
-		allocs := testing.AllocsPerRun(18, step)
-		if stepErr != nil {
-			t.Fatal(stepErr)
-		}
-		if moved := hops() - before; moved < 100 {
-			t.Fatalf("only %d header hops in the measured window; the case no longer exercises movement", moved)
-		}
-		if net.PacketsDelivered() != 0 {
-			t.Fatalf("%d packets delivered inside the measured window; deliveries allocate by design", net.PacketsDelivered())
-		}
-		if allocs != 0 {
-			t.Errorf("step path allocates %.1f allocs/op, want 0", allocs)
-		}
-	})
+		t.Run(probe+"-moving", func(t *testing.T) {
+			net, pkts := movingNetwork(t, attach())
+			movingAllocs(t, net.Step, net.PacketsDelivered, pkts)
+		})
+		t.Run("vcnet-"+probe+"-moving", func(t *testing.T) {
+			net, pkts := movingVCNetwork(t, attach())
+			movingAllocs(t, net.Step, net.PacketsDelivered, pkts)
+		})
+	}
 	cases := []struct {
 		name    string
+		probe   bool
 		ftroute turnmodel.FaultRoutingPolicy
 	}{
-		{"no-probe", turnmodel.FaultRoutingPolicy{}},
-		{"no-probe-ftroute", turnmodel.FaultRoutingPolicy{
+		{"no-probe", false, turnmodel.FaultRoutingPolicy{}},
+		{"no-probe-ftroute", false, turnmodel.FaultRoutingPolicy{
 			Visibility:    turnmodel.FaultVisibilityKHop,
 			MisrouteLimit: 4,
 		}},
+		{"probe", true, turnmodel.FaultRoutingPolicy{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			net := wedgedNetwork(t, nil, tc.ftroute)
+			var probe turnmodel.Probe
+			if tc.probe {
+				probe = turnmodel.NewMetricsCollector(turnmodel.NewMesh2D(16, 16), turnmodel.MetricsOptions{})
+			}
+			net := wedgedNetwork(t, probe, tc.ftroute)
 			var stepErr error
 			allocs := testing.AllocsPerRun(200, func() {
 				if err := net.Step(); err != nil {
@@ -408,6 +368,44 @@ func TestStepZeroAllocs(t *testing.T) {
 				t.Errorf("%s step path allocates %.1f allocs/op, want 0", tc.name, allocs)
 			}
 		})
+	}
+}
+
+// movingAllocs is TestStepZeroAllocs' moving case: the first step injects
+// (and so allocates) the worms; the measured ones only move them — headers
+// hopping into and out of the wait table, worms woken by their grants and
+// advancing. AllocsPerRun truncates the average, so the scratch lists and
+// the probe's event buffer growing to their working size — a handful of
+// allocations in all — passes, while anything per hop, per waiter or per
+// event would not.
+func movingAllocs(t *testing.T, step func() error, delivered func() int64, pkts []*turnmodel.Packet) {
+	t.Helper()
+	hops := func() (n int) {
+		for _, p := range pkts {
+			n += p.Hops
+		}
+		return n
+	}
+	var stepErr error
+	measured := func() {
+		if err := step(); err != nil {
+			stepErr = err
+		}
+	}
+	measured()
+	before := hops()
+	allocs := testing.AllocsPerRun(18, measured)
+	if stepErr != nil {
+		t.Fatal(stepErr)
+	}
+	if moved := hops() - before; moved < 100 {
+		t.Fatalf("only %d header hops in the measured window; the case no longer exercises enlist/delist", moved)
+	}
+	if n := delivered(); n != 0 {
+		t.Fatalf("%d packets delivered inside the measured window; deliveries allocate by design", n)
+	}
+	if allocs != 0 {
+		t.Errorf("step path allocates %.1f allocs/op, want 0", allocs)
 	}
 }
 

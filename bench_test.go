@@ -275,10 +275,10 @@ func BenchmarkAblationInputPolicy(b *testing.B) {
 // cycle with and without an instrumentation probe attached. The network
 // is driven into a permanently blocked state (xy packets piled against a
 // faulted column, watchdog disabled — see wedgedNetwork in alloc_test.go)
-// so every iteration does identical work: arbitration over the same
-// blocked headers. The 0 allocs/op property of the no-probe cases is
-// enforced by TestStepZeroAllocs on every plain `go test` run; the
-// benchmark additionally reports allocs for inspection.
+// so every iteration does identical work: none, nothing blocked being
+// looked at, with a probe or without. The 0 allocs/op property of these
+// cases is enforced by TestStepZeroAllocs on every plain `go test` run;
+// the benchmark additionally reports allocs for inspection.
 func BenchmarkNetworkStep(b *testing.B) {
 	run := func(b *testing.B, probe turnmodel.Probe, ftroute turnmodel.FaultRoutingPolicy) {
 		net := wedgedNetwork(b, probe, ftroute)
@@ -589,7 +589,7 @@ func BenchmarkNetworkStepFaultedRecovery(b *testing.B) {
 // broken, westbound-sourced worms piled against the break, watchdog off.
 // Nothing in it can move, so nothing in it is looked at: the refused
 // headers' routers sleep and no worm is due for a visit.
-func wedgedVCNetwork(tb testing.TB) *turnmodel.VCNetwork {
+func wedgedVCNetwork(tb testing.TB, probe turnmodel.Probe) *turnmodel.VCNetwork {
 	tb.Helper()
 	mesh := turnmodel.NewMesh2D(16, 16)
 	alg, err := turnmodel.NewVCRouting("double-y", mesh)
@@ -603,7 +603,7 @@ func wedgedVCNetwork(tb testing.TB) *turnmodel.VCNetwork {
 		})
 	}
 	net := turnmodel.NewVCNetwork(turnmodel.VCNetworkConfig{
-		Routing: alg, WatchdogCycles: -1, Faults: faults,
+		Routing: alg, WatchdogCycles: -1, Faults: faults, Probe: probe,
 	})
 	for y := 0; y < 16; y++ {
 		for x := 0; x < 4; x++ {
@@ -618,19 +618,26 @@ func wedgedVCNetwork(tb testing.TB) *turnmodel.VCNetwork {
 	return net
 }
 
-// BenchmarkVCNetStep is BenchmarkNetworkStep/no-probe for internal/vcnet:
-// the steady-state cost of one cycle over a permanently wedged network,
-// gated by an absolute ceiling (BENCH_baseline.json) that a per-cycle look
-// at the blocked worms or their flits would exceed.
+// BenchmarkVCNetStep is BenchmarkNetworkStep for internal/vcnet: the
+// steady-state cost of one cycle over a permanently wedged network, with
+// and without a collector attached, both gated by an absolute ceiling
+// (BENCH_baseline.json) that a per-cycle look at the blocked worms or their
+// flits would exceed.
 func BenchmarkVCNetStep(b *testing.B) {
-	net := wedgedVCNetwork(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := net.Step(); err != nil {
-			b.Fatal(err)
+	run := func(b *testing.B, probe turnmodel.Probe) {
+		net := wedgedVCNetwork(b, probe)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := net.Step(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
+	b.Run("no-probe", func(b *testing.B) { run(b, nil) })
+	b.Run("probe", func(b *testing.B) {
+		run(b, turnmodel.NewMetricsCollector(turnmodel.NewMesh2D(16, 16), turnmodel.MetricsOptions{}))
+	})
 }
 
 // BenchmarkVCNetStepDraining is BenchmarkNetworkStepDraining for

@@ -13,10 +13,15 @@ import (
 // stays allocation-free (enforced by TestStepZeroAllocs).
 //
 // Probe semantics are preserved exactly: events of cycle c reach the probe
-// in the order they were emitted, before Tick(c), and never after it.
+// in the order they were emitted, before Tick(c), and never after it. Flush
+// delivers the buffered events between steps without a Tick, and
+// remembers its cycle so that no blocked cycle is reported twice.
 type Emitter struct {
 	probe  metrics.Probe
 	events []probeEvent
+	// flushed is the cycle of the last Flush: blocked spans reported since
+	// start there.
+	flushed int64
 }
 
 type probeEventKind uint8
@@ -51,11 +56,8 @@ func NewEmitter(p metrics.Probe) Emitter { return Emitter{probe: p} }
 // Reset attaches another probe (nil disables the emitter), dropping any
 // buffered event and keeping the buffer's storage.
 func (e *Emitter) Reset(p metrics.Probe) {
-	e.probe, e.events = p, e.events[:0]
+	e.probe, e.events, e.flushed = p, e.events[:0], 0
 }
-
-// Enabled reports whether a probe is attached.
-func (e *Emitter) Enabled() bool { return e.probe != nil }
 
 // Probe returns the attached probe (nil when disabled).
 func (e *Emitter) Probe() metrics.Probe { return e.probe }
@@ -68,12 +70,19 @@ func (e *Emitter) Inject(cycle int64, src, dst topology.NodeID, length int) {
 	e.events = append(e.events, probeEvent{kind: evInject, cycle: cycle, a: src, b: dst, x: int64(length)})
 }
 
-// Blocked buffers a blocked-cycle event (a waiting header got no output).
-func (e *Emitter) Blocked(cycle int64, node topology.NodeID) {
-	if e.probe == nil {
-		return
+// Blocked buffers a blocked span: the header waiting at node was refused
+// an output in every cycle of [from, to). The part before the last Flush
+// was reported by it, and an empty span is not reported at all.
+func (e *Emitter) Blocked(node topology.NodeID, from, to int64) {
+	if e.probe != nil {
+		e.blocked(node, from, to)
 	}
-	e.events = append(e.events, probeEvent{kind: evBlocked, cycle: cycle, a: node})
+}
+
+func (e *Emitter) blocked(node topology.NodeID, from, to int64) {
+	if from = max(from, e.flushed); from < to {
+		e.events = append(e.events, probeEvent{kind: evBlocked, a: node, x: from, y: to})
+	}
 }
 
 // FlitMove buffers a flit-movement event (flits crossed the channel
@@ -131,19 +140,37 @@ func (e *Emitter) Drop(cycle int64, src, dst topology.NodeID, length int, reason
 	e.events = append(e.events, probeEvent{kind: evDrop, cycle: cycle, a: src, b: dst, x: int64(length), reason: reason})
 }
 
-// Tick flushes every buffered event to the probe in order, then forwards
+// Tick delivers every buffered event to the probe in order, then forwards
 // the end-of-cycle Tick.
 func (e *Emitter) Tick(cycle int64) {
 	if e.probe == nil {
 		return
 	}
+	e.replay()
+	e.probe.Tick(cycle)
+}
+
+// Flush delivers every buffered event to the probe in order, between two
+// steps, the next of which is cycle's. The engines call it once they have
+// reported every wait under way as blocked up to cycle (see
+// metrics.Probe), so the reports of those waits that follow start at
+// cycle.
+func (e *Emitter) Flush(cycle int64) {
+	if e.probe == nil {
+		return
+	}
+	e.replay()
+	e.flushed = cycle
+}
+
+func (e *Emitter) replay() {
 	for i := range e.events {
 		ev := &e.events[i]
 		switch ev.kind {
 		case evInject:
 			e.probe.Inject(ev.cycle, ev.a, ev.b, int(ev.x))
 		case evBlocked:
-			e.probe.Blocked(ev.cycle, ev.a)
+			e.probe.Blocked(ev.a, ev.x, ev.y)
 		case evFlitMove:
 			e.probe.FlitMove(ev.cycle, ev.a, ev.dir, int(ev.x))
 		case evDeliver:
@@ -159,7 +186,6 @@ func (e *Emitter) Tick(cycle int64) {
 		}
 	}
 	e.events = e.events[:0]
-	e.probe.Tick(cycle)
 }
 
 // TickEmpty forwards the end-of-cycle Tick for n consecutive cycles that

@@ -7,6 +7,7 @@ package engine_test
 // job.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -57,7 +58,9 @@ func (r *recProbe) rec(s string) { r.calls = append(r.calls, s) }
 func (r *recProbe) Inject(c int64, src, dst topology.NodeID, l int) {
 	r.rec("inject")
 }
-func (r *recProbe) Blocked(c int64, n topology.NodeID) { r.rec("blocked") }
+func (r *recProbe) Blocked(n topology.NodeID, from, to int64) {
+	r.rec(fmt.Sprintf("blocked %d [%d,%d)", n, from, to))
+}
 func (r *recProbe) FlitMove(c int64, from topology.NodeID, d topology.Direction, f int) {
 	r.rec("flitmove")
 }
@@ -77,11 +80,11 @@ func (r *recProbe) Tick(c int64) { r.rec("tick") }
 func TestEmitterBatchesInOrder(t *testing.T) {
 	p := &recProbe{}
 	em := engine.NewEmitter(p)
-	if !em.Enabled() || em.Probe() != metrics.Probe(p) {
+	if em.Probe() != metrics.Probe(p) {
 		t.Fatal("emitter did not attach the probe")
 	}
 	em.Inject(0, 1, 2, 3)
-	em.Blocked(0, 4)
+	em.Blocked(4, 0, 1)
 	em.FlitMove(0, 5, topology.East, 2)
 	em.Deliver(0, 1, 2, 3, 4, 5, 6)
 	em.Fault(0, 7, topology.North, true)
@@ -92,7 +95,7 @@ func TestEmitterBatchesInOrder(t *testing.T) {
 		t.Fatalf("events reached the probe before Tick: %v", p.calls)
 	}
 	em.Tick(0)
-	want := []string{"inject", "blocked", "flitmove", "deliver", "fault", "abort", "retry", "drop", "tick"}
+	want := []string{"inject", "blocked 4 [0,1)", "flitmove", "deliver", "fault", "abort", "retry", "drop", "tick"}
 	if !reflect.DeepEqual(p.calls, want) {
 		t.Errorf("flush order %v, want %v", p.calls, want)
 	}
@@ -104,15 +107,46 @@ func TestEmitterBatchesInOrder(t *testing.T) {
 	}
 }
 
+// TestEmitterFlushReportsEachBlockedCycleOnce: Flush delivers the buffered
+// events without a Tick, and a span reported after it starts no earlier
+// than the flush's cycle; an empty span is not reported.
+func TestEmitterFlushReportsEachBlockedCycleOnce(t *testing.T) {
+	p := &recProbe{}
+	em := engine.NewEmitter(p)
+	em.Blocked(1, 2, 7)
+	em.Blocked(2, 7, 7)
+	em.Flush(7)
+	if want := []string{"blocked 1 [2,7)"}; !reflect.DeepEqual(p.calls, want) {
+		t.Fatalf("flush delivered %v, want %v", p.calls, want)
+	}
+	p.calls = nil
+	em.Blocked(1, 2, 9) // the same wait, ended at a grant after the flush
+	em.Blocked(3, 8, 9) // a wait that began after it
+	em.Blocked(4, 5, 7) // a wait the flush reported in full
+	em.Tick(8)
+	if want := []string{"blocked 1 [7,9)", "blocked 3 [8,9)", "tick"}; !reflect.DeepEqual(p.calls, want) {
+		t.Errorf("after the flush %v, want %v", p.calls, want)
+	}
+	p.calls = nil
+	em.Reset(p)
+	em.Blocked(1, 2, 9)
+	em.Tick(9)
+	if want := []string{"blocked 1 [2,9)", "tick"}; !reflect.DeepEqual(p.calls, want) {
+		t.Errorf("after Reset %v, want %v", p.calls, want)
+	}
+}
+
 func TestEmitterNilProbeNoOps(t *testing.T) {
 	em := engine.NewEmitter(nil)
-	if em.Enabled() || em.Probe() != nil {
-		t.Fatal("nil probe reported enabled")
+	if em.Probe() != nil {
+		t.Fatal("nil probe reported attached")
 	}
 	n := testing.AllocsPerRun(100, func() {
 		em.Inject(0, 1, 2, 3)
+		em.Blocked(4, 0, 1)
 		em.Deliver(0, 1, 2, 3, 4, 5, 6)
 		em.Tick(0)
+		em.Flush(1)
 	})
 	if n != 0 {
 		t.Errorf("disabled emitter allocates %.1f allocs/op", n)

@@ -17,7 +17,7 @@ import "math/bits"
 // arrival cycle, packet creation cycle) was fixed when it got there, and
 // the packet ID never changes. The visit order — router, then key, then ID
 // — is exactly the order the engines used to obtain by sorting all requests
-// every cycle, so Blocked probe events and the draws of randomized output
+// every cycle, so grants, probe events and the draws of randomized output
 // policies are unchanged.
 //
 // Each router's waiters form its own run, a doubly linked list in service
@@ -309,10 +309,9 @@ func (it *routerIter) next() int {
 	return r
 }
 
-// Walk starts a walk over every waiter. It is the walk of a step
-// with a probe attached — a blocked header is a Blocked event every cycle it
-// waits, so every waiter is visited every cycle — and of the tests' oracles;
-// it leaves the awake set and the released outputs alone.
+// Walk starts a walk over every waiter. It is the walk of the engines'
+// FlushBlocked, which reports every wait under way to a probe, and of the
+// tests' oracles; it leaves the awake set and the released outputs alone.
 func (t *WaitTable[W]) Walk() WaitCursor[W] {
 	return WaitCursor[W]{t: t, routers: routerIter{set: &t.waiting, si: -1}}
 }

@@ -133,10 +133,13 @@ func (c *Collector) Inject(cycle int64, src, dst topology.NodeID, length int) {
 	c.inFlightFlits += int64(length)
 }
 
-// Blocked implements Probe.
-func (c *Collector) Blocked(cycle int64, node topology.NodeID) {
-	c.nodeBlocked[node]++
-	c.blockedTotal++
+// Blocked implements Probe. Only the span's cycles inside the window
+// count: a wait that began before BeginMeasurement is clipped to it.
+func (c *Collector) Blocked(node topology.NodeID, from, to int64) {
+	if n := to - max(from, c.windowStart); n > 0 {
+		c.nodeBlocked[node] += n
+		c.blockedTotal += n
+	}
 }
 
 // FlitMove implements Probe.
@@ -204,8 +207,8 @@ func (c *Collector) Tick(cycle int64) {
 
 // ChannelUtil reports the utilization of the channel leaving node in
 // direction d over the current window: flits carried divided by elapsed
-// cycles, clamped to 1. (internal/network tallies a packet's flits when its
-// tail releases the channel, so a traversal straddling the window start can
+// cycles, clamped to 1. (The engines tally a packet's flits when its tail
+// releases the channel, so a traversal straddling the window start can
 // nudge the raw ratio past 1.)
 func (c *Collector) ChannelUtil(node topology.NodeID, d topology.Direction) float64 {
 	elapsed := c.lastCycle - c.windowStart + 1
@@ -314,7 +317,9 @@ type Snapshot struct {
 	AvgQueueDelayUs float64 `json:"avg_queue_delay_us"`
 	AvgNetDelayUs   float64 `json:"avg_net_delay_us"`
 	// BlockedCycles counts header-blocked router cycles in the window,
-	// summed over nodes; NodeBlocked is the per-node breakdown.
+	// summed over nodes; NodeBlocked is the per-node breakdown. A wait is
+	// reported when it ends, so the window's last cycles count only after
+	// the engine's FlushBlocked (the harness calls it as the window closes).
 	BlockedCycles int64   `json:"blocked_cycles"`
 	NodeBlocked   []int64 `json:"node_blocked"`
 	// Channel utilization over the window: fraction of cycles each channel

@@ -83,8 +83,7 @@ func TestCollectorWindowAndUtilization(t *testing.T) {
 		c.FlitMove(cy, 5, topology.East, 1)
 		c.Tick(cy)
 	}
-	c.Blocked(3, 3)
-	c.Blocked(4, 3)
+	c.Blocked(3, 3, 5)
 	c.Deliver(9, 5, 6, 10, 1, 2, 8)
 	if u := c.ChannelUtil(5, topology.East); u != 1 {
 		t.Errorf("saturated channel utilization = %v", u)
@@ -170,6 +169,23 @@ func TestCollectorOccupancyDecimation(t *testing.T) {
 	}
 }
 
+// TestCollectorClipsBlockedSpans: a blocked span counts only its cycles
+// inside the window, and an empty or pre-window span counts nothing.
+func TestCollectorClipsBlockedSpans(t *testing.T) {
+	mesh := topology.NewMesh2D(4, 4)
+	c := NewCollector(mesh, Options{})
+	c.Blocked(1, 0, 4)
+	c.BeginMeasurement(10)
+	c.Blocked(2, 3, 12)  // waited since before the window: 10 and 11 count
+	c.Blocked(2, 12, 15) // inside: 3 cycles
+	c.Blocked(5, 4, 9)   // ended before the window
+	c.Blocked(5, 13, 13) // empty
+	snap := c.Snapshot()
+	if snap.BlockedCycles != 5 || snap.NodeBlocked[2] != 5 || snap.NodeBlocked[1] != 0 || snap.NodeBlocked[5] != 0 {
+		t.Errorf("blocked: total=%d per node %v, want 5 all at node 2", snap.BlockedCycles, snap.NodeBlocked)
+	}
+}
+
 func TestTee(t *testing.T) {
 	mesh := topology.NewMesh2D(2, 2)
 	a := NewCollector(mesh, Options{})
@@ -179,7 +195,7 @@ func TestTee(t *testing.T) {
 	}
 	p := Tee(a, b)
 	p.Inject(0, 0, 3, 5)
-	p.Blocked(1, 2)
+	p.Blocked(2, 1, 2)
 	p.FlitMove(1, 0, topology.East, 1)
 	p.Deliver(4, 0, 3, 5, 2, 1, 3)
 	p.Tick(4)

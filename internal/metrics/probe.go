@@ -7,30 +7,38 @@
 // The layer is zero-cost when off: every emission site in the simulators is
 // nil-guarded, so a nil probe adds one predictable branch and no
 // allocations to the hot loops (enforced by BenchmarkNetworkStep's
-// allocs/op gate in CI).
+// allocs/op gate in CI). When on it rides the same step path: events are
+// reported where the engines already act — a wait at its end, flits at a
+// channel's release — so a probe costs the events, not the waiters.
 package metrics
 
 import "turnmodel/internal/topology"
 
 // Probe receives simulation events. Implementations must be cheap: the
-// simulators call these methods from their innermost loops, once per event,
-// with no batching beyond what the event semantics already imply.
-// Implementations must not retain references to mutable simulator state
-// (the arguments are all values).
+// simulators deliver a cycle's events in one batch at its end, once per
+// event. Implementations must not retain references to mutable simulator
+// state (the arguments are all values).
 //
-// Event semantics, shared by both simulators:
+// Event semantics, identical in both simulators:
 //
 //   - Inject: a packet's header flit entered the network (left the source
 //     queue for the injection buffer).
-//   - Blocked: a header flit requested an output channel this cycle and was
-//     not allocated one — either every permitted candidate was busy or
-//     faulted, or arbitration gave the channel to a competing header. One
-//     event per blocked header per cycle.
-//   - FlitMove: flits crossed the channel leaving `from` in direction
-//     `dir`. internal/network accounts at tail release (the whole packet's
-//     `flits` at once, when the last flit finishes crossing);
-//     internal/vcnet accounts per flit per cycle (`flits` is always 1).
-//     Ejection into the destination processor is not a FlitMove.
+//   - Blocked: the header waiting at router node was refused an output in
+//     every cycle of [from, to): every permitted candidate was busy or
+//     faulted, or arbitration gave the channel to a competing header. A
+//     header's wait starts in the first cycle it can be offered an output
+//     (the cycle it entered the buffer if it was injected, the next one if
+//     it hopped there, later under a routing delay) and is reported once,
+//     when it ends: at the grant (to is the grant's cycle), at an abort (to
+//     is the abort's cycle), or at a flush (see FlushBlocked on either
+//     engine), which reports every wait still under way up to the flush's
+//     cycle and makes the next report of that wait start there. So each
+//     blocked header-cycle is reported exactly once, and no span is empty.
+//   - FlitMove: a packet's tail crossed the channel leaving `from` in
+//     direction `dir`, which releases the channel; `flits` is the packet's
+//     length, every flit of which has now crossed it. Ejection into the
+//     destination processor is not a FlitMove, and an aborted worm reports
+//     none for the channels it held.
 //   - Deliver: a packet's tail flit was consumed at the destination.
 //     queueDelay is the time from generation to injection (source
 //     queueing), netDelay from injection to tail consumption; both are in
@@ -52,7 +60,7 @@ import "turnmodel/internal/topology"
 //     completed; Tick(c) is emitted after every event of cycle c.
 type Probe interface {
 	Inject(cycle int64, src, dst topology.NodeID, length int)
-	Blocked(cycle int64, node topology.NodeID)
+	Blocked(node topology.NodeID, from, to int64)
 	FlitMove(cycle int64, from topology.NodeID, dir topology.Direction, flits int)
 	Deliver(cycle int64, src, dst topology.NodeID, length, hops int, queueDelay, netDelay int64)
 	Fault(cycle int64, from topology.NodeID, dir topology.Direction, failed bool)
@@ -68,7 +76,7 @@ type Probe interface {
 type NopProbe struct{}
 
 func (NopProbe) Inject(int64, topology.NodeID, topology.NodeID, int)                     {}
-func (NopProbe) Blocked(int64, topology.NodeID)                                          {}
+func (NopProbe) Blocked(topology.NodeID, int64, int64)                                   {}
 func (NopProbe) FlitMove(int64, topology.NodeID, topology.Direction, int)                {}
 func (NopProbe) Deliver(int64, topology.NodeID, topology.NodeID, int, int, int64, int64) {}
 func (NopProbe) Fault(int64, topology.NodeID, topology.Direction, bool)                  {}
@@ -118,9 +126,9 @@ func (t *tee) Inject(cycle int64, src, dst topology.NodeID, length int) {
 	t.b.Inject(cycle, src, dst, length)
 }
 
-func (t *tee) Blocked(cycle int64, node topology.NodeID) {
-	t.a.Blocked(cycle, node)
-	t.b.Blocked(cycle, node)
+func (t *tee) Blocked(node topology.NodeID, from, to int64) {
+	t.a.Blocked(node, from, to)
+	t.b.Blocked(node, from, to)
 }
 
 func (t *tee) FlitMove(cycle int64, from topology.NodeID, dir topology.Direction, flits int) {

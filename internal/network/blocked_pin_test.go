@@ -9,8 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
-	"strings"
 	"testing"
 
 	"turnmodel/internal/metrics"
@@ -21,8 +19,10 @@ import (
 // metrics collector reported over a measurement window that opens a quarter
 // into generation and closes when generation ends, with traffic still in
 // flight: the blocked header-cycles in total and per node, and the flits
-// each channel carried in the window. They are the observable the probe's
-// event semantics must preserve however the engine reports it.
+// each channel carried in the window. They were cut when a probe still saw
+// one Blocked event per blocked header per cycle, and are never
+// regenerated: blocked spans must add up to the same counts exactly, and
+// the flits, reported at a channel's release then as now, must not move.
 
 // blockedPin is one configuration's window.
 type blockedPin struct {
@@ -33,19 +33,30 @@ type blockedPin struct {
 	FlitsDigest  string   `json:"flits_digest"`
 }
 
-// chanFlits counts the flits of FlitMove events per channel (node*dirs+dir).
+// chanFlits counts the flits of FlitMove events per channel (node*dirs+dir)
+// over the window, and over the whole run against the length*hops of the
+// packets delivered.
 type chanFlits struct {
 	metrics.NopProbe
-	dirs  int
-	flits []int64
+	dirs        int
+	flits       []int64
+	moved, want int64
 }
 
 func (p *chanFlits) FlitMove(_ int64, from topology.NodeID, d topology.Direction, flits int) {
 	p.flits[int(from)*p.dirs+int(d)] += int64(flits)
+	p.moved += int64(flits)
+}
+
+func (p *chanFlits) Deliver(_ int64, _, _ topology.NodeID, length, hops int, _, _ int64) {
+	p.want += int64(length) * int64(hops)
 }
 
 // pinWindow runs a golden workload under one policy pair and seed with a
-// collector attached and returns the collector's window.
+// collector attached and returns the collector's window. After the drain
+// the channels must have reported length*hops flits for every packet
+// delivered — and under recovery more, by the channels the tails of
+// aborted worms crossed before the abort.
 func pinWindow(t *testing.T, w goldenWorkload, in InputPolicy, out OutputPolicy, seed int64) blockedPin {
 	t.Helper()
 	cfg := w.config(t)
@@ -56,12 +67,13 @@ func pinWindow(t *testing.T, w goldenWorkload, in InputPolicy, out OutputPolicy,
 	cfg.Probe = metrics.Tee(coll, counter)
 	start := w.cycles / 4
 	var pin blockedPin
-	runGolden(t, w, cfg, func(net *Network) {
+	net, _ := runGolden(t, w, cfg, func(net *Network) {
 		switch net.Cycle() {
 		case start:
 			coll.BeginMeasurement(start)
 			clear(counter.flits)
 		case w.cycles:
+			net.FlushBlocked()
 			snap := coll.Snapshot()
 			pin = blockedPin{
 				Window:       [2]int64{start, net.Cycle()},
@@ -71,6 +83,10 @@ func pinWindow(t *testing.T, w goldenWorkload, in InputPolicy, out OutputPolicy,
 			pin.FlitsTotal, pin.FlitsDigest = flitsDigest(counter.flits)
 		}
 	})
+	if counter.moved != counter.want && (net.PacketsAborted() == 0 || counter.moved < counter.want) || counter.want == 0 {
+		t.Errorf("%s seed %d: after the drain the channels reported %d flits, the delivered packets' length*hops is %d (%d aborts)",
+			w.name, seed, counter.moved, counter.want, net.PacketsAborted())
+	}
 	return pin
 }
 
@@ -108,10 +124,7 @@ func TestBlockedTotalsPinned(t *testing.T) {
 			}
 		}
 	}
-	if os.Getenv("UPDATE_BLOCKED_PINS") != "" {
-		writePins(t, golden, got)
-	}
-	want := readPins[blockedPin](t, golden)
+	want := readPins(t, golden)
 	if len(want) != len(got) {
 		t.Errorf("%s holds %d windows, the test computes %d", golden, len(want), len(got))
 	}
@@ -137,40 +150,13 @@ func TestBlockedTotalsPinned(t *testing.T) {
 	}
 }
 
-// writePins writes one compact JSON line per key, in key order.
-func writePins[P any](t *testing.T, path string, pins map[string]P) {
-	t.Helper()
-	keys := make([]string, 0, len(pins))
-	for k := range pins {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString("{\n")
-	for i, k := range keys {
-		v, err := json.Marshal(pins[k])
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(&b, "  %q: %s", k, v)
-		if i < len(keys)-1 {
-			b.WriteString(",")
-		}
-		b.WriteString("\n")
-	}
-	b.WriteString("}\n")
-	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func readPins[P any](t *testing.T, path string) map[string]P {
+func readPins(t *testing.T, path string) map[string]blockedPin {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want map[string]P
+	var want map[string]blockedPin
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}

@@ -638,17 +638,11 @@ func (n *Network) Step() error {
 // outputs its candidates name is released or the fault set changes: nothing
 // else can turn the refusal into a grant, because the candidates are fixed
 // while the header waits and a refusal consumes nothing (an OutputPolicy
-// draws from the RNG only to pick among free candidates). With a probe
-// attached every waiter is visited instead: a blocked header is a Blocked
-// event every cycle it waits.
+// draws from the RNG only to pick among free candidates). A probe learns of
+// the wait when it ends (see grant).
 func (n *Network) arbitrate() {
 	c := &n.core
-	em := &c.Em
-	it := n.wait.WalkAwake()
-	if em.Enabled() {
-		it = n.wait.Walk()
-	}
-	for it.Next() {
+	for it := n.wait.WalkAwake(); it.Next(); {
 		w := it.Waiter()
 		if n.routingDelay > 0 && c.Cycle-w.headerArrival < n.routingDelay {
 			// The routing decision is still in the router pipeline
@@ -703,27 +697,53 @@ func (n *Network) arbitrate() {
 					break
 				}
 			}
-			if w.outDir == noDirection {
-				em.Blocked(c.Cycle, r)
-			}
 			continue
 		}
 		n.freeBase = base
 		if dd, ok := n.output.Choose(w.cands, n.freeFn, w.inDir, n.rng); ok {
 			n.grant(w, dd)
 			it.Delist()
-		} else {
-			em.Blocked(c.Cycle, r)
 		}
 	}
 }
 
-// grant allocates the output channel to the waiting header. The worm is
-// ready to move if the buffer at the channel's far end is free — it stays
-// free until the worm takes it, the grant being exclusive — and otherwise
-// sleeps until the flit there leaves (see wake).
+// waitFrom is the first cycle the header at the worm's head router could be
+// offered an output: it entered the buffer there at headerArrival, during
+// injection, which runs before phase 2, or during a hop, which runs after
+// it, and each routing decision takes routingDelay cycles. A header still
+// waiting has been refused an output in every cycle since.
+func (n *Network) waitFrom(w *worm) int64 {
+	if w.inDir == topology.Invalid {
+		return w.headerArrival + n.routingDelay
+	}
+	return w.headerArrival + max(n.routingDelay, 1)
+}
+
+// FlushBlocked reports to the probe every header still waiting for an
+// output as blocked up to the current cycle, and delivers the events of the
+// cycles stepped so far; a wait it reported is reported again, when it
+// ends, from the current cycle on (see metrics.Probe). Call it between
+// steps, before reading a collector attached to the network. It does
+// nothing without a probe.
+func (n *Network) FlushBlocked() {
+	c := &n.core
+	if c.Em.Probe() == nil {
+		return
+	}
+	for it := n.wait.Walk(); it.Next(); {
+		w := it.Waiter()
+		c.Em.Blocked(w.headRouter, n.waitFrom(w), c.Cycle)
+	}
+	c.Em.Flush(c.Cycle)
+}
+
+// grant allocates the output channel to the waiting header, which ends its
+// wait. The worm is ready to move if the buffer at the channel's far end is
+// free — it stays free until the worm takes it, the grant being exclusive —
+// and otherwise sleeps until the flit there leaves (see wake).
 func (n *Network) grant(w *worm, dd topology.Direction) {
 	r := w.headRouter
+	n.core.Em.Blocked(r, n.waitFrom(w), n.core.Cycle)
 	next, ok := n.core.Grid.Neighbor(r, dd)
 	if !ok {
 		panic(fmt.Sprintf("network: allocated output %v at node %d has no channel", dd, r))
@@ -867,7 +887,10 @@ func (n *Network) abort(w *worm) {
 		n.outOwner[int(w.headRouter)*n.dims2+int(w.outDir)] = nil
 		n.wait.Release(int32(w.headRouter), int(w.outDir))
 	}
-	n.wait.Delist(&w.wait)
+	if w.wait.Listed() {
+		n.core.Em.Blocked(w.headRouter, n.waitFrom(w), n.core.Cycle)
+		n.wait.Delist(&w.wait)
+	}
 	n.active.remove(w)
 	p := w.pkt
 	n.recycle(w)

@@ -35,7 +35,7 @@ func (p *ledgerProbe) Inject(cycle int64, src, dst topology.NodeID, length int) 
 	p.injectedFlits += int64(length)
 }
 
-func (p *ledgerProbe) Blocked(cycle int64, node topology.NodeID) { p.blocked++ }
+func (p *ledgerProbe) Blocked(node topology.NodeID, from, to int64) { p.blocked += to - from }
 
 func (p *ledgerProbe) FlitMove(cycle int64, from topology.NodeID, d topology.Direction, flits int) {
 	p.movedFlits += int64(flits)
@@ -176,6 +176,7 @@ func TestProbeUtilizationBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	net.FlushBlocked()
 	snap := coll.Snapshot()
 	if snap.MaxChannelUtil > 1 || snap.MaxChannelUtil < 0 {
 		t.Errorf("max utilization %v outside [0,1]", snap.MaxChannelUtil)

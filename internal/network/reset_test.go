@@ -37,7 +37,7 @@ func (p *streamProbe) put(vs ...int64) {
 func (p *streamProbe) Inject(cycle int64, src, dst topology.NodeID, length int) {
 	p.put(1, cycle, int64(src), int64(dst), int64(length))
 }
-func (p *streamProbe) Blocked(cycle int64, node topology.NodeID) { p.put(2, cycle, int64(node)) }
+func (p *streamProbe) Blocked(node topology.NodeID, from, to int64) { p.put(2, int64(node), from, to) }
 func (p *streamProbe) FlitMove(cycle int64, from topology.NodeID, d topology.Direction, flits int) {
 	p.put(3, cycle, int64(from), int64(d), int64(flits))
 }

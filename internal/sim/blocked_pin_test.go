@@ -21,6 +21,9 @@ import (
 // total and per node, and a digest of its channel utilizations for three
 // Run points: figure 14 saturated, the faulted comparison's
 // recovery+masking mode, and figure 14 with a three-cycle routing delay.
+// They were cut when a probe still saw one Blocked event per blocked header
+// per cycle, and are never regenerated: the spans measure closes its window
+// with must add up to the same counts exactly.
 
 // blockedPin is one point's snapshot.
 type blockedPin struct {
@@ -77,15 +80,6 @@ func TestBlockedTotalsPinned(t *testing.T) {
 			h.Write(b[:])
 		}
 		got[name] = blockedPin{s.BlockedCycles, s.NodeBlocked, hex.EncodeToString(h.Sum(nil)[:12])}
-	}
-	if os.Getenv("UPDATE_BLOCKED_PINS") != "" {
-		buf, err := json.Marshal(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, append(buf, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
 	}
 	raw, err := os.ReadFile(golden)
 	if err != nil {

@@ -376,6 +376,9 @@ func measure(cfg RunParams, algName string, topo topology.Topology, net simulato
 	expected := expectedPackets(cfg, topo.Nodes()) * injecting
 	bounded := float64(res.QueueGrowth) <= 50+0.02*expected
 	res.Sustainable = !deadlocked && bounded
+	// The window closes: the headers still waiting report their blocked
+	// cycles so far.
+	net.FlushBlocked()
 	if coll != nil {
 		res.Metrics = coll.Snapshot()
 	}

@@ -25,6 +25,7 @@ type simulator interface {
 	FaultEvents() int64
 	MaskedFaults() int64
 	MisrouteHops() int64
+	FlushBlocked()
 }
 
 // VCConfig describes one run on the virtual-channel simulator.

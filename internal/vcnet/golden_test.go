@@ -25,8 +25,9 @@ import (
 // at one virtual channel only. Each digest covers every packet's creation,
 // injection and delivery cycle and hop count plus the run's counters; with
 // the probe attached it also covers the probe's whole ordered event stream
-// (every flit crossing, blocked header, delivery, abort, retry and drop in
-// emission order). Regenerate with
+// (every channel release, blocked span, delivery, abort, retry and drop in
+// emission order, and the spans of the waits still under way at the end).
+// Regenerate with
 //
 //	UPDATE_GOLDEN=1 go test ./internal/vcnet -run TestVCGoldens
 //
@@ -128,7 +129,7 @@ func (p *streamProbe) put(vs ...int64) {
 func (p *streamProbe) Inject(cycle int64, src, dst topology.NodeID, length int) {
 	p.put(1, cycle, int64(src), int64(dst), int64(length))
 }
-func (p *streamProbe) Blocked(cycle int64, node topology.NodeID) { p.put(2, cycle, int64(node)) }
+func (p *streamProbe) Blocked(node topology.NodeID, from, to int64) { p.put(2, int64(node), from, to) }
 func (p *streamProbe) FlitMove(cycle int64, from topology.NodeID, d topology.Direction, flits int) {
 	p.put(3, cycle, int64(from), int64(d), int64(flits))
 }
@@ -164,6 +165,7 @@ func vcDigest(t *testing.T, c vcGoldenCase, seed int64, probe bool) string {
 		cfg.Probe = sp
 	}
 	net, pkts := runVCGolden(t, c, cfg, seed, nil)
+	net.FlushBlocked() // with a probe, the waits still under way join its stream
 	h := sha256.New()
 	put := func(vs ...int64) {
 		var b [8]byte

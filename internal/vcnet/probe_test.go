@@ -18,7 +18,6 @@ type ledgerProbe struct {
 	injectedFlits  int64
 	deliveredFlits int64
 	movedFlits     int64
-	movedThisCycle int64
 	wantMovedFlits int64 // sum of length*hops over delivered packets
 	blocked        int64
 	ticks          int64
@@ -34,14 +33,10 @@ func (p *ledgerProbe) Inject(cycle int64, src, dst topology.NodeID, length int) 
 	p.injectedFlits += int64(length)
 }
 
-func (p *ledgerProbe) Blocked(cycle int64, node topology.NodeID) { p.blocked++ }
+func (p *ledgerProbe) Blocked(node topology.NodeID, from, to int64) { p.blocked += to - from }
 
 func (p *ledgerProbe) FlitMove(cycle int64, from topology.NodeID, d topology.Direction, flits int) {
-	if flits != 1 {
-		p.t.Errorf("vcnet emitted a %d-flit move; the per-flit engine must emit exactly 1", flits)
-	}
 	p.movedFlits += int64(flits)
-	p.movedThisCycle += int64(flits)
 }
 
 func (p *ledgerProbe) Deliver(cycle int64, src, dst topology.NodeID, length, hops int, queueDelay, netDelay int64) {
@@ -74,7 +69,6 @@ func (p *ledgerProbe) Drop(cycle int64, src, dst topology.NodeID, length int, re
 
 func (p *ledgerProbe) Tick(cycle int64) {
 	p.ticks++
-	p.movedThisCycle = 0
 }
 
 func queuedPackets(n *Network) int {
@@ -85,11 +79,11 @@ func queuedPackets(n *Network) int {
 	return total
 }
 
-// TestProbeConservation mirrors the wormhole engine's test on the
-// per-flit VC engine: probe events must balance the engine's population
-// counts every cycle, and — since vcnet reports each flit crossing
-// individually — the per-cycle flit-move count can never exceed the
-// physical channel count (one flit per physical channel per cycle).
+// TestProbeConservation mirrors the wormhole engine's test on the VC
+// engine: probe events must balance the engine's population counts every
+// cycle, and after draining the flit-move total must equal the sum of
+// length*hops over the delivered packets, each channel a packet crossed
+// reporting all its flits at the tail's release.
 func TestProbeConservation(t *testing.T) {
 	mesh := topology.NewMesh2D(8, 8)
 	alg, err := vc.New("double-y", mesh)
@@ -99,7 +93,6 @@ func TestProbeConservation(t *testing.T) {
 	probe := &ledgerProbe{t: t}
 	net := New(Config{Routing: alg, Probe: probe})
 	rng := rand.New(rand.NewSource(7))
-	physChannels := int64(mesh.Nodes() * 2 * mesh.Dims())
 
 	check := func(step int) {
 		t.Helper()
@@ -107,10 +100,6 @@ func TestProbeConservation(t *testing.T) {
 		if probe.injected != probe.delivered+inNet {
 			t.Fatalf("step %d: injected=%d delivered=%d in-network=%d",
 				step, probe.injected, probe.delivered, inNet)
-		}
-		if probe.movedThisCycle > physChannels {
-			t.Fatalf("step %d: %d flit moves in one cycle on %d physical channels",
-				step, probe.movedThisCycle, physChannels)
 		}
 	}
 	for c := 0; c < 3000; c++ {
@@ -121,8 +110,6 @@ func TestProbeConservation(t *testing.T) {
 				net.Enqueue(src, dst, 2+rng.Intn(12))
 			}
 		}
-		// Check before Step's trailing Tick clears the per-cycle count:
-		// the population invariant holds at every cycle boundary too.
 		if err := net.Step(); err != nil {
 			t.Fatal(err)
 		}
@@ -152,9 +139,7 @@ func TestProbeConservation(t *testing.T) {
 }
 
 // TestProbeUtilizationBounded checks collector utilization stays in [0,1]
-// when fed by this engine, where the bound is exact by construction (one
-// flit per physical channel per cycle: a one-VC channel's holder sends its
-// flits across one after the other).
+// when fed by this engine.
 func TestProbeUtilizationBounded(t *testing.T) {
 	mesh := topology.NewMesh2D(8, 8)
 	alg, err := vc.New("west-first", mesh)
@@ -176,6 +161,7 @@ func TestProbeUtilizationBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	net.FlushBlocked()
 	snap := coll.Snapshot()
 	if snap.MaxChannelUtil > 1 || snap.MaxChannelUtil < 0 {
 		t.Errorf("max utilization %v outside [0,1]", snap.MaxChannelUtil)

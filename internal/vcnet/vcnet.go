@@ -64,9 +64,8 @@ type Config struct {
 	// zero value leaves routing fault-oblivious.
 	FaultRouting fault.RoutingPolicy
 	// Probe receives simulation events (see metrics.Probe); nil disables
-	// instrumentation. Unlike internal/network, FlitMove is emitted once
-	// per flit per physical-channel crossing — a run that advances reports
-	// each of its flits — so utilization derived from it is exact.
+	// instrumentation. As in internal/network, a FlitMove reports a
+	// packet's flits when its tail crosses a channel, releasing it.
 	Probe metrics.Probe
 	// UncappedEjection lifts the one-flit-per-cycle limit on each node's
 	// ejection channel, matching internal/network's model of Section 6
@@ -772,19 +771,19 @@ func (n *Network) wakeWorm(w *worm) {
 // sleep puts a streaming worm to sleep until its source has nothing left to
 // send. moveWorm calls it at the end of a visit that left w arrived, one run
 // from the injection buffer to the destination buffer, with every flit moved
-// and the front one consumed, and at least two flits still at the source; no
-// probe is attached (FlitMove is owed for every flit of every visit). Until
-// the source sends its last flit, each cycle's visit would do the same: take
-// the ejection channel and the bandwidth of every stamped channel of the
-// path, consume a flit, move the others up and inject the next — nothing
-// another worm can see but the bandwidth. So the worm leaves the visits for
-// a timer due in the cycle it is to inject its last flit (wakeAt = now +
-// Length − sent), and reserves the channels instead: physUsed reads reserved
-// and resv names the worm. The sweep visits a streaming worm in the first
-// round at its slot, so a claim on a reserved channel made after that place
-// (a later round, or the first at a larger slot) is refused, as the sweep
-// refused it; one made before it breaks the sleep (see preempt). While the
-// worm sleeps, movementPhase counts its flit each cycle.
+// and the front one consumed, and at least two flits still at the source.
+// Until the source sends its last flit, each cycle's visit would do the
+// same: take the ejection channel and the bandwidth of every stamped channel
+// of the path, consume a flit, move the others up and inject the next —
+// nothing another worm or a probe can see but the bandwidth: no tail crosses
+// a channel. So the worm leaves the visits for a timer due in the cycle it
+// is to inject its last flit (wakeAt = now + Length − sent), and reserves
+// the channels instead: physUsed reads reserved and resv names the worm. The
+// sweep visits a streaming worm in the first round at its slot, so a claim
+// on a reserved channel made after that place (a later round, or the first
+// at a larger slot) is refused, as the sweep refused it; one made before it
+// breaks the sleep (see preempt). While the worm sleeps, movementPhase
+// counts its flit each cycle.
 //
 // No two sleepers share a channel: of two worms claiming one each cycle,
 // one is refused and so is not eligible; and a sleeper's own flits hold
@@ -906,16 +905,10 @@ func (n *Network) finishStep(progress bool) error {
 // one stays, and sleeps until one of the output virtual channels its
 // candidates name is released or the fault set changes — nothing else can
 // turn the refusal into a grant, the candidates being fixed while the header
-// waits. With a probe attached every waiter is
-// visited instead: a blocked header is a Blocked event every cycle it waits.
+// waits. A probe learns of the wait when it ends, at the grant.
 func (n *Network) arbitrate() {
 	c := &n.core
-	em := &c.Em
-	it := n.wait.WalkAwake()
-	if em.Enabled() {
-		it = n.wait.Walk()
-	}
-	for it.Next() {
+	for it := n.wait.WalkAwake(); it.Next(); {
 		w := it.Waiter()
 		r := w.headRouter
 		if r == w.pkt.Dst {
@@ -950,6 +943,7 @@ func (n *Network) arbitrate() {
 			}
 			key := (base+int(out.Dir))*n.maxVC + out.VC
 			if n.owner[key] == nil {
+				c.Em.Blocked(r, n.waitFrom(w), c.Cycle)
 				n.owner[key] = w
 				w.out = out
 				w.routed = true
@@ -958,10 +952,37 @@ func (n *Network) arbitrate() {
 				break
 			}
 		}
-		if !w.routed {
-			em.Blocked(c.Cycle, r)
-		}
 	}
+}
+
+// waitFrom is the first cycle the header at the worm's head router could be
+// offered an output: the cycle it entered the buffer there if it was
+// injected, injection running before phase 2, and the next one if it
+// hopped there, movement running after it. A header still waiting has been
+// refused an output in every cycle since.
+func (n *Network) waitFrom(w *worm) int64 {
+	if w.inDir == topology.Invalid {
+		return w.headerArrival
+	}
+	return w.headerArrival + 1
+}
+
+// FlushBlocked reports to the probe every header still waiting for an
+// output as blocked up to the current cycle, and delivers the events of the
+// cycles stepped so far; a wait it reported is reported again, when it
+// ends, from the current cycle on (see metrics.Probe). Call it between
+// steps, before reading a collector attached to the network. It does
+// nothing without a probe.
+func (n *Network) FlushBlocked() {
+	c := &n.core
+	if c.Em.Probe() == nil {
+		return
+	}
+	for it := n.wait.Walk(); it.Next(); {
+		w := it.Waiter()
+		c.Em.Blocked(w.headRouter, n.waitFrom(w), c.Cycle)
+	}
+	c.Em.Flush(c.Cycle)
 }
 
 // abort yanks a blocked worm out of the network. A victim is never
@@ -992,7 +1013,10 @@ func (n *Network) abort(w *worm) {
 	if w.routed {
 		n.release(n.ownerKey(w.headRouter, w.out.Dir, w.out.VC), w.headRouter)
 	}
-	n.wait.Delist(&w.wait)
+	if w.wait.Listed() {
+		n.core.Em.Blocked(w.headRouter, n.waitFrom(w), n.core.Cycle)
+		n.wait.Delist(&w.wait)
+	}
 	for i := range w.runs {
 		r := &w.runs[i]
 		for j := max(r.tail(), 1); j <= r.front; j++ {
@@ -1186,7 +1210,7 @@ func (n *Network) moveWorm(w *worm) (moved, refused bool) {
 		w.runs[len(w.runs)-1].last++
 		w.sent++
 	}
-	if streamed && w.sent < w.pkt.Length-1 && !c.Em.Enabled() {
+	if streamed && w.sent < w.pkt.Length-1 {
 		n.sleep(w)
 	}
 	return moved, refused
@@ -1212,17 +1236,12 @@ func (n *Network) stamp(k int32) bool {
 // returns how many moved. The buffer ahead of the first must be free; each
 // of the others is the one its predecessor left.
 func (n *Network) advance(w *worm, p, k int) int {
-	em := &n.core.Em
-	if n.maxVC == 1 && !em.Enabled() {
+	if n.maxVC == 1 {
 		return k
 	}
 	for j := 0; j < k; j++ {
-		to := w.path[p-j+1]
-		if !n.stamp(n.stampOf[to]) {
+		if !n.stamp(n.stampOf[w.path[p-j+1]]) {
 			return j
-		}
-		if em.Enabled() {
-			em.FlitMove(n.core.Cycle, n.bufRouter(w.path[p-j]), topology.Direction(n.portDir[to]), 1)
 		}
 	}
 	return k
@@ -1263,19 +1282,21 @@ func (n *Network) hop(w *worm) (moved, refused bool) {
 		c.MisrouteHops++
 		w.candsMis = false
 	}
-	c.Em.FlitMove(cycle, router, w.out.Dir, 1)
 	n.enlist(w)
 	return true, false
 }
 
-// tailLeft handles the tail flit of w leaving path[p]. No more flits will
-// cross the channel it entered by (unless it was consumed), so that channel
-// is released; the buffer it left may be what a header granted the channel
-// feeding it waits for, so that header is woken; and when the buffer is the
-// injection buffer, the source may inject again.
+// tailLeft handles the tail flit of w leaving path[p]. Unless it was
+// consumed, it crossed the channel into path[p+1], the last of the packet's
+// flits to do so, so that channel is released and its flits are reported; the
+// buffer it left may be what a header granted the channel feeding it waits
+// for, so that header is woken; and when the buffer is the injection buffer,
+// the source may inject again.
 func (n *Network) tailLeft(w *worm, p int) {
 	if p+1 < len(w.path) {
-		n.release(n.feederKey(w.path[p], w.path[p+1]), n.bufRouter(w.path[p]))
+		from, to := w.path[p], w.path[p+1]
+		n.release(n.feederKey(from, to), n.bufRouter(from))
+		n.core.Em.FlitMove(n.core.Cycle, n.bufRouter(from), topology.Direction(n.portDir[to]), w.pkt.Length)
 	}
 	if p == 0 {
 		n.core.WakeSource(w.pkt.Src)

@@ -286,11 +286,11 @@ func wakeWorkload(t *testing.T, cfg Config, cycles int) (deliveries []string, to
 	return deliveries, fmt.Sprintf("delivered %d flits %d", net.PacketsDelivered(), net.FlitsConsumed())
 }
 
-// TestWakeVCProbeOnAndOffAgree: with a probe attached arbitration walks
-// every waiter instead of the awake routers' (a blocked header is a Blocked
-// event every cycle); both walks must grant identically, and the probed run must count exactly the blocked header-cycles the
-// every-cycle rescan counted on this workload (taken on the commit before
-// wake-on-release).
+// TestWakeVCProbeOnAndOffAgree: a probe rides the same walk of the awake
+// routers as no probe, learning of each wait when it ends; the two runs must
+// grant identically, and the probe's blocked spans must add up to exactly
+// the blocked header-cycles the every-cycle rescan counted on this workload
+// (taken on the commit before wake-on-release), which drains.
 func TestWakeVCProbeOnAndOffAgree(t *testing.T) {
 	const parentBlocked = 14280
 	off, offTotals := wakeWorkload(t, Config{}, 1000)
@@ -305,10 +305,8 @@ func TestWakeVCProbeOnAndOffAgree(t *testing.T) {
 	}
 }
 
-// TestLostWakeVCSoak runs the lost-wake oracle after every cycle of soaks
-// with no probe attached (the chaos soaks carry one, which turns the
-// awake-router walk into the full walk): transient faults, recovery's aborts
-// and retries, and fault masking.
+// TestLostWakeVCSoak runs the lost-wake oracle after every cycle of soaks:
+// transient faults, recovery's aborts and retries, and fault masking.
 func TestLostWakeVCSoak(t *testing.T) {
 	mesh := topology.NewMesh2D(6, 6)
 	plan := fault.Plan{Rate: 4e-5, Repair: 150, Seed: 11}
@@ -377,12 +375,13 @@ func awakeCount(n *Network) int {
 // virtual channel everywhere, so nothing is ever stamped — is one run from
 // injection to delivery, and between any two steps it is the only worm due
 // for a visit, once: a step visits it once, however many flits it moves.
-// A probe is attached, so the worm never sleeps (TestWakeVCSleepLoneWorm
-// has the probe-off run).
+// Every sleep is ended between steps (see wakeSleepers), so the worm is
+// visited every cycle (TestWakeVCSleepLoneWorm has the run that lets it
+// sleep).
 func TestWakeVCStreamingWormOneVisitPerCycle(t *testing.T) {
 	mesh := topology.NewMesh2D(8, 8)
 	at := func(x, y int) topology.NodeID { return mesh.ID(topology.Coord{x, y}) }
-	net := New(Config{Routing: vc.Lift(routing.XY(mesh)), Probe: &flitMoves{}})
+	net := New(Config{Routing: vc.Lift(routing.XY(mesh))})
 	p := net.Enqueue(at(0, 0), at(7, 5), 200)
 	for p.Arrived < 0 {
 		if net.Cycle() > 1000 {
@@ -390,6 +389,7 @@ func TestWakeVCStreamingWormOneVisitPerCycle(t *testing.T) {
 		}
 		consumed := net.FlitsConsumed()
 		stepChecked(t, net)
+		wakeSleepers(net)
 		w := wormOf(net, p)
 		if w == nil {
 			break
@@ -472,9 +472,10 @@ func (p *flitMoves) FlitMove(cycle int64, from topology.NodeID, d topology.Direc
 // When Y moves on, its tail leaving that buffer wakes X, which hops in the
 // same cycle — in the round under way when X was injected after Y (the
 // sweep's cursor has not reached X yet), in the next round when X was
-// injected before Y (the cursor has passed it). A worm W injected after all
-// of them, moving in that cycle's first round, shows which: the sweep visits
-// X before W in the first case and after W in the second.
+// injected before Y (the cursor has passed it). One-flit worms W injected
+// after all of them, one a cycle, release a channel of row 1 in every
+// cycle's first round and show which: the sweep visits X before the first W
+// in the first case and after it in the second.
 func TestWakeVCTailLeaveJoinsRoundInInjectionOrder(t *testing.T) {
 	for _, xFirst := range []bool{false, true} {
 		name := "same-round"
@@ -503,8 +504,8 @@ func TestWakeVCTailLeaveJoinsRoundInInjectionOrder(t *testing.T) {
 			waits := mesh.Distance(x.Src, at(4, 0))
 			slept := false
 			for x.Hops <= waits {
-				if net.Cycle() == 5 {
-					net.Enqueue(at(0, 1), at(15, 1), 100) // W, streaming along row 1
+				if net.Cycle() >= 5 {
+					net.Enqueue(at(0, 1), at(15, 1), 1) // a W, along row 1
 				}
 				if net.Cycle() > 200 {
 					t.Fatal("X never hopped")
@@ -549,11 +550,25 @@ type enq struct {
 	length   int
 }
 
+// wakeSleepers ends every sleep between two steps, so that the next step
+// visits every streaming worm as the sweep would: each falls asleep again at
+// the end of that visit and has slept through nothing when woken here. With
+// nobody asleep, every entry left on the sleepers' timer is stale, and the
+// timer is emptied.
+func wakeSleepers(net *Network) {
+	for _, w := range net.slots {
+		if w != nil && w.wakeAt != 0 {
+			net.endSleep(w)
+		}
+	}
+	net.sleepers.Reset()
+}
+
 // sleepTwins runs the traffic to completion on cfg, calling watch after
-// every step, and again with a probe attached, which never lets a
-// worm sleep (FlitMove is owed for every flit): the two runs must inject and
-// deliver every packet on the same cycles over the same hops, and consume
-// the same number of flits in every cycle.
+// every step, and again with every sleep ended between steps (see
+// wakeSleepers), which visits each worm every cycle: the two runs must
+// inject and deliver every packet on the same cycles over the same hops, and
+// consume the same number of flits in every cycle.
 func sleepTwins(t *testing.T, cfg Config, traffic []enq, watch func(net *Network, pkts []*Packet)) {
 	t.Helper()
 	run := func(cfg Config, watch func(*Network, []*Packet)) (pkts []*Packet, flits []int64) {
@@ -573,22 +588,16 @@ func sleepTwins(t *testing.T, cfg Config, traffic []enq, watch func(net *Network
 		return pkts, flits
 	}
 	off, offFlits := run(cfg, watch)
-	ref := cfg
-	ref.Probe = &flitMoves{}
-	on, onFlits := run(ref, func(net *Network, _ []*Packet) {
-		if net.asleep != 0 {
-			t.Fatalf("cycle %d: a worm sleeps with a probe attached", net.Cycle()-1)
-		}
-	})
+	on, onFlits := run(cfg, func(net *Network, _ []*Packet) { wakeSleepers(net) })
 	for c := range max(len(offFlits), len(onFlits)) {
 		if c >= len(offFlits) || c >= len(onFlits) || offFlits[c] != onFlits[c] {
-			t.Fatalf("cycle %d: %d flits consumed by its end, %d with a probe attached (runs of %d and %d cycles)",
+			t.Fatalf("cycle %d: %d flits consumed by its end, %d visiting every worm (runs of %d and %d cycles)",
 				c, offFlits[min(c, len(offFlits)-1)], onFlits[min(c, len(onFlits)-1)], len(offFlits), len(onFlits))
 		}
 	}
 	for i, p := range off {
 		if q := on[i]; p.Injected != q.Injected || p.Arrived != q.Arrived || p.Hops != q.Hops {
-			t.Fatalf("%v, with a probe attached %v", p, q)
+			t.Fatalf("%v, visiting every worm %v", p, q)
 		}
 	}
 }
@@ -597,7 +606,7 @@ func sleepTwins(t *testing.T, cfg Config, traffic []enq, watch func(net *Network
 // visit while its header travels and in the cycle it is found arrived; at
 // the end of that visit it falls asleep until its source is to send its
 // last flit, and from then on it is visited while its tail drains. The run
-// matches the probe-on run, which visits it every cycle, cycle for cycle.
+// matches the one that visits it every cycle, cycle for cycle.
 func TestWakeVCSleepLoneWorm(t *testing.T) {
 	mesh := topology.NewMesh2D(8, 8)
 	at := func(x, y int) topology.NodeID { return mesh.ID(topology.Coord{x, y}) }
@@ -760,7 +769,7 @@ func TestWakeVCSleepChannelBreak(t *testing.T) {
 // B, still before it, breaks the sleep at the new slot; and Close, a no-op
 // kept for callers that release every engine they build, called while S
 // sleeps leaves the network stepping on as if it had not been called. Both
-// runs match the probe-on run.
+// runs match the run that visits every worm every cycle.
 func TestWakeVCSleepCompactionAndClose(t *testing.T) {
 	mesh := topology.NewMesh2D(16, 16)
 	at := func(x, y int) topology.NodeID { return mesh.ID(topology.Coord{x, y}) }

@@ -213,7 +213,8 @@ type (
 )
 
 // NewMetricsCollector builds a collector for the given topology; drive a
-// simulator with it attached as the probe, then call Snapshot.
+// simulator with it attached as the probe, then call the simulator's
+// FlushBlocked, which reports the waits still under way, and Snapshot.
 func NewMetricsCollector(topo Topology, opts MetricsOptions) *MetricsCollector {
 	return metrics.NewCollector(topo, opts)
 }

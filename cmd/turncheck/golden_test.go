@@ -15,7 +15,8 @@ const goldenFile = "testdata/turncheck.golden"
 // goldenBattery covers every mode: the census, -all on each topology
 // family, -vc on the native schemes (acyclic and cyclic) and on lifted
 // algorithms, -faults under every fault-routing policy with and without
-// misroute budget, and the error exits.
+// misroute budget, on both kinds of algorithm, and the error exits,
+// including the combinations the command refuses to verify.
 var goldenBattery = [][]string{
 	{"-census"},
 	{"-topology", "mesh8x8", "-all"},
@@ -53,6 +54,18 @@ var goldenBattery = [][]string{
 	{"-topology", "mesh4x4", "-routing", "no-such-algorithm"},
 	{"-topology", "mesh4x4", "-all", "-faults", "0:w"},
 	{"-topology", "mesh4x4", "-all", "-faults", "5:e", "-ftroute", "khop0"},
+	{"-vc", "-topology", "mesh4x4", "-routing", "double-y", "-faults", "5:e,node3"},
+	{"-vc", "-topology", "mesh4x4", "-routing", "double-y", "-faults", "5:e,node3", "-ftroute", "khop"},
+	{"-vc", "-topology", "mesh5x5", "-routing", "double-y", "-faults", "6:n,12:e,node18", "-ftroute", "khop", "-misroute", "4"},
+	{"-vc", "-topology", "torus4x4", "-routing", "dateline-dor", "-faults", "2:e,9:n", "-ftroute", "local"},
+	{"-vc", "-topology", "ccc3", "-routing", "ccc-ascending", "-faults", "node5", "-ftroute", "khop2", "-misroute", "1"},
+	{"-vc", "-topology", "mesh5x5", "-routing", "negative-first", "-faults", "7:n,node12", "-ftroute", "khop", "-misroute", "4"},
+	{"-vc", "-topology", "torus4x4", "-routing", "naive-torus-dor", "-faults", "2:e", "-ftroute", "khop"},
+	{"-vc", "-topology", "mesh4x4", "-routing", "double-y", "-faults", "0:w"},
+	{"-vc", "-topology", "mesh4x4", "-routing", "double-y", "-all"},
+	{"-vc", "-topology", "mesh4x4", "-routing", "double-y", "-ftroute", "khop"},
+	{"-topology", "mesh4x4", "-all", "-misroute", "2"},
+	{"-topology", "mesh4x4", "-all", "-faults", "5:e", "-misroute", "2"},
 }
 
 // TestGoldenOutput runs the battery in-process and compares stdout, stderr

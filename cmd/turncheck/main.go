@@ -10,6 +10,7 @@
 //	turncheck -topology mesh4x4 -all          # every algorithm that fits
 //	turncheck -census                          # the 16-combination census
 //	turncheck -topology mesh8x8 -all -faults 5:e,node12 -ftroute khop -misroute 4
+//	turncheck -vc -topology mesh4x4 -routing double-y -faults 5:e -ftroute khop
 package main
 
 import (
@@ -67,14 +68,48 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
+	// faultSpec reads -faults, -ftroute and -misroute; a fault-routing
+	// setting without a faulted configuration to verify it on, or a
+	// misroute budget without a policy to spend it, is refused.
+	faultSpec := func() (fault.Plan, fault.RoutingPolicy, error) {
+		if *faults == "" {
+			if (*ftroute != "off" && *ftroute != "") || *misroute != 0 {
+				return fault.Plan{}, fault.RoutingPolicy{}, errors.New("-ftroute and -misroute verify a faulted configuration: pass -faults")
+			}
+			return fault.Plan{}, fault.RoutingPolicy{}, nil
+		}
+		plan, err := cli.ParseFaults(*faults, topo)
+		if err != nil {
+			return plan, fault.RoutingPolicy{}, err
+		}
+		pol, err := cli.ParseFaultRouting(*ftroute)
+		if err != nil {
+			return plan, pol, err
+		}
+		pol.MisrouteLimit = *misroute
+		if pol.MisrouteLimit != 0 && !pol.Enabled() {
+			return plan, pol, errors.New("-misroute is the budget of a fault-routing policy: pass -ftroute local or khop")
+		}
+		return plan, pol, nil
+	}
 	if *useVC {
 		if *algName == "" {
 			fmt.Fprintln(stderr, "turncheck: -vc requires -routing NAME")
 			return 1
 		}
+		if *all {
+			return fail(errors.New("-vc verifies the one algorithm -routing names, not -all"))
+		}
 		alg, err := vc.New(*algName, topo)
 		if err != nil {
 			return fail(err)
+		}
+		plan, pol, err := faultSpec()
+		if err != nil {
+			return fail(err)
+		}
+		if *faults != "" {
+			return checkFaultedVC(stdout, alg, plan, pol)
 		}
 		g := vc.FromRouting(alg)
 		fmt.Fprintf(stdout, "%-22s on %-14s: %4d virtual channels, %5d dependencies: ", alg.Name(), topo.Name(), g.Vertices(), g.Edges())
@@ -104,16 +139,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
+	plan, pol, err := faultSpec()
+	if err != nil {
+		return fail(err)
+	}
 	if *faults != "" {
-		plan, err := cli.ParseFaults(*faults, topo)
-		if err != nil {
-			return fail(err)
-		}
-		pol, err := cli.ParseFaultRouting(*ftroute)
-		if err != nil {
-			return fail(err)
-		}
-		pol.MisrouteLimit = *misroute
 		return checkFaulted(stdout, topo, names, plan, pol)
 	}
 
@@ -154,15 +184,7 @@ func printCycle[C fmt.Stringer](w io.Writer, cyc []C) {
 // acyclicity. It returns the process exit code: 0 when every graph is
 // deadlock free, 1 when any has a dependency cycle (printed).
 func checkFaulted(w io.Writer, topo topology.Topology, names []string, plan fault.Plan, pol fault.RoutingPolicy) int {
-	state := fault.MustNew(plan, topo)
-	dims2 := 2 * topo.Dims()
-	faulted := func(from topology.NodeID, dir topology.Direction) bool {
-		return state.Faulted[int(from)*dims2+int(dir)]
-	}
-	routeDesc := "fault-oblivious"
-	if pol.Enabled() {
-		routeDesc = "ftroute " + pol.WithDefaults().String()
-	}
+	state, faulted, routeDesc := faultedView(topo, plan, pol)
 	exit := 0
 	for _, name := range names {
 		alg, err := routing.New(name, topo)
@@ -186,6 +208,43 @@ func checkFaulted(w io.Writer, topo topology.Topology, names []string, plan faul
 		}
 	}
 	return exit
+}
+
+// checkFaultedVC is checkFaulted for a virtual-channel algorithm: the
+// dependency graph of its (channel, virtual channel) vertices on the
+// faulted configuration, under vc.FaultAware's masking/misroute relation
+// when pol is enabled and fault-oblivious otherwise.
+func checkFaultedVC(w io.Writer, alg vc.Algorithm, plan fault.Plan, pol fault.RoutingPolicy) int {
+	topo := alg.Topology()
+	state, faulted, routeDesc := faultedView(topo, plan, pol)
+	rel := vc.Relation(alg)
+	if pol.Enabled() {
+		rel = vc.Relation(vc.NewFaultAware(alg, fault.NewHealth(topo, state, pol), pol))
+	}
+	g := turnmodel.FromRoutingVC(topo, alg.VCs, rel, faulted)
+	fmt.Fprintf(w, "%-22s on %-14s with %d faulted channels (%s): %4d virtual channels, %5d dependencies: ",
+		alg.Name(), topo.Name(), state.ActiveFaults(), routeDesc, g.Vertices(), g.Edges())
+	if cyc := g.FindVCCycle(); cyc != nil {
+		printCycle(w, cyc)
+		return 1
+	}
+	fmt.Fprintln(w, "deadlock free")
+	return 0
+}
+
+// faultedView builds the fault state of a static plan, the predicate that
+// tells its broken channels, and the label of the routing verified on it.
+func faultedView(topo topology.Topology, plan fault.Plan, pol fault.RoutingPolicy) (*fault.State, func(topology.NodeID, topology.Direction) bool, string) {
+	state := fault.MustNew(plan, topo)
+	dims2 := 2 * topo.Dims()
+	faulted := func(from topology.NodeID, dir topology.Direction) bool {
+		return state.Faulted[int(from)*dims2+int(dir)]
+	}
+	routeDesc := "fault-oblivious"
+	if pol.Enabled() {
+		routeDesc = "ftroute " + pol.WithDefaults().String()
+	}
+	return state, faulted, routeDesc
 }
 
 // validateNumbering runs the matching Theorem 2/3/5 numbering when the

@@ -66,6 +66,8 @@ var goldenBattery = [][]string{
 	{"-vc", "-topology", "mesh4x4", "-routing", "double-y", "-ftroute", "khop"},
 	{"-topology", "mesh4x4", "-all", "-misroute", "2"},
 	{"-topology", "mesh4x4", "-all", "-faults", "5:e", "-misroute", "2"},
+	{"-topology", "mesh4x4", "-all", "-routing", "xy"},
+	{"-census", "-faults", "5:e"},
 }
 
 // TestGoldenOutput runs the battery in-process and compares stdout, stderr

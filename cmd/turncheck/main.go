@@ -60,8 +60,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *census {
+		set := 0
+		flags.Visit(func(*flag.Flag) { set++ })
+		if set > 1 {
+			return fail(errors.New("-census evaluates the abstract 2D mesh and takes no other flag"))
+		}
 		runCensus(stdout)
 		return 0
+	}
+	if *all && *algName != "" {
+		return fail(errors.New("pass -routing NAME or -all, not both"))
 	}
 
 	topo, err := cli.ParseTopology(*topoSpec)
@@ -96,9 +104,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *algName == "" {
 			fmt.Fprintln(stderr, "turncheck: -vc requires -routing NAME")
 			return 1
-		}
-		if *all {
-			return fail(errors.New("-vc verifies the one algorithm -routing names, not -all"))
 		}
 		alg, err := vc.New(*algName, topo)
 		if err != nil {

@@ -303,7 +303,7 @@ func (n *Network) Reset(cfg Config) {
 		}
 		n.masked = n.spare.masked
 	}
-	n.routingDelay = cfg.RoutingDelay
+	n.routingDelay = max(cfg.RoutingDelay, 0) // below 0 decides as fast as 0
 
 	buffers, channels := topo.Nodes()*n.ports, topo.Nodes()*n.dims2
 	n.occupied = slices.Grow(n.occupied[:0], buffers)[:buffers]

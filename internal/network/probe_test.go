@@ -193,3 +193,20 @@ func TestProbeUtilizationBounded(t *testing.T) {
 		t.Error("no channel carried traffic; test exercised nothing")
 	}
 }
+
+// TestNegativeRoutingDelayBlocksAsZero: a routing delay below zero decides
+// as fast as none, so the blocked spans a probe sees must add up to what
+// they do at zero, not reach back before the header arrived.
+func TestNegativeRoutingDelayBlocksAsZero(t *testing.T) {
+	w := goldenWorkloads()[0]
+	blocked := func(delay int64) int64 {
+		cfg := w.config(t)
+		probe := &ledgerProbe{t: t}
+		cfg.RoutingDelay, cfg.Seed, cfg.Probe = delay, 1, probe
+		runGolden(t, w, cfg, nil)
+		return probe.blocked
+	}
+	if zero, negative := blocked(0), blocked(-2); zero == 0 || negative != zero {
+		t.Fatalf("blocked header-cycles: %d at delay 0, %d at delay -2", zero, negative)
+	}
+}

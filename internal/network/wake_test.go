@@ -695,13 +695,13 @@ func wakeWorkload(t *testing.T, cfg Config, cycles int, check bool) wakeTrace {
 	return tr
 }
 
-// TestWakeProbeOnAndOffAgree: a probe turns arbitration's walk of the awake
-// routers into a walk of every waiter (a blocked header is a Blocked event
-// every cycle it waits); the two walks must grant identically — every packet
-// delivered on the same cycle with the same hops — and the probed run must
-// report exactly as many blocked header-cycles as the every-cycle rescan it
-// replaces did on this workload (the count below was taken on the commit
-// before wake-on-release).
+// TestWakeProbeOnAndOffAgree: a probe rides the same walk of the awake
+// routers as no probe, learning of each wait when it ends; the two runs
+// must grant identically — every packet delivered on the same cycle with
+// the same hops — and the probe's blocked spans must add up to exactly the
+// blocked header-cycles the every-cycle rescan counted on this workload
+// (the count below was taken on the commit before wake-on-release), which
+// drains.
 func TestWakeProbeOnAndOffAgree(t *testing.T) {
 	const parentBlocked = 89692
 	off := wakeWorkload(t, Config{Seed: 3}, 1500, true)
@@ -738,8 +738,7 @@ func TestWakeDeliveredInInjectionOrder(t *testing.T) {
 }
 
 // TestLostWakeSoak runs the lost-wake oracle after every cycle of soaks
-// that have no probe attached — the chaos soaks all carry one, which turns
-// the awake-router walk into the full walk — across what can wake a sleeper:
+// across what can wake a sleeper:
 // transient faults breaking and repairing channels, recovery aborting and
 // retrying worms, fault masking re-deciding candidates, routing delay
 // holding routers awake and a randomized output policy.

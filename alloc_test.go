@@ -315,24 +315,22 @@ func TestStepZeroAllocs(t *testing.T) {
 		}
 	})
 	// The moving cases run once without a probe and once with a collector
-	// attached, which is told of every grant's wait; the wedged cases
-	// below likewise.
-	collector := func() turnmodel.Probe {
-		return turnmodel.NewMetricsCollector(turnmodel.NewMesh2D(8, 8), turnmodel.MetricsOptions{})
-	}
-	for _, probe := range []string{"no-probe", "probe"} {
-		attach := func() turnmodel.Probe {
-			if probe == "probe" {
-				return collector()
-			}
-			return nil
-		}
-		t.Run(probe+"-moving", func(t *testing.T) {
-			net, pkts := movingNetwork(t, attach())
+	// attached, which is told of every grant's wait.
+	for _, pc := range []struct {
+		name  string
+		probe func() turnmodel.Probe
+	}{
+		{"no-probe", func() turnmodel.Probe { return nil }},
+		{"probe", func() turnmodel.Probe {
+			return turnmodel.NewMetricsCollector(turnmodel.NewMesh2D(8, 8), turnmodel.MetricsOptions{})
+		}},
+	} {
+		t.Run(pc.name+"-moving", func(t *testing.T) {
+			net, pkts := movingNetwork(t, pc.probe())
 			movingAllocs(t, net.Step, net.PacketsDelivered, pkts)
 		})
-		t.Run("vcnet-"+probe+"-moving", func(t *testing.T) {
-			net, pkts := movingVCNetwork(t, attach())
+		t.Run("vcnet-"+pc.name+"-moving", func(t *testing.T) {
+			net, pkts := movingVCNetwork(t, pc.probe())
 			movingAllocs(t, net.Step, net.PacketsDelivered, pkts)
 		})
 	}

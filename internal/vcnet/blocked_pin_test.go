@@ -64,10 +64,9 @@ const pinStart = 1500
 // returns the collector's window, then drains the network and checks that
 // the channels reported length*hops flits for every packet delivered — and
 // under recovery more, by the channels the tails of aborted worms crossed
-// before the abort. It
-// also returns the bound on a channel's flit shift (see above): the flits
-// of the worms one per virtual channel can straddle an edge with, and of
-// those aborted in the window.
+// before the abort. It also returns the bound on a channel's flit shift
+// (see above): the flits of the worms one per virtual channel can straddle
+// an edge with, and of those aborted in the window.
 func pinWindow(t *testing.T, c vcGoldenCase, seed int64) (pin blockedPin, edge, aborted int64) {
 	t.Helper()
 	cfg := c.cfg()

@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Accumulator tracks count, mean, variance (Welford), minimum and maximum
@@ -72,7 +71,6 @@ func (a *Accumulator) String() string {
 type Sample struct {
 	Accumulator
 	values []float64
-	sorted bool
 }
 
 // Reset empties the sample, keeping the storage of its values.
@@ -84,28 +82,74 @@ func (s *Sample) Reset() {
 func (s *Sample) Add(v float64) {
 	s.Accumulator.Add(v)
 	s.values = append(s.values, v)
-	s.sorted = false
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) by nearest-rank,
-// or 0 with no samples.
+// or 0 with no samples: the value at rank ceil(p/100 * n), at least 1, of
+// the samples in the ascending order sort.Float64s gives them. It selects
+// that value (see nth) rather than sorting, in expected time linear in the
+// sample count, and leaves the samples reordered.
 func (s *Sample) Percentile(p float64) float64 {
-	if len(s.values) == 0 {
+	n := len(s.values)
+	if n == 0 {
 		return 0
 	}
-	if !s.sorted {
-		sort.Float64s(s.values)
-		s.sorted = true
+	k := n - 1
+	if p < 100 {
+		k = max(int(math.Ceil(p/100*float64(n))), 1) - 1
 	}
-	if p <= 0 {
-		return s.values[0]
+	return nth(s.values, k)
+}
+
+// less is the order of sort.Float64s: ascending, NaNs first.
+func less(a, b float64) bool { return a < b || (math.IsNaN(a) && !math.IsNaN(b)) }
+
+// nth reorders v so that v[k] holds the value sort.Float64s would put at
+// index k, and returns it: quickselect with a median-of-three pivot and a
+// three-way partition, so that the many ties of a latency sample (whole
+// cycles) cost no more than distinct values.
+func nth(v []float64, k int) float64 {
+	lo, hi := 0, len(v)-1
+	for lo < hi {
+		pivot := median3(v[lo], v[lo+(hi-lo)/2], v[hi])
+		// Partition v[lo:hi+1] into v[lo:lt] below the pivot, v[lt:gt+1]
+		// equal to it and v[gt+1:hi+1] above it.
+		lt, i, gt := lo, lo, hi
+		for i <= gt {
+			switch {
+			case less(v[i], pivot):
+				v[lt], v[i] = v[i], v[lt]
+				lt++
+				i++
+			case less(pivot, v[i]):
+				v[i], v[gt] = v[gt], v[i]
+				gt--
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt - 1
+		case k > gt:
+			lo = gt + 1
+		default:
+			return v[k]
+		}
 	}
-	if p >= 100 {
-		return s.values[len(s.values)-1]
+	return v[k]
+}
+
+// median3 returns the middle one of a, b and c in the order of less.
+func median3(a, b, c float64) float64 {
+	if less(b, a) {
+		a, b = b, a
 	}
-	rank := int(math.Ceil(p / 100 * float64(len(s.values))))
-	if rank < 1 {
-		rank = 1
+	switch {
+	case !less(c, b):
+		return b
+	case less(c, a):
+		return a
 	}
-	return s.values[rank-1]
+	return c
 }

@@ -2,6 +2,9 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -74,7 +77,7 @@ func TestSamplePercentiles(t *testing.T) {
 	if s.Percentile(50) != 0 {
 		t.Error("empty sample percentile not 0")
 	}
-	for i := 100; i >= 1; i-- { // reverse order: Percentile must sort
+	for i := 100; i >= 1; i-- { // reverse order: Percentile must order them
 		s.Add(float64(i))
 	}
 	cases := []struct{ p, want float64 }{
@@ -96,13 +99,13 @@ func TestSamplePercentiles(t *testing.T) {
 }
 
 // TestSampleReset: a reset sample is an empty one — count, mean, extremes
-// and percentiles start over — whatever it held, sorted or not.
+// and percentiles start over — whatever it held, reordered or not.
 func TestSampleReset(t *testing.T) {
 	var s Sample
 	for _, v := range []float64{9, 3, 7} {
 		s.Add(v)
 	}
-	s.Percentile(50) // leaves the values sorted
+	s.Percentile(50) // leaves the values reordered
 	s.Reset()
 	if s.Count() != 0 || s.Mean() != 0 || s.Percentile(50) != 0 {
 		t.Fatalf("reset sample: count %d mean %v p50 %v, want all 0", s.Count(), s.Mean(), s.Percentile(50))
@@ -112,5 +115,52 @@ func TestSampleReset(t *testing.T) {
 	}
 	if s.Count() != 2 || s.Mean() != 3 || s.Min() != 1 || s.Max() != 5 || s.Percentile(100) != 5 {
 		t.Errorf("after Reset: %v p100 %v, want n=2 mean 3 min 1 max 5", s.String(), s.Percentile(100))
+	}
+}
+
+// TestSamplePercentileSelectsTheSortedRank: Percentile selects in place
+// instead of sorting, and must return exactly what the sort-based definition
+// returns — the value at index ceil(p/100 * n) - 1 (at least 0) of the
+// samples sorted by sort.Float64s — on samples full of ties, for every
+// percentile asked, whatever earlier queries left the values in, and after
+// Adds between the queries.
+func TestSamplePercentileSelectsTheSortedRank(t *testing.T) {
+	ref := func(vals []float64, p float64) float64 {
+		sorted := slices.Clone(vals)
+		sort.Float64s(sorted)
+		switch {
+		case p <= 0:
+			return sorted[0]
+		case p >= 100:
+			return sorted[len(sorted)-1]
+		}
+		return sorted[max(int(math.Ceil(p/100*float64(len(sorted)))), 1)-1]
+	}
+	rng := rand.New(rand.NewSource(7))
+	ps := []float64{0, 1, 50, 95, 99, 100}
+	for trial := 0; trial < 300; trial++ {
+		var s Sample
+		var vals []float64
+		// A few distinct values for some trials (ties everywhere), many
+		// for others; sizes from 1 up.
+		distinct := 1 + rng.Intn(1+rng.Intn(400))
+		add := func(k int) {
+			for i := 0; i < k; i++ {
+				v := float64(rng.Intn(distinct)) * 0.25
+				s.Add(v)
+				vals = append(vals, v)
+			}
+		}
+		add(1 + rng.Intn(300))
+		for round := 0; round < 3; round++ {
+			for _, i := range rng.Perm(len(ps)) {
+				p := ps[i]
+				if got, want := s.Percentile(p), ref(vals, p); got != want {
+					t.Fatalf("trial %d, %d samples, %d distinct: Percentile(%v) = %v, sorted rank gives %v",
+						trial, len(vals), distinct, p, got, want)
+				}
+			}
+			add(rng.Intn(50))
+		}
 	}
 }

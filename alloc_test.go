@@ -79,7 +79,8 @@ func movingNetwork(tb testing.TB, probe turnmodel.Probe) (*turnmodel.Network, []
 // movingVCNetwork is movingNetwork on the virtual-channel engine: the same
 // 600-flit messages from every node (x, y) of an 8x8 mesh to
 // ((x+4) mod 8, (y+3) mod 8), routed double-y, whose y links carry two
-// virtual channels, so every flit crossing one claims its bandwidth.
+// virtual channels, so a flit crossing one claims its bandwidth whenever
+// another worm holds the link too.
 func movingVCNetwork(tb testing.TB, probe turnmodel.Probe) (*turnmodel.VCNetwork, []*turnmodel.Packet) {
 	tb.Helper()
 	mesh := turnmodel.NewMesh2D(8, 8)
@@ -96,6 +97,67 @@ func movingVCNetwork(tb testing.TB, probe turnmodel.Probe) (*turnmodel.VCNetwork
 		}
 	}
 	return net, pkts
+}
+
+// movingVCNetworkV1 is movingNetwork on the virtual-channel engine at one
+// virtual channel: the same messages, routed west-first lifted to one
+// virtual channel per link. No link is ever held by two worms and every node
+// is the destination of one worm, so every visit moves a worm that shares
+// nothing, as internal/network moves it.
+func movingVCNetworkV1(tb testing.TB) (*turnmodel.VCNetwork, []*turnmodel.Packet) {
+	tb.Helper()
+	mesh := turnmodel.NewMesh2D(8, 8)
+	alg, err := turnmodel.NewVCRouting("west-first", mesh)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	net := turnmodel.NewVCNetwork(turnmodel.VCNetworkConfig{Routing: alg})
+	var pkts []*turnmodel.Packet
+	for y := 0; y < 8; y++ {
+		for x := 0; x < 8; x++ {
+			dst := mesh.ID(turnmodel.Coord{(x + 4) % 8, (y + 3) % 8})
+			pkts = append(pkts, net.Enqueue(mesh.ID(turnmodel.Coord{x, y}), dst, 600))
+		}
+	}
+	return net, pkts
+}
+
+// sharingVCMesh is a 16x16 double-y mesh whose westward links out of the
+// even columns are broken in rows 1 to 14, and sharingVCWave the load that
+// makes its y links shared: from every even column x, three 40-flit
+// messages from (x, 0) to (x, 15), which climb column x on the y links'
+// second virtual channel, and three from (x, 1) to (x-1, 15), which still
+// have to go west and, their west links broken, climb it on the first.
+// The two streams split the bandwidth of column x's links (1, 2) to
+// (14, 15); as each tail passes a link and the next message's header is
+// granted it, the link goes from shared to held once and back, so the
+// sharing counts rise and fall all through a wave.
+func sharingVCMesh(tb testing.TB) (*turnmodel.VCNetwork, *turnmodel.Mesh) {
+	tb.Helper()
+	mesh := turnmodel.NewMesh2D(16, 16)
+	alg, err := turnmodel.NewVCRouting("double-y", mesh)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var faults []turnmodel.Channel
+	for x := 2; x < 16; x += 2 {
+		for y := 1; y < 15; y++ {
+			faults = append(faults, turnmodel.Channel{From: mesh.ID(turnmodel.Coord{x, y}), Dir: turnmodel.West})
+		}
+	}
+	return turnmodel.NewVCNetwork(turnmodel.VCNetworkConfig{Routing: alg, Faults: faults}), mesh
+}
+
+func sharingVCWave(net *turnmodel.VCNetwork, mesh *turnmodel.Mesh) []*turnmodel.Packet {
+	var pkts []*turnmodel.Packet
+	for k := 0; k < 3; k++ {
+		for x := 2; x < 16; x += 2 {
+			pkts = append(pkts,
+				net.Enqueue(mesh.ID(turnmodel.Coord{x, 0}), mesh.ID(turnmodel.Coord{x, 15}), 40),
+				net.Enqueue(mesh.ID(turnmodel.Coord{x, 1}), mesh.ID(turnmodel.Coord{x - 1, 15}), 40))
+		}
+	}
+	return pkts
 }
 
 // wakingWave enqueues the allocation gate's wake workload on an 8x8
@@ -158,7 +220,10 @@ func drainingVCWave(net *turnmodel.VCNetwork, mesh *turnmodel.Mesh) {
 // cases), and neither must putting an arrived worm to sleep on a timer, counting its flits while it sleeps, or waking it (the draining
 // cases), and neither must moving the virtual-channel engine's worms (the
 // vcnet moving cases) or putting them to sleep with their reservations,
-// counting them and waking them (the vcnet sleeping cases).
+// counting them and waking them (the vcnet sleeping cases), or counting
+// the links that worms come to share and stop sharing (the vcnet sharing
+// case), or moving the worms that share nothing as one run (the vcnet V1
+// moving case).
 func TestStepZeroAllocs(t *testing.T) {
 	t.Run("vcnet-no-probe-sleeping", func(t *testing.T) {
 		mesh := turnmodel.NewMesh2D(8, 8)
@@ -200,6 +265,50 @@ func TestStepZeroAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("step path allocates %.1f allocs/op, want 0", allocs)
 		}
+	})
+	t.Run("vcnet-no-probe-sharing", func(t *testing.T) {
+		net, mesh := sharingVCMesh(t)
+		var stepErr error
+		step := func() {
+			if err := net.Step(); err != nil {
+				stepErr = err
+			}
+		}
+		// A first wave run to completion sizes the worms, lists and
+		// timers; the measured steps carry a second one on recycled worms,
+		// the links of each column shared and unshared again as its
+		// messages follow one another.
+		sharingVCWave(net, mesh)
+		for net.InFlight() > 0 && stepErr == nil {
+			step()
+		}
+		net.TakeDelivered()
+		pkts := sharingVCWave(net, mesh)
+		allocs := testing.AllocsPerRun(200, step)
+		if stepErr != nil {
+			t.Fatal(stepErr)
+		}
+		// A message alone on its path arrives Hops + Length - 1 cycles
+		// after it was injected; every extra cycle is one in which one of
+		// its flits was refused a link's bandwidth, the links being shared.
+		done, refused := 0, int64(0)
+		for _, p := range pkts {
+			if p.Arrived >= 0 {
+				done++
+				refused += p.Arrived - p.Injected - int64(p.Hops+p.Length-1)
+			}
+		}
+		if done < len(pkts)/2 || refused < int64(done) {
+			t.Fatalf("%d of %d messages delivered in the measured window, %d cycles refused; the case no longer shares the y links",
+				done, len(pkts), refused)
+		}
+		if allocs != 0 {
+			t.Errorf("step path allocates %.1f allocs/op, want 0", allocs)
+		}
+	})
+	t.Run("vcnet-no-probe-moving-v1", func(t *testing.T) {
+		net, pkts := movingVCNetworkV1(t)
+		movingAllocs(t, net.Step, net.PacketsDelivered, pkts)
 	})
 	t.Run("no-probe-cube", func(t *testing.T) {
 		// The 8-cube held saturated (saturatedCube in bench_test.go): every
